@@ -4,7 +4,7 @@ The DES is single-threaded, so an ablation matrix is embarrassingly
 parallel: the pool's speedup is the wall-time argument for running
 paper-scale sweeps (and CI) through ``repro ablate --jobs N``.
 
-Runs the fig2b x (lock, sharding, scheduler) leave-one-out matrix (4
+Runs the fig2b x (lock, sharding, robust) leave-one-out matrix (4
 cells) twice -- serial, then through a 2-worker spawn pool -- and
 records wall time and per-cell metrics in
 ``results/BENCH_ablation.json``.
@@ -32,7 +32,7 @@ from repro.analysis.report import format_table
 RESULTS = pathlib.Path(__file__).parent / "results" / "BENCH_ablation.json"
 
 EXPERIMENTS = ["fig2b"]
-COMPONENTS = ["lock", "sharding", "scheduler"]
+COMPONENTS = ["lock", "sharding", "robust"]
 JOBS = 2
 
 

@@ -12,11 +12,6 @@ accounting (``Simulator.dispatched`` / ``.skipped`` / ``.compactions``):
   The acceptance gate lives here: savings must be >= 20%.
 * ``hot-loop`` -- chained timeouts across a few processes: raw dispatch
   throughput (events/sec) of the inlined run loop, no cancellation.
-* ``hot-loop-calendar`` -- drain throughput of the calendar queue:
-  waves of same-timestamp timers armed up front, only ``sim.run()``
-  timed, so the number isolates pop_batch + batched dispatch.  The
-  second acceptance gate lives here: best-of-3 must sustain >= 2M
-  events/sec.
 * ``chaos-macro`` -- the fig_chaos configuration end to end (2 ranks x
   4 threads, 1% internode drop, ACK/retransmit on): the same accounting
   on a real cluster run, where dead retransmit timers ride alongside all
@@ -47,14 +42,10 @@ RESULTS = pathlib.Path(__file__).parent / "results" / "BENCH_simcore.json"
 #: scenario, as a fraction of what the fire-and-filter scheme dispatched.
 MIN_SAVINGS = 0.20
 
-#: Acceptance gate: calendar-queue drain throughput, events per second.
-MIN_CALENDAR_EVS = 2_000_000
-
 
 def _account(sim: Simulator) -> dict:
     would_have = sim.dispatched + sim.skipped
     return {
-        "scheduler": sim.queue.kind,
         "dispatched": sim.dispatched,
         "skipped": sim.skipped,
         "compactions": sim.compactions,
@@ -69,7 +60,7 @@ def bench_retransmit(n_msgs: int, drop: float = 0.01, seed: int = 1) -> dict:
     Per send attempt: one retransmit timer (RTO) plus, unless the copy is
     dropped, one delivery event that cancels the timer.  Mirrors
     ``ReliabilityLayer.track``/``on_ack`` without the MPI machinery, so
-    the numbers isolate the scheduler."""
+    the numbers isolate the event queue."""
     sim = Simulator(seed=seed)
     rng = sim.rng.stream("faults")
     rto = 15_000e-9
@@ -130,41 +121,6 @@ def bench_hotloop(n_events: int, seed: int = 0) -> dict:
     }
 
 
-def bench_hotloop_calendar(n_events: int, repeats: int = 3,
-                           seed: int = 0) -> dict:
-    """Calendar-queue drain throughput: batched same-timestamp dispatch.
-
-    Waves of 64 timers share each timestamp, armed before the clock
-    starts, so the measurement is pop_batch plus the batch dispatch loop
-    with nothing else in the frame.  Best-of-``repeats`` damps scheduler
-    noise on shared runners; this is the row the >= 2M ev/s gate reads.
-    """
-    wave = 64
-    n_waves = n_events // wave
-    best = None
-    for _ in range(repeats):
-        sim = Simulator(seed=seed, scheduler="calendar")
-        for w in range(n_waves):
-            when = w * 100e-9
-            for _ in range(wave):
-                sim.timeout(when)
-        t0 = time.perf_counter()  # simlint: disable=wall-clock
-        sim.run()
-        wall = time.perf_counter() - t0  # simlint: disable=wall-clock
-        if best is None or wall < best[0]:
-            best = (wall, sim)
-    wall, sim = best
-    return {
-        "mode": "hot-loop-calendar",
-        "wave": wave,
-        "n_waves": n_waves,
-        "repeats": repeats,
-        "wall_s": round(wall, 4),
-        "events_per_sec": round(sim.dispatched / wall),
-        **_account(sim),
-    }
-
-
 def bench_chaos(quick: bool, seed: int = 1) -> dict:
     """The fig_chaos configuration end to end, with engine accounting."""
     cl = Cluster(ClusterConfig(
@@ -203,7 +159,6 @@ def main(argv=None) -> int:
     rows = [
         bench_retransmit(n_retransmit),
         bench_hotloop(n_hotloop),
-        bench_hotloop_calendar(n_hotloop),
         bench_chaos(args.quick),
     ]
     total_wall = time.perf_counter() - t0  # simlint: disable=wall-clock
@@ -214,16 +169,15 @@ def main(argv=None) -> int:
         "budget_s": args.budget,
         "total_wall_s": round(total_wall, 4),
         "min_savings": MIN_SAVINGS,
-        "min_calendar_evs": MIN_CALENDAR_EVS,
         "rows": rows,
     }
     RESULTS.parent.mkdir(exist_ok=True)
     RESULTS.write_text(json.dumps(payload, indent=2) + "\n")
 
-    print(f"{'mode':>18} {'sched':>9} {'dispatched':>11} {'skipped':>9} "
+    print(f"{'mode':>18} {'dispatched':>11} {'skipped':>9} "
           f"{'savings':>8} {'compact':>8} {'ev/s':>10} {'wall_s':>8}")
     for r in rows:
-        print(f"{r['mode']:>18} {r['scheduler']:>9} {r['dispatched']:>11} "
+        print(f"{r['mode']:>18} {r['dispatched']:>11} "
               f"{r['skipped']:>9} {r['savings']:>8.1%} {r['compactions']:>8} "
               f"{r['events_per_sec']:>10} {r['wall_s']:>8.3f}")
     print(f"written to {RESULTS}")
@@ -236,14 +190,6 @@ def main(argv=None) -> int:
     else:
         print(f"ok: retransmit-1pct eliminates {savings:.1%} of dispatches "
               f"(gate: >= {MIN_SAVINGS:.0%})")
-    cal_evs = next(r for r in rows
-                   if r["mode"] == "hot-loop-calendar")["events_per_sec"]
-    if cal_evs < MIN_CALENDAR_EVS:
-        print(f"FAIL: hot-loop-calendar {cal_evs} ev/s < {MIN_CALENDAR_EVS}")
-        ok = False
-    else:
-        print(f"ok: hot-loop-calendar sustains {cal_evs} ev/s "
-              f"(gate: >= {MIN_CALENDAR_EVS})")
     if total_wall > args.budget:
         print(f"FAIL: wall {total_wall:.1f}s over budget {args.budget:.0f}s")
         ok = False

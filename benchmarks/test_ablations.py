@@ -9,8 +9,10 @@ from __future__ import annotations
 import pathlib
 
 from repro.analysis import compute_bias_factors, format_table
+from repro.locks import LockTrace
 from repro.machine import CostModel
 from repro.mpi import Cluster, ClusterConfig
+from repro.obs import Instrument
 from repro.workloads import (
     LatencyConfig,
     N2NConfig,
@@ -48,10 +50,12 @@ def test_ablation_numa_free_machine_removes_socket_bias(benchmark):
             # Average over a few seeds: bias estimates are noisy.
             biases = []
             for seed in (1, 2, 3):
+                bus = Instrument()
                 cl = throughput_cluster(lock="mutex", threads_per_rank=8,
-                                        seed=seed, costs=cm, trace_locks=True)
+                                        seed=seed, costs=cm, obs=bus)
+                trace = LockTrace.from_bus(bus, lock_name="mutex@rank1")
                 run_throughput(cl, ThroughputConfig(msg_size=512, n_windows=4))
-                biases.append(compute_bias_factors(cl.lock_traces[1]).socket_bias)
+                biases.append(compute_bias_factors(trace).socket_bias)
             out.append((label, sum(biases) / len(biases)))
         return out
 
@@ -250,7 +254,7 @@ def test_ablation_socket_aware_lock_starves(benchmark):
     one socket can capture the lock -- measured as acquisition imbalance
     vs the plain ticket lock on the same workload."""
 
-    from repro.locks import LockTrace, make_lock
+    from repro.locks import make_lock
     from repro.machine import NS, ThreadCtx, nehalem_node, scatter_binding
     from repro.sim import Simulator
 
@@ -259,8 +263,9 @@ def test_ablation_socket_aware_lock_starves(benchmark):
         for kind in ("ticket", "socket"):
             s = Simulator(seed=3)
             machine = nehalem_node()
-            trace = LockTrace()
-            lock = make_lock(kind, s, CostModel(), trace=trace)
+            lock = make_lock(kind, s, CostModel())
+            trace = LockTrace.from_bus(Instrument().bind_sim(s),
+                                       lock_name=lock.name)
             cores = scatter_binding(machine, 4)
 
             def worker(ctx):

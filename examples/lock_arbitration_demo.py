@@ -13,6 +13,7 @@ import argparse
 from repro.analysis import compute_bias_factors, format_table
 from repro.locks import LOCK_CLASSES, LockTrace, make_lock
 from repro.machine import NS, CostModel, ThreadCtx, nehalem_node
+from repro.obs import Instrument
 from repro.sim import Simulator
 
 
@@ -28,8 +29,9 @@ def main() -> None:
 
     sim = Simulator(seed=args.seed)
     machine = nehalem_node()
-    trace = LockTrace()
-    lock = make_lock(args.lock, sim, CostModel(), trace=trace)
+    lock = make_lock(args.lock, sim, CostModel())
+    # The acquisition trace is read off the observability bus.
+    trace = LockTrace.from_bus(Instrument().bind_sim(sim), lock_name=lock.name)
     horizon = args.duration_us * 1e-6
 
     threads = [

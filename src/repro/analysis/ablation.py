@@ -113,13 +113,6 @@ COMPONENTS: Dict[str, Component] = _components(
         ablated={"completion": "poll"},
     ),
     Component(
-        "scheduler",
-        "calendar event queue vs the reference heap (bit-identical "
-        "schedules; any simulated-metric delta is a bug)",
-        baseline={"scheduler": "heap"},
-        ablated={"scheduler": "calendar"},
-    ),
-    Component(
         "eager",
         "eager protocol below 16 KiB vs all-rendezvous transfers",
         baseline={"eager_threshold": 16384},

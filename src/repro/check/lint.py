@@ -36,13 +36,13 @@ them as AST rules (stdlib :mod:`ast`, no new dependencies):
     exception swallow model bugs that determinism tests would otherwise
     surface.
 ``queue-encapsulation``
-    The simulator's event queue is pluggable
-    (:mod:`repro.sim.equeue`); only the engine and the queue
-    implementations themselves may import :mod:`heapq` or touch queue
-    internals (``sim._heap``-era attributes, bucket state, the free
-    pool).  Everything else goes through the :class:`EventQueue`
-    interface and the ``Simulator`` properties, or the calendar queue
-    silently diverges from the heap.
+    The simulator's event queue sits behind a narrow seam
+    (:mod:`repro.sim.equeue`); only the engine and the queue module
+    itself may import :mod:`heapq` or touch queue internals (the heap
+    array, bucket-queue state, the free pool).  Everything else goes
+    through the :class:`EventQueue` methods and the ``Simulator``
+    properties, so the queue's books (live / dead / skipped) stay
+    exact and the queue can change without touching its callers.
 ``continuation-discipline``
     Callbacks registered via ``attach_continuation`` fire inside the
     runtime's completion dispatch; callbacks handed to the timer paths
@@ -596,7 +596,7 @@ def _check_broad_except(mod: _Module) -> Iterator[Finding]:
 
 
 #: Files allowed to import heapq / touch queue internals: the engine,
-#: the queue implementations, and the event primitives (whose
+#: the queue module, and the event primitives (whose
 #: trigger-time scheduling is deliberately inlined into the push fast
 #: path).
 _QUEUE_WHITELIST = (
@@ -606,7 +606,7 @@ _QUEUE_WHITELIST = (
 )
 
 #: Attribute names that are queue internals wherever they appear
-#: (heap array, calendar bucket state).
+#: (heap array, bucket-queue state).
 _QUEUE_PRIVATE_ANY = frozenset({
     "_heap", "_buckets", "_inv_width", "_grow_at",
 })

@@ -147,7 +147,6 @@ def _cmd_throughput(args) -> int:
         lock=args.lock, threads_per_rank=args.threads,
         binding=args.binding, seed=args.seed, cs=args.cs,
         faults=args.faults, reliability=args.retransmit,
-        scheduler=args.scheduler,
     )
     res = run_throughput(cluster, ThroughputConfig(
         msg_size=args.size, n_windows=args.windows))
@@ -396,11 +395,6 @@ def build_parser() -> argparse.ArgumentParser:
                          "(see repro.faults.parse_fault_plan)")
     tp.add_argument("--retransmit", action="store_true",
                     help="enable the ACK/retransmit reliability layer")
-    tp.add_argument("--scheduler", choices=("heap", "calendar"),
-                    default="heap",
-                    help="simulator event-queue implementation; both give "
-                         "bit-identical schedules, calendar batches "
-                         "dispatch for speed (default: heap)")
     tp.add_argument("--seed", type=int, default=0,
                     help="master RNG seed (default 0, matching the "
                          "experiment runners)")

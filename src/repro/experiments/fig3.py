@@ -15,6 +15,7 @@ from typing import Optional
 
 from ..analysis.bias import compute_bias_factors
 from ..analysis.report import format_size
+from ..locks import LockTrace
 from ..workloads.throughput import ThroughputConfig, run_throughput, throughput_cluster
 from ..obs import Instrument
 from .base import ExperimentResult
@@ -27,14 +28,17 @@ def run_fig3a(
     quick: bool = True, seed: int = 0, obs: Optional[Instrument] = None,
 ) -> ExperimentResult:
     p = preset(quick)
+    # The bias estimators read the receiver rank's lock events; without
+    # a caller's bus, a private one carries only the ``lock`` category.
+    bus = obs if obs is not None else Instrument()
     rows = []
     core, sock = {}, {}
     for size in p.sizes:
-        cl = throughput_cluster(
-            lock="mutex", threads_per_rank=8, seed=seed, obs=obs, trace_locks=True
-        )
+        cl = throughput_cluster(lock="mutex", threads_per_rank=8, seed=seed, obs=bus)
+        trace = LockTrace.from_bus(bus, lock_name="mutex@rank1")
         run_throughput(cl, ThroughputConfig(msg_size=size, n_windows=p.n_windows))
-        b = compute_bias_factors(cl.lock_traces[1])
+        trace.detach()
+        b = compute_bias_factors(trace)
         core[size], sock[size] = b.core_bias, b.socket_bias
         rows.append([
             format_size(size), f"{b.core_bias:.2f}", f"{b.socket_bias:.2f}",

@@ -22,7 +22,6 @@ from typing import Callable, Dict, List, Optional, Tuple
 from ..machine.costs import NS, CostModel
 from ..machine.threads import ThreadCtx
 from ..machine.topology import Core, Proximity
-from .stats import LockTrace
 
 __all__ = ["Priority", "SimLock", "NullLock", "LockError"]
 
@@ -45,7 +44,7 @@ class LockError(RuntimeError):
 
 
 class SimLock:
-    """Base class: contention bookkeeping, trace recording, grant hooks."""
+    """Base class: contention bookkeeping, obs emission, grant hooks."""
 
     #: If True, release() must be called by the owning thread.
     strict_owner = True
@@ -54,23 +53,15 @@ class SimLock:
     #: whose ownership belongs to a priority *class*, not a thread).
     allow_owner_reentry = False
 
-    def __init__(
-        self,
-        sim,
-        costs: CostModel,
-        name: str = "",
-        trace: Optional[LockTrace] = None,
-    ):
+    def __init__(self, sim, costs: CostModel, name: str = ""):
         self.sim = sim
         self.costs = costs
         self.lock_id = next(_lock_ids)
         self.name = name or f"{type(self).__name__}#{self.lock_id}"
-        self.trace = trace
         self.owner: Optional[ThreadCtx] = None
         #: Cache line home: core of the last thread that touched the lock word.
         self.line_owner: Optional[Core] = None
         self._contenders: Dict[int, ThreadCtx] = {}
-        self._grant_time: float = 0.0
         #: Core of the previous owner (hand-off distance instrumentation).
         self._prev_owner_core: Optional[Core] = None
         #: Hooks ``cb(lock, ctx)`` invoked on every successful acquisition.
@@ -216,9 +207,6 @@ class SimLock:
             )
         self.owner = ctx
         ctx.held.add(self)
-        self._grant_time = self.sim.now
-        if self.trace is not None:
-            self.trace.record_grant(self.sim.now, ctx, self._contenders)
         obs = self.sim.obs
         if obs is not None and obs.wants("lock"):
             rank = ctx.rank if ctx.rank is not None else -1
@@ -287,8 +275,6 @@ class SimLock:
             raise LockError(
                 f"{ctx.name} released {self.name} held by {self.owner.name}"
             )
-        if self.trace is not None:
-            self.trace.record_release(self.sim.now, self._grant_time)
         obs = self.sim.obs
         if obs is not None and obs.wants("lock"):
             # End the *owner's* hold span (strict_owner=False locks may

@@ -38,8 +38,8 @@ class PriorityTicketLock(SimLock):
 
     strict_owner = False
 
-    def __init__(self, sim, costs, name: str = "", trace=None):
-        super().__init__(sim, costs, name=name, trace=trace)
+    def __init__(self, sim, costs, name: str = ""):
+        super().__init__(sim, costs, name=name)
         base = name or f"prio#{self.lock_id}"
         self.ticket_h = TicketLock(sim, costs, name=f"{base}.H")
         self.ticket_l = TicketLock(sim, costs, name=f"{base}.L")
@@ -102,8 +102,8 @@ class SocketAwareLock(SimLock):
     (the starvation case discussed in paper 7).
     """
 
-    def __init__(self, sim, costs, name: str = "", trace=None):
-        super().__init__(sim, costs, name=name, trace=trace)
+    def __init__(self, sim, costs, name: str = ""):
+        super().__init__(sim, costs, name=name)
         self._seq = 0
         #: waiting: tid -> (arrival_seq, event, ctx)
         self._waiting: Dict[int, tuple] = {}

@@ -17,23 +17,16 @@ from typing import Dict, Optional
 
 import numpy as np
 
-from ..machine.threads import ThreadCtx
-
 __all__ = ["LockTrace"]
 
 
 class LockTrace:
     """Append-only acquisition trace with numpy export.
 
-    Two ways to populate one:
-
-    * pass it to a lock (``make_lock(..., trace=trace)``): the lock
-      calls :meth:`record_grant` / :meth:`record_release` directly
-      (zero dependencies, the historical path);
-    * :meth:`from_bus`: subscribe to a :class:`repro.obs.Instrument`
-      bus and rebuild the same columns from ``lock`` events -- the
-      trace becomes a thin adapter over the unified observability
-      stream.  Both paths produce identical arrays for the same run.
+    Populated by :meth:`from_bus`, which subscribes to a
+    :class:`repro.obs.Instrument` bus and rebuilds the columns from
+    ``lock`` events: the trace is a thin adapter over the unified
+    observability stream.
     """
 
     def __init__(self):
@@ -54,7 +47,7 @@ class LockTrace:
     # ------------------------------------------------------------------
     @classmethod
     def from_bus(cls, bus, lock_name: Optional[str] = None) -> "LockTrace":
-        """Build a trace fed by bus events instead of direct lock calls.
+        """Build a trace fed by the bus's ``lock`` events.
 
         ``lock_name`` filters to one lock's events (e.g.
         ``"mutex@rank0"``); ``None`` accepts every lock on the bus --
@@ -67,7 +60,7 @@ class LockTrace:
         return trace
 
     def detach(self) -> None:
-        """Stop consuming bus events (no-op for directly-fed traces)."""
+        """Stop consuming bus events (no-op once detached)."""
         if self._bus is not None:
             self._bus.unsubscribe(self._on_event)
             self._bus = None
@@ -93,29 +86,7 @@ class LockTrace:
             self._last_grant_ts = ev.ts
         elif suffix == "hold" and ev.kind.name == "SPAN_END":
             if self._last_grant_ts is not None:
-                self.record_release(ev.ts, self._last_grant_ts)
-
-    # ------------------------------------------------------------------
-    def record_grant(
-        self, now: float, winner: ThreadCtx, contenders: Dict[int, ThreadCtx]
-    ) -> None:
-        """Record acquisition ``l``: called at grant time, winner still in
-        ``contenders``."""
-        self.times.append(now)
-        self.tids.append(winner.tid)
-        self.sockets.append(winner.socket)
-        self.n_contenders.append(len(contenders))
-        prev = self._prev_socket
-        if prev is None:
-            self.n_contenders_prev_socket.append(0)
-        else:
-            self.n_contenders_prev_socket.append(
-                sum(1 for c in contenders.values() if c.socket == prev)
-            )
-        self._prev_socket = winner.socket
-
-    def record_release(self, now: float, grant_time: float) -> None:
-        self.hold_times.append(now - grant_time)
+                self.hold_times.append(ev.ts - self._last_grant_ts)
 
     # ------------------------------------------------------------------
     def as_arrays(self) -> dict:

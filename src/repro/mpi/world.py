@@ -18,7 +18,7 @@ every rank (paper 6.1.2): an endless LOW-priority progress poller.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from ..faults import (
     FaultInjector,
@@ -28,7 +28,7 @@ from ..faults import (
     ReliabilityConfig,
     parse_fault_plan,
 )
-from ..locks import LOCK_CLASSES, LockTrace, make_lock
+from ..locks import LOCK_CLASSES, make_lock
 from ..machine import (
     BINDINGS,
     CostModel,
@@ -39,7 +39,7 @@ from ..machine import (
 from ..network import Fabric, NetworkConfig
 from ..obs import Instrument
 from ..overrides import cluster_overrides, get_override
-from ..sim import SCHEDULERS, Simulator
+from ..sim import Simulator
 from .collectives import Communicator
 from .runtime import MpiRuntime, MpiThread
 from .vci import CsGranularity, CsPolicy, parse_cs_policy
@@ -64,12 +64,6 @@ class ClusterConfig:
     lock: str = "mutex"
     binding: str = "compact"
     seed: int = 0
-    #: Simulator event-queue implementation (see
-    #: :data:`repro.sim.SCHEDULERS`): "heap" (default, bit-identity
-    #: reference) or "calendar" (batched bucket queue for long runs).
-    #: Both produce identical schedules; the choice is purely a
-    #: wall-clock trade.
-    scheduler: str = "heap"
     costs: CostModel = field(default_factory=CostModel)
     net: NetworkConfig = field(default_factory=NetworkConfig)
     machine_spec: MachineSpec = field(default_factory=MachineSpec)
@@ -92,8 +86,6 @@ class ClusterConfig:
     #: "per-vci:4", "per-vci:4:ticket" (see :mod:`repro.mpi.vci`).
     #: Parsed to a :class:`~repro.mpi.vci.CsPolicy` at construction.
     cs: "str | CsPolicy" = "global"
-    #: Record a LockTrace per rank (bias analysis needs this).
-    trace_locks: bool = False
     #: Observability bus to attach (see :mod:`repro.obs`); None = no
     #: instrumentation overhead at all.
     obs: Optional[Instrument] = None
@@ -123,11 +115,6 @@ class ClusterConfig:
             raise ValueError(
                 f"unknown binding {self.binding!r}; valid bindings: "
                 f"{', '.join(sorted(BINDINGS))}"
-            )
-        if self.scheduler not in SCHEDULERS:
-            raise ValueError(
-                f"unknown scheduler {self.scheduler!r}; valid schedulers: "
-                f"{', '.join(sorted(SCHEDULERS))}"
             )
         if self.completion not in ("poll", "continuation"):
             raise ValueError(
@@ -167,7 +154,7 @@ class Cluster:
                 f"unknown binding {config.binding!r}; expected one of {sorted(BINDINGS)}"
             )
         self.config = config
-        self.sim = Simulator(seed=config.seed, scheduler=config.scheduler)
+        self.sim = Simulator(seed=config.seed)
         if config.obs is not None:
             # Single attach point: everything holding this sim emits
             # through sim.obs.  Rebinding is deliberate -- sweep
@@ -180,7 +167,6 @@ class Cluster:
         self.fabric = Fabric(self.sim, config.net)
         self.runtimes: List[MpiRuntime] = []
         self.threads: List[List[MpiThread]] = []
-        self.lock_traces: Dict[int, LockTrace] = {}
         self._progress_ctxs: List[ThreadCtx] = []
         self._shutdown = False
         #: Idle-stall hook: called (no args) when the simulation runs
@@ -206,9 +192,6 @@ class Cluster:
             node = rank // config.ranks_per_node
             machine = self.machines[node]
             nic = self.fabric.register_rank(rank, node, n_vcis=policy.n_domains)
-            trace = LockTrace() if config.trace_locks else None
-            if trace is not None:
-                self.lock_traces[rank] = trace
             # One lock per arbitration domain.  With a single domain the
             # name stays exactly "<lock>@rank<N>" -- lock RNG streams are
             # keyed by name, so this keeps the global policy bit-for-bit
@@ -221,7 +204,6 @@ class Cluster:
                         if policy.n_domains == 1
                         else f"{lock_kind}@rank{rank}.d{di}"
                     ),
-                    trace=trace,
                 )
                 for di in range(policy.n_domains)
             ]

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, replace
-from typing import Callable, Dict, List, Optional
+from typing import Dict, List, Optional
 
 from ..sim.engine import Simulator
 from .message import Packet
@@ -134,8 +134,6 @@ class Fabric:
         self.config = config or NetworkConfig()
         self._nics: Dict[int, RankNic] = {}
         self._uplinks: Dict[int, _FifoServer] = {}
-        #: Optional hooks ``cb(packet)`` run at delivery (tests, tracing).
-        self.on_deliver: List[Callable] = []
         #: Fault injector (:class:`repro.faults.FaultInjector`) or None.
         #: None means the fault machinery costs exactly one attribute
         #: check per send -- the pre-faults instruction stream.
@@ -241,8 +239,6 @@ class Fabric:
                     src=packet.src_rank, dst=packet.dst_rank,
                     nbytes=packet.nbytes,
                 )
-            for cb in self.on_deliver:
-                cb(packet)
             return
         # Route into the packet's VCI queue; packets addressed past the
         # NIC's VCI count (mixed-policy clusters are a config error, but
@@ -274,5 +270,3 @@ class Fabric:
             )
         if nic.on_packet is not None:
             nic.on_packet(packet)
-        for cb in self.on_deliver:
-            cb(packet)

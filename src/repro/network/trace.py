@@ -1,9 +1,10 @@
 """Packet tracing: capture and summarize fabric traffic.
 
-Attach a :class:`PacketTracer` to a fabric (or a cluster's fabric) to
-record every delivery; the summary breaks traffic down by packet kind --
-useful for verifying protocol behaviour (e.g. how much of a run's
-traffic is rendezvous control) and for debugging workloads.
+Subscribe a :class:`PacketTracer` to an observability bus
+(:meth:`PacketTracer.from_bus`) to record every delivery; the summary
+breaks traffic down by packet kind -- useful for verifying protocol
+behaviour (e.g. how much of a run's traffic is rendezvous control) and
+for debugging workloads.
 """
 
 from __future__ import annotations
@@ -14,8 +15,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .fabric import Fabric
-from .message import Packet, PacketKind
+from .message import PacketKind
 
 __all__ = ["PacketRecord", "TrafficSummary", "PacketTracer"]
 
@@ -46,38 +46,22 @@ class TrafficSummary:
 class PacketTracer:
     """Records every packet the fabric delivers.
 
-    Attach directly to a fabric (the historical path) or to the unified
-    observability bus with :meth:`from_bus` -- both produce the same
-    record stream for the same run.
+    Built by :meth:`from_bus` as a thin adapter over the observability
+    bus's ``net`` events.
     """
 
-    def __init__(self, fabric: Optional[Fabric] = None):
-        self.fabric = fabric
+    def __init__(self):
         self.records: List[PacketRecord] = []
-        self._hook = self._on_deliver
         self._bus = None
-        if fabric is not None:
-            fabric.on_deliver.append(self._hook)
 
     @classmethod
     def from_bus(cls, bus) -> "PacketTracer":
-        """A tracer rebuilt as a thin adapter over ``net`` bus events
-        (packet async-span ends are deliveries)."""
-        tracer = cls(fabric=None)
+        """A tracer fed by ``net`` bus events (packet async-span ends
+        are deliveries)."""
+        tracer = cls()
         tracer._bus = bus
         bus.subscribe(tracer._on_event, categories=("net",))
         return tracer
-
-    def _on_deliver(self, pkt: Packet) -> None:
-        self.records.append(
-            PacketRecord(
-                time=self.fabric.sim.now,
-                kind=pkt.kind,
-                src_rank=pkt.src_rank,
-                dst_rank=pkt.dst_rank,
-                nbytes=pkt.nbytes,
-            )
-        )
 
     def _on_event(self, ev) -> None:
         if ev.kind.name != "ASYNC_END" or ev.args is None:
@@ -93,9 +77,6 @@ class PacketTracer:
         )
 
     def detach(self) -> None:
-        if self.fabric is not None:
-            self.fabric.on_deliver.remove(self._hook)
-            self.fabric = None
         if self._bus is not None:
             self._bus.unsubscribe(self._on_event)
             self._bus = None

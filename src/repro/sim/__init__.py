@@ -14,7 +14,7 @@ Public surface::
 """
 
 from .engine import SimulationError, Simulator
-from .equeue import SCHEDULERS, CalendarQueue, EventQueue, HeapQueue, make_queue
+from .equeue import EventQueue
 from .events import AllOf, AnyOf, Event, Timeout
 from .process import Interrupt, Process
 from .rng import RngStreams, stable_hash
@@ -24,10 +24,6 @@ __all__ = [
     "Simulator",
     "SimulationError",
     "EventQueue",
-    "HeapQueue",
-    "CalendarQueue",
-    "SCHEDULERS",
-    "make_queue",
     "Event",
     "Timeout",
     "AnyOf",

@@ -7,11 +7,10 @@ progress engine, network packet delivery -- is expressed as processes and
 events scheduled here.  Time is a ``float`` in **seconds**; the calibrated
 cost model works at nanosecond scale (1e-9).
 
-The queue is pluggable (``Simulator(scheduler="heap"|"calendar")``, see
-:mod:`repro.sim.equeue`); every implementation honours the same
-``(time, seq)`` total order, so the dispatch schedule -- and therefore
-every bit-identity pin in the test suite -- is independent of the queue
-chosen.  The run loops pull *batches* of same-timestamp entries and
+The queue (:mod:`repro.sim.equeue`) dispatches in ``(time, seq)``
+total order, so the schedule -- and therefore every bit-identity pin in
+the test suite -- depends only on the seed and the model.  The run
+loops pull *batches* of same-timestamp entries and
 dispatch them in one tight loop, and dispatched :class:`Timeout` objects
 are recycled through a small free pool when provably unreferenced, so
 the per-event Python overhead is paid once per batch where possible.
@@ -31,12 +30,12 @@ from sys import getrefcount as _getrefcount
 from typing import Any, Callable, Generator, Optional
 
 from .equeue import _COMPACT_MIN_DEAD as _COMPACT_MIN_DEAD  # re-export, tests
-from .equeue import EventQueue, SCHEDULERS, make_queue
+from .equeue import EventQueue
 from .events import AllOf, AnyOf, Event, Timeout
 from .process import Process
 from .rng import RngStreams
 
-__all__ = ["Simulator", "SimulationError", "EventQueue", "SCHEDULERS"]
+__all__ = ["Simulator", "SimulationError", "EventQueue"]
 
 #: Free-pool cap: enough to absorb the working set of in-flight timers
 #: in the macro workloads without pinning unbounded garbage.
@@ -63,16 +62,11 @@ class Simulator:
         Master seed for the named RNG streams (see :class:`RngStreams`).
         Two simulators constructed with the same seed and driven by the
         same (deterministic) model produce bit-identical traces.
-    scheduler:
-        Event-queue implementation: a name from
-        :data:`~repro.sim.equeue.SCHEDULERS` (``"heap"``, the default
-        and bit-identity reference, or ``"calendar"``) or a
-        pre-constructed :class:`EventQueue`.
     """
 
-    def __init__(self, *, seed: int = 0, scheduler="heap"):
+    def __init__(self, *, seed: int = 0):
         self.now: float = 0.0
-        self.queue: EventQueue = make_queue(scheduler)
+        self.queue = EventQueue()
         #: Bound ``queue.push``, cached: scheduling happens several times
         #: per dispatched event, and the queue never changes after
         #: construction.
@@ -334,8 +328,7 @@ class Simulator:
         return stop.value
 
     # ------------------------------------------------------------------
-    # Queue accounting.  Delegated so obs summaries and tests read the
-    # same fields whichever queue implementation is plugged in.
+    # Queue accounting, delegated to the queue.
     # ------------------------------------------------------------------
     @property
     def queued_events(self) -> int:
@@ -351,8 +344,7 @@ class Simulator:
 
     @property
     def heap_size(self) -> int:
-        """Raw queue length, live plus dead (name kept from the
-        heap-only era; sized the same for every queue impl)."""
+        """Raw queue length, live plus dead."""
         return self.queue.size
 
     @property
@@ -368,7 +360,7 @@ class Simulator:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"<Simulator t={self.now:.9f}s queued={self.queued_events} "
-            f"dead={self.queue.dead} scheduler={self.queue.kind}>"
+            f"dead={self.queue.dead}>"
         )
 
 

@@ -1,29 +1,18 @@
-"""Pluggable event queues for the simulator core.
+"""The simulator's event queue.
 
-The :class:`~repro.sim.engine.Simulator` no longer owns a heap: it owns
-an :class:`EventQueue`, a small priority-queue interface over
-``(time, seq, event)`` entries.  Every implementation must honour the
-same total order -- ``(time, seq)`` with ``seq`` allocated at push time
--- so the dispatch schedule is bit-identical whichever queue is plugged
-in.  Two implementations ship:
+The :class:`~repro.sim.engine.Simulator` does not own a heap directly:
+it owns an :class:`EventQueue`, a small priority-queue interface over
+``(time, seq, event)`` entries ordered by ``(time, seq)`` with ``seq``
+allocated at push time.  The implementation is a lazy-deletion binary
+heap: ``heapq`` keeps the entries totally ordered, cancelled entries are
+skipped at pop time and swept by an in-place compaction once more than
+half of the heap is dead.  The method set (``push`` / ``pop`` /
+``pop_batch`` / ``note_cancelled`` / ``skip_inflight`` / ``requeue``
+and the ``live`` / ``dead`` / ``size`` / ``stats`` accounting) is the
+seam the engine and the benches read through; simlint's
+``queue-encapsulation`` rule keeps everything else out of its state.
 
-``heap``
-    The lazy-deletion binary heap the engine always had (the
-    bit-identity reference).  ``heapq`` keeps the entries totally
-    ordered; cancelled entries are skipped at pop time and swept by an
-    in-place compaction once more than half of the heap is dead.
-
-``calendar``
-    An array-backed calendar (bucket) queue tuned to the sim's
-    short-horizon timer distribution (network hops, RTO timers).  Time
-    is divided into fixed-width buckets kept in a dict keyed by the
-    *absolute* bucket number ``int(t / width)``; a cursor walks the
-    buckets in order and each bucket is Timsort-sorted on first touch
-    (near-free on the mostly-presorted runs the sim produces).  The
-    bucket width adapts: it narrows when buckets grow crowded and widens
-    when the calendar goes sparse, each rebuild costing one O(n) pass.
-
-Both queues extract *batches*: the leading run of entries sharing the
+The queue extracts *batches*: the leading run of entries sharing the
 minimal timestamp.  The engine dispatches a batch in one tight loop,
 amortizing the clock store, the obs gate and the counter updates over
 the whole run.  A batch never mixes timestamps, so zero-delay events
@@ -43,13 +32,7 @@ from __future__ import annotations
 from heapq import heapify, heappop, heappush
 from typing import Optional
 
-__all__ = [
-    "EventQueue",
-    "HeapQueue",
-    "CalendarQueue",
-    "SCHEDULERS",
-    "make_queue",
-]
+__all__ = ["EventQueue"]
 
 #: Lazy-deletion compaction gate: never sweep a queue carrying fewer
 #: dead entries than this, however high the dead fraction (tiny queues
@@ -58,18 +41,9 @@ _COMPACT_MIN_DEAD = 64
 
 
 class EventQueue:
-    """Priority queue of ``(time, seq, event)`` entries.
+    """Lazy-deletion binary heap of ``(time, seq, event)`` entries."""
 
-    Concrete queues implement ``push`` / ``pop`` / ``pop_batch`` /
-    ``note_cancelled`` and the ``size`` property; the bookkeeping that
-    must read identically across implementations (``live``, ``dead``,
-    ``skipped``, ``compactions``) lives here.
-    """
-
-    __slots__ = ("skipped", "compactions", "_dead")
-
-    #: Registry name, reported by :meth:`stats`.
-    kind = "abstract"
+    __slots__ = ("skipped", "compactions", "_dead", "_heap")
 
     def __init__(self) -> None:
         #: Cancelled entries removed without dispatch (pop-time skips
@@ -80,12 +54,13 @@ class EventQueue:
         #: Cancelled entries not yet removed (lazy deletion).  Includes
         #: cancelled in-flight entries until the engine resolves them.
         self._dead = 0
+        self._heap: list = []
 
     # -- accounting ----------------------------------------------------
     @property
     def size(self) -> int:
         """Entries currently stored, live plus dead."""
-        raise NotImplementedError
+        return len(self._heap)
 
     @property
     def dead(self) -> int:
@@ -95,12 +70,11 @@ class EventQueue:
     @property
     def live(self) -> int:
         """Non-cancelled entries still queued."""
-        return self.size - self._dead
+        return len(self._heap) - self._dead
 
     def stats(self) -> dict:
-        """Uniform per-queue counters for obs summaries and benches."""
+        """Queue counters for benches and tests."""
         return {
-            "scheduler": self.kind,
             "live": self.live,
             "dead": self._dead,
             "size": self.size,
@@ -110,7 +84,7 @@ class EventQueue:
 
     # -- operations ----------------------------------------------------
     def push(self, when: float, seq: int, event) -> None:
-        raise NotImplementedError
+        heappush(self._heap, (when, seq, event))
 
     def pop(self):
         """Remove and return the minimal live entry.
@@ -118,7 +92,13 @@ class EventQueue:
         Leading cancelled entries are consumed (and accounted as
         skipped) on the way; raises ``IndexError`` when no live entry
         remains."""
-        raise NotImplementedError
+        heap = self._heap
+        entry = heappop(heap)
+        while entry[2]._cancelled:
+            self._dead -= 1
+            self.skipped += 1
+            entry = heappop(heap)
+        return entry
 
     def pop_batch(self, horizon: Optional[float] = None):
         """Remove and return the leading run of live entries sharing the
@@ -132,62 +112,6 @@ class EventQueue:
         come back as a list of entries.  Callers distinguish the two by
         type, which spares the hot path a one-element list allocation
         per event."""
-        raise NotImplementedError
-
-    def note_cancelled(self) -> None:
-        """Account one freshly-cancelled entry; may trigger a sweep."""
-        raise NotImplementedError
-
-    def skip_inflight(self) -> None:
-        """Resolve an entry that was cancelled *after* extraction into a
-        batch: it left the queue at extraction time, so only the books
-        move."""
-        self._dead -= 1
-        self.skipped += 1
-
-    def requeue(self, entries) -> None:
-        """Hand back the undispatched tail of a batch (early stop).
-
-        Live entries re-enter the queue under their original
-        ``(time, seq)`` key, so the total order is undisturbed; entries
-        cancelled while in flight are resolved as skips."""
-        push = self.push
-        for entry in entries:
-            if entry[2]._cancelled:
-                self._dead -= 1
-                self.skipped += 1
-            else:
-                push(entry[0], entry[1], entry[2])
-
-
-class HeapQueue(EventQueue):
-    """The lazy-deletion binary heap (bit-identity reference)."""
-
-    __slots__ = ("_heap",)
-
-    kind = "heap"
-
-    def __init__(self) -> None:
-        super().__init__()
-        self._heap: list = []
-
-    @property
-    def size(self) -> int:
-        return len(self._heap)
-
-    def push(self, when: float, seq: int, event) -> None:
-        heappush(self._heap, (when, seq, event))
-
-    def pop(self):
-        heap = self._heap
-        entry = heappop(heap)
-        while entry[2]._cancelled:
-            self._dead -= 1
-            self.skipped += 1
-            entry = heappop(heap)
-        return entry
-
-    def pop_batch(self, horizon: Optional[float] = None):
         heap = self._heap
         while heap:
             head = heap[0]
@@ -222,6 +146,7 @@ class HeapQueue(EventQueue):
         return None
 
     def note_cancelled(self) -> None:
+        """Account one freshly-cancelled entry; may trigger a sweep."""
         self._dead = dead = self._dead + 1
         heap = self._heap
         if dead >= _COMPACT_MIN_DEAD and dead * 2 > len(heap):
@@ -235,283 +160,23 @@ class HeapQueue(EventQueue):
             self._dead -= removed
             self.compactions += 1
 
+    def skip_inflight(self) -> None:
+        """Resolve an entry that was cancelled *after* extraction into a
+        batch: it left the queue at extraction time, so only the books
+        move."""
+        self._dead -= 1
+        self.skipped += 1
 
-class CalendarQueue(EventQueue):
-    """Array-backed calendar queue with adaptive bucket width.
+    def requeue(self, entries) -> None:
+        """Hand back the undispatched tail of a batch (early stop).
 
-    Buckets are keyed by absolute bucket number, so there is no wrap
-    handling: far-future entries simply sit in far-away keys until the
-    cursor (or a ``min()`` scan across the keys, on a gap) reaches them.
-    The default width suits nanosecond-scale hop/RTO timers; the adaptive
-    resize recovers quickly when a workload lives on another scale.
-    """
-
-    __slots__ = (
-        "_buckets", "_width", "_inv_width", "_count", "_cur",
-        "_grow_at", "_jumps", "resizes",
-    )
-
-    kind = "calendar"
-
-    #: Starting bucket width in seconds (64 ns: a handful of short-hop
-    #: timers per bucket at the cost model's nanosecond scale).
-    DEFAULT_WIDTH = 64e-9
-
-    def __init__(self, width: float = DEFAULT_WIDTH) -> None:
-        super().__init__()
-        if width <= 0:
-            raise ValueError(f"bucket width must be positive, got {width!r}")
-        self._buckets: dict = {}
-        self._width = width
-        self._inv_width = 1.0 / width
-        self._count = 0
-        self._cur = 0
-        #: Next entry count at which the resize policy re-evaluates.
-        self._grow_at = 512
-        #: Consecutive expensive cursor jumps; widen when it saturates.
-        self._jumps = 0
-        self.resizes = 0
-
-    @property
-    def size(self) -> int:
-        return self._count
-
-    @property
-    def bucket_count(self) -> int:
-        return len(self._buckets)
-
-    @property
-    def bucket_width(self) -> float:
-        return self._width
-
-    def stats(self) -> dict:
-        s = super().stats()
-        s["buckets"] = len(self._buckets)
-        s["bucket_width_s"] = self._width
-        s["resizes"] = self.resizes
-        return s
-
-    # ------------------------------------------------------------------
-    def push(self, when: float, seq: int, event) -> None:
-        buckets = self._buckets
-        key = int(when * self._inv_width)
-        lst = buckets.get(key)
-        if lst is None:
-            buckets[key] = [(when, seq, event)]
-        else:
-            lst.append((when, seq, event))
-        self._count = n = self._count + 1
-        if n > self._grow_at:
-            self._maybe_narrow()
-
-    def pop(self):
-        batch = self.pop_batch()
-        if batch is None:
-            raise IndexError("pop from an empty calendar queue")
-        if type(batch) is tuple:
-            return batch
-        # Single-step callers (Simulator.step) want exactly one event;
-        # hand the rest of the run straight back.
-        self.requeue(batch[1:])
-        return batch[0]
-
-    def pop_batch(self, horizon: Optional[float] = None):
-        buckets = self._buckets
-        cur = self._cur
-        while True:
-            lst = buckets.get(cur)
-            if lst is None:
-                if not buckets:
-                    self._cur = cur
-                    return None
-                # Walk a short run of adjacent keys before paying for a
-                # min() scan over every key: gaps of a few empty buckets
-                # are the common case when the width roughly matches the
-                # inter-event spacing.
-                hi = cur + 32
-                nxt = cur + 1
-                while nxt != hi and nxt not in buckets:
-                    nxt += 1
-                if nxt != hi:
-                    self._jumps = 0
-                    cur = nxt
-                    continue
-                # Gap: jump to the earliest occupied bucket.  Each such
-                # jump costs a min() scan over every key, so a calendar
-                # that keeps landing here is mis-sized: either it has
-                # gone sparse (mostly-singleton buckets) or the width is
-                # far below the real inter-event spacing (long jumps --
-                # the failure mode a tie-heavy workload leaves behind,
-                # since narrowing cannot split a single-timestamp pile
-                # but still shrinks the width).  A few jumps in a row
-                # trigger a widen sized to the observed jump distance.
-                # (The width<1.0 guard keeps the rebuild a guaranteed
-                # change; the clamp in _rebuild caps widths at 1 s.)
-                nxt = min(buckets)
-                if self._width < 1.0 and (
-                    nxt - cur > 64
-                    or (len(buckets) > 64
-                        and len(buckets) << 1 > self._count)
-                ):
-                    self._jumps += 1
-                    if self._jumps >= 4:
-                        self._jumps = 0
-                        self._widen(nxt - cur)
-                        buckets = self._buckets
-                        cur = self._cur
-                        continue
-                cur = nxt
-                continue
-            lst.sort()
-            # Purge the leading dead run.
-            i = 0
-            n = len(lst)
-            while i < n and lst[i][2]._cancelled:
-                i += 1
-            if i == n:
-                del buckets[cur]
-                self._count -= n
-                self._dead -= n
-                self.skipped += n
-                continue
-            if i:
-                del lst[:i]
-                self._count -= i
-                self._dead -= i
-                self.skipped += i
-                n -= i
-            when = lst[0][0]
-            if horizon is not None and when > horizon:
-                self._cur = cur
-                return None
-            j = 1
-            while j < n and lst[j][0] == when:
-                j += 1
-            # Stay on this bucket: events scheduled during the batch may
-            # land in the same time window.
-            self._cur = cur
-            if j == 1:
-                # Singleton run; the leading purge above guarantees the
-                # head entry is live.
-                entry = lst[0]
-                if n == 1:
-                    del buckets[cur]
-                else:
-                    del lst[:1]
-                self._count -= 1
-                return entry
-            if j == n:
-                batch = lst
-                del buckets[cur]
+        Live entries re-enter the queue under their original
+        ``(time, seq)`` key, so the total order is undisturbed; entries
+        cancelled while in flight are resolved as skips."""
+        heap = self._heap
+        for entry in entries:
+            if entry[2]._cancelled:
+                self._dead -= 1
+                self.skipped += 1
             else:
-                batch = lst[:j]
-                del lst[:j]
-            self._count -= j
-            if self._dead:
-                live = [e for e in batch if not e[2]._cancelled]
-                d = j - len(live)
-                if d:
-                    self._dead -= d
-                    self.skipped += d
-                    if not live:
-                        continue
-                    if len(live) == 1:
-                        return live[0]
-                    batch = live
-            return batch
-
-    def note_cancelled(self) -> None:
-        self._dead = dead = self._dead + 1
-        if dead >= _COMPACT_MIN_DEAD and dead * 2 > self._count:
-            removed = 0
-            buckets = self._buckets
-            for key in list(buckets):
-                lst = buckets[key]
-                kept = [e for e in lst if not e[2]._cancelled]
-                removed += len(lst) - len(kept)
-                if kept:
-                    buckets[key] = kept
-                else:
-                    del buckets[key]
-            self._count -= removed
-            self._dead -= removed
-            self.skipped += removed
-            self.compactions += 1
-
-    # ------------------------------------------------------------------
-    # Adaptive width.  Target average occupancy is ~8 entries per
-    # bucket: enough that per-bucket costs amortize, small enough that
-    # the per-bucket sort stays cheap.
-    def _maybe_narrow(self) -> None:
-        n = self._count
-        nb = len(self._buckets)
-        if n >= nb << 4 and not self._ties_dominate():
-            self._rebuild(self._width * (nb * 8.0) / n)
-        # Re-arm with a cooldown either way, so a pathological pile-up
-        # (thousands of entries at one timestamp, which no width can
-        # split) costs at most one O(n) pass per doubling.
-        self._grow_at = max(n * 2, 512)
-
-    def _ties_dominate(self) -> bool:
-        """High occupancy caused by timestamp *ties* cannot be split by
-        any width; narrowing would only shrink the width below the real
-        inter-event spacing (and leave the cursor jumping gaps).  Sample
-        one bucket: if nearly all its entries share a timestamp, skip
-        the narrow."""
-        head = next(iter(self._buckets.values()))[:64]
-        return len(head) >= 8 and len({e[0] for e in head}) << 3 <= len(head)
-
-    def _widen(self, jump: int = 0) -> None:
-        # Grow to whichever estimate asks for more: the occupancy target
-        # (~8 entries per bucket) or the observed cursor jump distance
-        # (make the next occupied bucket an adjacent key).
-        nb = len(self._buckets)
-        factor = max(nb * 8.0 / max(self._count, 1),
-                     float(min(jump, 1 << 40)), 2.0)
-        self._rebuild(self._width * factor)
-
-    def _rebuild(self, width: float) -> None:
-        width = min(max(width, 1e-15), 1.0)
-        if width == self._width:
-            return
-        self._width = width
-        inv = self._inv_width = 1.0 / width
-        old = self._buckets
-        buckets = self._buckets = {}
-        for lst in old.values():
-            for entry in lst:
-                key = int(entry[0] * inv)
-                dst = buckets.get(key)
-                if dst is None:
-                    buckets[key] = [entry]
-                else:
-                    dst.append(entry)
-        if buckets:
-            self._cur = min(buckets)
-        self.resizes += 1
-
-
-#: Scheduler registry: name -> EventQueue class.  ``heap`` is the
-#: default and the bit-identity reference; both must produce identical
-#: dispatch schedules (see tests/property/test_queue_differential.py).
-SCHEDULERS = {
-    "heap": HeapQueue,
-    "calendar": CalendarQueue,
-}
-
-
-def make_queue(scheduler) -> EventQueue:
-    """Resolve a scheduler selector to a fresh queue instance.
-
-    Accepts a registry name (``"heap"`` / ``"calendar"``) or an
-    already-constructed :class:`EventQueue` (tests plug in instrumented
-    queues this way)."""
-    if isinstance(scheduler, EventQueue):
-        return scheduler
-    try:
-        return SCHEDULERS[scheduler]()
-    except (KeyError, TypeError):
-        raise ValueError(
-            f"unknown scheduler {scheduler!r}; valid schedulers: "
-            f"{', '.join(sorted(SCHEDULERS))}"
-        ) from None
+                heappush(heap, entry)

@@ -10,6 +10,7 @@ from repro.analysis import (
 from repro.locks import LockTrace
 from repro.mpi import Cluster, ClusterConfig
 from repro.network import PacketKind, PacketTracer
+from repro.obs import Instrument
 from repro.workloads import ThroughputConfig, run_throughput
 
 
@@ -55,10 +56,12 @@ class TestLockUsage:
             analyze_lock_usage(LockTrace())
 
     def test_on_real_run(self):
+        bus = Instrument()
         cl = Cluster(ClusterConfig(n_nodes=2, threads_per_rank=4,
-                                   lock="mutex", seed=3, trace_locks=True))
+                                   lock="mutex", seed=3, obs=bus))
+        trace = LockTrace.from_bus(bus, lock_name="mutex@rank1")
         run_throughput(cl, ThroughputConfig(msg_size=64, n_windows=2))
-        usage = analyze_lock_usage(cl.lock_traces[1])
+        usage = analyze_lock_usage(trace)
         assert 0.0 < usage.utilization <= 1.0
         assert usage.n_acquisitions > 100
         assert sum(usage.transitions.values()) == usage.n_acquisitions - 1
@@ -82,9 +85,10 @@ class TestWastedAcquisitions:
 
 class TestPacketTracer:
     def run_traced(self, msg_size):
+        bus = Instrument()
         cl = Cluster(ClusterConfig(n_nodes=2, threads_per_rank=1,
-                                   lock="ticket", seed=3))
-        tracer = PacketTracer(cl.fabric)
+                                   lock="ticket", seed=3, obs=bus))
+        tracer = PacketTracer.from_bus(bus)
         run_throughput(cl, ThroughputConfig(msg_size=msg_size, n_windows=1))
         return tracer
 
@@ -114,9 +118,10 @@ class TestPacketTracer:
         assert len(all_times) == len(tracer)
 
     def test_detach(self):
+        bus = Instrument()
         cl = Cluster(ClusterConfig(n_nodes=2, threads_per_rank=1,
-                                   lock="ticket", seed=3))
-        tracer = PacketTracer(cl.fabric)
+                                   lock="ticket", seed=3, obs=bus))
+        tracer = PacketTracer.from_bus(bus)
         tracer.detach()
         run_throughput(cl, ThroughputConfig(msg_size=64, n_windows=1))
         assert len(tracer) == 0

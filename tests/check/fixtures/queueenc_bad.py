@@ -12,7 +12,7 @@ def sneak_past_the_interface(sim):
     return sim.queue._dead
 
 
-def poke_calendar_state(queue):
+def poke_bucket_state(queue):
     queue._buckets.clear()
     queue._cur = 0
     width = queue._inv_width

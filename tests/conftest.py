@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import pytest
 
+from repro.locks import LockTrace
 from repro.machine import CostModel, ThreadCtx, compact_binding, nehalem_node
+from repro.obs import Instrument
 from repro.sim import Simulator
 
 
@@ -27,6 +29,11 @@ def make_threads(machine, n, binding=compact_binding, rank=0):
     """Create n ThreadCtx bound per the given policy."""
     cores = binding(machine, n)
     return [ThreadCtx(cores[i], name=f"t{i}", rank=rank) for i in range(n)]
+
+
+def bus_trace(sim, lock):
+    """A LockTrace of ``lock``, fed by a fresh obs bus bound to ``sim``."""
+    return LockTrace.from_bus(Instrument().bind_sim(sim), lock_name=lock.name)
 
 
 class ExclusionChecker:

@@ -10,7 +10,8 @@ from repro.faults import (
     LinkOutage,
     RankCrash,
 )
-from repro.network import Fabric, NetworkConfig, Packet, PacketKind
+from repro.network import Fabric, NetworkConfig, Packet, PacketKind, PacketTracer
+from repro.obs import Instrument
 from repro.sim import Simulator
 
 pytestmark = pytest.mark.faults
@@ -45,10 +46,10 @@ def test_certain_drop_loses_delivery_but_completes_locally():
 def test_certain_duplicate_delivers_two_copies():
     plan = FaultPlan(duplicate=1.0, duplicate_gap_ns=1000.0)
     sim, fab = make_fabric(plan)
-    arrivals = []
-    fab.on_deliver.append(lambda pkt: arrivals.append(sim.now))
+    recs = PacketTracer.from_bus(Instrument().bind_sim(sim)).records
     fab.send(Packet(PacketKind.EAGER, 0, 1, 1000))
     sim.run()
+    arrivals = [r.time for r in recs]
     assert len(fab.nic(1).recv_q) == 2
     assert fab.faults.stats.duplicates == 1
     t1, t2 = sorted(arrivals)

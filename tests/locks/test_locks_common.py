@@ -2,10 +2,10 @@
 
 import pytest
 
-from repro.locks import LOCK_CLASSES, LockError, LockTrace, make_lock
+from repro.locks import LOCK_CLASSES, LockError, make_lock
 from repro.machine import NS
 
-from ..conftest import hammer, make_threads
+from ..conftest import bus_trace, hammer, make_threads
 
 CONTENDED = [k for k in LOCK_CLASSES if k != "null"]
 
@@ -56,7 +56,7 @@ def test_release_unheld_raises(kind, sim, machine, costs):
         lock.release(t)
 
 
-@pytest.mark.parametrize("kind", ["mutex", "tas", "null"])
+@pytest.mark.parametrize("kind", ["mutex", "null"])
 def test_strict_owner_release_by_other_raises(kind, sim, machine, costs):
     lock = make_lock(kind, sim, costs)
     a, b = make_threads(machine, 2)
@@ -96,8 +96,8 @@ def test_double_acquire_by_same_thread_raises(kind, sim, machine, costs):
 
 @pytest.mark.parametrize("kind", CONTENDED)
 def test_trace_records_every_acquisition(kind, sim, machine, costs):
-    trace = LockTrace()
-    lock = make_lock(kind, sim, costs, trace=trace)
+    lock = make_lock(kind, sim, costs)
+    trace = bus_trace(sim, lock)
     threads = make_threads(machine, 4)
     hammer(sim, lock, threads, n_iters=5, hold_time=100 * NS, gap_time=100 * NS)
     assert len(trace) == 20

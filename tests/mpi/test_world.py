@@ -58,13 +58,6 @@ def test_ranks_map_to_nodes_in_order():
     assert [cl.fabric.nic(r).node for r in range(4)] == [0, 0, 1, 1]
 
 
-def test_trace_locks_populates_per_rank_traces():
-    cl = Cluster(ClusterConfig(n_nodes=2, trace_locks=True))
-    assert set(cl.lock_traces) == {0, 1}
-    cl2 = Cluster(ClusterConfig(n_nodes=2))
-    assert cl2.lock_traces == {}
-
-
 def test_world_communicator_covers_all_ranks():
     cl = Cluster(ClusterConfig(n_nodes=3, ranks_per_node=2))
     assert cl.world.ranks == tuple(range(6))

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.network import Fabric, NetworkConfig, Packet, PacketKind
+from repro.network import Fabric, NetworkConfig, Packet, PacketKind, PacketTracer
+from repro.obs import Instrument
 from repro.sim import Simulator
 
 
@@ -13,6 +14,11 @@ def make_fabric(n_ranks=2, ranks_per_node=1, **overrides):
     for r in range(n_ranks):
         fab.register_rank(r, node=r // ranks_per_node)
     return sim, fab
+
+
+def delivered(sim):
+    """Live list of the packets the fabric delivers, read off the bus."""
+    return PacketTracer.from_bus(Instrument().bind_sim(sim)).records
 
 
 def test_register_duplicate_rank_rejected():
@@ -91,9 +97,10 @@ def test_local_completion_before_delivery():
         yield done
         times["local"] = sim.now
 
-    fab.on_deliver.append(lambda pkt: times.setdefault("deliver", sim.now))
+    recs = delivered(sim)
     sim.process(proc())
     sim.run()
+    times["deliver"] = recs[0].time
     assert times["local"] < times["deliver"]
     # They differ by exactly the propagation latency.
     assert times["deliver"] - times["local"] == pytest.approx(
@@ -106,12 +113,12 @@ def test_uplink_serializes_concurrent_messages():
     transfer-time later, not concurrently."""
     sim, fab = make_fabric(n_ranks=3, ranks_per_node=1)
     # Rank 0 sends to ranks 1 and 2 at the same instant.
-    arrivals = []
-    fab.on_deliver.append(lambda pkt: arrivals.append((pkt.dst_rank, sim.now)))
+    recs = delivered(sim)
     nbytes = 1_000_000
     fab.send(Packet(PacketKind.EAGER, 0, 1, nbytes))
     fab.send(Packet(PacketKind.EAGER, 0, 2, nbytes))
     sim.run()
+    arrivals = [(r.dst_rank, r.time) for r in recs]
     (d1, t1), (d2, t2) = sorted(arrivals, key=lambda x: x[1])
     xfer = (nbytes + fab.config.header_bytes) / (fab.config.bandwidth_gbps * 1e9)
     assert t2 - t1 == pytest.approx(xfer, rel=1e-6)
@@ -119,12 +126,12 @@ def test_uplink_serializes_concurrent_messages():
 
 def test_sends_from_different_nodes_do_not_serialize():
     sim, fab = make_fabric(n_ranks=3, ranks_per_node=1)
-    arrivals = []
-    fab.on_deliver.append(lambda pkt: arrivals.append(sim.now))
+    recs = delivered(sim)
     nbytes = 1_000_000
     fab.send(Packet(PacketKind.EAGER, 0, 2, nbytes))
     fab.send(Packet(PacketKind.EAGER, 1, 2, nbytes))
     sim.run()
+    arrivals = [r.time for r in recs]
     assert arrivals[0] == pytest.approx(arrivals[1])
 
 

@@ -7,8 +7,7 @@ which requests complete, and the data they deliver, must be
 bit-identical: both modes drain the same packet stream through the same
 ``_complete`` funnel.  The harness records the completion sequence via
 sync continuations (pure bookkeeping, schedule-neutral by construction)
-and compares the two modes over random message plans, on both event
-schedulers.
+and compares the two modes over random message plans.
 
 Sizes stay in the inline/eager regime: rendezvous transfers interleave
 CTS round-trips with the receiver's progress schedule, so their
@@ -26,10 +25,10 @@ from repro.mpi import Cluster, ClusterConfig
 SIZES = (64, 1024, 4096)
 
 
-def _run(mode, sizes, seed, scheduler):
+def _run(mode, sizes, seed):
     cl = Cluster(ClusterConfig(
         n_nodes=2, ranks_per_node=1, threads_per_rank=1,
-        lock="ticket", seed=seed, completion=mode, scheduler=scheduler,
+        lock="ticket", seed=seed, completion=mode,
     ))
     t0, t1 = cl.thread(0), cl.thread(1)
     order = []
@@ -62,15 +61,14 @@ def _run(mode, sizes, seed, scheduler):
 _plan = dict(
     sizes=st.lists(st.sampled_from(SIZES), min_size=1, max_size=12),
     seed=st.integers(0, 999),
-    scheduler=st.sampled_from(("heap", "calendar")),
 )
 
 
 @given(**_plan)
 @settings(max_examples=40, deadline=None)
-def test_completion_order_matches_polling_mode(sizes, seed, scheduler):
-    poll = _run("poll", sizes, seed, scheduler)
-    cont = _run("continuation", sizes, seed, scheduler)
+def test_completion_order_matches_polling_mode(sizes, seed):
+    poll = _run("poll", sizes, seed)
+    cont = _run("continuation", sizes, seed)
     # Timestamps differ by design (parking vs spinning); the completion
     # sequence and every delivered payload must not.
     assert [o[:2] for o in cont] == [o[:2] for o in poll]
@@ -78,8 +76,8 @@ def test_completion_order_matches_polling_mode(sizes, seed, scheduler):
 
 @given(**_plan)
 @settings(max_examples=20, deadline=None)
-def test_continuation_mode_is_deterministic(sizes, seed, scheduler):
+def test_continuation_mode_is_deterministic(sizes, seed):
     # Same plan, same seed: bit-identical replay, timestamps included.
-    a = _run("continuation", sizes, seed, scheduler)
-    b = _run("continuation", sizes, seed, scheduler)
+    a = _run("continuation", sizes, seed)
+    b = _run("continuation", sizes, seed)
     assert a == b

@@ -1,13 +1,13 @@
-"""Differential property tests: heap vs calendar queue (hypothesis).
+"""Property tests of the event queue's dispatch schedule (hypothesis).
 
-The heap is the bit-identity reference; the calendar queue must be
-indistinguishable from it at the dispatch level.  The harness drives
-both schedulers through random schedule/cancel/run interleavings --
-including nested scheduling from inside callbacks, same-timestamp ties,
-horizon runs and cancel storms -- and asserts:
+The harness drives the simulator through random schedule/cancel/run
+interleavings -- including nested scheduling from inside callbacks,
+same-timestamp ties, horizon runs and cancel storms -- and checks the
+queue against an oracle built from the schedule itself:
 
-* **bit-identity** -- the two runs dispatch the same events at exactly
-  the same (float-equal) times in the same order;
+* **order** -- the dispatched timers are exactly the scheduled timers
+  that were not cancelled, in (fire time, scheduling order), each at
+  its float-equal fire time;
 * **books balance** -- after any interleaving, ``live + dead == size``
   and every scheduled event is eventually dispatched or skipped, with
   Timeout pooling active (pooling must be schedule-neutral, not just
@@ -29,41 +29,52 @@ _op = st.tuples(
 )
 
 
-def _run(scheduler, plan, horizon_ns):
-    sim = Simulator(seed=0, scheduler=scheduler)
+def _run(plan, horizon_ns):
+    """Run ``plan``; return the simulator, the dispatch trace, and the
+    oracle's view: each timer's (fire time, scheduling order) key and
+    the set of timers a ``cancel()`` call actually killed."""
+    sim = Simulator(seed=0)
     trace = []
+    keys = {}
+    killed = set()
     cancellers = []
 
-    def fire(i, spawn):
+    def schedule(label, delay, spawn):
+        keys[label] = (sim.now + delay, len(keys))
+        ev = sim.timeout(delay, name=str(label))
+        ev.callbacks.append(fire(label, spawn))
+        return ev
+
+    def cancel(label, ev):
+        if ev.cancel():
+            killed.add(label)
+
+    def fire(label, spawn):
         def cb(_ev):
-            trace.append((i, sim.now))
+            trace.append((label, sim.now))
             # Nested scheduling from inside a dispatch, including
             # zero-delay events that join the in-flight timestamp.
             for k in range(spawn):
-                nested = sim.timeout(k * 7 * NS, name=f"n{i}.{k}")
-                nested.callbacks.append(fire((i, k), 0))
+                schedule((label, k), k * 7 * NS, 0)
             if spawn and cancellers:
-                # Cancel a sibling mid-run: exercises in-flight and
-                # lazy-deletion paths differently per queue.
-                cancellers.pop().cancel()
+                # Cancel a sibling mid-run: exercises the in-flight and
+                # lazy-deletion paths.
+                cancel(*cancellers.pop())
         return cb
 
-    for i, (delay, cancel, spawn) in enumerate(plan):
-        ev = sim.timeout(delay * NS, name=f"t{i}")
-        ev.callbacks.append(fire(i, spawn))
-        if cancel:
-            cancellers.append(ev)
+    for i, (delay, do_cancel, spawn) in enumerate(plan):
+        ev = schedule(i, delay * NS, spawn)
+        if do_cancel:
+            cancellers.append((i, ev))
     # Half the cancellations happen up front, half from callbacks.
-    for ev in cancellers[: len(cancellers) // 2]:
-        ev.cancel()
+    for pair in cancellers[: len(cancellers) // 2]:
+        cancel(*pair)
     del cancellers[: len(cancellers) // 2]
 
     if horizon_ns is not None:
         sim.run(until=horizon_ns * NS)
-        sim.run()
-    else:
-        sim.run()
-    return sim, trace
+    sim.run()
+    return sim, trace, keys, killed
 
 
 @given(
@@ -71,24 +82,18 @@ def _run(scheduler, plan, horizon_ns):
     horizon_ns=st.none() | st.integers(0, 400),
 )
 @settings(max_examples=60, deadline=None)
-def test_heap_and_calendar_dispatch_identically(plan, horizon_ns):
-    sim_h, trace_h = _run("heap", plan, horizon_ns)
-    sim_c, trace_c = _run("calendar", plan, horizon_ns)
+def test_dispatch_matches_time_then_scheduling_order(plan, horizon_ns):
+    sim, trace, keys, killed = _run(plan, horizon_ns)
 
-    # Bit-identity: same events, same order, float-equal timestamps.
-    assert trace_h == trace_c
-    assert sim_h.now == sim_c.now
+    live = sorted((k for k in keys if k not in killed), key=keys.__getitem__)
+    assert [label for label, _t in trace] == live
+    assert all(t == keys[label][0] for label, t in trace)
 
-    # The two queues account identically at the engine level.
-    assert sim_h.dispatched == sim_c.dispatched
-    assert sim_h.skipped == sim_c.skipped
-    assert sim_h.queued_events == sim_c.queued_events == 0
-
-    # Books balance under pooling, for both implementations.
-    for sim in (sim_h, sim_c):
-        q = sim.queue
-        assert q.live + q.dead == q.size == 0
-        assert sim.dispatched + sim.skipped >= len(plan)
+    # Books balance under pooling.
+    q = sim.queue
+    assert sim.queued_events == 0
+    assert q.live + q.dead == q.size == 0
+    assert sim.dispatched + sim.skipped >= len(plan)
 
 
 @given(plan=st.lists(_op, min_size=5, max_size=40), seed=st.integers(0, 99))

@@ -1,49 +1,12 @@
-"""Unit tests for the pluggable event queues (repro.sim.equeue).
-
-The heap is the bit-identity reference; every behavioural test here runs
-under both schedulers and the calendar-specific tests exercise the
-machinery the heap does not have: bucket walking, gap jumps, adaptive
-resize, and the batched extraction protocol.
+"""Unit tests for the simulator's event queue (repro.sim.equeue): the
+``(time, seq)`` dispatch order, the lazy-deletion books, and the batched
+extraction protocol.
 """
 
 import pytest
 
-from repro.sim import (
-    CalendarQueue,
-    HeapQueue,
-    SCHEDULERS,
-    SimulationError,
-    Simulator,
-    make_queue,
-)
+from repro.sim import EventQueue, SimulationError, Simulator
 from repro.sim.sync import Mailbox, SimSemaphore
-
-BOTH = sorted(SCHEDULERS)
-
-
-# ----------------------------------------------------------------------
-# Construction and registry
-# ----------------------------------------------------------------------
-
-def test_make_queue_by_name():
-    assert isinstance(make_queue("heap"), HeapQueue)
-    assert isinstance(make_queue("calendar"), CalendarQueue)
-
-
-def test_make_queue_passthrough_instance():
-    q = HeapQueue()
-    assert make_queue(q) is q
-    assert Simulator(scheduler=q).queue is q
-
-
-def test_make_queue_unknown_name():
-    with pytest.raises(ValueError, match="calendar.*heap"):
-        make_queue("splay")
-
-
-def test_calendar_rejects_bad_width():
-    with pytest.raises(ValueError, match="width"):
-        CalendarQueue(width=0.0)
 
 
 def test_simulator_ctor_is_kw_only():
@@ -51,25 +14,20 @@ def test_simulator_ctor_is_kw_only():
         Simulator(7)  # simlint: disable=all
 
 
-@pytest.mark.parametrize("scheduler", BOTH)
-def test_stats_shape(scheduler):
-    sim = Simulator(scheduler=scheduler)
+def test_stats_shape():
+    sim = Simulator()
     sim.timeout(1e-9)
     s = sim.queue.stats()
-    assert s["scheduler"] == scheduler
     assert s["live"] == 1 and s["dead"] == 0 and s["size"] == 1
-    if scheduler == "calendar":
-        assert s["buckets"] == 1
-        assert s["bucket_width_s"] == CalendarQueue.DEFAULT_WIDTH
-        assert s["resizes"] == 0
+    assert s["skipped"] == 0 and s["compactions"] == 0
 
 
 # ----------------------------------------------------------------------
-# Dispatch order: both queues must produce the heap's schedule
+# Dispatch order: (fire time, scheduling order)
 # ----------------------------------------------------------------------
 
-def _dispatch_order(scheduler, delays):
-    sim = Simulator(scheduler=scheduler)
+def _dispatch_order(delays):
+    sim = Simulator()
     log = []
     for i, d in enumerate(delays):
         ev = sim.timeout(d, name=f"t{i}")
@@ -78,38 +36,32 @@ def _dispatch_order(scheduler, delays):
     return log
 
 
-def test_same_order_across_schedulers():
-    # Duplicate timestamps, reversed pushes, bucket-boundary straddlers.
-    w = CalendarQueue.DEFAULT_WIDTH
+def test_dispatch_order_is_time_then_scheduling_order():
+    # Duplicate timestamps, reversed pushes, near-equal neighbours.
+    w = 64e-9
     delays = [5 * w, 0.0, w, w, 0.999 * w, 1.001 * w, 0.0, 3.5 * w]
-    assert _dispatch_order("heap", delays) == _dispatch_order("calendar", delays)
+    expected = sorted(range(len(delays)), key=lambda i: (delays[i], i))
+    assert _dispatch_order(delays) == [f"t{i}" for i in expected]
 
 
 def test_zero_delay_events_scheduled_during_batch_keep_seq_order():
-    logs = {}
-    for scheduler in BOTH:
-        sim = Simulator(scheduler=scheduler)
-        log = []
+    sim = Simulator()
+    log = []
 
-        def chain(e):
-            log.append(e.name)
-            if len(log) < 6:
-                nxt = sim.timeout(0.0, name=f"z{len(log)}")
-                nxt.callbacks.append(chain)
+    def chain(e):
+        log.append(e.name)
+        if len(log) < 6:
+            nxt = sim.timeout(0.0, name=f"z{len(log)}")
+            nxt.callbacks.append(chain)
 
-        for i in range(3):
-            sim.timeout(0.0, name=f"a{i}").callbacks.append(chain)
-        sim.run()
-        logs[scheduler] = log
-    assert logs["heap"] == logs["calendar"]
-    assert logs["heap"][:3] == ["a0", "a1", "a2"]
+    for i in range(3):
+        sim.timeout(0.0, name=f"a{i}").callbacks.append(chain)
+    sim.run()
+    assert log == ["a0", "a1", "a2", "z1", "z2", "z3", "z4", "z5"]
 
 
-@pytest.mark.parametrize("scheduler", BOTH)
-def test_far_future_gap_jump(scheduler):
-    # A lone far-future event: the calendar cursor must jump the gap
-    # rather than walk millions of empty buckets.
-    sim = Simulator(scheduler=scheduler)
+def test_far_future_event_fires_after_near_one():
+    sim = Simulator()
     fired = []
     sim.call_after(10.0, fired.append, "far")
     sim.call_after(1e-9, fired.append, "near")
@@ -119,54 +71,11 @@ def test_far_future_gap_jump(scheduler):
 
 
 # ----------------------------------------------------------------------
-# Calendar resize machinery
-# ----------------------------------------------------------------------
-
-def test_calendar_narrows_under_crowding():
-    sim = Simulator(scheduler="calendar")
-    q = sim.queue
-    w0 = q.bucket_width
-    # 600 timers inside one initial bucket: occupancy 600/bucket blows
-    # through the narrow threshold at the 513th push.
-    for i in range(600):
-        sim.timeout((i % 64) * 1e-10)
-    assert q.resizes >= 1
-    assert q.bucket_width < w0
-    assert q.bucket_count > 1
-    sim.run()
-    assert sim.dispatched == 600
-
-
-def test_calendar_widens_when_sparse():
-    sim = Simulator(scheduler="calendar")
-    q = sim.queue
-    w0 = q.bucket_width
-    # >64 occupied buckets, one entry each, spaced beyond the cursor's
-    # adjacent-key window: a few long gap jumps trigger a widen.
-    for i in range(100):
-        sim.timeout(i * 1e-5)
-    assert q.bucket_count == 100
-    sim.run()
-    assert q.resizes >= 1
-    assert q.bucket_width > w0
-    assert sim.dispatched == 100
-
-
-def test_calendar_resize_preserves_heap_schedule():
-    w = CalendarQueue.DEFAULT_WIDTH
-    delays = [(i % 64) * 1e-10 for i in range(600)]  # forces a narrow
-    delays += [i * 1e-6 for i in range(100)]         # then sparse tail
-    delays += [5 * w, 0.0, 2.5 * w]
-    assert _dispatch_order("heap", delays) == _dispatch_order("calendar", delays)
-
-
-# ----------------------------------------------------------------------
 # Cancellation books
 # ----------------------------------------------------------------------
 
-@pytest.mark.parametrize("scheduler", BOTH)
-def test_cancel_storm_books_balance(scheduler):
-    sim = Simulator(scheduler=scheduler)
+def test_cancel_storm_books_balance():
+    sim = Simulator()
     evs = [sim.timeout(i * 1e-9) for i in range(256)]
     for ev in evs[::2]:
         assert ev.cancel()
@@ -179,9 +88,8 @@ def test_cancel_storm_books_balance(scheduler):
     assert sim.queued_events == 0
 
 
-@pytest.mark.parametrize("scheduler", BOTH)
-def test_compaction_sweeps_dead_entries(scheduler):
-    sim = Simulator(scheduler=scheduler)
+def test_compaction_sweeps_dead_entries():
+    sim = Simulator()
     evs = [sim.timeout(i * 1e-9) for i in range(256)]
     for ev in evs[:130]:
         ev.cancel()
@@ -193,9 +101,8 @@ def test_compaction_sweeps_dead_entries(scheduler):
     assert sim.skipped == 129
 
 
-@pytest.mark.parametrize("scheduler", BOTH)
-def test_horizon_run_stops_short(scheduler):
-    sim = Simulator(scheduler=scheduler)
+def test_horizon_run_stops_short():
+    sim = Simulator()
     fired = []
     sim.call_after(1e-9, fired.append, "early")
     sim.call_after(1.0, fired.append, "late")
@@ -207,17 +114,15 @@ def test_horizon_run_stops_short(scheduler):
     assert fired == ["early", "late"]
 
 
-@pytest.mark.parametrize("scheduler", BOTH)
-def test_run_until_event_deadlock(scheduler):
-    sim = Simulator(scheduler=scheduler)
+def test_run_until_event_deadlock():
+    sim = Simulator()
     stop = sim.event(name="never")
     with pytest.raises(SimulationError, match="deadlock"):
         sim.run(until=stop)
 
 
-@pytest.mark.parametrize("scheduler", BOTH)
-def test_mid_batch_stop_requeues_tail(scheduler):
-    sim = Simulator(scheduler=scheduler)
+def test_mid_batch_stop_requeues_tail():
+    sim = Simulator()
     log = []
     a = sim.timeout(0.0, name="a")
     a.callbacks.append(lambda e: log.append("a"))
@@ -236,9 +141,8 @@ def test_mid_batch_stop_requeues_tail(scheduler):
     assert log == ["a", "b", "c"]
 
 
-@pytest.mark.parametrize("scheduler", BOTH)
-def test_inflight_cancel_resolved_on_early_stop(scheduler):
-    sim = Simulator(scheduler=scheduler)
+def test_inflight_cancel_resolved_on_early_stop():
+    sim = Simulator()
     stop = sim.event(name="stop")
     stop.succeed()
     victim = sim.timeout(0.0, name="victim")
@@ -255,11 +159,10 @@ def test_inflight_cancel_resolved_on_early_stop(scheduler):
     assert fired == ["survivor"]
 
 
-@pytest.mark.parametrize("scheduler", BOTH)
-def test_queued_events_sees_batch_siblings(scheduler):
+def test_queued_events_sees_batch_siblings():
     # The progress watchdog's idle check runs inside callbacks; an
     # undispatched same-timestamp sibling must still count as queued.
-    sim = Simulator(scheduler=scheduler)
+    sim = Simulator()
     seen = []
     a = sim.timeout(0.0, name="a")
     a.callbacks.append(lambda e: seen.append(sim.queued_events))
@@ -273,9 +176,8 @@ def test_queued_events_sees_batch_siblings(scheduler):
 # step() and the batched extraction protocol
 # ----------------------------------------------------------------------
 
-@pytest.mark.parametrize("scheduler", BOTH)
-def test_step_dispatches_one_event_of_a_tie(scheduler):
-    sim = Simulator(scheduler=scheduler)
+def test_step_dispatches_one_event_of_a_tie():
+    sim = Simulator()
     log = []
     for name in ("x", "y"):
         ev = sim.timeout(0.0, name=name)
@@ -289,9 +191,8 @@ def test_step_dispatches_one_event_of_a_tie(scheduler):
         sim.step()
 
 
-@pytest.mark.parametrize("scheduler", BOTH)
-def test_pop_batch_singleton_is_bare_entry(scheduler):
-    q = make_queue(scheduler)
+def test_pop_batch_singleton_is_bare_entry():
+    q = EventQueue()
 
     class _Ev:
         _cancelled = False
@@ -310,9 +211,8 @@ def test_pop_batch_singleton_is_bare_entry(scheduler):
 # Timeout pooling
 # ----------------------------------------------------------------------
 
-@pytest.mark.parametrize("scheduler", BOTH)
-def test_pool_recycles_unreferenced_timeouts(scheduler):
-    sim = Simulator(scheduler=scheduler)
+def test_pool_recycles_unreferenced_timeouts():
+    sim = Simulator()
     done = []
 
     def chain(n):
@@ -329,9 +229,8 @@ def test_pool_recycles_unreferenced_timeouts(scheduler):
     assert sim.pool_hits > 0
 
 
-@pytest.mark.parametrize("scheduler", BOTH)
-def test_pooled_timeout_rejects_negative_delay(scheduler):
-    sim = Simulator(scheduler=scheduler)
+def test_pooled_timeout_rejects_negative_delay():
+    sim = Simulator()
     sim.timeout(1e-9)
     sim.run()  # leaves a pooled Timeout behind
     with pytest.raises(ValueError):
@@ -342,9 +241,8 @@ def test_pooled_timeout_rejects_negative_delay(scheduler):
 # sync primitives vs cancelled waiters
 # ----------------------------------------------------------------------
 
-@pytest.mark.parametrize("scheduler", BOTH)
-def test_semaphore_release_skips_cancelled_waiter(scheduler):
-    sim = Simulator(scheduler=scheduler)
+def test_semaphore_release_skips_cancelled_waiter():
+    sim = Simulator()
     sem = SimSemaphore(sim, value=1, name="s")
     assert sem.acquire().triggered
     dead = sem.acquire()
@@ -356,9 +254,8 @@ def test_semaphore_release_skips_cancelled_waiter(scheduler):
     assert sem.value == 1  # no waiters left: permit returns to the pool
 
 
-@pytest.mark.parametrize("scheduler", BOTH)
-def test_mailbox_put_skips_cancelled_getter(scheduler):
-    sim = Simulator(scheduler=scheduler)
+def test_mailbox_put_skips_cancelled_getter():
+    sim = Simulator()
     box = Mailbox(sim, name="m")
     dead = box.get()
     live = box.get()

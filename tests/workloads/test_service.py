@@ -1,6 +1,6 @@
 """The open-loop RPC service: arrivals, accounting, overload behavior,
 and the deterministic-replay contract for the ``"service:<rank>"`` RNG
-stream (same seed => identical fingerprint, on either scheduler)."""
+stream (same seed => identical fingerprint)."""
 
 import pytest
 
@@ -227,13 +227,6 @@ def test_replay_bit_identical_per_shape(shape):
     _, b = run(cfg, RobustConfig.protected(deadline_ns=250_000.0))
     assert a == b
     assert a.fingerprint == b.fingerprint
-
-
-def test_heap_and_calendar_schedulers_agree():
-    cfg = ServiceConfig(**QUICK)
-    _, heap = run(cfg, scheduler="heap")
-    _, cal = run(cfg, scheduler="calendar")
-    assert heap == cal
 
 
 def test_different_seeds_differ():
