@@ -10,6 +10,8 @@ If an intentional behaviour change breaks them, recapture deliberately
 and say so in the commit; never loosen to approximate comparison.
 """
 
+import pytest
+
 from repro.mpi.world import Cluster, ClusterConfig
 from repro.workloads.n2n import N2NConfig, run_n2n
 from repro.workloads.rma_bench import RmaConfig, run_rma
@@ -18,6 +20,13 @@ from repro.workloads.throughput import (
     run_throughput,
     throughput_cluster,
 )
+
+
+@pytest.fixture(autouse=True, params=["heap"])
+def event_queue():
+    """The pins were captured on the binary-heap event queue; the
+    ``heap`` id names it and keeps these tests' ids stable."""
+
 
 def test_fig2_style_throughput_pinned():
     cl = throughput_cluster(lock="mutex", threads_per_rank=4, seed=0)

@@ -9,13 +9,21 @@ from repro.sim import EventQueue, SimulationError, Simulator
 from repro.sim.sync import Mailbox, SimSemaphore
 
 
+@pytest.fixture(params=["heap"])
+def sim():
+    """A fresh simulator.  The ``heap`` id names the queue under test,
+    the lazy-deletion binary heap, and keeps these tests' ids stable."""
+    sim = Simulator()
+    assert type(sim.queue) is EventQueue
+    return sim
+
+
 def test_simulator_ctor_is_kw_only():
     with pytest.raises(TypeError):
         Simulator(7)  # simlint: disable=all
 
 
-def test_stats_shape():
-    sim = Simulator()
+def test_stats_shape(sim):
     sim.timeout(1e-9)
     s = sim.queue.stats()
     assert s["live"] == 1 and s["dead"] == 0 and s["size"] == 1
@@ -60,8 +68,8 @@ def test_zero_delay_events_scheduled_during_batch_keep_seq_order():
     assert log == ["a0", "a1", "a2", "z1", "z2", "z3", "z4", "z5"]
 
 
-def test_far_future_event_fires_after_near_one():
-    sim = Simulator()
+def test_far_future_gap_jump(sim):
+    # A lone far-future event: the clock jumps the gap in one pop.
     fired = []
     sim.call_after(10.0, fired.append, "far")
     sim.call_after(1e-9, fired.append, "near")
@@ -74,8 +82,7 @@ def test_far_future_event_fires_after_near_one():
 # Cancellation books
 # ----------------------------------------------------------------------
 
-def test_cancel_storm_books_balance():
-    sim = Simulator()
+def test_cancel_storm_books_balance(sim):
     evs = [sim.timeout(i * 1e-9) for i in range(256)]
     for ev in evs[::2]:
         assert ev.cancel()
@@ -88,8 +95,7 @@ def test_cancel_storm_books_balance():
     assert sim.queued_events == 0
 
 
-def test_compaction_sweeps_dead_entries():
-    sim = Simulator()
+def test_compaction_sweeps_dead_entries(sim):
     evs = [sim.timeout(i * 1e-9) for i in range(256)]
     for ev in evs[:130]:
         ev.cancel()
@@ -101,8 +107,7 @@ def test_compaction_sweeps_dead_entries():
     assert sim.skipped == 129
 
 
-def test_horizon_run_stops_short():
-    sim = Simulator()
+def test_horizon_run_stops_short(sim):
     fired = []
     sim.call_after(1e-9, fired.append, "early")
     sim.call_after(1.0, fired.append, "late")
@@ -114,15 +119,13 @@ def test_horizon_run_stops_short():
     assert fired == ["early", "late"]
 
 
-def test_run_until_event_deadlock():
-    sim = Simulator()
+def test_run_until_event_deadlock(sim):
     stop = sim.event(name="never")
     with pytest.raises(SimulationError, match="deadlock"):
         sim.run(until=stop)
 
 
-def test_mid_batch_stop_requeues_tail():
-    sim = Simulator()
+def test_mid_batch_stop_requeues_tail(sim):
     log = []
     a = sim.timeout(0.0, name="a")
     a.callbacks.append(lambda e: log.append("a"))
@@ -141,8 +144,7 @@ def test_mid_batch_stop_requeues_tail():
     assert log == ["a", "b", "c"]
 
 
-def test_inflight_cancel_resolved_on_early_stop():
-    sim = Simulator()
+def test_inflight_cancel_resolved_on_early_stop(sim):
     stop = sim.event(name="stop")
     stop.succeed()
     victim = sim.timeout(0.0, name="victim")
@@ -159,10 +161,9 @@ def test_inflight_cancel_resolved_on_early_stop():
     assert fired == ["survivor"]
 
 
-def test_queued_events_sees_batch_siblings():
+def test_queued_events_sees_batch_siblings(sim):
     # The progress watchdog's idle check runs inside callbacks; an
     # undispatched same-timestamp sibling must still count as queued.
-    sim = Simulator()
     seen = []
     a = sim.timeout(0.0, name="a")
     a.callbacks.append(lambda e: seen.append(sim.queued_events))
@@ -176,8 +177,7 @@ def test_queued_events_sees_batch_siblings():
 # step() and the batched extraction protocol
 # ----------------------------------------------------------------------
 
-def test_step_dispatches_one_event_of_a_tie():
-    sim = Simulator()
+def test_step_dispatches_one_event_of_a_tie(sim):
     log = []
     for name in ("x", "y"):
         ev = sim.timeout(0.0, name=name)
@@ -191,8 +191,8 @@ def test_step_dispatches_one_event_of_a_tie():
         sim.step()
 
 
-def test_pop_batch_singleton_is_bare_entry():
-    q = EventQueue()
+def test_pop_batch_singleton_is_bare_entry(sim):
+    q = sim.queue
 
     class _Ev:
         _cancelled = False
@@ -211,8 +211,7 @@ def test_pop_batch_singleton_is_bare_entry():
 # Timeout pooling
 # ----------------------------------------------------------------------
 
-def test_pool_recycles_unreferenced_timeouts():
-    sim = Simulator()
+def test_pool_recycles_unreferenced_timeouts(sim):
     done = []
 
     def chain(n):
@@ -229,8 +228,7 @@ def test_pool_recycles_unreferenced_timeouts():
     assert sim.pool_hits > 0
 
 
-def test_pooled_timeout_rejects_negative_delay():
-    sim = Simulator()
+def test_pooled_timeout_rejects_negative_delay(sim):
     sim.timeout(1e-9)
     sim.run()  # leaves a pooled Timeout behind
     with pytest.raises(ValueError):
@@ -241,8 +239,7 @@ def test_pooled_timeout_rejects_negative_delay():
 # sync primitives vs cancelled waiters
 # ----------------------------------------------------------------------
 
-def test_semaphore_release_skips_cancelled_waiter():
-    sim = Simulator()
+def test_semaphore_release_skips_cancelled_waiter(sim):
     sem = SimSemaphore(sim, value=1, name="s")
     assert sem.acquire().triggered
     dead = sem.acquire()
@@ -254,8 +251,7 @@ def test_semaphore_release_skips_cancelled_waiter():
     assert sem.value == 1  # no waiters left: permit returns to the pool
 
 
-def test_mailbox_put_skips_cancelled_getter():
-    sim = Simulator()
+def test_mailbox_put_skips_cancelled_getter(sim):
     box = Mailbox(sim, name="m")
     dead = box.get()
     live = box.get()
