@@ -55,17 +55,17 @@ CELLS = (
 
 def bench_one(name: str, load: float, protected: bool, seed: int = 1) -> dict:
     cl = service_cluster(lock="priority", threads_per_rank=THREADS, seed=seed)
-    # Count at _push (the single queue funnel): the pooled-timeout fast
-    # path schedules directly through it, bypassing _schedule.  A
+    # Count at _push (the single queue funnel): process sleeps and
+    # timers schedule directly through it, bypassing _schedule.  A
     # measurement shim, not a queue consumer, so the encapsulation rule
     # is waived on these two lines only.
     n_events = 0
     push = cl.sim._push  # simlint: disable=queue-encapsulation
 
-    def counting_push(t, seq, event):
+    def counting_push(entry):
         nonlocal n_events
         n_events += 1
-        return push(t, seq, event)
+        return push(entry)
 
     cl.sim._push = counting_push  # simlint: disable=queue-encapsulation
     cfg = ServiceConfig(

@@ -15,9 +15,10 @@ them as AST rules (stdlib :mod:`ast`, no new dependencies):
     results machine-dependent.
 ``yield-discipline``
     Sim processes are generators that must only yield
-    :class:`~repro.sim.events.Event` values.  Yielding a bare literal is
-    always a bug -- the engine would raise at runtime, but only on the
-    path that executes it.
+    :class:`~repro.sim.events.Event` values or float sleep delays.
+    Yielding any other bare literal is always a bug -- the engine would
+    raise at runtime, but only on the path that executes it.  Float
+    literals, and arithmetic over only float literals, are sleeps.
 ``lock-pairing``
     Every critical-section acquire needs a matching release on all
     paths: a function that acquires and never releases, or returns
@@ -37,9 +38,12 @@ them as AST rules (stdlib :mod:`ast`, no new dependencies):
     surface.
 ``queue-encapsulation``
     The simulator's event queue sits behind a narrow seam
-    (:mod:`repro.sim.equeue`); only the engine and the queue module
-    itself may import :mod:`heapq` or touch queue internals (the heap
-    array, bucket-queue state, the free pool).  Everything else goes
+    (:mod:`repro.sim.equeue`); only the sim core (engine, queue and
+    event primitives) may import :mod:`heapq` or touch queue internals
+    (the heap array, the push binding, the sequence counter).  The
+    process module may read the push binding and the sequence counter
+    -- its float-sleep path pushes the wake token -- and nothing else.
+    Everything else goes
     through the :class:`EventQueue` methods and the ``Simulator``
     properties, so the queue's books (live / dead / skipped) stay
     exact and the queue can change without touching its callers.
@@ -278,9 +282,18 @@ def _is_literal_value(node: ast.AST) -> bool:
     return False
 
 
+def _is_float_delay(node: ast.AST) -> bool:
+    """A float literal, or arithmetic whose leaves all are: a sleep."""
+    if isinstance(node, ast.UnaryOp):
+        return _is_float_delay(node.operand)
+    if isinstance(node, ast.BinOp):
+        return _is_float_delay(node.left) and _is_float_delay(node.right)
+    return isinstance(node, ast.Constant) and type(node.value) is float
+
+
 @_rule("yield-discipline")
 def _check_yield_discipline(mod: _Module) -> Iterator[Finding]:
-    """sim processes must not yield bare literal values"""
+    """sim processes must not yield bare non-float literal values"""
     for fn in _functions(mod.tree):
         for node in _own_nodes(fn):
             if not isinstance(node, ast.Yield):
@@ -290,11 +303,12 @@ def _check_yield_discipline(mod: _Module) -> Iterator[Finding]:
                 # Bare ``yield`` after ``return``: the unreachable
                 # generator-marker idiom (NullLock.acquire).
                 continue
-            if _is_literal_value(v):
+            if _is_literal_value(v) and not _is_float_delay(v):
                 yield Finding(
                     mod.path, node.lineno, node.col_offset, "yield-discipline",
                     f"process {fn.name!r} yields a bare literal; sim "
-                    "processes may only yield Event/Process values",
+                    "processes may only yield Event/Process values or "
+                    "float delays",
                 )
 
 
@@ -596,14 +610,21 @@ def _check_broad_except(mod: _Module) -> Iterator[Finding]:
 
 
 #: Files allowed to import heapq / touch queue internals: the engine,
-#: the queue module, and the event primitives (whose
-#: trigger-time scheduling is deliberately inlined into the push fast
-#: path).
+#: the queue module and the event primitives (whose trigger-time
+#: scheduling is deliberately inlined into the push fast path).
 _QUEUE_WHITELIST = (
     "repro/sim/engine.py",
     "repro/sim/equeue.py",
     "repro/sim/events.py",
 )
+
+#: Narrower per-file grants: exactly the simulator internals a file may
+#: read and nothing else (no heapq, no heap array).  A process's float
+#: sleep pushes its wake token through the push binding, keyed with
+#: the sequence counter.
+_QUEUE_GRANTS = {
+    "repro/sim/process.py": frozenset({"_push", "_seq"}),
+}
 
 #: Attribute names that are queue internals wherever they appear
 #: (heap array, bucket-queue state).
@@ -614,7 +635,7 @@ _QUEUE_PRIVATE_ANY = frozenset({
 #: Attribute names that are queue internals only on a simulator or
 #: queue receiver (generic enough to exist on unrelated classes).
 _QUEUE_PRIVATE_SIM = frozenset({
-    "_dead", "_pool", "_push", "_seq", "_cur", "_width", "_count",
+    "_dead", "_push", "_seq", "_cur", "_width", "_count",
 })
 
 #: Receiver spellings that denote the simulator or its queue.
@@ -627,6 +648,10 @@ def _check_queue_encapsulation(mod: _Module) -> Iterator[Finding]:
     path = mod.path.replace("\\", "/")
     if path.endswith(_QUEUE_WHITELIST):
         return
+    granted = next(
+        (g for suffix, g in _QUEUE_GRANTS.items() if path.endswith(suffix)),
+        frozenset(),
+    )
     for node in ast.walk(mod.tree):
         if isinstance(node, ast.Import):
             for alias in node.names:
@@ -657,7 +682,7 @@ def _check_queue_encapsulation(mod: _Module) -> Iterator[Finding]:
                     "EventQueue interface (push/pop/pop_batch/stats) or "
                     "the Simulator accounting properties",
                 )
-            elif attr in _QUEUE_PRIVATE_SIM:
+            elif attr in _QUEUE_PRIVATE_SIM and attr not in granted:
                 recv = node.value
                 tail = (
                     recv.attr if isinstance(recv, ast.Attribute)
@@ -668,8 +693,8 @@ def _check_queue_encapsulation(mod: _Module) -> Iterator[Finding]:
                     yield Finding(
                         mod.path, node.lineno, node.col_offset,
                         "queue-encapsulation",
-                        f"direct access to {tail}.{attr}: queue and pool "
-                        "internals are private to the sim engine; use the "
+                        f"direct access to {tail}.{attr}: queue internals "
+                        "are private to the sim engine; use the "
                         "EventQueue interface or Simulator properties",
                     )
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from typing import Dict, List
 
+from ..sim.rng import batched_draws
 from .plan import FaultPlan
 
 __all__ = ["PacketFate", "FaultStats", "FaultInjector"]
@@ -62,8 +63,9 @@ class FaultInjector:
         self.sim = sim
         self.plan = plan
         self.stats = FaultStats()
-        #: Dedicated stream: fault randomness never touches other streams.
-        self._rng = sim.rng.stream("faults")
+        #: Uniform draws of the dedicated "faults" stream, its only
+        #: consumer: fault randomness never touches other streams.
+        self._random = batched_draws(sim.rng.stream("faults").random)
         #: rank -> crash time (seconds).
         self._crash_at: Dict[int, float] = {}
         for c in plan.crashes:
@@ -117,25 +119,25 @@ class FaultInjector:
         if internode:
             for o in self._outages.get(src_node, ()):
                 if o.covers(now):
-                    if o.drop >= 1.0 or self._rng.random() < o.drop:
+                    if o.drop >= 1.0 or self._random() < o.drop:
                         self.stats.outage_drops += 1
                         self._note("drop.outage", packet, rank=packet.src_rank)
                         return PacketFate(drop=True, reason="outage")
                     break
         if plan.internode_only and not internode:
             return PacketFate()
-        if plan.drop > 0.0 and self._rng.random() < plan.drop:
+        if plan.drop > 0.0 and self._random() < plan.drop:
             self.stats.drops += 1
             self._note("drop", packet, rank=packet.src_rank)
             return PacketFate(drop=True, reason="drop")
         fate = PacketFate()
-        if plan.duplicate > 0.0 and self._rng.random() < plan.duplicate:
+        if plan.duplicate > 0.0 and self._random() < plan.duplicate:
             self.stats.duplicates += 1
             self._note("duplicate", packet, rank=packet.src_rank)
             fate.duplicate = True
-        if plan.reorder > 0.0 and self._rng.random() < plan.reorder:
+        if plan.reorder > 0.0 and self._random() < plan.reorder:
             self.stats.reorders += 1
-            fate.extra_delay = float(self._rng.random()) * plan.reorder_delay_ns * 1e-9
+            fate.extra_delay = self._random() * plan.reorder_delay_ns * 1e-9
             self._note("reorder", packet, rank=packet.src_rank)
         return fate
 

@@ -22,6 +22,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 from ..machine.costs import NS, CostModel
 from ..machine.threads import ThreadCtx
 from ..machine.topology import Core, Proximity
+from ..sim.rng import batched_draws
 
 __all__ = ["Priority", "SimLock", "NullLock", "LockError"]
 
@@ -73,9 +74,18 @@ class SimLock:
         # Keyed by name (stable across runs), not the global lock_id:
         # experiment results must not depend on what ran earlier in the
         # process.
-        self._rng = sim.rng.stream(f"lock:{self.name}")
-        #: Batched jitter draws, consumed back to front (see _jitter).
-        self._jitter_cache: List[float] = []
+        rng = sim.rng.stream(f"lock:{self.name}")
+        scale = costs.jitter_ns
+        #: Exponential completion jitter in seconds, drawn in batches
+        #: (see batched_draws); None when the model has no jitter.
+        self._jitter: Optional[Callable[[], float]] = (
+            batched_draws(lambda n: rng.exponential(scale, n) * NS)
+            if scale > 0.0 else None
+        )
+        #: Memoized contention_factor(); dropped by _enter, _grant and
+        #: _release_checks, the only places the owner or the contender
+        #: set change.
+        self._factor: Optional[float] = None
 
     # ------------------------------------------------------------------
     # Protocol to implement
@@ -139,43 +149,37 @@ class SimLock:
         socket than the holder add ``contention_penalty *
         contention_remote_factor`` (their retries cross the socket
         interconnect).  1.0 when uncontended.
+
+        Read once per in-CS work segment, far more often than the
+        owner or the contender set change, so the value is cached
+        until one of them does.
         """
+        f = self._factor
+        if f is not None:
+            return f
         owner = self.owner
-        if owner is None or not self._contenders:
-            return 1.0
-        pen = self.costs.contention_penalty
-        remote = self.costs.contention_remote_factor
-        owner_socket = owner.socket
         f = 1.0
-        for c in self._contenders.values():
-            f += pen * (remote if c.socket != owner_socket else 1.0)
+        if owner is not None:
+            pen = self.costs.contention_penalty
+            remote = self.costs.contention_remote_factor
+            owner_socket = owner.socket
+            for c in self._contenders.values():
+                f += pen * (remote if c.socket != owner_socket else 1.0)
+        self._factor = f
         return f
 
-    def _jitter(self) -> float:
-        """Exponential jitter on atomic-op completion, in seconds.
-
-        Draws are batched: numpy fills a vectorized request from the
-        same bit stream element by element, so refilling 256 at a time
-        yields exactly the sequence of repeated scalar draws while
-        paying the numpy call overhead once per refill."""
-        scale = self.costs.jitter_ns
-        if scale <= 0.0:
-            return 0.0
-        cache = self._jitter_cache
-        if not cache:
-            cache[:] = self._rng.exponential(scale, 256)[::-1].tolist()
-        return cache.pop() * NS
-
     def _atomic_cost(self, core: Core) -> float:
-        """Atomic RMW latency for ``core``, moving the line to it."""
-        if self.line_owner is None:
-            prox = Proximity.SAME_CORE
-        else:
-            prox = core.proximity(self.line_owner)
-        return self.costs.atomic(prox) + self._jitter()
+        """Atomic RMW latency for ``core``, plus exponential completion
+        jitter, in seconds."""
+        line = self.line_owner
+        base = self.costs.atomic_s[
+            Proximity.SAME_CORE if line is None else core.proximity(line)
+        ]
+        jitter = self._jitter
+        return base if jitter is None else base + jitter()
 
     def _handoff_cost(self, from_core: Core, to_core: Core) -> float:
-        return self.costs.handoff(to_core.proximity(from_core))
+        return self.costs.handoff_s[to_core.proximity(from_core)]
 
     def _enter(self, ctx: ThreadCtx) -> None:
         if ctx.tid in self._contenders:
@@ -191,6 +195,7 @@ class SimLock:
                 f"{ctx.name} re-acquiring {self.name} it already holds"
             )
         self._contenders[ctx.tid] = ctx
+        self._factor = None
         obs = self.sim.obs
         if obs is not None and obs.wants("lock"):
             obs.span_begin("lock", f"{self.name}.wait",
@@ -233,6 +238,7 @@ class SimLock:
                 )
         self._prev_owner_core = ctx.core
         del self._contenders[ctx.tid]
+        self._factor = None
         if obs is not None and len(ctx.held) > 1 and obs.wants("check"):
             # Order witness: this grant happened while the thread held
             # other locks -- a runtime lock-order edge held -> self.
@@ -289,6 +295,7 @@ class SimLock:
         # released on another thread's behalf.
         self.owner.held.discard(self)
         self.owner = None
+        self._factor = None
 
     def __repr__(self) -> str:  # pragma: no cover
         holder = self.owner.name if self.owner else "-"

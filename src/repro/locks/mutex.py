@@ -52,7 +52,7 @@ class PthreadMutexModel(SimLock):
         self._enter(ctx)
         while True:
             # --- user-space CAS attempt ---------------------------------
-            yield self.sim.timeout(self._atomic_cost(ctx.core))
+            yield self._atomic_cost(ctx.core)
             self.cas_attempts += 1
             # The RMW takes the line exclusive even when the comparison
             # fails, so the line moves to this core either way.
@@ -63,7 +63,7 @@ class PthreadMutexModel(SimLock):
             self.cas_failures += 1
 
             # --- kernel path: park on the futex -------------------------
-            yield self.sim.timeout(self.costs.futex_sleep)
+            yield self.costs.futex_sleep
             # FUTEX_WAIT re-checks the futex word before sleeping; if the
             # lock was freed while we were entering the kernel, retry.
             if self.owner is None:
@@ -80,7 +80,7 @@ class PthreadMutexModel(SimLock):
         if self.line_owner is not None and self.line_owner.index != ctx.core.index:
             # A woken waiter's CAS retry stole the lock line mid-hold;
             # the unlock store must pull it back first.
-            cost += self.costs.atomic(ctx.core.proximity(self.line_owner))
+            cost += self.costs.atomic_s[ctx.core.proximity(self.line_owner)]
         # The releasing store dirties the line in this core's cache.
         self.line_owner = ctx.core
         if self._futex_q:

@@ -116,7 +116,7 @@ class SocketAwareLock(SimLock):
 
     def acquire(self, ctx: ThreadCtx, priority: Priority = Priority.HIGH):
         self._enter(ctx)
-        yield self.sim.timeout(self._atomic_cost(ctx.core))
+        yield self._atomic_cost(ctx.core)
         self.line_owner = ctx.core
         if not self._held:
             self._held = True

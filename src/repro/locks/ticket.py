@@ -42,7 +42,7 @@ class TicketLock(SimLock):
     def acquire(self, ctx: ThreadCtx, priority: Priority = Priority.HIGH):
         self._enter(ctx)
         # fetch&inc on the ticket counter line.
-        yield self.sim.timeout(self._atomic_cost(ctx.core))
+        yield self._atomic_cost(ctx.core)
         self.line_owner = ctx.core
         my_ticket = self.next_ticket
         self.next_ticket += 1

@@ -1,8 +1,9 @@
 """The calibrated cost model.
 
 Every latency the simulator charges is defined here, in nanoseconds, and
-exposed in seconds through accessor methods.  Defaults are calibrated to a
-Nehalem-class dual-socket node (paper Table 1):
+exposed in seconds through attributes precomputed at construction.
+Defaults are calibrated to a Nehalem-class dual-socket node (paper
+Table 1):
 
 * Atomic RMW latency depends on where the target cache line currently
   lives: L1-resident (same core), shared L3 (same socket), or on the other
@@ -20,8 +21,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from typing import Tuple
-
-from .topology import Proximity
 
 __all__ = ["CostModel", "NS"]
 
@@ -102,53 +101,25 @@ class CostModel:
     unexpected_copy_factor: float = 2.0
 
     # ------------------------------------------------------------------
-    def atomic(self, prox: Proximity) -> float:
-        """Seconds for an atomic RMW at proximity ``prox`` to the line."""
-        return self.atomic_ns[prox] * NS
-
-    def handoff(self, prox: Proximity) -> float:
-        """Seconds for a waiter to observe a release at proximity ``prox``."""
-        return self.handoff_ns[prox] * NS
-
-    @property
-    def futex_wake(self) -> float:
-        return self.futex_wake_ns * NS
-
-    @property
-    def futex_sleep(self) -> float:
-        return self.futex_sleep_ns * NS
-
-    @property
-    def futex_wake_syscall(self) -> float:
-        return self.futex_wake_syscall_ns * NS
-
-    @property
-    def cs_main(self) -> float:
-        return self.cs_main_ns * NS
-
-    @property
-    def cs_poll_empty(self) -> float:
-        return self.cs_poll_empty_ns * NS
-
-    @property
-    def cs_poll_packet(self) -> float:
-        return self.cs_poll_packet_ns * NS
-
-    @property
-    def request_alloc(self) -> float:
-        return self.request_alloc_ns * NS
-
-    @property
-    def progress_gap(self) -> float:
-        return self.progress_gap_ns * NS
-
-    @property
-    def queue_scan(self) -> float:
-        return self.cs_queue_scan_ns * NS
-
-    @property
-    def event_wakeup(self) -> float:
-        return self.event_wakeup_ns * NS
+    def __post_init__(self) -> None:
+        # Second-valued views of the ns fields, read on every charged
+        # latency: one ``ns * NS`` multiply each, done once here and
+        # stored past the frozen guard.
+        put = object.__setattr__
+        #: Seconds for an atomic RMW, indexed by Proximity to the line.
+        put(self, "atomic_s", tuple(ns * NS for ns in self.atomic_ns))
+        #: Seconds for a waiter to observe a release, by Proximity.
+        put(self, "handoff_s", tuple(ns * NS for ns in self.handoff_ns))
+        put(self, "futex_wake", self.futex_wake_ns * NS)
+        put(self, "futex_sleep", self.futex_sleep_ns * NS)
+        put(self, "futex_wake_syscall", self.futex_wake_syscall_ns * NS)
+        put(self, "cs_main", self.cs_main_ns * NS)
+        put(self, "cs_poll_empty", self.cs_poll_empty_ns * NS)
+        put(self, "cs_poll_packet", self.cs_poll_packet_ns * NS)
+        put(self, "request_alloc", self.request_alloc_ns * NS)
+        put(self, "progress_gap", self.progress_gap_ns * NS)
+        put(self, "queue_scan", self.cs_queue_scan_ns * NS)
+        put(self, "event_wakeup", self.event_wakeup_ns * NS)
 
     def copy_time(self, nbytes: int, unexpected: bool = False) -> float:
         """Seconds to land ``nbytes`` into a user buffer."""

@@ -82,7 +82,7 @@ class RmaWindow:
         # land in one domain on each rank.
         comm_id = -(self.win_id + 1)
         dom = rt.domains[rt.policy.route(target, 0, comm_id)]
-        yield rt.sim.timeout(rt.costs.request_alloc * (0.5 + rt._rng.random()))
+        yield rt.costs.request_alloc * (0.5 + rt._random())
         yield from rt._cs_acquire(dom, ctx, Priority.HIGH)
         yield rt._cs_time(dom, rt.costs.cs_main)
         req = Request(

@@ -42,6 +42,7 @@ from ..machine.costs import CostModel
 from ..machine.threads import ThreadCtx
 from ..network.fabric import Fabric, RankNic
 from ..network.message import Packet, PacketKind
+from ..sim.rng import batched_draws
 from ..sim.sync import CompletionLatch, Signal
 from .envelope import ANY_SOURCE, ANY_TAG, Envelope
 from .queues import UnexpectedMsg
@@ -163,7 +164,9 @@ class MpiRuntime:
         #: High-water mark of ``dangling_count`` (starvation severity).
         self.peak_dangling = 0
         self.stats = RuntimeStats()
-        self._rng = sim.rng.stream(f"runtime:{rank}")
+        #: Uniform [0, 1) draws of this rank's "runtime" stream, its
+        #: only consumer (request-alloc and progress-gap jitter).
+        self._random = batched_draws(sim.rng.stream(f"runtime:{rank}").random)
         #: Paper 9 future work: park blocked waiters on an
         #: arrival/completion signal instead of spinning in the progress
         #: loop.  Simplified vs true *selective* wake-up: any activity
@@ -378,15 +381,15 @@ class MpiRuntime:
             dom._cs_span = None
         cost = dom.lock.release(ctx)
         if cost > 0.0:
-            yield self.sim.timeout(cost)
+            yield cost
 
-    def _cs_time(self, dom: ArbitrationDomain, seconds: float):
-        """A timeout for in-CS work, inflated by contention *on this
+    def _cs_time(self, dom: ArbitrationDomain, seconds: float) -> float:
+        """The sleep for in-CS work, inflated by contention *on this
         domain's lock*: waiting threads' retries/spinning bounce the
         domain's shared cache lines and slow the critical path (David et
         al., SOSP'13).  Sharding pays off exactly here: fewer waiters
         per domain, smaller factor."""
-        return self.sim.timeout(seconds * dom.lock.contention_factor())
+        return seconds * dom.lock.contention_factor()
 
     def _charge_copy(
         self, dom: ArbitrationDomain, ctx: ThreadCtx, seconds: float,
@@ -403,7 +406,7 @@ class MpiRuntime:
             and seconds * 1e9 >= self.costs.brief_copy_min_ns
         ):
             yield from self._cs_release(dom, ctx)
-            yield self.sim.timeout(seconds)
+            yield seconds
             yield from self._cs_acquire(dom, ctx, priority)
         else:
             yield self._cs_time(dom, seconds)
@@ -604,7 +607,7 @@ class MpiRuntime:
         """Nonblocking send.  Returns the Request."""
         env = Envelope(source=self.rank, tag=tag, comm=comm)
         dom = self._send_domain(dest, tag, comm)
-        yield self.sim.timeout(self.costs.request_alloc * (0.5 + self._rng.random()))
+        yield self.costs.request_alloc * (0.5 + self._random())
         yield from self._cs_acquire(dom, ctx, Priority.HIGH)
         yield self._cs_time(dom, self.costs.cs_main)
         if nbytes <= self.eager_threshold:
@@ -681,7 +684,7 @@ class MpiRuntime:
         """
         env = Envelope(source=source, tag=tag, comm=comm)
         route = self.policy.route_recv(env)
-        yield self.sim.timeout(self.costs.request_alloc * (0.5 + self._rng.random()))
+        yield self.costs.request_alloc * (0.5 + self._random())
         if route is not None:
             dom = self.domains[self._route(route)]
             yield from self._cs_acquire(dom, ctx, Priority.HIGH)
@@ -922,10 +925,10 @@ class MpiRuntime:
                 self.parked_waiters += 1
                 yield self._activity.wait(ctx)
                 self.parked_waiters -= 1
-                yield self.sim.timeout(self.costs.event_wakeup)
+                yield self.costs.event_wakeup
             else:
-                gap = self.costs.progress_gap * (0.5 + self._rng.random())
-                yield self.sim.timeout(gap)
+                gap = self.costs.progress_gap * (0.5 + self._random())
+                yield gap
             cur = (cur + 1) % len(doms)
             yield from self._cs_acquire(doms[cur], ctx, Priority.LOW)
             # Another thread's progress may have completed the rest
@@ -1013,7 +1016,7 @@ class MpiRuntime:
                 self.parked_waiters += 1
                 yield self._activity.wait(ctx)
                 self.parked_waiters -= 1
-                yield self.sim.timeout(self.costs.event_wakeup)
+                yield self.costs.event_wakeup
                 continue
             yield from self._cs_acquire(dom, ctx, Priority.LOW)
             yield from self._progress_poll(dom, ctx)
@@ -1088,9 +1091,7 @@ class MpiRuntime:
             found = yield from self.iprobe(ctx, source=source, tag=tag, comm=comm)
             if found is not None:
                 return found
-            yield self.sim.timeout(
-                self.costs.progress_gap * (0.5 + self._rng.random())
-            )
+            yield self.costs.progress_gap * (0.5 + self._random())
 
     def sendrecv(self, ctx, dest, source, nbytes, tag=0, comm=0, data=None,
                  recv_nbytes=None, recv_tag=None):
@@ -1374,9 +1375,10 @@ class MpiThread:
     def progress_poke(self):
         return self.runtime.progress_poke(self.ctx)
 
-    def compute(self, seconds: float):
-        """Model local computation for ``seconds`` (outside the runtime)."""
-        return self.sim.timeout(seconds)
+    def compute(self, seconds: float) -> float:
+        """Model local computation for ``seconds`` (outside the runtime):
+        the delay to yield."""
+        return float(seconds)
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"<MpiThread rank={self.rank} {self.ctx.name}>"

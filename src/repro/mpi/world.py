@@ -290,9 +290,9 @@ class Cluster:
                 yield from rt.progress_poke(ctx)
                 if cfg.event_driven_wait and not rt.nic.has_packets():
                     yield rt._activity.wait(ctx)
-                    yield self.sim.timeout(rt.costs.event_wakeup)
+                    yield rt.costs.event_wakeup
                 else:
-                    yield self.sim.timeout(rt.costs.progress_gap)
+                    yield rt.costs.progress_gap
 
         self.sim.process(loop(), name=f"async-progress@{rank}")
 

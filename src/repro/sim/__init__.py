@@ -6,7 +6,7 @@ Public surface::
     sim = Simulator(seed=42)
 
     def worker():
-        yield sim.timeout(1e-6)
+        yield 1e-6          # sleep one microsecond
         return "done"
 
     proc = sim.process(worker())

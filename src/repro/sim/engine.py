@@ -10,10 +10,15 @@ cost model works at nanosecond scale (1e-9).
 The queue (:mod:`repro.sim.equeue`) dispatches in ``(time, seq)``
 total order, so the schedule -- and therefore every bit-identity pin in
 the test suite -- depends only on the seed and the model.  The run
-loops pull *batches* of same-timestamp entries and
-dispatch them in one tight loop, and dispatched :class:`Timeout` objects
-are recycled through a small free pool when provably unreferenced, so
-the per-event Python overhead is paid once per batch where possible.
+loops pull *batches* of same-timestamp entries and dispatch them in one
+tight loop.  A queue item is one of three kinds, each dispatched
+straight from its entry: an :class:`Event` (run its callbacks), a
+process's sleep token (resume the generator; see
+:mod:`repro.sim.process`) or a :class:`Timer` from :meth:`call_after`
+(call ``fn(*args)``).  Sleeps and timers allocate no Timeout, callbacks
+list or bound method, and a process woken by its own sleep token whose
+next sleep ends before every queued entry runs ahead without a queue
+round trip (see :meth:`Simulator.run`).
 
 Cancelled events (:meth:`~repro.sim.events.Event.cancel`) are deleted
 *lazily*: the queue entry stays where it is, is skipped at pop time
@@ -25,30 +30,57 @@ they would have without any cancellations.
 
 from __future__ import annotations
 
+from heapq import heappop
 from itertools import count
-from sys import getrefcount as _getrefcount
+from math import inf as _INF
 from typing import Any, Callable, Generator, Optional
 
 from .equeue import _COMPACT_MIN_DEAD as _COMPACT_MIN_DEAD  # re-export, tests
 from .equeue import EventQueue
 from .events import AllOf, AnyOf, Event, Timeout
-from .process import Process
+from .process import Process, _Wake
 from .rng import RngStreams
 
-__all__ = ["Simulator", "SimulationError", "EventQueue"]
-
-#: Free-pool cap: enough to absorb the working set of in-flight timers
-#: in the macro workloads without pinning unbounded garbage.
-_POOL_MAX = 512
-
-#: A dispatched Timeout reachable only from the batch entry, the loop
-#: local and the getrefcount argument itself is provably dropped by all
-#: user code and safe to recycle.
-_POOL_REFS = 3
+__all__ = ["Simulator", "SimulationError", "EventQueue", "Timer"]
 
 
 class SimulationError(RuntimeError):
     """Raised when a process dies with an unhandled exception."""
+
+
+class Timer:
+    """Cancellable handle of a :meth:`Simulator.call_after` callback.
+
+    The handle is itself the queue item: dispatch calls ``fn(*args)``
+    and drops ``fn``.  ``cancel()`` keeps the race semantics of
+    :meth:`Event.cancel`: True if this call killed a pending timer,
+    False once it fired or was already cancelled."""
+
+    __slots__ = ("sim", "fn", "args", "_cancelled")
+
+    name = ""
+
+    def __init__(self, sim: "Simulator", fn: Callable, args: tuple):
+        self.sim = sim
+        self.fn = fn
+        self.args = args
+        self._cancelled = False
+
+    @property
+    def cancelled(self) -> bool:
+        """True once cancelled (a timer that fired is not cancelled)."""
+        return self._cancelled
+
+    def cancel(self) -> bool:
+        if self._cancelled or self.fn is None:
+            return False
+        self._cancelled = True
+        self.sim._note_cancelled()
+        return True
+
+    def _process(self) -> None:
+        fn, self.fn = self.fn, None
+        fn(*self.args)
 
 
 class Simulator:
@@ -72,7 +104,6 @@ class Simulator:
         #: construction.
         self._push = self.queue.push
         self._seq = count()
-        self._active_process: Optional[Process] = None
         self._crashed: list = []
         self.rng = RngStreams(seed)
         #: Observability bus (:class:`repro.obs.Instrument`) or None.
@@ -80,17 +111,13 @@ class Simulator:
         #: this single attach point; ``None`` means instrumentation is
         #: disabled and costs one attribute check.
         self.obs = None
-        #: Live events dispatched (popped and their callbacks run).
+        #: Live queue items dispatched (events, sleep wakes, timers).
         self.dispatched = 0
-        #: Timeout objects served from the free pool instead of being
-        #: allocated (see the pooling notes in DESIGN.md section 9).
-        self.pool_hits = 0
         #: Batch entries extracted but not yet dispatched.  Nonzero only
         #: while a run loop is inside a batch; ``queued_events`` folds it
         #: back in so callbacks (e.g. the progress watchdog's idle
         #: check) see their same-timestamp siblings as still pending.
         self._inflight = 0
-        self._pool: list = []
 
     # ------------------------------------------------------------------
     # Factories
@@ -102,20 +129,8 @@ class Simulator:
     def timeout(self, delay: float, value: Any = None, name: str = "") -> Timeout:
         """Create an event that fires after ``delay`` seconds.
 
-        Served from the free pool when possible: a recycled Timeout is
-        indistinguishable from a fresh one (same ``(time, seq)`` key
-        allocation, reset state), so pooling is schedule-neutral.
-        """
-        pool = self._pool
-        if pool and delay >= 0.0:
-            ev = pool.pop()
-            ev.name = name
-            ev.delay = delay
-            ev._value = value
-            ev._triggered = False
-            self._push(self.now + delay, next(self._seq), ev)
-            self.pool_hits += 1
-            return ev
+        For events that are waited on by others or composed; a process
+        that merely sleeps yields the bare ``float`` delay instead."""
         return Timeout(self, delay, value=value, name=name)
 
     def process(self, gen: Generator, name: str = "") -> Process:
@@ -128,24 +143,26 @@ class Simulator:
     def all_of(self, events) -> AllOf:
         return AllOf(self, events)
 
-    def call_after(self, delay: float, fn: Callable, *args) -> Timeout:
+    def call_after(self, delay: float, fn: Callable, *args) -> Timer:
         """Run ``fn(*args)`` after ``delay`` seconds from now (plain
         callback).  The argument is a *relative* delay, not an absolute
         time -- schedule at an absolute ``t`` with
         ``call_after(t - sim.now, ...)``.
 
-        Returns the underlying :class:`Timeout` as a cancellable handle:
-        ``handle.cancel()`` guarantees ``fn`` never runs (a no-op if the
-        timer already fired)."""
-        ev = self.timeout(delay)
-        ev.callbacks.append(lambda _ev: fn(*args))
-        return ev
+        Returns a :class:`Timer` handle: ``handle.cancel()`` guarantees
+        ``fn`` never runs (a no-op returning False if the timer already
+        fired)."""
+        if delay < 0:
+            raise ValueError(f"negative delay {delay!r}")
+        timer = Timer(self, fn, args)
+        self._push((self.now + delay, next(self._seq), timer))
+        return timer
 
     # ------------------------------------------------------------------
     # Scheduling internals
     # ------------------------------------------------------------------
     def _schedule(self, event: Event, delay: float) -> None:
-        self._push(self.now + delay, next(self._seq), event)
+        self._push((self.now + delay, next(self._seq), event))
 
     def _note_cancelled(self) -> None:
         self.queue.note_cancelled()
@@ -184,10 +201,10 @@ class Simulator:
         if self._crashed:
             self._raise_crash()
 
-    def _dispatch_batch_slow(self, batch: list, obs, stop: Optional[Event]) -> None:
-        """Instrumented batch dispatch: per-event obs instants, no
-        pooling.  Books and schedule match the fast loop exactly,
-        including the early-out when ``stop`` fires mid-batch."""
+    def _dispatch_batch(self, batch: list, obs, stop: Optional[Event]) -> None:
+        """Dispatch a batch already counted in ``dispatched`` and
+        ``_inflight``: a multi-entry batch, or any batch while the obs
+        bus wants ``sim`` instants.  Stops early when ``stop`` fires."""
         q = self.queue
         n = len(batch)
         for entry in batch:
@@ -197,7 +214,7 @@ class Simulator:
                 self.dispatched -= 1
                 q.skip_inflight()
                 continue
-            if event.name and obs.wants("sim"):
+            if obs is not None and event.name and obs.wants("sim"):
                 obs.instant("sim", "dispatch", args={"event": event.name})
             event._process()
             if self._crashed:
@@ -218,14 +235,24 @@ class Simulator:
             ``Event``  -- run until this event has been processed and
             return its value (raising if it failed).
 
-        All forms share one inlined loop dispatching batches of
-        same-timestamp events -- this is the simulator's hot path.  A
-        singleton batch (the common case in the MPI workloads) skips the
-        in-flight bookkeeping entirely: with no same-timestamp sibling,
-        nothing can cancel the event between extraction and dispatch.
+        All forms share one inlined loop -- the simulator's hot path.  A
+        live head with no same-timestamp sibling (the common case in the
+        MPI workloads) is popped here and dispatched without in-flight
+        bookkeeping: with no sibling, nothing can cancel it between
+        extraction and dispatch.  Cancelled heads, the horizon and ties
+        go through the queue's batch methods.
+
+        A process resumed by its own sleep token *runs ahead*: when its
+        next sleep ends strictly before every queued entry (and within
+        the horizon, with no bus wanting ``sim`` instants), the loop
+        advances the clock and resumes it again without a queue round
+        trip, counting the dispatch and drawing the seq the push would
+        have drawn.  That entry is the one the next pop would return,
+        so the schedule is unchanged (DESIGN.md section 9).
         """
         stop: Optional[Event] = None
         horizon: Optional[float] = None
+        limit = _INF
         if until is not None:
             if isinstance(until, Event):
                 stop = until
@@ -234,20 +261,30 @@ class Simulator:
                     # its exception here rather than crashing the loop.
                     stop.add_callback(_consume)
             else:
-                horizon = float(until)
+                horizon = limit = float(until)
                 if horizon < self.now:
                     raise ValueError(
                         f"cannot run until {horizon} < now ({self.now})"
                     )
 
         q = self.queue
+        heap = q._heap
         pop_batch = q.pop_batch
-        pool = self._pool
-        pool_append = pool.append
-        getrc = _getrefcount
+        push = self._push
+        seq = self._seq
 
         while stop is None or stop.callbacks is not None:
-            batch = pop_batch(horizon)
+            if not heap:
+                batch = None
+            else:
+                batch = heap[0]
+                when = batch[0]
+                if batch[2]._cancelled or when > limit:
+                    batch = pop_batch(horizon)
+                else:
+                    heappop(heap)
+                    if heap and heap[0][0] == when:
+                        batch = q.pop_run(batch)
             if batch is None:
                 if stop is not None:
                     raise SimulationError(
@@ -258,69 +295,50 @@ class Simulator:
                     self.now = horizon
                 return None
             if type(batch) is tuple:
-                # Singleton batch, returned as a bare entry.
+                # Singleton batch, a bare entry.
                 self.now = batch[0]
                 obs = self.obs
                 if obs is not None and obs.wants("sim"):
                     self.dispatched += 1
                     self._inflight = 1
-                    self._dispatch_batch_slow([batch], obs, stop)
+                    self._dispatch_batch([batch], obs, stop)
                     continue
                 event = batch[2]
                 self.dispatched += 1
-                event._triggered = True
-                callbacks = event.callbacks
-                event.callbacks = None
-                for cb in callbacks:
-                    cb(event)
+                kind = type(event)
+                if kind is _Wake:
+                    proc = event.proc
+                    when = proc._resume(event, True)
+                    while when is not None:
+                        obs = self.obs
+                        if (
+                            (heap and when >= heap[0][0]) or when > limit
+                            or (obs is not None and obs.wants("sim"))
+                        ):
+                            push((when, next(seq), proc._wake))
+                            break
+                        # Run ahead: this wake is the next entry.
+                        self.now = when
+                        self.dispatched += 1
+                        next(seq)
+                        when = proc._resume(proc._wake, True)
+                elif kind is Timer:
+                    fn, event.fn = event.fn, None
+                    fn(*event.args)
+                else:
+                    event._triggered = True
+                    callbacks = event.callbacks
+                    event.callbacks = None
+                    for cb in callbacks:
+                        cb(event)
                 if self._crashed:
                     self._raise_crash()
-                if (
-                    type(event) is Timeout
-                    and getrc(event) == _POOL_REFS
-                    and len(pool) < _POOL_MAX
-                ):
-                    callbacks.clear()
-                    event.callbacks = callbacks
-                    pool_append(event)
                 continue
             self.now = batch[0][0]
-            obs = self.obs
-            if obs is not None and obs.wants("sim"):
-                n = len(batch)
-                self.dispatched += n
-                self._inflight = n
-                self._dispatch_batch_slow(batch, obs, stop)
-                continue
             n = len(batch)
             self.dispatched += n
             self._inflight = n
-            for entry in batch:
-                self._inflight -= 1
-                event = entry[2]
-                if event._cancelled:
-                    self.dispatched -= 1
-                    q.skip_inflight()
-                    continue
-                event._triggered = True
-                callbacks = event.callbacks
-                event.callbacks = None
-                for cb in callbacks:
-                    cb(event)
-                if self._crashed:
-                    self._abort_batch(batch, n)
-                    self._raise_crash()
-                if (
-                    type(event) is Timeout
-                    and getrc(event) == _POOL_REFS
-                    and len(pool) < _POOL_MAX
-                ):
-                    callbacks.clear()
-                    event.callbacks = callbacks
-                    pool_append(event)
-                if stop is not None and stop.callbacks is None:
-                    self._abort_batch(batch, n)
-                    break
+            self._dispatch_batch(batch, self.obs, stop)
 
         if not stop.ok:
             stop._defused = True

@@ -7,10 +7,11 @@ allocated at push time.  The implementation is a lazy-deletion binary
 heap: ``heapq`` keeps the entries totally ordered, cancelled entries are
 skipped at pop time and swept by an in-place compaction once more than
 half of the heap is dead.  The method set (``push`` / ``pop`` /
-``pop_batch`` / ``note_cancelled`` / ``skip_inflight`` / ``requeue``
-and the ``live`` / ``dead`` / ``size`` / ``stats`` accounting) is the
-seam the engine and the benches read through; simlint's
-``queue-encapsulation`` rule keeps everything else out of its state.
+``pop_batch`` / ``pop_run`` / ``note_cancelled`` / ``skip_inflight`` /
+``requeue`` and the ``live`` / ``dead`` / ``size`` / ``stats``
+accounting) is the seam the engine and the benches read through;
+simlint's ``queue-encapsulation`` rule keeps everything else out of its
+state.
 
 The queue extracts *batches*: the leading run of entries sharing the
 minimal timestamp.  The engine dispatches a batch in one tight loop,
@@ -29,6 +30,7 @@ tail of a batch when a run stops early (stop event fired, crash).
 
 from __future__ import annotations
 
+from functools import partial
 from heapq import heapify, heappop, heappush
 from typing import Optional
 
@@ -43,7 +45,7 @@ _COMPACT_MIN_DEAD = 64
 class EventQueue:
     """Lazy-deletion binary heap of ``(time, seq, event)`` entries."""
 
-    __slots__ = ("skipped", "compactions", "_dead", "_heap")
+    __slots__ = ("skipped", "compactions", "_dead", "_heap", "push")
 
     def __init__(self) -> None:
         #: Cancelled entries removed without dispatch (pop-time skips
@@ -55,6 +57,10 @@ class EventQueue:
         #: cancelled in-flight entries until the engine resolves them.
         self._dead = 0
         self._heap: list = []
+        #: ``push((time, seq, event))``: ``heappush`` bound to the heap,
+        #: a C call with no Python frame.  Compaction rebuilds the heap
+        #: list in place, so the binding never goes stale.
+        self.push = partial(heappush, self._heap)
 
     # -- accounting ----------------------------------------------------
     @property
@@ -83,9 +89,6 @@ class EventQueue:
         }
 
     # -- operations ----------------------------------------------------
-    def push(self, when: float, seq: int, event) -> None:
-        heappush(self._heap, (when, seq, event))
-
     def pop(self):
         """Remove and return the minimal live entry.
 
@@ -126,24 +129,35 @@ class EventQueue:
             heappop(heap)
             if not heap or heap[0][0] != when:
                 return head
-            batch = [head]
-            append = batch.append
-            while heap:
-                head = heap[0]
-                if head[0] != when:
-                    break
-                heappop(heap)
-                if head[2]._cancelled:
-                    self._dead -= 1
-                    self.skipped += 1
-                else:
-                    append(head)
-            if len(batch) == 1:
-                # Interior entries were all dead: the run collapsed back
-                # to a singleton.
-                return batch[0]
-            return batch
+            return self.pop_run(head)
         return None
+
+    def pop_run(self, head):
+        """Finish the batch of ``head``, a live entry the caller has
+        just popped while an entry of the same timestamp remains: pop
+        that timestamp's remaining entries, consuming dead ones on the
+        way.  Returns the list of live entries, or the bare ``head``
+        when every sibling was dead.  The engine's run loop pops
+        singleton heads itself and calls this only on a tie."""
+        heap = self._heap
+        when = head[0]
+        batch = [head]
+        append = batch.append
+        while heap:
+            head = heap[0]
+            if head[0] != when:
+                break
+            heappop(heap)
+            if head[2]._cancelled:
+                self._dead -= 1
+                self.skipped += 1
+            else:
+                append(head)
+        if len(batch) == 1:
+            # Interior entries were all dead: the run collapsed back
+            # to a singleton.
+            return batch[0]
+        return batch
 
     def note_cancelled(self) -> None:
         """Account one freshly-cancelled entry; may trigger a sweep."""

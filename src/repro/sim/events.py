@@ -131,7 +131,7 @@ class Event:
         # Inlined Simulator._schedule: triggering is on the hot path of
         # every request completion / mailbox put.
         sim = self.sim
-        sim._push(sim.now, next(sim._seq), self)
+        sim._push((sim.now, next(sim._seq), self))
         self._scheduled = True
         return self
 
@@ -151,7 +151,7 @@ class Event:
         self._ok = False
         self._triggered = True
         sim = self.sim
-        sim._push(sim.now, next(sim._seq), self)
+        sim._push((sim.now, next(sim._seq), self))
         self._scheduled = True
         return self
 
@@ -189,23 +189,22 @@ class Event:
 class Timeout(Event):
     """An event that fires ``delay`` simulated seconds after creation.
 
-    Prefer :meth:`Simulator.timeout` over constructing directly: the
-    factory recycles dispatched Timeouts through a free pool (only when
-    provably unreferenced -- see the pooling notes in DESIGN.md section
-    9), which this constructor cannot.  A pooled instance is reset to
-    exactly the state this constructor establishes.
+    For an event others wait on or compose (``any_of``, a watchdog
+    sample, a NIC's local completion).  A process that only sleeps
+    yields the bare ``float`` delay instead, and a plain callback uses
+    :meth:`Simulator.call_after`: neither allocates a Timeout (DESIGN.md
+    section 9).
     """
 
-    __slots__ = ("delay",)
+    __slots__ = ()
 
     def __init__(self, sim, delay: float, value: Any = None, name: str = ""):
         if delay < 0:
             raise ValueError(f"negative delay {delay!r}")
         super().__init__(sim, name=name)
-        self.delay = delay
         self._value = value
         self._ok = True
-        sim._push(sim.now + delay, next(sim._seq), self)
+        sim._push((sim.now + delay, next(sim._seq), self))
         self._scheduled = True
 
 

@@ -1,10 +1,12 @@
 """Generator-based simulated processes.
 
-A :class:`Process` drives a Python generator: every object the generator
-yields must be an :class:`~repro.sim.events.Event`; the process suspends
-until the event fires and is resumed with the event's value (or the event's
-exception is thrown into it).  A process is itself an event that fires with
-the generator's return value, so processes can wait on each other.
+A :class:`Process` drives a Python generator.  A yielded
+:class:`~repro.sim.events.Event` suspends it until the event fires, then
+resumes it with the event's value (or throws the event's exception).  A
+yielded non-negative ``float`` sleeps that many seconds and resumes it
+with ``None``, as ``yield sim.timeout(d)`` would, but with no Timeout.
+A process is itself an event that fires with the generator's return
+value, so processes can wait on each other.
 """
 
 from __future__ import annotations
@@ -24,6 +26,24 @@ class Interrupt(Exception):
         return self.args[0] if self.args else None
 
 
+class _Wake:
+    """A process's reusable sleep token, queued by ``yield delay``; to
+    ``Process._resume`` it looks like a fired Timeout."""
+
+    __slots__ = ("proc",)
+
+    name = ""
+    _cancelled = False
+    _ok = True
+    _value = None
+
+    def __init__(self, proc: "Process"):
+        self.proc = proc
+
+    def _process(self) -> None:
+        self.proc._resume(self)
+
+
 class Process(Event):
     """Wraps a generator and schedules it on the simulator.
 
@@ -32,14 +52,15 @@ class Process(Event):
     synchronously).
     """
 
-    __slots__ = ("_gen", "_waiting_on")
+    __slots__ = ("_gen", "_waiting_on", "_wake")
 
     def __init__(self, sim, gen: Generator, name: str = ""):
         if not hasattr(gen, "send") or not hasattr(gen, "throw"):
             raise TypeError(f"Process expects a generator, got {type(gen).__name__}")
         super().__init__(sim, name=name or getattr(gen, "__name__", "process"))
         self._gen = gen
-        self._waiting_on: Event | None = None
+        self._waiting_on: Event | _Wake | None = None
+        self._wake = _Wake(self)
         # Kick off via an initialization event so user code always runs
         # from the event loop.
         init = Event(sim, name=f"init:{self.name}")
@@ -66,40 +87,40 @@ class Process(Event):
         ev._scheduled = True
 
     # ------------------------------------------------------------------
-    def _resume(self, event: Event) -> None:
-        # The per-event wake path: every dispatched event with a waiting
-        # process funnels through here, so attribute loads are hoisted
-        # and the common send/park tail stays branch-lean.
+    def _resume(self, event: Event, ahead: bool = False) -> "float | None":
+        # The per-event wake path: every dispatched event or wake token
+        # with a waiting process funnels through here, so attribute
+        # loads are hoisted and the sleep/park tails stay branch-lean.
+        # With ``ahead`` (the run loop resuming a wake token) a sleep is
+        # not pushed: its wake time is returned, and the caller either
+        # runs the process ahead to it or pushes the token itself.
         if self._triggered:
-            return
-        if event is not self._waiting_on and self._waiting_on is not None:
+            return None
+        waiting = self._waiting_on
+        if waiting is not event and waiting is not None:
             # Stale wakeup from an event we stopped waiting on (interrupt).
-            return
+            return None
         self._waiting_on = None
         sim = self.sim
         obs = sim.obs
         if obs is not None and obs.wants("sim"):
             obs.instant("sim", "wake", args={"process": self.name})
-        sim._active_process, prev = self, sim._active_process
         if event._ok:
             to_throw: BaseException | None = None
         else:
             to_throw = event._value
             event._defused = True
-        send = self._gen.send
-        throw = self._gen.throw
+        gen = self._gen
         while True:
             try:
                 if to_throw is None:
-                    target = send(event._value)
+                    target = gen.send(event._value)
                 else:
-                    target = throw(to_throw)
+                    target = gen.throw(to_throw)
             except StopIteration as stop:
-                sim._active_process = prev
                 self.succeed(stop.value)
-                return
+                return None
             except BaseException as exc:
-                sim._active_process = prev
                 if not self.callbacks:
                     # Nobody is waiting on this process: surface in run().
                     sim._crash(self, exc)
@@ -107,15 +128,28 @@ class Process(Event):
                     self._ok = False
                     self._triggered = True
                     sim._schedule(self, 0.0)
-                    return
+                    return None
                 self.fail(exc)
-                return
+                return None
 
+            if isinstance(target, float):
+                if target >= 0.0:
+                    # Sleep: the key sim.timeout(target) would allocate
+                    # at this same point, with the token as queue item.
+                    self._waiting_on = wake = self._wake
+                    if ahead:
+                        return sim.now + target
+                    sim._push((sim.now + target, next(sim._seq), wake))
+                    return None
+                to_throw = ValueError(
+                    f"process {self.name!r} yielded negative delay {target!r}"
+                )
+                continue
             if not isinstance(target, Event):
                 # Deliver the misuse as an exception at the offending yield.
                 to_throw = TypeError(
                     f"process {self.name!r} yielded {target!r}; only Event "
-                    f"instances may be yielded"
+                    f"instances or float delays may be yielded"
                 )
                 continue
             if target.sim is not sim:
@@ -125,20 +159,22 @@ class Process(Event):
                 )
                 continue
             break
-        sim._active_process = prev
         self._waiting_on = target
         # Inlined add_callback: on this path the target is known live
         # far more often than processed, and never needs the cancelled
         # no-op (parking on a cancelled event is still a park).
         cbs = target.callbacks
         if cbs is None:
-            self._resume(target)
-        elif not target._cancelled:
+            return self._resume(target, ahead)
+        if not target._cancelled:
             cbs.append(self._resume)
+        return None
 
     def _resume_interrupt(self, event: Event) -> None:
         # Interrupt delivery: bypass the identity check on _waiting_on.
         if self.triggered:
             return
+        # A cut-short sleep leaves its token queued: use a fresh one.
+        self._wake = _Wake(self)
         self._waiting_on = event
         self._resume(event)

@@ -9,16 +9,42 @@ reproducible from a single master seed.
 from __future__ import annotations
 
 import zlib
-from typing import Dict
+from typing import Callable, Dict
 
 import numpy as np
 
-__all__ = ["RngStreams", "stable_hash"]
+__all__ = ["RngStreams", "stable_hash", "batched_draws"]
+
+#: Draws fetched per refill by :func:`batched_draws`.
+_BATCH = 256
 
 
 def stable_hash(name: str) -> int:
     """A process-stable 32-bit hash of ``name`` (unlike builtin ``hash``)."""
     return zlib.crc32(name.encode("utf-8"))
+
+
+def batched_draws(fill: Callable[[int], np.ndarray]) -> Callable[[], float]:
+    """Scalar draws for a hot call site, served from vector refills.
+
+    ``fill(n)`` returns ``n`` draws as an array (``gen.random``, or
+    ``lambda n: gen.exponential(scale, n) * NS``).  numpy fills a vector
+    request from the same bit stream element by element, and an
+    elementwise float64 multiply is the same IEEE operation as a scalar
+    one, so serving draws from a 256-wide refill yields exactly the
+    sequence of repeated scalar calls while paying the numpy call
+    overhead once per refill.  Only valid when the returned function is
+    the generator's sole consumer: a refill runs the stream ahead of the
+    draws actually used."""
+    cache: list = []
+    pop = cache.pop
+
+    def draw() -> float:
+        if not cache:
+            cache[:] = fill(_BATCH)[::-1].tolist()
+        return pop()
+
+    return draw
 
 
 class RngStreams:

@@ -550,7 +550,7 @@ def _client_worker(st: _ClientState, th: MpiThread, widx: int,
     deadline_ns = st.robust.deadline_ns
     for t_arr in arrivals:
         if t_arr > sim.now:
-            yield sim.timeout(t_arr - sim.now)
+            yield t_arr - sim.now
         deadline_s = t_arr + deadline_ns * 1e-9 if deadline_ns > 0.0 else None
         rec = _Rec(st.next_req_id(), widx, t_arr, deadline_s)
         latch.add()
@@ -579,7 +579,7 @@ def _stop_servers(st: _ClientState, th: MpiThread):
             )
             t0 = sim.now
             while not rreq.complete and sim.now - t0 < _STOP_RTO_S:
-                yield sim.timeout(_STOP_POLL_S)
+                yield _STOP_POLL_S
             if not sreq.freed:
                 if sreq.complete:
                     yield from th.test(sreq)
@@ -711,7 +711,7 @@ def _server_worker(sst: _ServerState, th: MpiThread, cfg: ServiceConfig):
     # Exit drain: atomically take the shared pending list (waiting out
     # any in-flight batch reap first) and free what remains.
     while sst.reaping:
-        yield th.sim.timeout(1e-6)
+        yield 1e-6
     sst.reaping = True
     try:
         mine = [q for q in sst.pending_sends if not q.freed]

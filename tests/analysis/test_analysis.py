@@ -1,5 +1,10 @@
 """Tests for the analysis/instrumentation modules."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -171,3 +176,24 @@ class TestReport:
     def test_format_table_bad_row(self):
         with pytest.raises(ValueError, match="cells"):
             format_table(["a"], [[1, 2]])
+
+
+def test_simulation_imports_leave_multiprocessing_out():
+    # The ablation runner's process pool loads only on first use of an
+    # ablation name; a simulation reaches repro.analysis through the
+    # workloads' metrics and must not pay for it.
+    import repro
+
+    src = str(Path(repro.__file__).resolve().parents[1])
+    code = (
+        "import sys, repro.workloads\n"
+        "assert 'multiprocessing' not in sys.modules, 'multiprocessing'\n"
+        "assert 'concurrent.futures.process' not in sys.modules\n"
+        "from repro.analysis import run_matrix\n"
+        "assert 'multiprocessing' in sys.modules\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr

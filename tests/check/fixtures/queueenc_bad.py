@@ -7,8 +7,7 @@ def sneak_past_the_interface(sim):
     # Scheduling around the EventQueue API: heap-era attribute pokes.
     heappush(sim._heap, (0.0, 0, None))
     heapq.heappop(sim._heap)
-    sim._pool.clear()
-    sim._push(0.0, next(sim._seq), None)
+    sim._push((0.0, next(sim._seq), None))
     return sim.queue._dead
 
 

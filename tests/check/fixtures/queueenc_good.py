@@ -11,5 +11,5 @@ def schedule_and_inspect(sim):
 
 def drain(queue):
     batch = queue.pop_batch()
-    queue.push(0.0, 0, batch)
+    queue.push((0.0, 0, batch))
     return queue.live, queue.dead, queue.size, queue.skipped

@@ -3,6 +3,8 @@
 
 def good_process(sim, lock, ctx):
     yield sim.timeout(1e-6)
+    yield 1e-6  # a float delay is a sleep
+    yield 2.0 * 1e-9
     yield from lock.acquire(ctx)
     lock.release(ctx)
     yield sim.event()

@@ -66,6 +66,37 @@ def test_lockpair_reports_both_shapes():
     assert len(findings) == 2
 
 
+def test_yield_discipline_flags_every_non_float_literal():
+    # Float-literal delays are sleeps (yield_good.py); ints, strings,
+    # containers, f-strings and int-leaved arithmetic are all flagged.
+    findings = run_lint([str(FIXTURES / "yield_bad.py")])
+    assert [f.line for f in findings] == [5, 6, 7, 8, 9, 10]
+
+
+def test_queue_encapsulation_grants_process_module_only_its_sleep_push(tmp_path):
+    # The float-sleep push may read sim._push and sim._seq; the process
+    # module still may not import heapq or touch the heap or the books,
+    # and no other file gets the grant.
+    src = (
+        "import heapq\n"
+        "def sleep(sim, wake, d):\n"
+        "    sim._push((sim.now + d, next(sim._seq), wake))\n"
+        "    heapq.heappop(sim.queue._heap)\n"
+        "    return sim.queue._dead\n"
+    )
+    granted = tmp_path / "repro" / "sim" / "process.py"
+    granted.parent.mkdir(parents=True)
+    granted.write_text(src)
+    other = tmp_path / "repro" / "sim" / "sync.py"
+    other.write_text(src)
+    def lines(path):
+        found = run_lint([str(path)], select=["queue-encapsulation"])
+        return [f.line for f in found]
+
+    assert lines(granted) == [1, 4, 5]
+    assert lines(other) == [1, 3, 3, 4, 5]
+
+
 def test_slots_names_the_missing_attribute():
     findings = run_lint([str(FIXTURES / "slots_bad.py")])
     flagged = {f.message.split()[0] for f in findings}

@@ -102,16 +102,16 @@ def test_thread_ctx_identity_and_proximity():
 
 def test_cost_model_orders_proximity():
     cm = CostModel()
-    assert cm.atomic(Proximity.SAME_CORE) < cm.atomic(Proximity.SAME_SOCKET)
-    assert cm.atomic(Proximity.SAME_SOCKET) < cm.atomic(Proximity.REMOTE)
-    assert cm.handoff(Proximity.SAME_CORE) < cm.handoff(Proximity.REMOTE)
+    assert cm.atomic_s[Proximity.SAME_CORE] < cm.atomic_s[Proximity.SAME_SOCKET]
+    assert cm.atomic_s[Proximity.SAME_SOCKET] < cm.atomic_s[Proximity.REMOTE]
+    assert cm.handoff_s[Proximity.SAME_CORE] < cm.handoff_s[Proximity.REMOTE]
 
 
 def test_cost_model_futex_dwarfs_cas():
     cm = CostModel()
     # The monopolization mechanism requires a futex wake to be far more
     # expensive than a local CAS (paper 2.2).
-    assert cm.futex_wake > 10 * cm.atomic(Proximity.REMOTE)
+    assert cm.futex_wake > 10 * cm.atomic_s[Proximity.REMOTE]
 
 
 def test_cost_model_copy_time_scales():

@@ -9,15 +9,17 @@ queue against an oracle built from the schedule itself:
   that were not cancelled, in (fire time, scheduling order), each at
   its float-equal fire time;
 * **books balance** -- after any interleaving, ``live + dead == size``
-  and every scheduled event is eventually dispatched or skipped, with
-  Timeout pooling active (pooling must be schedule-neutral, not just
-  allocation-neutral).
+  and every scheduled event is eventually dispatched or skipped;
+* **sleep protocol** -- random plans of sleeps, timers, cancels and
+  interrupts give the same ``(now, who, step)`` trace, counters, clock
+  and next seq whether processes sleep with ``yield delay`` (and run
+  ahead of the queue) or ``yield sim.timeout(delay)``.
 """
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim import Simulator
+from repro.sim import Interrupt, Simulator
 
 NS = 1e-9
 
@@ -89,36 +91,83 @@ def test_dispatch_matches_time_then_scheduling_order(plan, horizon_ns):
     assert [label for label, _t in trace] == live
     assert all(t == keys[label][0] for label, t in trace)
 
-    # Books balance under pooling.
+    # Books balance.
     q = sim.queue
     assert sim.queued_events == 0
     assert q.live + q.dead == q.size == 0
     assert sim.dispatched + sim.skipped >= len(plan)
 
 
-@given(plan=st.lists(_op, min_size=5, max_size=40), seed=st.integers(0, 99))
-@settings(max_examples=40, deadline=None)
-def test_pooling_is_schedule_neutral(plan, seed):
-    """A run with the pool warm must dispatch identically to a cold one."""
+#: One process: its sleeps in ns (0 makes same-timestamp ties).
+_proc = st.lists(st.integers(0, 60), min_size=1, max_size=6)
+#: One timer: (delay ns, action, target index); actions act on the
+#: target-th process or timer at fire time.
+_timer = st.tuples(
+    st.integers(0, 200),
+    st.sampled_from(["nothing", "cancel", "interrupt"]),
+    st.integers(0, 7),
+)
 
-    def run(warm):
-        sim = Simulator(seed=seed)
-        if warm:
-            # Prime the free pool: dispatch-and-recycle a few timers.
-            for _ in range(8):
-                sim.timeout(1 * NS)
-            sim.run()
-        base = sim.now
-        trace = []
-        for i, (delay, _cancel, _spawn) in enumerate(plan):
-            ev = sim.timeout(delay * NS, name=f"t{i}")
-            ev.callbacks.append(
-                lambda e, i=i: trace.append((i, round((sim.now - base) / NS)))
-            )
-        sim.run()
-        return sim, trace
 
-    sim_cold, trace_cold = run(False)
-    sim_warm, trace_warm = run(True)
-    assert trace_cold == trace_warm
-    assert sim_warm.pool_hits > 0
+def _run_sleep_plan(procs, timers, cancel_upfront, horizon_ns, float_sleep):
+    """Run one plan; the trace is recorded inside the processes and
+    timer callbacks as ``(now, who, step)``, not from the queue: a
+    process running ahead never enters the queue."""
+    sim = Simulator(seed=0)
+    seen = []
+
+    def body(name, sleeps):
+        for k, ns in enumerate(sleeps):
+            try:
+                if float_sleep:
+                    yield ns * NS
+                else:
+                    yield sim.timeout(ns * NS)
+                seen.append((sim.now, name, k))
+            except Interrupt:
+                seen.append((sim.now, name, (k, "interrupted")))
+
+    ps = [sim.process(body(f"p{i}", sl), name=f"p{i}") for i, sl in enumerate(procs)]
+    handles = []
+
+    def act(label, action, target):
+        step = action
+        if action == "cancel":
+            step = (action, handles[target % len(handles)].cancel())
+        elif action == "interrupt":
+            p = ps[target % len(ps)]
+            if p.is_alive:
+                p.interrupt(label)
+        seen.append((sim.now, f"t{label}", step))
+
+    for i, (ns, action, target) in enumerate(timers):
+        handles.append(sim.call_after(ns * NS, act, i, action, target))
+    for i in sorted(set(cancel_upfront)):
+        if i < len(handles):
+            handles[i].cancel()
+    if horizon_ns is not None:
+        sim.run(until=horizon_ns * NS)
+        seen.append((sim.now, "horizon", sim.dispatched))
+    sim.run()
+    # The next sequence number, read off a probe entry's key.
+    sim.call_after(0.0, lambda: None)
+    _when, next_seq, _item = sim.queue.pop()
+    return seen, sim.dispatched, sim.skipped, sim.now, next_seq
+
+
+@given(
+    procs=st.lists(_proc, min_size=1, max_size=5),
+    timers=st.lists(_timer, max_size=12),
+    cancel_upfront=st.lists(st.integers(0, 11), max_size=4),
+    horizon_ns=st.none() | st.integers(0, 300),
+)
+@settings(max_examples=80, deadline=None)
+def test_float_sleep_matches_timeout_sleep(procs, timers, cancel_upfront,
+                                           horizon_ns):
+    """``yield delay`` -- which runs ahead of the queue whenever it can
+    -- dispatches exactly like ``yield sim.timeout(delay)``, which never
+    does: same trace, dispatch and skip counts, clock and next seq,
+    interrupts, timer races and horizon stops included."""
+    float_run = _run_sleep_plan(procs, timers, cancel_upfront, horizon_ns, True)
+    timeout_run = _run_sleep_plan(procs, timers, cancel_upfront, horizon_ns, False)
+    assert float_run == timeout_run

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.sim import Event, SimulationError, Simulator
+from repro.sim.rng import batched_draws
 
 
 def test_clock_starts_at_zero():
@@ -304,6 +305,23 @@ def test_rng_streams_independent_by_name():
     a = sim.rng.stream("x").random(5)
     b = sim.rng.stream("y").random(5)
     assert not (a == b).all()
+
+
+@pytest.mark.parametrize("kind", ["random", "exponential"])
+def test_batched_draws_equal_repeated_scalar_draws(kind):
+    # Across more than one refill, batched draws are the scalar draws
+    # bit for bit, including a scale applied to the whole vector.
+    scalar = Simulator(seed=3).rng.stream("s")
+    batched = Simulator(seed=3).rng.stream("s")
+    if kind == "random":
+        draw = batched_draws(batched.random)
+        ref = [scalar.random() for _ in range(600)]
+    else:
+        draw = batched_draws(lambda n: batched.exponential(5.0, n) * 1e-9)
+        ref = [scalar.exponential(5.0) * 1e-9 for _ in range(600)]
+    got = [draw() for _ in range(600)]
+    assert got == ref
+    assert all(type(x) is float for x in got)
 
 
 def test_call_after_returns_cancellable_handle():

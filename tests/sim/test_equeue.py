@@ -197,9 +197,9 @@ def test_pop_batch_singleton_is_bare_entry(sim):
     class _Ev:
         _cancelled = False
 
-    q.push(1e-9, 0, _Ev())
-    q.push(2e-9, 1, _Ev())
-    q.push(2e-9, 2, _Ev())
+    q.push((1e-9, 0, _Ev()))
+    q.push((2e-9, 1, _Ev()))
+    q.push((2e-9, 2, _Ev()))
     first = q.pop_batch()
     assert type(first) is tuple and first[0] == 1e-9
     tie = q.pop_batch()
@@ -207,32 +207,28 @@ def test_pop_batch_singleton_is_bare_entry(sim):
     assert q.pop_batch() is None
 
 
-# ----------------------------------------------------------------------
-# Timeout pooling
-# ----------------------------------------------------------------------
+def test_pop_run_finishes_a_popped_heads_batch(sim):
+    q = sim.queue
 
-def test_pool_recycles_unreferenced_timeouts(sim):
-    done = []
+    class _Ev:
+        _cancelled = False
 
-    def chain(n):
-        def cb(_ev):
-            if n:
-                sim.timeout(1e-9).callbacks.append(chain(n - 1))
-            else:
-                done.append(True)
-        return cb
-
-    sim.timeout(1e-9).callbacks.append(chain(50))
-    sim.run()
-    assert done == [True]
-    assert sim.pool_hits > 0
-
-
-def test_pooled_timeout_rejects_negative_delay(sim):
-    sim.timeout(1e-9)
-    sim.run()  # leaves a pooled Timeout behind
-    with pytest.raises(ValueError):
-        sim.timeout(-1e-9)
+    dead = [_Ev(), _Ev()]
+    q.push((1e-9, 0, _Ev()))
+    q.push((1e-9, 1, dead[0]))
+    q.push((1e-9, 2, _Ev()))
+    q.push((2e-9, 3, _Ev()))
+    q.push((2e-9, 4, dead[1]))
+    q.push((3e-9, 5, _Ev()))
+    for ev in dead:
+        ev._cancelled = True
+        q.note_cancelled()
+    run = q.pop_run(q.pop())
+    assert type(run) is list and [e[1] for e in run] == [0, 2]
+    # Every sibling dead: the run collapses to the bare head.
+    alone = q.pop_run(q.pop())
+    assert type(alone) is tuple and alone[1] == 3
+    assert (q.skipped, q.dead, q.live) == (2, 0, 1)
 
 
 # ----------------------------------------------------------------------
