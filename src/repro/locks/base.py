@@ -86,6 +86,10 @@ class SimLock:
         #: _release_checks, the only places the owner or the contender
         #: set change.
         self._factor: Optional[float] = None
+        #: Hook ``cb()`` run first thing in every ``_enter``: a parked
+        #: idle progress thread (:mod:`repro.mpi.parking`) catches up
+        #: here before the entering thread can see the lock.
+        self.on_touch: Optional[Callable[[], None]] = None
 
     # ------------------------------------------------------------------
     # Protocol to implement
@@ -103,6 +107,38 @@ class SimLock:
         caller charges it to the releasing thread.
         """
         raise NotImplementedError
+
+    # ------------------------------------------------------------------
+    # The uncontended LOW round (an idle progress poll's acquire+release)
+    # ------------------------------------------------------------------
+    def low_round_locks(self) -> Tuple["SimLock", ...]:
+        """The (sub)locks whose atomic an uncontended LOW acquire pays,
+        one each, in the order it pays them."""
+        return (self,)
+
+    def add_low_rounds(self, k: int) -> None:
+        """Bump the counters that ``k`` uncontended LOW acquire/release
+        rounds would bump; all other state is what one round leaves."""
+
+    def parkable_on(self, core: Core) -> bool:
+        """True when an uncontended LOW round by a thread on ``core`` is
+        fixed by the jitter draws alone: this lock is free, with no
+        contenders and no grant hooks, and every lock it pays an atomic
+        on is free too, jittered, with its cache line on ``core`` (so
+        each atomic costs ``SAME_CORE``)."""
+        if (self.owner is not None or self._contenders or self.on_grant
+                or self._jitter is None):
+            return False
+        for lk in self.low_round_locks():
+            if lk is not self and (
+                lk.owner is not None or lk._contenders or lk.on_grant
+                or lk._jitter is None
+            ):
+                return False
+            line = lk.line_owner
+            if line is not None and line.index != core.index:
+                return False
+        return True
 
     # ------------------------------------------------------------------
     # Shared machinery for subclasses
@@ -182,6 +218,8 @@ class SimLock:
         return self.costs.handoff_s[to_core.proximity(from_core)]
 
     def _enter(self, ctx: ThreadCtx) -> None:
+        if self.on_touch is not None:
+            self.on_touch()
         if ctx.tid in self._contenders:
             raise LockError(f"{ctx!r} already contending for {self.name}")
         if (
@@ -314,6 +352,9 @@ class NullLock(SimLock):
         self._grant(ctx)
         return
         yield  # pragma: no cover - makes this a generator
+
+    def low_round_locks(self) -> Tuple[SimLock, ...]:
+        return ()
 
     def release(self, ctx: ThreadCtx) -> float:
         self._release_checks(ctx)

@@ -74,6 +74,9 @@ class PthreadMutexModel(SimLock):
             yield ev
             # Woken: loop back and race the CAS against everyone else.
 
+    def add_low_rounds(self, k: int) -> None:
+        self.cas_attempts += k
+
     def release(self, ctx: ThreadCtx) -> float:
         self._release_checks(ctx)
         cost = 0.0

@@ -60,6 +60,14 @@ class PriorityTicketLock(SimLock):
     def sub_locks(self):
         return (self.ticket_h, self.ticket_l, self.ticket_b)
 
+    def low_round_locks(self):
+        # A LOW acquire takes ticket_L, then ticket_B (Fig. 7).
+        return (self.ticket_l, self.ticket_b)
+
+    def add_low_rounds(self, k: int) -> None:
+        self.ticket_l.add_low_rounds(k)
+        self.ticket_b.add_low_rounds(k)
+
     # ------------------------------------------------------------------
     def acquire(self, ctx: ThreadCtx, priority: Priority = Priority.HIGH):
         self._enter(ctx)

@@ -81,7 +81,7 @@ class RmaWindow:
         # origin's bookkeeping and the target's service for one pairing
         # land in one domain on each rank.
         comm_id = -(self.win_id + 1)
-        dom = rt.domains[rt.policy.route(target, 0, comm_id)]
+        dom = rt._send_domain(target, 0, comm_id)
         yield rt.costs.request_alloc * (0.5 + rt._random())
         yield from rt._cs_acquire(dom, ctx, Priority.HIGH)
         yield rt._cs_time(dom, rt.costs.cs_main)

@@ -220,6 +220,9 @@ class MpiRuntime:
         #: overload-protection layer (:mod:`repro.robust`) registers its
         #: degraded-mode controllers here.
         self.degrade_hooks: List = []
+        #: The async progress thread's park
+        #: (:class:`~repro.mpi.parking.IdleProgress`), or None.
+        self.idle_progress = None
 
     # ==================================================================
     # Single-domain compatibility views
@@ -270,6 +273,8 @@ class MpiRuntime:
             raise ValueError(f"fallback domain {fallback} has itself failed")
         if index in self.failed_domains:
             return
+        if self.idle_progress is not None:
+            self.idle_progress.touch()
         self.failed_domains.add(index)
         # Route-through for earlier failures that pointed at this domain,
         # then the new redirect itself.

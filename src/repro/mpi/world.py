@@ -41,6 +41,7 @@ from ..obs import Instrument
 from ..overrides import cluster_overrides, get_override
 from ..sim import Simulator
 from .collectives import Communicator
+from .parking import IdleProgress
 from .runtime import MpiRuntime, MpiThread
 from .vci import CsGranularity, CsPolicy, parse_cs_policy
 
@@ -284,6 +285,7 @@ class Cluster:
         if cfg.obs is not None:
             cfg.obs.declare_thread(rank, ctx.tid, ctx.name)
         rt = self.runtimes[rank]
+        rt.idle_progress = idle = IdleProgress(self, rt, ctx)
 
         def loop():
             while not self._shutdown:
@@ -291,6 +293,10 @@ class Cluster:
                 if cfg.event_driven_wait and not rt.nic.has_packets():
                     yield rt._activity.wait(ctx)
                     yield rt.costs.event_wakeup
+                elif idle.ready():
+                    # Idle rank: sleep the gap with nothing queued until
+                    # the rank is touched (repro.mpi.parking).
+                    yield idle
                 else:
                     yield rt.costs.progress_gap
 

@@ -96,6 +96,10 @@ class RankNic:
         #: deduplicated at the NIC, like hardware-level RDMA acks) so it
         #: never enters a receive queue.  None = no-op.
         self.rel_filter = None
+        #: Hook ``cb()`` run first thing on every delivery: a parked
+        #: idle progress thread (:mod:`repro.mpi.parking`) catches up
+        #: here before the packet lands.  None = no-op.
+        self.on_touch = None
         # Counters for metrics/debugging.
         self.sent_packets = 0
         self.sent_bytes = 0
@@ -227,6 +231,8 @@ class Fabric:
         return local_done
 
     def _deliver(self, nic: RankNic, packet: Packet) -> None:
+        if nic.on_touch is not None:
+            nic.on_touch()
         if nic.rel_filter is not None and nic.rel_filter(packet):
             # Absorbed by the reliability layer at the NIC (an ACK, or a
             # duplicate data packet): acked/accounted but never queued.

@@ -16,7 +16,7 @@ Public surface::
 from .engine import SimulationError, Simulator
 from .equeue import EventQueue
 from .events import AllOf, AnyOf, Event, Timeout
-from .process import Interrupt, Process
+from .process import Interrupt, Park, Process
 from .rng import RngStreams, stable_hash
 from .sync import CompletionLatch, Mailbox, Signal, SimBarrier, SimSemaphore
 
@@ -30,6 +30,7 @@ __all__ = [
     "AllOf",
     "Process",
     "Interrupt",
+    "Park",
     "RngStreams",
     "stable_hash",
     "CompletionLatch",

@@ -18,7 +18,9 @@ process's sleep token (resume the generator; see
 (call ``fn(*args)``).  Sleeps and timers allocate no Timeout, callbacks
 list or bound method, and a process woken by its own sleep token whose
 next sleep ends before every queued entry runs ahead without a queue
-round trip (see :meth:`Simulator.run`).
+round trip (see :meth:`Simulator.run`).  A process that yields a
+:class:`~repro.sim.process.Park` queues nothing until it is touched
+(:meth:`Simulator.catch_up`).
 
 Cancelled events (:meth:`~repro.sim.events.Event.cancel`) are deleted
 *lazily*: the queue entry stays where it is, is skipped at pop time
@@ -33,12 +35,13 @@ from __future__ import annotations
 from heapq import heappop
 from itertools import count
 from math import inf as _INF
+from math import nextafter
 from typing import Any, Callable, Generator, Optional
 
 from .equeue import _COMPACT_MIN_DEAD as _COMPACT_MIN_DEAD  # re-export, tests
 from .equeue import EventQueue
 from .events import AllOf, AnyOf, Event, Timeout
-from .process import Process, _Wake
+from .process import Park, Process, _Wake
 from .rng import RngStreams
 
 __all__ = ["Simulator", "SimulationError", "EventQueue", "Timer"]
@@ -118,6 +121,12 @@ class Simulator:
         #: back in so callbacks (e.g. the progress watchdog's idle
         #: check) see their same-timestamp siblings as still pending.
         self._inflight = 0
+        #: Parked sleeps (:class:`~repro.sim.process.Park`), in park order.
+        self._parked: list = []
+        #: Catch-ups whose next wake tied another entry's time exactly,
+        #: the one case a parked sleep cannot order as a queued one would
+        #: (DESIGN.md section 9); 0 on every run the tests audit.
+        self.park_ties = 0
 
     # ------------------------------------------------------------------
     # Factories
@@ -186,11 +195,75 @@ class Simulator:
             self._inflight = 0
 
     # ------------------------------------------------------------------
+    # Parked sleeps
+    # ------------------------------------------------------------------
+    def catch_up(self, sleep: Park, until: Optional[float] = None,
+                 inclusive: bool = False) -> None:
+        """Bring a parked sleeper up to a touch at ``until`` (default:
+        now) and queue its next wake.
+
+        ``sleep.replay`` applies the whole skipped cycles; the real
+        generator then runs ahead at its virtual wake times while they
+        are before ``until`` (or at it, when ``inclusive``: the bound
+        handed on is then the next float up), and its first later wake
+        is queued with a fresh seq.  The clock is restored before the
+        touching code continues.  A wake equal to a strict ``until``,
+        or to the time of an entry already queued, is counted in
+        :attr:`park_ties`: there the parked sleeper's seq no longer
+        says which of the two the unparked schedule ran first.
+        """
+        self._parked.remove(sleep)
+        proc = sleep.proc
+        proc._waiting_on = wake = proc._wake
+        now = self.now
+        if until is None:
+            until = now
+        bound = nextafter(until, _INF) if inclusive else until
+        when = sleep.replay(bound)
+        while when < bound:
+            self.now = when
+            self.dispatched += 1
+            when = proc._resume(wake, True)
+            if when is None:
+                self.now = now
+                return
+        self.now = now
+        if when == until and not inclusive:
+            self.park_ties += 1
+        self._queue_wake(when, wake)
+
+    def _queue_wake(self, when: float, wake: _Wake) -> None:
+        for entry in self.queue._heap:
+            if entry[0] == when and not entry[2]._cancelled:
+                self.park_ties += 1
+        self._push((when, next(self._seq), wake))
+
+    def _unpark_all(self) -> None:
+        """The queue ran dry with sleepers parked: queue their pending
+        wakes, as an unparked run would have them queued all along."""
+        for sleep in tuple(self._parked):
+            self._parked.remove(sleep)
+            proc = sleep.proc
+            proc._waiting_on = wake = proc._wake
+            # A bound at the pending wake replays nothing; the owner
+            # just learns the sleeper is no longer parked.
+            self._queue_wake(sleep.replay(sleep.when), wake)
+
+    def _catch_up_all(self, until: float, inclusive: bool) -> None:
+        for sleep in tuple(self._parked):
+            self.catch_up(sleep, until, inclusive)
+        if self._crashed:
+            self._raise_crash()
+
+    # ------------------------------------------------------------------
     # Main loop
     # ------------------------------------------------------------------
     def step(self) -> None:
         """Dispatch the next live event, skipping cancelled entries.
-        Raises IndexError if no live event remains in the queue."""
+        Raises IndexError if no live event remains in the queue.
+        Parked sleepers are caught up to the new clock afterwards."""
+        if self._parked and not self.queue.live:
+            self._unpark_all()
         when, _seq, event = self.queue.pop()
         self.now = when
         self.dispatched += 1
@@ -200,6 +273,8 @@ class Simulator:
         event._process()
         if self._crashed:
             self._raise_crash()
+        if self._parked:
+            self._catch_up_all(self.now, False)
 
     def _dispatch_batch(self, batch: list, obs, stop: Optional[Event]) -> None:
         """Dispatch a batch already counted in ``dispatched`` and
@@ -249,6 +324,10 @@ class Simulator:
         trip, counting the dispatch and drawing the seq the push would
         have drawn.  That entry is the one the next pop would return,
         so the schedule is unchanged (DESIGN.md section 9).
+
+        Every exit catches parked sleepers up to the exit time (the
+        horizon inclusively, any other exit strictly), and a queue that
+        runs dry while sleepers are parked queues their wakes and goes on.
         """
         stop: Optional[Event] = None
         horizon: Optional[float] = None
@@ -267,6 +346,18 @@ class Simulator:
                         f"cannot run until {horizon} < now ({self.now})"
                     )
 
+        try:
+            value = self._loop(stop, horizon, limit)
+        except BaseException:
+            if self._parked:
+                self._catch_up_all(self.now, False)
+            raise
+        if self._parked:
+            self._catch_up_all(self.now, stop is None)
+        return value
+
+    def _loop(self, stop: Optional[Event], horizon: Optional[float],
+              limit: float) -> Any:
         q = self.queue
         heap = q._heap
         pop_batch = q.pop_batch
@@ -286,6 +377,9 @@ class Simulator:
                     if heap and heap[0][0] == when:
                         batch = q.pop_run(batch)
             if batch is None:
+                if self._parked and not heap:
+                    self._unpark_all()
+                    continue
                 if stop is not None:
                     raise SimulationError(
                         f"simulation ran out of events before {stop!r} "

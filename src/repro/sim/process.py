@@ -5,6 +5,8 @@ A :class:`Process` drives a Python generator.  A yielded
 resumes it with the event's value (or throws the event's exception).  A
 yielded non-negative ``float`` sleeps that many seconds and resumes it
 with ``None``, as ``yield sim.timeout(d)`` would, but with no Timeout.
+A yielded :class:`Park` sleeps the same way with nothing queued at all
+until something touches the sleeper (see :meth:`Simulator.catch_up`).
 A process is itself an event that fires with the generator's return
 value, so processes can wait on each other.
 """
@@ -15,7 +17,7 @@ from typing import Generator
 
 from .events import Event
 
-__all__ = ["Process", "Interrupt"]
+__all__ = ["Process", "Interrupt", "Park"]
 
 
 class Interrupt(Exception):
@@ -44,6 +46,42 @@ class _Wake:
         self.proc._resume(self)
 
 
+class Park:
+    """A sleep whose wake is not queued until the sleeper is touched.
+
+    A process yields a ``Park`` to sleep ``delay`` seconds, as a bare
+    float would, except that nothing is queued: the simulator records
+    the pending wake time in :attr:`when` and keeps the process parked.
+    The owner calls :meth:`Simulator.catch_up` at the first *touch*
+    (anything that could observe what the sleeper would have done
+    meanwhile), and the simulator calls it itself on every exit from
+    :meth:`Simulator.run` and when its queue runs dry.  Catch-up asks
+    :meth:`replay` to apply the skipped cycles in bulk, then resumes
+    the real generator at its virtual wake times up to the touch and
+    queues its next wake.
+
+    A *cycle* runs from one wake of the parked process to its next
+    park.  The base class replays nothing, so a plain ``Park`` is a
+    sleep whose wake is queued lazily.
+    """
+
+    __slots__ = ("delay", "proc", "when")
+
+    def __init__(self, delay: float):
+        self.delay = delay
+        #: The parked process and its pending wake (set while parked).
+        self.proc: "Process | None" = None
+        self.when = 0.0
+
+    def replay(self, bound: float) -> float:
+        """Apply every whole cycle from :attr:`when` on whose wakes all
+        fall strictly before ``bound`` and return the wake at which the
+        first cycle not applied begins.  Must leave exactly the state
+        the real generator would have left after those cycles, with the
+        process still at its park."""
+        return self.when
+
+
 class Process(Event):
     """Wraps a generator and schedules it on the simulator.
 
@@ -59,7 +97,7 @@ class Process(Event):
             raise TypeError(f"Process expects a generator, got {type(gen).__name__}")
         super().__init__(sim, name=name or getattr(gen, "__name__", "process"))
         self._gen = gen
-        self._waiting_on: Event | _Wake | None = None
+        self._waiting_on: Event | _Wake | Park | None = None
         self._wake = _Wake(self)
         # Kick off via an initialization event so user code always runs
         # from the event loop.
@@ -76,6 +114,10 @@ class Process(Event):
         """Throw :class:`Interrupt` into the process at the current time."""
         if self.triggered:
             raise RuntimeError(f"{self!r} has already terminated")
+        if isinstance(self._waiting_on, Park):
+            # Bring the sleeper to where it would be now; the interrupt
+            # then lands on that wake like on any sleep.
+            self.sim.catch_up(self._waiting_on)
         ev = Event(self.sim, name=f"interrupt:{self.name}")
         # Detach from whatever we were waiting on; the stale callback
         # becomes a no-op because _resume checks identity.
@@ -146,6 +188,12 @@ class Process(Event):
                 )
                 continue
             if not isinstance(target, Event):
+                if isinstance(target, Park):
+                    self._waiting_on = target
+                    target.proc = self
+                    target.when = sim.now + target.delay
+                    sim._parked.append(target)
+                    return None
                 # Deliver the misuse as an exception at the offending yield.
                 to_throw = TypeError(
                     f"process {self.name!r} yielded {target!r}; only Event "

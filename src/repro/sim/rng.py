@@ -35,7 +35,12 @@ def batched_draws(fill: Callable[[int], np.ndarray]) -> Callable[[], float]:
     sequence of repeated scalar calls while paying the numpy call
     overhead once per refill.  Only valid when the returned function is
     the generator's sole consumer: a refill runs the stream ahead of the
-    draws actually used."""
+    draws actually used.
+
+    ``draw.unread(x)`` hands a drawn value back: the next call returns
+    it again.  A bulk replay that looked one draw too far gives it back
+    this way (most recent first), and the stream stays exactly the
+    sequence of scalar calls."""
     cache: list = []
     pop = cache.pop
 
@@ -44,6 +49,7 @@ def batched_draws(fill: Callable[[int], np.ndarray]) -> Callable[[], float]:
             cache[:] = fill(_BATCH)[::-1].tolist()
         return pop()
 
+    draw.unread = cache.append
     return draw
 
 

@@ -77,3 +77,102 @@ def test_one_vci_domain_is_the_global_cs():
                                   style="rounds"))
         results.append((r.msg_rate_k, r.elapsed_s, r.unexpected_fraction))
     assert results[0] == results[1]
+
+
+def _lock_counters(lock):
+    if lock.sub_locks():
+        return tuple((t.next_ticket, t.now_serving) for t in lock.sub_locks())
+    if hasattr(lock, "cas_attempts"):
+        return (lock.cas_attempts, lock.cas_failures, lock.futex_waits,
+                lock.futex_wakes)
+    return (lock.next_ticket, lock.now_serving)
+
+
+#: Fig. 9's shape at 8 ranks with async progress: per-rank RuntimeStats
+#: (``as_dict()`` field order), the domain lock's counters (mutex: CAS
+#: attempts / failures, futex waits / wakes; ticket: next ticket / now
+#: serving; priority: that pair for tickets H, L and B) and elapsed time.
+#: The seven target ranks are idle progress pollers, so these pin the
+#: counters their spinning adds.
+_FIG9_PUT_PINS = {
+    "mutex": (
+        0.00015175243940857605,
+        [
+            (0, 0, 16, 16, 0, 0, 659, 643, 16, 32, 646, 16, 0, 0, 0),
+            (0, 0, 0, 0, 0, 0, 1168, 1165, 3, 0, 1168, 0, 0, 0, 0),
+            (0, 0, 0, 0, 0, 0, 1166, 1163, 3, 0, 1166, 0, 0, 0, 0),
+            (0, 0, 0, 0, 0, 0, 1169, 1167, 2, 0, 1169, 0, 0, 0, 0),
+            (0, 0, 0, 0, 0, 0, 1168, 1166, 2, 0, 1168, 0, 0, 0, 0),
+            (0, 0, 0, 0, 0, 0, 1167, 1165, 2, 0, 1167, 0, 0, 0, 0),
+            (0, 0, 0, 0, 0, 0, 1167, 1165, 2, 0, 1167, 0, 0, 0, 0),
+            (0, 0, 0, 0, 0, 0, 1168, 1166, 2, 0, 1168, 0, 0, 0, 0),
+        ],
+        [
+            (758, 80, 41, 41),
+            (1168, 0, 0, 0),
+            (1166, 0, 0, 0),
+            (1169, 0, 0, 0),
+            (1168, 0, 0, 0),
+            (1167, 0, 0, 0),
+            (1167, 0, 0, 0),
+            (1168, 0, 0, 0),
+        ],
+    ),
+    "ticket": (
+        6.441677235545958e-05,
+        [
+            (0, 0, 16, 16, 0, 0, 392, 376, 16, 32, 385, 16, 0, 0, 0),
+            (0, 0, 0, 0, 0, 0, 500, 497, 3, 0, 500, 0, 0, 0, 0),
+            (0, 0, 0, 0, 0, 0, 502, 499, 3, 0, 502, 0, 0, 0, 0),
+            (0, 0, 0, 0, 0, 0, 501, 499, 2, 0, 501, 0, 0, 0, 0),
+            (0, 0, 0, 0, 0, 0, 502, 500, 2, 0, 502, 0, 0, 0, 0),
+            (0, 0, 0, 0, 0, 0, 501, 499, 2, 0, 501, 0, 0, 0, 0),
+            (0, 0, 0, 0, 0, 0, 501, 499, 2, 0, 501, 0, 0, 0, 0),
+            (0, 0, 0, 0, 0, 0, 501, 499, 2, 0, 501, 0, 0, 0, 0),
+        ],
+        [
+            (417, 417),
+            (500, 500),
+            (502, 502),
+            (501, 501),
+            (502, 502),
+            (501, 501),
+            (501, 501),
+            (501, 501),
+        ],
+    ),
+    "priority": (
+        6.367109643775891e-05,
+        [
+            (0, 0, 16, 16, 0, 0, 297, 281, 16, 32, 282, 16, 0, 0, 0),
+            (0, 0, 0, 0, 0, 0, 448, 445, 3, 0, 448, 0, 0, 0, 0),
+            (0, 0, 0, 0, 0, 0, 447, 444, 3, 0, 447, 0, 0, 0, 0),
+            (0, 0, 0, 0, 0, 0, 449, 447, 2, 0, 449, 0, 0, 0, 0),
+            (0, 0, 0, 0, 0, 0, 450, 448, 2, 0, 450, 0, 0, 0, 0),
+            (0, 0, 0, 0, 0, 0, 449, 447, 2, 0, 449, 0, 0, 0, 0),
+            (0, 0, 0, 0, 0, 0, 449, 447, 2, 0, 449, 0, 0, 0, 0),
+            (0, 0, 0, 0, 0, 0, 449, 447, 2, 0, 449, 0, 0, 0, 0),
+        ],
+        [
+            ((32, 32), (282, 282), (314, 314)),
+            ((0, 0), (448, 448), (448, 448)),
+            ((0, 0), (447, 447), (447, 447)),
+            ((0, 0), (449, 449), (449, 449)),
+            ((0, 0), (450, 450), (450, 450)),
+            ((0, 0), (449, 449), (449, 449)),
+            ((0, 0), (449, 449), (449, 449)),
+            ((0, 0), (449, 449), (449, 449)),
+        ],
+    ),
+}
+
+
+@pytest.mark.parametrize("lock", sorted(_FIG9_PUT_PINS))
+def test_fig9_style_rma_put_8_ranks_pinned(lock):
+    elapsed, stats, counters = _FIG9_PUT_PINS[lock]
+    cl = Cluster(ClusterConfig(n_nodes=8, threads_per_rank=1, lock=lock,
+                               async_progress=True, seed=0))
+    r = run_rma(cl, RmaConfig(op="put", element_size=64, n_ops=16))
+    assert r.elapsed_s == elapsed
+    assert [tuple(rt.stats.as_dict().values()) for rt in cl.runtimes] == stats
+    assert [_lock_counters(rt.lock) for rt in cl.runtimes] == counters

@@ -135,3 +135,22 @@ def test_rma_ops_interleave_with_pt2pt():
     cl.run_workload([origin(), target()])
     assert out["v"] == "mixed"
     assert wins[1].puts_served == 1 and wins[1].gets_served == 1
+
+
+@pytest.mark.parametrize("failed", [0, 1])
+def test_origin_ops_follow_domain_failover(failed):
+    # Origin ops route through the failover redirect like pt2pt sends:
+    # after fail_domain, the failed domain's lock is never taken again.
+    cl = make_cluster(n_ranks=3, cs="per-vci:2", seed=1)
+    rt = cl.runtimes[0]
+    rt.fail_domain(failed, 1 - failed)
+    wins = allocate_windows(cl.runtimes)
+    th = cl.thread(0)
+
+    def origin():
+        for i in range(6):
+            yield from wins[0].put(th, 1 + i % 2, 8)
+
+    cl.run_workload([origin()])
+    assert rt.domains[failed].stats.cs_entries_main == 0
+    assert rt.domains[1 - failed].stats.cs_entries_main == 12
