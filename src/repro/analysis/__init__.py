@@ -1,9 +1,8 @@
-"""Instrumentation and estimators: bias factors, dangling requests,
+"""Instrumentation and estimators: bias factors, lock-usage reports,
 performance metrics, and report formatting.  The ablation names load
 on first use (PEP 562): their runner imports :mod:`multiprocessing`."""
 
 from .bias import BiasFactors, compute_bias_factors
-from .dangling import DanglingProfiler, DanglingStats
 from .lock_report import (
     LockUsage,
     analyze_lock_usage,
@@ -29,8 +28,6 @@ __all__ = [
     *_ABLATION_NAMES,
     "BiasFactors",
     "compute_bias_factors",
-    "DanglingProfiler",
-    "DanglingStats",
     "LockUsage",
     "analyze_lock_usage",
     "transition_histogram",

@@ -3,7 +3,8 @@
 Each runner returns an :class:`~repro.experiments.base.ExperimentResult`
 with the figure's rows/series, plus shape checks encoding the paper's
 qualitative claims.  ``repro.experiments.run_experiment("fig5c")`` runs
-one; the ``benchmarks/`` suite runs them all and prints the tables.
+one; ``python -m repro run all`` runs them all, prints the tables and
+exits 1 if any shape check fails.
 """
 
 from .base import ExperimentResult

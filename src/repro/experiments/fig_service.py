@@ -12,9 +12,10 @@ Four traffic cells per variant:
   protection (deadlines + retry budget + deadline-aware shedding +
   degraded mode).  This is the goodput peak.
 * ``1.5x prot``  -- same protection, offered load 1.5x capacity.  The
-  graceful-degradation claim: goodput holds >= 70% of peak and p999
-  stays bounded near the deadline, because expired work is shed for a
-  few microseconds instead of served for tens.
+  graceful-degradation claim: goodput holds >= 70% of peak, p99 stays
+  within 5x of the 0.8x cell's and p999 stays bounded near the
+  deadline, because expired work is shed for a few microseconds
+  instead of served for tens.
 * ``1.5x none``  -- the unprotected baseline at the same overload.  An
   open-loop queue grows without bound, every reply is late, and
   goodput collapses (< 40% of peak) even though the server never
@@ -131,9 +132,17 @@ def run_fig_service(
         for v in VARIANTS
     )
 
+    worst_p99 = max(
+        cells[(v[0], "over_prot")].p99_us
+        / max(cells[(v[0], "peak")].p99_us, 1e-9)
+        for v in VARIANTS
+    )
+
     checks = {
         "protected goodput at 1.5x saturation >= 70% of peak "
         "(every variant)": worst_prot >= 0.70,
+        "protected p99 at 1.5x <= 5x protected p99 at 0.8x "
+        "(every variant)": worst_p99 <= 5.0,
         "unprotected baseline collapses at 1.5x (< 40% of peak, "
         "reference variant)": ref_none.goodput_rps < 0.40 * gp,
         "protected p999 stays bounded under overload (<= 2x SLO)":

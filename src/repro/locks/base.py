@@ -17,7 +17,7 @@ from __future__ import annotations
 import enum
 import re
 from itertools import count
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
 from ..machine.costs import NS, CostModel
 from ..machine.threads import ThreadCtx
@@ -45,7 +45,7 @@ class LockError(RuntimeError):
 
 
 class SimLock:
-    """Base class: contention bookkeeping, obs emission, grant hooks."""
+    """Base class: contention bookkeeping, obs emission, touch hook."""
 
     #: If True, release() must be called by the owning thread.
     strict_owner = True
@@ -65,8 +65,6 @@ class SimLock:
         self._contenders: Dict[int, ThreadCtx] = {}
         #: Core of the previous owner (hand-off distance instrumentation).
         self._prev_owner_core: Optional[Core] = None
-        #: Hooks ``cb(lock, ctx)`` invoked on every successful acquisition.
-        self.on_grant: List[Callable] = []
         #: Witness family override for deadcheck's order-witness diff
         #: (e.g. ``"PriorityTicketLock.ticket_h"`` on the priority
         #: lock's inner tickets); None derives one from ``name``.
@@ -123,16 +121,14 @@ class SimLock:
     def parkable_on(self, core: Core) -> bool:
         """True when an uncontended LOW round by a thread on ``core`` is
         fixed by the jitter draws alone: this lock is free, with no
-        contenders and no grant hooks, and every lock it pays an atomic
-        on is free too, jittered, with its cache line on ``core`` (so
-        each atomic costs ``SAME_CORE``)."""
-        if (self.owner is not None or self._contenders or self.on_grant
-                or self._jitter is None):
+        contenders, and every lock it pays an atomic on is free too,
+        jittered, with its cache line on ``core`` (so each atomic costs
+        ``SAME_CORE``)."""
+        if self.owner is not None or self._contenders or self._jitter is None:
             return False
         for lk in self.low_round_locks():
             if lk is not self and (
-                lk.owner is not None or lk._contenders or lk.on_grant
-                or lk._jitter is None
+                lk.owner is not None or lk._contenders or lk._jitter is None
             ):
                 return False
             line = lk.line_owner
@@ -309,8 +305,6 @@ class SimLock:
                         "acquired_name": self.name,
                     },
                 )
-        for cb in self.on_grant:
-            cb(self, ctx)
 
     def _release_checks(self, ctx: ThreadCtx) -> None:
         if self.owner is None:

@@ -123,6 +123,12 @@ class IdleProgress(Park):
             m = k - 1
             if m:
                 n = m * len(doms)
+                # The rank is idle, so each bulk grant samples the same
+                # dangling count.
+                rt.grant_samples += n
+                rt.grant_dangling_sum += n * rt.dangling_count
+                if rt.dangling_count > rt.grant_dangling_max:
+                    rt.grant_dangling_max = rt.dangling_count
                 st = rt.stats
                 st.cs_entries_progress += n
                 st.progress_polls += n

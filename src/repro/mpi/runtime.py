@@ -121,6 +121,10 @@ class MpiRuntime:
         domain_locks: Optional[Sequence[SimLock]] = None,
         reliability=None,
     ):
+        # Keep fewer than 30 attributes here: past 29, CPython 3.11 moves
+        # each instance's attributes from the class's shared-key array to
+        # a dict of its own, and every attribute access on the runtime's
+        # hot paths slows down (tests/mpi/test_world.py checks the count).
         self.sim = sim
         self.rank = rank
         self.fabric = fabric
@@ -163,6 +167,13 @@ class MpiRuntime:
         self.dangling_count = 0
         #: High-water mark of ``dangling_count`` (starvation severity).
         self.peak_dangling = 0
+        #: ``dangling_count`` sampled at every domain-lock grant, the
+        #: paper's sampling instant (4.4): the sample count, their sum
+        #: and their maximum.  Kept off ``RuntimeStats``, whose
+        #: ``as_dict()`` every workload result reports.
+        self.grant_samples = 0
+        self.grant_dangling_sum = 0
+        self.grant_dangling_max = 0
         self.stats = RuntimeStats()
         #: Uniform [0, 1) draws of this rank's "runtime" stream, its
         #: only consumer (request-alloc and progress-gap jitter).
@@ -205,10 +216,10 @@ class MpiRuntime:
             self._rel = ReliabilityLayer(self, cfg)
         else:
             self._rel = None
-        #: Graceful degradation: indices of failed domains and the
-        #: re-routing map installed by :meth:`fail_domain`.
+        #: Graceful degradation: indices of failed domains.  The
+        #: re-routing map :meth:`fail_domain` installs lives on the NIC
+        #: (``nic.vci_redirect``), which also redirects in-flight packets.
         self.failed_domains: set = set()
-        self._vci_redirect: Dict[int, int] = {}
         #: Blocking calls currently parked on the activity signal (the
         #: continuation / event-driven wait modes).  A parked waiter has
         #: pending requests, so a simulator whose event queue has run
@@ -220,9 +231,6 @@ class MpiRuntime:
         #: overload-protection layer (:mod:`repro.robust`) registers its
         #: degraded-mode controllers here.
         self.degrade_hooks: List = []
-        #: The async progress thread's park
-        #: (:class:`~repro.mpi.parking.IdleProgress`), or None.
-        self.idle_progress = None
 
     # ==================================================================
     # Single-domain compatibility views
@@ -273,17 +281,18 @@ class MpiRuntime:
             raise ValueError(f"fallback domain {fallback} has itself failed")
         if index in self.failed_domains:
             return
-        if self.idle_progress is not None:
-            self.idle_progress.touch()
+        nic = self.nic
+        if nic.on_touch is not None:
+            # A parked async progress thread catches up first.
+            nic.on_touch()
         self.failed_domains.add(index)
         # Route-through for earlier failures that pointed at this domain,
         # then the new redirect itself.
-        for k, v in list(self._vci_redirect.items()):
+        redirect = nic.vci_redirect
+        for k, v in redirect.items():
             if v == index:
-                self._vci_redirect[k] = fallback
-        self._vci_redirect[index] = fallback
-        self.nic.vci_redirect.clear()
-        self.nic.vci_redirect.update(self._vci_redirect)
+                redirect[k] = fallback
+        redirect[index] = fallback
 
         d = self.domains[index]
         fb = self.domains[fallback]
@@ -328,8 +337,9 @@ class MpiRuntime:
     def _route(self, index: int) -> int:
         """Map a policy-chosen domain index through the failover
         redirects (identity while no domain has failed)."""
-        if self._vci_redirect:
-            return self._vci_redirect.get(index, index)
+        redirect = self.nic.vci_redirect
+        if redirect:
+            return redirect.get(index, index)
         return index
 
     def _send_domain(self, dest: int, tag: int, comm: int) -> ArbitrationDomain:
@@ -365,6 +375,11 @@ class MpiRuntime:
             self.stats.cs_entries_progress += 1
             dom.stats.cs_entries_progress += 1
         yield from dom.lock.acquire(ctx, priority=priority)
+        n = self.dangling_count
+        self.grant_samples += 1
+        self.grant_dangling_sum += n
+        if n > self.grant_dangling_max:
+            self.grant_dangling_max = n
         obs = self.sim.obs
         if obs is not None and obs.wants("mpi"):
             # Occupancy span, named by entry path (paper Fig. 6a): the

@@ -285,7 +285,7 @@ class Cluster:
         if cfg.obs is not None:
             cfg.obs.declare_thread(rank, ctx.tid, ctx.name)
         rt = self.runtimes[rank]
-        rt.idle_progress = idle = IdleProgress(self, rt, ctx)
+        idle = IdleProgress(self, rt, ctx)
 
         def loop():
             while not self._shutdown:

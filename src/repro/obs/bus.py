@@ -15,7 +15,7 @@ Design constraints, in order:
 3. **One API for every layer.**  ``Simulator``, ``SimLock``,
    ``MpiRuntime`` and ``Fabric`` all emit through the same six methods;
    consumers (Chrome-trace export, counter dumps, the legacy
-   ``LockTrace``/``PacketTracer``/``DanglingProfiler`` adapters)
+   ``LockTrace``/``PacketTracer`` adapters)
    subscribe with an optional category filter.
 """
 

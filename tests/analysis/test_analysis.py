@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 from repro.analysis import (
-    DanglingProfiler,
     TimeBreakdown,
     compute_bias_factors,
     format_rate,
@@ -72,12 +71,12 @@ class TestBiasFactors:
             compute_bias_factors(tr)
 
 
-class TestDanglingProfiler:
+class TestGrantDangling:
     def test_samples_on_lock_grant(self):
         from repro.mpi import Cluster, ClusterConfig
 
         cl = Cluster(ClusterConfig(n_nodes=2, threads_per_rank=1, lock="ticket"))
-        prof = DanglingProfiler(cl.runtimes[1])
+        rt = cl.runtimes[1]
         t0, t1 = cl.thread(0), cl.thread(1)
 
         def sender():
@@ -87,34 +86,17 @@ class TestDanglingProfiler:
             yield from t1.recv(source=0, tag=0)
 
         cl.run_workload([sender(), receiver()])
-        assert prof.stats.n_samples > 0
-        assert prof.stats.mean >= 0
-        assert prof.series().dtype == np.int64
-
-    def test_detach_stops_sampling(self):
-        from repro.mpi import Cluster, ClusterConfig
-
-        cl = Cluster(ClusterConfig(n_nodes=2, threads_per_rank=1, lock="ticket"))
-        prof = DanglingProfiler(cl.runtimes[1])
-        prof.detach()
-        t0, t1 = cl.thread(0), cl.thread(1)
-
-        def sender():
-            yield from t0.send(1, 64, tag=0)
-
-        def receiver():
-            yield from t1.recv(source=0, tag=0)
-
-        cl.run_workload([sender(), receiver()])
-        assert prof.stats.n_samples == 0
+        # One sample per critical-section entry.
+        s = rt.stats
+        assert rt.grant_samples == s.cs_entries_main + s.cs_entries_progress > 0
+        assert rt.grant_dangling_max * rt.grant_samples >= rt.grant_dangling_sum >= 0
 
     def test_empty_stats(self):
         from repro.mpi import Cluster, ClusterConfig
 
         cl = Cluster(ClusterConfig(n_nodes=2, threads_per_rank=1, lock="ticket"))
-        prof = DanglingProfiler(cl.runtimes[0])
-        assert prof.stats.mean == 0.0
-        assert prof.stats.maximum == 0
+        rt = cl.runtimes[0]
+        assert rt.grant_samples == rt.grant_dangling_sum == rt.grant_dangling_max == 0
 
 
 class TestMetrics:

@@ -36,7 +36,6 @@ def test_fail_domain_installs_redirects():
     cl = make_vci_cluster()
     rt = cl.runtimes[1]
     rt.fail_domain(3, fallback=1)
-    assert rt._vci_redirect == {3: 1}
     assert cl.fabric.nic(1).vci_redirect == {3: 1}
     assert all(d.index != 3 for d in rt._active_domains())
 
@@ -47,8 +46,8 @@ def test_chained_failover_points_at_live_fallback():
     rt.fail_domain(3, fallback=2)
     rt.fail_domain(2, fallback=0)
     # Domain 3's traffic must not land in (now dead) domain 2.
-    assert rt._vci_redirect[3] == 0
-    assert rt._vci_redirect[2] == 0
+    assert rt.nic.vci_redirect[3] == 0
+    assert rt.nic.vci_redirect[2] == 0
 
 
 def test_scheduled_domain_failure_mid_run_completes():

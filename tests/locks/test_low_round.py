@@ -86,9 +86,6 @@ def test_parkable_only_when_the_round_is_fixed(kind, ctx):
     other = nehalem_node().cores[5]
     # An atomic from another core would not cost SAME_CORE.
     assert lock.parkable_on(other) == (kind == "null")
-    lock.on_grant.append(lambda lk, c: None)
-    assert not lock.parkable_on(ctx.core)
-    lock.on_grant.clear()
     gen = lock.acquire(ctx, Priority.LOW)
     next(gen, None)  # entered: a contender (or, for null, the owner)
     assert not lock.parkable_on(ctx.core)

@@ -3,8 +3,9 @@
 An attached obs bus disables parking (``IdleProgress.ready``), so the
 same RMA cluster run with ``obs=None`` and with ``obs=Instrument()`` is
 the parked schedule against the spinning one.  Everything a run reports
-must be equal -- per-rank and per-domain stats, every lock counter,
-elapsed and final simulated time -- and no catch-up may meet a tie.
+must be equal -- per-rank and per-domain stats, the grant-time
+dangling samples, every lock counter, elapsed and final simulated
+time -- and no catch-up may meet a tie.
 The null lock asserts single-threaded use, so it cannot guard a rank
 with a progress thread; its LOW round is covered in
 ``tests/locks/test_low_round.py``.
@@ -41,6 +42,10 @@ def outputs(lock, cs, op, seed, obs):
         "now": cl.sim.now,
         "stats": [rt.stats.as_dict() for rt in cl.runtimes],
         "domains": [rt.domain_stats() for rt in cl.runtimes],
+        "grants": [
+            (rt.grant_samples, rt.grant_dangling_sum, rt.grant_dangling_max)
+            for rt in cl.runtimes
+        ],
         "locks": [
             [lock_state(d.lock) for d in rt.domains] for rt in cl.runtimes
         ],

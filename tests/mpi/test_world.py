@@ -97,3 +97,12 @@ def test_shutdown_stops_async_progress():
     # run() returned: the heap drained, so progress threads exited.
     assert cl._shutdown is True
     assert cl.sim.queued_events == 0
+
+
+def test_runtime_attributes_fit_shared_key_table():
+    # Past 29 attributes CPython gives each instance its own dict, which
+    # slows every attribute access on the runtime's hot paths.
+    cl = Cluster(ClusterConfig(n_nodes=2, threads_per_rank=2,
+                               async_progress=True, reliability=True,
+                               completion="continuation", cs="per-vci:2"))
+    assert len(vars(cl.runtimes[1])) < 30

@@ -3,14 +3,12 @@
 The bus only *reads* the simulated clock -- it never schedules events,
 yields, or consumes random numbers -- so a run with a bus attached must
 be bit-identical (simulated clock and results) to the same run without
-one.  These tests pin that invariant, plus the books of the three
-profilers built as bus adapters (LockTrace, PacketTracer,
-DanglingProfiler).
+one.  These tests pin that invariant, plus the books of the two
+profilers built as bus adapters (LockTrace, PacketTracer).
 """
 
 import pytest
 
-from repro.analysis.dangling import DanglingProfiler
 from repro.experiments import run_experiment
 from repro.locks.stats import LockTrace
 from repro.network.trace import PacketTracer
@@ -76,15 +74,3 @@ def test_packettracer_adapter_records_every_delivery():
     for (src, _dst), n in tracer.summary().by_pair.items():
         sent[src] = sent.get(src, 0) + n
     assert sent == {n.rank: n.sent_packets for n in nics if n.sent_packets}
-
-
-def test_dangling_profiler_adapter_matches_direct_path():
-    bus = Instrument()
-    cl = throughput_cluster(lock="ticket", threads_per_rank=2, seed=7, obs=bus)
-    direct = DanglingProfiler(cl.runtimes[1])
-    from_bus = DanglingProfiler.from_bus(bus, cl.runtimes[1])
-    run_throughput(cl, ThroughputConfig(msg_size=64, n_windows=3))
-
-    assert direct.samples == from_bus.samples
-    assert len(direct.samples) > 0
-    assert direct.stats == from_bus.stats

@@ -123,6 +123,26 @@ def test_dispatch_and_skip_counters():
     assert live  # silence unused warning
 
 
+def test_retransmit_timers_cancelled_not_dispatched():
+    """The reliability layer's timer pattern at 1% drop: every send arms
+    a retransmit timer, and the delivery (99% of sends) cancels it.  At
+    least a fifth of the would-be dispatches must be skipped dead
+    timers rather than popped and filtered by hand."""
+    sim = Simulator(seed=1)
+    rng = sim.rng.stream("faults")
+    rto, wire, gap = 15_000e-9, 4_000e-9, 100e-9
+
+    def send(attempt):
+        timer = sim.call_after(rto, send, attempt + 1)
+        if rng.random() >= 0.01:
+            sim.call_after(wire, timer.cancel)
+
+    for i in range(2_000):
+        sim.call_after(i * gap, send, 0)
+    sim.run()
+    assert sim.skipped / (sim.dispatched + sim.skipped) >= 0.20
+
+
 def test_cancelled_head_does_not_block_run_until_horizon():
     sim = Simulator()
     fired = []

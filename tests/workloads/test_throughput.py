@@ -72,3 +72,26 @@ def test_ticket_dangling_below_mutex():
     _, m = run(lock="mutex", threads=8, size=8, windows=4)
     _, t = run(lock="ticket", threads=8, size=8, windows=4)
     assert t.dangling.mean < m.dangling.mean
+
+
+#: DanglingStats of the fig3c / fig5a quick cells at seed 1 (8 threads,
+#: 4 windows): (repr(mean), maximum, n_samples).  Captured while the
+#: samples were still taken by a per-lock grant callback; the runtime's
+#: grant counters must reproduce them exactly.
+DANGLING_PINS = {
+    ("mutex", 1): ("80.89442929489677", 304, 2567),
+    ("mutex", 16): ("69.56130790190736", 264, 2569),
+    ("mutex", 256): ("128.7846273897776", 404, 2563),
+    ("mutex", 4096): ("79.20296643247462", 296, 2562),
+    ("ticket", 1): ("53.020092735703244", 508, 2588),
+    ("ticket", 16): ("53.020092735703244", 508, 2588),
+    ("ticket", 256): ("53.020092735703244", 508, 2588),
+    ("ticket", 4096): ("53.020092735703244", 508, 2588),
+}
+
+
+@pytest.mark.parametrize("lock,size", sorted(DANGLING_PINS))
+def test_dangling_stats_pinned(lock, size):
+    cl = throughput_cluster(lock=lock, threads_per_rank=8, seed=1)
+    d = run_throughput(cl, ThroughputConfig(msg_size=size, n_windows=4)).dangling
+    assert (repr(d.mean), d.maximum, d.n_samples) == DANGLING_PINS[(lock, size)]

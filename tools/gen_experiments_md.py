@@ -70,7 +70,7 @@ PAPER_CLAIMS = {
                    "(`repro.robust`: deadlines, retry budgets, "
                    "deadline-aware admission, degraded mode) hold goodput "
                    ">= 70% of peak at 1.5x capacity with bounded tail "
-                   "latency, while the unprotected baseline collapses "
+                   "latency (p99 within 5x of the 0.8x cell's), while the unprotected baseline collapses "
                    "below 40%; at 1% drop with transport reliability off, "
                    "client retries plus server replay-cache dedup recover "
                    "the loss end to end.",
@@ -85,15 +85,17 @@ DEVIATIONS = {
              "model an unexpected eager message costs one extra copy; the "
              "paper's MXM runtime pays allocation + deferred matching + "
              "delayed rendezvous clearance, which our cost model "
-             "under-prices. The ablation bench "
-             "`test_ablation_unexpected_copy` shows the gap widening as "
-             "that cost grows.",
+             "under-prices. The sweep "
+             "`test_unexpected_copy_cost_scales_mutex_losses` "
+             "(`tests/integration/test_ablation_sweeps.py`) shows the "
+             "mutex losing more than the ticket lock as that cost grows.",
     "fig8b": "The multithreaded-beats-single crossover sits near our "
              "rendezvous threshold (16 KiB) rather than the paper's 128 B: "
              "our fabric charges full per-message serialization on the "
              "eager path, so pipelining only wins once transfer time "
-             "dominates. The `test_ablation_eager_threshold` bench shows "
-             "the crossover tracking the protocol switch, as in MXM.",
+             "dominates. The `test_eager_threshold_moves_latency_crossover` "
+             "sweep shows the crossover tracking the protocol switch, as "
+             "in MXM.",
     "fig10b": "Ordering reproduces (ticket > mutex for >= 2 threads, "
               "priority == ticket) but the mutex still gains some thread "
               "speedup here, because at our quick scales computation "
