@@ -4,7 +4,10 @@ The paper's figures stop at closed-loop microbenchmarks; this experiment
 drives the :mod:`repro.workloads.service` open-loop RPC workload across
 the same runtime variants the paper compares (lock class, VCI sharding,
 completion mode) and asks the *robustness* question: what happens past
-the knee?
+the knee?  Three variants (``<lock>/<cs>/event``) run the
+``service_cluster`` default, ``completion="event"``: waiters poll, but
+park on arrivals instead of sleeping the yield gap after an empty poll.
+The fourth (``priority/global/cont``) runs continuation completion.
 
 Four traffic cells per variant:
 
@@ -47,13 +50,13 @@ __all__ = ["run_fig_service"]
 
 #: (label, lock, cs policy, completion) -- the remedy axes under load.
 VARIANTS = (
-    ("mutex/global/poll", "mutex", "global", "poll"),
-    ("priority/global/poll", "priority", "global", "poll"),
-    ("priority/per-vci:2/poll", "priority", "per-vci:2", "poll"),
+    ("mutex/global/event", "mutex", "global", "event"),
+    ("priority/global/event", "priority", "global", "event"),
+    ("priority/per-vci:2/event", "priority", "per-vci:2", "event"),
     ("priority/global/cont", "priority", "global", "continuation"),
 )
 #: Checks are asserted against this variant (reported for all).
-REFERENCE = "priority/global/poll"
+REFERENCE = "priority/global/event"
 
 
 def _cell(

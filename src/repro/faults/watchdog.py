@@ -155,6 +155,7 @@ class ProgressWatchdog:
         ranks = []
         for rt in self.cluster.runtimes:
             domains = []
+            dangling = rt.dangling_by_domain()
             for d in rt.domains:
                 owner = d.lock.owner
                 domains.append({
@@ -164,7 +165,7 @@ class ProgressWatchdog:
                     "unexp_q": len(d.unexp_q),
                     "lock_holder": owner.name if owner is not None else None,
                     "lock_waiters": d.lock.n_contenders,
-                    "dangling": d.stats.dangling,
+                    "dangling": dangling[d.index],
                 })
             ranks.append({
                 "rank": rt.rank,

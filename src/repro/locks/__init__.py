@@ -13,7 +13,7 @@ implementations:
 """
 
 from .base import LockError, NullLock, Priority, SimLock
-from .domain import ArbitrationDomain, DomainStats, aggregate_domain_stats
+from .domain import ArbitrationDomain
 from .mutex import PthreadMutexModel
 from .priority import PriorityTicketLock, SocketAwareLock
 from .stats import LockTrace
@@ -52,6 +52,4 @@ __all__ = [
     "LOCK_CLASSES",
     "make_lock",
     "ArbitrationDomain",
-    "DomainStats",
-    "aggregate_domain_stats",
 ]

@@ -4,60 +4,26 @@ The paper's runtime guards *all* communication state with one global
 critical section; every remedy it studies (ticket, priority) only
 re-arbitrates that single lock.  An :class:`ArbitrationDomain` is one
 shard of that state: it owns a :class:`~repro.locks.base.SimLock`, the
-matching queues (posted / unexpected) protected by it, its slice of the
-NIC (one per-VCI receive queue), and its own statistics.  The runtime
-routes each operation to a domain through a
-:class:`~repro.mpi.vci.CsPolicy`; with one ``global`` domain the model
-reduces exactly to the paper's.
+matching queues (posted / unexpected) protected by it and its slice of
+the NIC (one per-VCI receive queue).  The runtime routes each operation
+to a domain through a :class:`~repro.mpi.vci.CsPolicy`; with one
+``global`` domain the model reduces exactly to the paper's.
 
-Invariants that were runtime-global become per-domain here:
-
-* the single-slot open critical-section span (``_cs_span``) -- safe
-  because each *domain's* CS is mutually exclusive, while different
-  domains are concurrently held by different threads;
-* dangling-request accounting -- each domain counts the completed-but-
-  not-freed requests it owns, and the runtime's total is the sum
-  (checked by ``tests/mpi/test_domains.py``).
+The single-slot open critical-section span (``_cs_span``) is per
+*domain*: each domain's CS is mutually exclusive, while different
+domains are concurrently held by different threads.  Counters stay
+rank-level (``RuntimeStats``); a domain's dangling requests are
+counted on demand from the runtime's live requests
+(``MpiRuntime.dangling_by_domain``).
 """
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Optional
 
 from .base import SimLock
 
-__all__ = ["ArbitrationDomain", "DomainStats", "aggregate_domain_stats"]
-
-
-class DomainStats:
-    """Per-domain counters (the per-domain slice of ``RuntimeStats``)."""
-
-    __slots__ = (
-        "cs_entries_main", "cs_entries_progress", "progress_polls",
-        "empty_polls", "packets_handled", "posted_hits", "unexpected_hits",
-        "completed", "freed", "dangling", "peak_dangling",
-    )
-
-    def __init__(self):
-        for f in self.__slots__:
-            setattr(self, f, 0)
-
-    def as_dict(self) -> dict:
-        return {f: getattr(self, f) for f in self.__slots__}
-
-
-def aggregate_domain_stats(domains: "List[ArbitrationDomain]") -> dict:
-    """Sum counters across domains (``peak_dangling`` takes the max:
-    peaks in different domains need not coincide in time, so the sum
-    would overstate the rank-wide peak)."""
-    out = {f: 0 for f in DomainStats.__slots__}
-    for d in domains:
-        for f in DomainStats.__slots__:
-            if f == "peak_dangling":
-                out[f] = max(out[f], d.stats.peak_dangling)
-            else:
-                out[f] += getattr(d.stats, f)
-    return out
+__all__ = ["ArbitrationDomain"]
 
 
 class ArbitrationDomain:
@@ -80,27 +46,13 @@ class ArbitrationDomain:
         #: This domain's NIC slice: the per-VCI receive queue drained by
         #: its progress engine.  Bound by the runtime at construction.
         self.recv_q = recv_q
-        self.stats = DomainStats()
         #: Name of the currently-open critical-section span ("cs.main"
         #: or "cs.progress").  Single slot per *domain*: this domain's
         #: CS is mutually exclusive, so at most one holder span is open.
         self._cs_span: Optional[str] = None
 
-    def note_complete(self) -> None:
-        """Account one request completion (dangling goes up)."""
-        self.stats.completed += 1
-        self.stats.dangling += 1
-        if self.stats.dangling > self.stats.peak_dangling:
-            self.stats.peak_dangling = self.stats.dangling
-
-    def note_free(self) -> None:
-        """Account one request free (dangling goes down)."""
-        self.stats.freed += 1
-        self.stats.dangling -= 1
-
     def __repr__(self) -> str:  # pragma: no cover
         return (
             f"<ArbitrationDomain #{self.index} lock={self.lock.name} "
-            f"posted={len(self.posted_q)} unexp={len(self.unexp_q)} "
-            f"dangling={self.stats.dangling}>"
+            f"posted={len(self.posted_q)} unexp={len(self.unexp_q)}>"
         )

@@ -46,15 +46,15 @@ class IdleProgress(Park):
         """True when the thread may park after this round; arms the
         touch hooks if so.  These are properties of the run, not a
         knob: no bus, no fault, reliability or watchdog machinery, no
-        shutdown or event-driven waiting, and on every active domain an
-        empty NIC queue and a lock whose LOW round is fully determined
+        shutdown, and on every active domain an empty NIC queue and a
+        lock whose LOW round is fully determined
         (``SimLock.parkable_on``)."""
         rt = self.rt
         cl = self.cluster
         if (
             rt.sim.obs is not None or rt._rel is not None
             or cl.fault_injector is not None or cl.watchdog is not None
-            or cl._shutdown or cl.config.event_driven_wait
+            or cl._shutdown
         ):
             return False
         core = self.ctx.core
@@ -123,21 +123,18 @@ class IdleProgress(Park):
             m = k - 1
             if m:
                 n = m * len(doms)
+                st = rt.stats
                 # The rank is idle, so each bulk grant samples the same
                 # dangling count.
+                dangling = st.completed - st.freed
                 rt.grant_samples += n
-                rt.grant_dangling_sum += n * rt.dangling_count
-                if rt.dangling_count > rt.grant_dangling_max:
-                    rt.grant_dangling_max = rt.dangling_count
-                st = rt.stats
+                rt.grant_dangling_sum += n * dangling
+                if dangling > rt.grant_dangling_max:
+                    rt.grant_dangling_max = dangling
                 st.cs_entries_progress += n
                 st.progress_polls += n
                 st.empty_polls += n
                 for dom in doms:
-                    ds = dom.stats
-                    ds.cs_entries_progress += m
-                    ds.progress_polls += m
-                    ds.empty_polls += m
                     dom.lock.add_low_rounds(m)
             t = start
             for delay in rt.progress_poke(self.ctx):

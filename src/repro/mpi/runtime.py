@@ -28,8 +28,9 @@ packets are delegated to the window handler (:mod:`repro.mpi.rma`).
 Any thread can complete any request inside the progress engine, but only
 the owner frees it in its own ``MPI_Wait``/``MPI_Test`` -- which is what
 makes the *dangling request* count (completed, not freed) a faithful
-starvation metric (paper 4.4).  Dangling counts are kept per domain and
-summed at the rank level.
+starvation metric (paper 4.4).  The rank-level count is
+``stats.completed - stats.freed``; per-domain counts are derived from
+the live requests on demand.
 """
 
 from __future__ import annotations
@@ -49,7 +50,10 @@ from .queues import UnexpectedMsg
 from .request import Protocol, ReqKind, Request, RequestError
 from .vci import GLOBAL_POLICY, CsGranularity, CsPolicy
 
-__all__ = ["MpiRuntime", "MpiThread", "RuntimeStats"]
+__all__ = ["COMPLETION_MODES", "MpiRuntime", "MpiThread", "RuntimeStats"]
+
+#: Blocking-call strategies (``ClusterConfig.completion``).
+COMPLETION_MODES = ("poll", "event", "continuation")
 
 
 class _EagerInfo:
@@ -77,13 +81,9 @@ class _RndvInfo:
 
 
 class RuntimeStats:
-    """Rank-level counters exposed for the analysis modules.
-
-    These aggregate over all arbitration domains; the per-domain
-    breakdown lives in each domain's
-    :class:`~repro.locks.domain.DomainStats`
-    (``MpiRuntime.domain_stats()``).
-    """
+    """Rank-level counters exposed for the analysis modules, summed
+    over all arbitration domains.  Per-domain views go to the obs bus
+    (``vci``-tagged CS spans, ``dangling.d{i}`` counters)."""
 
     __slots__ = (
         "sends_issued", "recvs_issued", "completed", "freed",
@@ -114,7 +114,6 @@ class MpiRuntime:
         costs: CostModel,
         eager_threshold: int = 16384,
         inline_threshold: int = 128,
-        event_driven_wait: bool = False,
         completion: str = "poll",
         cs_granularity: "str | CsGranularity" = "global",
         policy: Optional[CsPolicy] = None,
@@ -162,9 +161,6 @@ class MpiRuntime:
         self.requests: Dict[int, Request] = {}
         #: Sends awaiting CTS: req_id -> (request, data payload).
         self._pending_sends: Dict[int, Tuple[Request, Any]] = {}
-        #: Completed-but-not-freed count, summed over domains (the
-        #: paper's dangling metric).
-        self.dangling_count = 0
         #: High-water mark of ``dangling_count`` (starvation severity).
         self.peak_dangling = 0
         #: ``dangling_count`` sampled at every domain-lock grant, the
@@ -178,27 +174,25 @@ class MpiRuntime:
         #: Uniform [0, 1) draws of this rank's "runtime" stream, its
         #: only consumer (request-alloc and progress-gap jitter).
         self._random = batched_draws(sim.rng.stream(f"runtime:{rank}").random)
-        #: Paper 9 future work: park blocked waiters on an
-        #: arrival/completion signal instead of spinning in the progress
-        #: loop.  Simplified vs true *selective* wake-up: any activity
-        #: wakes every parked waiter of this rank.
-        self.event_driven_wait = bool(event_driven_wait)
-        #: Blocking-call strategy: "poll" reproduces the paper's CS_YIELD
-        #: loops bit-for-bit; "continuation" parks waiters on the
-        #: completion/arrival signal and only enters the critical section
-        #: when there is something to progress (the remedy the
+        #: Blocking-call strategy.  "poll" reproduces the paper's
+        #: CS_YIELD loops bit-for-bit.  "event" (paper 9 future work) is
+        #: the same loop, but a waiter with nothing to progress parks on
+        #: the arrival/completion signal instead of sleeping the yield
+        #: gap; any activity wakes every parked waiter of the rank, a
+        #: simplification of true *selective* wake-up.  "continuation"
+        #: parks waiters on that signal and only enters the critical
+        #: section when there is something to progress (the remedy the
         #: continuations figure measures).
-        if completion not in ("poll", "continuation"):
+        if completion not in COMPLETION_MODES:
             raise ValueError(
-                f"completion must be 'poll' or 'continuation', got "
-                f"{completion!r}"
+                f"completion must be one of {', '.join(COMPLETION_MODES)}, "
+                f"got {completion!r}"
             )
         self.completion = completion
         self._activity = Signal(sim, name=f"activity@{rank}")
-        #: Both event-driven polling and continuation mode park waiters
-        #: on the activity signal, so both need the NIC arrival hook and
-        #: the completion-path fire.
-        self._wake_waiters = self.event_driven_wait or completion == "continuation"
+        #: Both parking modes need the NIC arrival hook and the
+        #: completion-path fire.
+        self._wake_waiters = completion != "poll"
         if self._wake_waiters:
             nic.on_packet = lambda pkt: self._activity.fire()
         #: Collective sequence numbers, per communicator id.
@@ -221,7 +215,7 @@ class MpiRuntime:
         #: (``nic.vci_redirect``), which also redirects in-flight packets.
         self.failed_domains: set = set()
         #: Blocking calls currently parked on the activity signal (the
-        #: continuation / event-driven wait modes).  A parked waiter has
+        #: "event" and "continuation" modes).  A parked waiter has
         #: pending requests, so a simulator whose event queue has run
         #: dry while this is nonzero is *stuck*, not finished -- the
         #: progress watchdog reads this as part of its liveness input.
@@ -254,9 +248,21 @@ class MpiRuntime:
     def n_domains(self) -> int:
         return len(self.domains)
 
-    def domain_stats(self) -> List[dict]:
-        """Per-domain counter snapshots, index-aligned with ``domains``."""
-        return [d.stats.as_dict() for d in self.domains]
+    @property
+    def dangling_count(self) -> int:
+        """Completed-but-not-freed requests (the paper's dangling
+        metric)."""
+        return self.stats.completed - self.stats.freed
+
+    def dangling_by_domain(self) -> List[int]:
+        """Dangling requests per domain, index-aligned with ``domains``.
+        Counted from the live requests, whose ``vci`` ``fail_domain``
+        rewrites, so the counts follow a failover."""
+        out = [0] * len(self.domains)
+        for req in self.requests.values():
+            if req._done:
+                out[req.vci] += 1
+        return out
 
     @property
     def rel_stats(self):
@@ -306,12 +312,6 @@ class MpiRuntime:
         moved_unexp = len(d.unexp_q)
         fb.unexp_q._q.extend(d.unexp_q._q)
         d.unexp_q._q.clear()
-        # Transfer the dangling balance so note_free() on the fallback
-        # does not go negative for migrated requests.
-        fb.stats.dangling += d.stats.dangling
-        if fb.stats.dangling > fb.stats.peak_dangling:
-            fb.stats.peak_dangling = fb.stats.dangling
-        d.stats.dangling = 0
         for req in self.requests.values():
             if req.vci == index:
                 req.vci = fallback
@@ -368,14 +368,13 @@ class MpiRuntime:
     # Critical section (all per-domain)
     # ==================================================================
     def _cs_acquire(self, dom: ArbitrationDomain, ctx: ThreadCtx, priority: Priority):
+        st = self.stats
         if priority == Priority.HIGH:
-            self.stats.cs_entries_main += 1
-            dom.stats.cs_entries_main += 1
+            st.cs_entries_main += 1
         else:
-            self.stats.cs_entries_progress += 1
-            dom.stats.cs_entries_progress += 1
+            st.cs_entries_progress += 1
         yield from dom.lock.acquire(ctx, priority=priority)
-        n = self.dangling_count
+        n = st.completed - st.freed
         self.grant_samples += 1
         self.grant_dangling_sum += n
         if n > self.grant_dangling_max:
@@ -440,18 +439,14 @@ class MpiRuntime:
         -- funnels through here, so this is the one place continuations
         fire and waiters wake."""
         req.mark_complete(self.sim.now)
-        self.domains[req.vci].note_complete()
-        self.dangling_count += 1
-        if self.dangling_count > self.peak_dangling:
-            self.peak_dangling = self.dangling_count
-        self.stats.completed += 1
+        st = self.stats
+        st.completed += 1
+        n = st.completed - st.freed
+        if n > self.peak_dangling:
+            self.peak_dangling = n
         obs = self.sim.obs
         if obs is not None and obs.wants("mpi"):
-            obs.counter("mpi", "dangling", self.dangling_count, rank=self.rank)
-            if len(self.domains) > 1:
-                obs.counter("mpi", f"dangling.d{req.vci}",
-                            self.domains[req.vci].stats.dangling,
-                            rank=self.rank)
+            self._emit_dangling(obs, req)
         conts = req._continuations
         if conts is not None:
             deferred = [h for h in conts if not h.sync and not h.detached]
@@ -543,8 +538,6 @@ class MpiRuntime:
                       guards=(self.domains[self._route(req.vci)].lock.name,),
                       owner=req.owner_tid)
         req.mark_freed(self.sim.now)
-        self.domains[req.vci].note_free()
-        self.dangling_count -= 1
         self.stats.freed += 1
         self.requests.pop(req.req_id, None)
         if len(req.vcis) > 1:
@@ -561,11 +554,15 @@ class MpiRuntime:
                 self.domains[i].posted_q.discard(req)
         obs = self.sim.obs
         if obs is not None and obs.wants("mpi"):
-            obs.counter("mpi", "dangling", self.dangling_count, rank=self.rank)
-            if len(self.domains) > 1:
-                obs.counter("mpi", f"dangling.d{req.vci}",
-                            self.domains[req.vci].stats.dangling,
-                            rank=self.rank)
+            self._emit_dangling(obs, req)
+
+    def _emit_dangling(self, obs, req: Request) -> None:
+        """Dangling counters after ``req`` completed or was freed: the
+        rank's, and with several domains that of ``req``'s domain."""
+        obs.counter("mpi", "dangling", self.dangling_count, rank=self.rank)
+        if len(self.domains) > 1:
+            obs.counter("mpi", f"dangling.d{req.vci}",
+                        self.dangling_by_domain()[req.vci], rank=self.rank)
 
     def _san(
         self,
@@ -938,7 +935,7 @@ class MpiRuntime:
             # yields have scheduling noise, and a deterministic gap
             # produces artificial lockstep alternation between threads.
             yield from self._cs_release(doms[cur], ctx)
-            if self.event_driven_wait and not any(d.recv_q for d in doms):
+            if self.completion == "event" and not any(d.recv_q for d in doms):
                 # Nothing to progress: park until a packet arrives or a
                 # request completes (no sim time passes between this
                 # check and the wait, so no wake-up can be missed).
@@ -1152,13 +1149,11 @@ class MpiRuntime:
         """Drain the domain's NIC receive queue; returns True if any
         packet was handled."""
         self.stats.progress_polls += 1
-        dom.stats.progress_polls += 1
         if self.sim.obs is not None:
             self._san(ctx, f"recv_q.d{dom.index}", guards=(dom.lock.name,))
         q = dom.recv_q
         if not q:
             self.stats.empty_polls += 1
-            dom.stats.empty_polls += 1
             obs = self.sim.obs
             if obs is not None and obs.wants("mpi"):
                 # The paper's "wasted acquisition": a full CS round-trip
@@ -1181,7 +1176,6 @@ class MpiRuntime:
 
     def _handle_packet(self, dom: ArbitrationDomain, ctx: ThreadCtx, pkt: Packet):
         self.stats.packets_handled += 1
-        dom.stats.packets_handled += 1
         obs = self.sim.obs
         if obs is not None and obs.wants("mpi"):
             obs.counter("mpi", "packets_handled", self.stats.packets_handled,
@@ -1203,7 +1197,6 @@ class MpiRuntime:
                 req.claimed = True
                 req.vci = dom.index
                 self.stats.posted_hits += 1
-                dom.stats.posted_hits += 1
                 yield from self._charge_copy(
                     dom, ctx, self.costs.copy_time(info.nbytes), Priority.LOW
                 )
@@ -1211,7 +1204,6 @@ class MpiRuntime:
                 self._complete(req)
             else:
                 self.stats.unexpected_hits += 1
-                dom.stats.unexpected_hits += 1
                 if self.sim.obs is not None:
                     self._san(ctx, f"unexp_q.d{dom.index}",
                               guards=(dom.unexp_q.guard,))
@@ -1232,12 +1224,10 @@ class MpiRuntime:
                 req.claimed = True
                 req.vci = dom.index
                 self.stats.posted_hits += 1
-                dom.stats.posted_hits += 1
                 req.mark_pending()
                 self._send_cts(pkt.src_rank, info.req_id, req, info.vci)
             else:
                 self.stats.unexpected_hits += 1
-                dom.stats.unexpected_hits += 1
                 if self.sim.obs is not None:
                     self._san(ctx, f"unexp_q.d{dom.index}",
                               guards=(dom.unexp_q.guard,))

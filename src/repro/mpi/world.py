@@ -42,7 +42,7 @@ from ..overrides import cluster_overrides, get_override
 from ..sim import Simulator
 from .collectives import Communicator
 from .parking import IdleProgress
-from .runtime import MpiRuntime, MpiThread
+from .runtime import COMPLETION_MODES, MpiRuntime, MpiThread
 from .vci import CsGranularity, CsPolicy, parse_cs_policy
 
 __all__ = ["ClusterConfig", "Cluster"]
@@ -71,13 +71,12 @@ class ClusterConfig:
     eager_threshold: int = 16384
     inline_threshold: int = 128
     async_progress: bool = False
-    #: Paper 9 future work: blocked waiters park on arrival/completion
-    #: events instead of spinning in the progress loop.
-    event_driven_wait: bool = False
     #: Blocking-call completion strategy: "poll" (the paper's CS_YIELD
-    #: loops, bit-identity baseline) or "continuation" (waiters park on
-    #: the completion signal and only enter the critical section when
-    #: there are packets to progress -- see DESIGN.md section 11).
+    #: loops, bit-identity baseline), "event" (paper 9 future work: the
+    #: same loops, but a waiter with nothing to progress parks on the
+    #: arrival/completion signal instead of spinning) or "continuation"
+    #: (waiters park on that signal and only enter the critical section
+    #: when there are packets to progress -- see DESIGN.md section 11).
     completion: str = "poll"
     #: Critical-section granularity: "global" (paper baseline) or
     #: "brief" (payload copies outside the CS, paper Fig. 1 / 7).
@@ -117,10 +116,10 @@ class ClusterConfig:
                 f"unknown binding {self.binding!r}; valid bindings: "
                 f"{', '.join(sorted(BINDINGS))}"
             )
-        if self.completion not in ("poll", "continuation"):
+        if self.completion not in COMPLETION_MODES:
             raise ValueError(
                 f"unknown completion mode {self.completion!r}; valid "
-                f"modes: continuation, poll"
+                f"modes: {', '.join(sorted(COMPLETION_MODES))}"
             )
         self.cs_granularity = CsGranularity.parse(self.cs_granularity)
         self.cs = parse_cs_policy(self.cs, n_ranks=self.n_ranks)
@@ -212,7 +211,6 @@ class Cluster:
                 self.sim, rank, self.fabric, nic, locks[0], config.costs,
                 eager_threshold=config.eager_threshold,
                 inline_threshold=config.inline_threshold,
-                event_driven_wait=config.event_driven_wait,
                 completion=config.completion,
                 cs_granularity=config.cs_granularity,
                 policy=policy,
@@ -290,10 +288,7 @@ class Cluster:
         def loop():
             while not self._shutdown:
                 yield from rt.progress_poke(ctx)
-                if cfg.event_driven_wait and not rt.nic.has_packets():
-                    yield rt._activity.wait(ctx)
-                    yield rt.costs.event_wakeup
-                elif idle.ready():
+                if idle.ready():
                     # Idle rank: sleep the gap with nothing queued until
                     # the rank is touched (repro.mpi.parking).
                     yield idle

@@ -745,7 +745,7 @@ def _reaper_ctx(cluster: Cluster, rank: int) -> ThreadCtx:
 
 def _chain_wake(rt, wake: Signal) -> None:
     """Fire the reaper's wake on every arriving packet, preserving any
-    hook the runtime installed (continuation/event-driven modes)."""
+    hook the runtime installed (the "event" and "continuation" modes)."""
     prev = rt.nic.on_packet
     if prev is None:
         rt.nic.on_packet = lambda pkt, _s=wake: _s.fire()
@@ -891,11 +891,12 @@ def service_cluster(
 ) -> Cluster:
     """The standard service setup: clients on node 0, servers on node 1.
 
-    Defaults to ``event_driven_wait=True`` -- idle server threads park
-    on arrivals instead of spinning the CS_YIELD poll loop, the sane
-    regime for a request/reply service (override to study the paper's
-    pure polling under load)."""
-    overrides.setdefault("event_driven_wait", True)
+    Defaults to ``completion="event"`` -- idle server threads park on
+    arrivals instead of sleeping the CS_YIELD gap between empty polls,
+    the sane regime for a request/reply service (pass
+    ``completion="poll"`` to study the paper's pure polling under
+    load)."""
+    overrides.setdefault("completion", "event")
     return Cluster(
         ClusterConfig(
             n_nodes=2,

@@ -6,6 +6,7 @@ import pytest
 from repro.faults import FaultPlan, ProgressStallError, ProgressWatchdog
 from repro.mpi import Cluster, ClusterConfig
 from repro.obs import Instrument
+from repro.workloads.n2n import N2NConfig, run_n2n
 
 pytestmark = pytest.mark.faults
 
@@ -56,9 +57,33 @@ def test_lossy_run_without_reliability_aborts_with_dump():
         for d in rank_dump["domains"]:
             assert {"recv_q", "posted_q", "unexp_q",
                     "lock_holder", "dangling"} <= set(d)
+        assert sum(d["dangling"] for d in rank_dump["domains"]) == \
+            rank_dump["dangling"]
     assert cl.watchdog.stalled
     assert any(ev.name == "watchdog.stall" for ev in events)
     assert any(ev.name == "watchdog.dump" for ev in events)
+
+
+def test_dump_splits_dangling_by_domain():
+    # Sampled through a sharded run: each rank's per-domain dangling
+    # counts add up to its total, including non-zero totals.
+    cl = Cluster(ClusterConfig(n_nodes=2, threads_per_rank=4,
+                               cs="per-vci:4", seed=2))
+    wd = ProgressWatchdog(cl, interval=1e-6)
+    totals = []
+
+    def sample():
+        for rank_dump in wd._dump()["ranks"]:
+            assert sum(d["dangling"] for d in rank_dump["domains"]) == \
+                rank_dump["dangling"]
+            totals.append(rank_dump["dangling"])
+        if not cl._shutdown:
+            cl.sim.call_after(1e-6, sample)
+
+    cl.sim.call_after(1e-6, sample)
+    run_n2n(cl, N2NConfig(msg_size=2048, window=2, n_windows=2,
+                          style="rounds"))
+    assert max(totals) > 0
 
 
 def test_harmless_plan_does_not_trip_the_watchdog():
@@ -180,7 +205,7 @@ def test_parked_waiters_under_total_loss_are_a_stall_not_idle():
     out-of-events crash (or a silent success)."""
     cl = Cluster(ClusterConfig(
         n_nodes=2, ranks_per_node=1, threads_per_rank=1, lock="mutex",
-        seed=9, event_driven_wait=True,
+        seed=9, completion="event",
         faults=FaultPlan(drop=1.0, watchdog_interval_ns=20_000.0,
                          watchdog_grace=3),
     ))

@@ -120,17 +120,17 @@ def test_event_driven_wakeup_removes_empty_polls():
     drop to ~zero under the mutex) at equal throughput."""
     out = {}
     cm = CostModel(progress_batch=1)
-    for ed in (False, True):
+    for completion in ("poll", "event"):
         cl = Cluster(ClusterConfig(n_nodes=4, threads_per_rank=8,
                                    lock="mutex", seed=2, costs=cm,
-                                   event_driven_wait=ed))
+                                   completion=completion))
         res = run_n2n(cl, N2NConfig(msg_size=1024, window=8, n_windows=2,
                                     style="rounds"))
-        out[ed] = (res.msg_rate_k, cl.runtimes[0].stats.empty_polls)
+        out[completion] = (res.msg_rate_k, cl.runtimes[0].stats.empty_polls)
     # Wasted work collapses...
-    assert out[True][1] < 0.2 * max(1, out[False][1])
+    assert out["event"][1] < 0.2 * max(1, out["poll"][1])
     # ... without losing throughput.
-    assert out[True][0] > 0.9 * out[False][0]
+    assert out["event"][0] > 0.9 * out["poll"][0]
 
 
 def test_granularity_and_arbitration_combine():

@@ -159,10 +159,10 @@ def test_rndv_data_racing_a_cancel_is_counted_not_delivered():
     assert rt.dangling_count == 0
 
 
-def test_cancel_wakes_a_parked_event_driven_waiter():
+def test_cancel_wakes_a_parked_event_mode_waiter():
     # Event-driven wait parks on the runtime's activity signal; a
     # cancel is a completion and must wake the waiter like any other.
-    cl = make_cluster(threads_per_rank=2, event_driven_wait=True)
+    cl = make_cluster(threads_per_rank=2, completion="event")
     th_wait, th_cancel = cl.threads[1][0], cl.threads[1][1]
     out = {}
     shared = {}

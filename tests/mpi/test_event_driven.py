@@ -1,21 +1,15 @@
-"""Tests for the event-driven wait mode (paper 9 future work)."""
+"""Tests for the event-driven wait mode, ``completion="event"`` (paper 9
+future work)."""
 
 
 from repro.machine import CostModel
 from repro.mpi import Cluster, ClusterConfig
-from repro.workloads import (
-    N2NConfig,
-    RmaConfig,
-    ThroughputConfig,
-    run_n2n,
-    run_rma,
-    run_throughput,
-)
+from repro.workloads import N2NConfig, ThroughputConfig, run_n2n, run_throughput
 
 
 def make_cluster(**kw):
     defaults = dict(n_nodes=2, threads_per_rank=2, lock="ticket",
-                    seed=5, event_driven_wait=True)
+                    seed=5, completion="event")
     defaults.update(kw)
     return Cluster(ClusterConfig(**defaults))
 
@@ -71,11 +65,11 @@ def test_send_completion_wakes_parked_waiter():
 def test_throughput_results_match_polling_mode():
     """Event-driven waiting changes scheduling, not semantics."""
     polled = run_throughput(
-        make_cluster(threads_per_rank=4, event_driven_wait=False),
+        make_cluster(threads_per_rank=4, completion="poll"),
         ThroughputConfig(msg_size=64, n_windows=2),
     )
     evented = run_throughput(
-        make_cluster(threads_per_rank=4, event_driven_wait=True),
+        make_cluster(threads_per_rank=4, completion="event"),
         ThroughputConfig(msg_size=64, n_windows=2),
     )
     assert polled.total_messages == evented.total_messages
@@ -85,23 +79,15 @@ def test_throughput_results_match_polling_mode():
 def test_reduces_empty_polls_under_mutex():
     cm = CostModel(progress_batch=1)
 
-    def empty_polls(ed):
+    def empty_polls(completion):
         cl = Cluster(ClusterConfig(
             n_nodes=3, threads_per_rank=4, lock="mutex", seed=2,
-            costs=cm, event_driven_wait=ed))
+            costs=cm, completion=completion))
         run_n2n(cl, N2NConfig(msg_size=512, window=4, n_windows=2,
                               style="rounds"))
         return sum(rt.stats.empty_polls for rt in cl.runtimes)
 
-    assert empty_polls(True) < empty_polls(False)
-
-
-def test_rma_with_event_driven_async_progress():
-    cl = Cluster(ClusterConfig(
-        n_nodes=4, threads_per_rank=1, lock="ticket", seed=5,
-        async_progress=True, event_driven_wait=True))
-    res = run_rma(cl, RmaConfig(op="get", element_size=256, n_ops=10))
-    assert res.rate_k > 0
+    assert empty_polls("event") < empty_polls("poll")
 
 
 def test_deterministic():

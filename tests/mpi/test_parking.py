@@ -3,9 +3,9 @@
 An attached obs bus disables parking (``IdleProgress.ready``), so the
 same RMA cluster run with ``obs=None`` and with ``obs=Instrument()`` is
 the parked schedule against the spinning one.  Everything a run reports
-must be equal -- per-rank and per-domain stats, the grant-time
-dangling samples, every lock counter, elapsed and final simulated
-time -- and no catch-up may meet a tie.
+must be equal -- per-rank stats, the grant-time dangling samples,
+every lock counter, elapsed and final simulated time -- in every
+completion mode, and no catch-up may meet a tie.
 The null lock asserts single-threaded use, so it cannot guard a rank
 with a progress thread; its LOW round is covered in
 ``tests/locks/test_low_round.py``.
@@ -14,6 +14,7 @@ with a progress thread; its LOW round is covered in
 import pytest
 
 from repro.locks import LOCK_CLASSES, SimLock
+from repro.mpi.runtime import COMPLETION_MODES
 from repro.mpi.world import Cluster, ClusterConfig
 from repro.obs import Instrument
 from repro.workloads.rma_bench import RmaConfig, run_rma
@@ -31,17 +32,16 @@ def lock_state(lock):
     return out
 
 
-def outputs(lock, cs, op, seed, obs):
+def outputs(lock, cs, op, seed, obs, completion="poll"):
     cl = Cluster(ClusterConfig(
         n_nodes=4, threads_per_rank=1, lock=lock, cs=cs,
-        async_progress=True, seed=seed, obs=obs,
+        async_progress=True, seed=seed, obs=obs, completion=completion,
     ))
     r = run_rma(cl, RmaConfig(op=op, element_size=64, n_ops=6))
     return cl, {
         "elapsed": r.elapsed_s,
         "now": cl.sim.now,
         "stats": [rt.stats.as_dict() for rt in cl.runtimes],
-        "domains": [rt.domain_stats() for rt in cl.runtimes],
         "grants": [
             (rt.grant_samples, rt.grant_dangling_sum, rt.grant_dangling_max)
             for rt in cl.runtimes
@@ -56,14 +56,16 @@ def outputs(lock, cs, op, seed, obs):
 @pytest.mark.parametrize("cs", ["global", "per-vci:2"])
 @pytest.mark.parametrize("lock", sorted(set(LOCK_CLASSES) - {"null"}))
 def test_parked_run_equals_spinning_run(lock, cs, op):
-    for seed in (1, 2, 3):
-        parked, out_parked = outputs(lock, cs, op, seed, None)
-        spinning, out_spinning = outputs(lock, cs, op, seed, Instrument())
-        assert out_parked == out_spinning
-        assert parked.sim.park_ties == 0
-        assert spinning.sim.park_ties == 0
-        # The parked run really parked: it dispatched fewer entries.
-        assert parked.sim.dispatched < spinning.sim.dispatched
+    for completion in COMPLETION_MODES:
+        for seed in (1, 2, 3):
+            parked, out_parked = outputs(lock, cs, op, seed, None, completion)
+            spinning, out_spinning = outputs(lock, cs, op, seed,
+                                             Instrument(), completion)
+            assert out_parked == out_spinning, completion
+            assert parked.sim.park_ties == 0
+            assert spinning.sim.park_ties == 0
+            # The parked run really parked: it dispatched fewer entries.
+            assert parked.sim.dispatched < spinning.sim.dispatched, completion
 
 
 def test_fail_domain_touches_a_parked_rank():
@@ -80,7 +82,6 @@ def test_fail_domain_touches_a_parked_rank():
         results.append((
             r.elapsed_s,
             [rt.stats.as_dict() for rt in cl.runtimes],
-            [rt.domain_stats() for rt in cl.runtimes],
         ))
         assert cl.sim.park_ties == 0
     assert results[0] == results[1]

@@ -1,8 +1,11 @@
 """One-sided (RMA) operations with asynchronous progress."""
 
+import collections
+
 import pytest
 
 from repro.mpi import Cluster, ClusterConfig, allocate_windows
+from repro.obs import EventKind, Instrument
 
 
 def make_cluster(n_ranks=2, **kw):
@@ -141,7 +144,10 @@ def test_rma_ops_interleave_with_pt2pt():
 def test_origin_ops_follow_domain_failover(failed):
     # Origin ops route through the failover redirect like pt2pt sends:
     # after fail_domain, the failed domain's lock is never taken again.
-    cl = make_cluster(n_ranks=3, cs="per-vci:2", seed=1)
+    bus = Instrument()
+    events = []
+    bus.subscribe(events.append, categories=("lock", "mpi"))
+    cl = make_cluster(n_ranks=3, cs="per-vci:2", seed=1, obs=bus)
     rt = cl.runtimes[0]
     rt.fail_domain(failed, 1 - failed)
     wins = allocate_windows(cl.runtimes)
@@ -152,5 +158,14 @@ def test_origin_ops_follow_domain_failover(failed):
             yield from wins[0].put(th, 1 + i % 2, 8)
 
     cl.run_workload([origin()])
-    assert rt.domains[failed].stats.cs_entries_main == 0
-    assert rt.domains[1 - failed].stats.cs_entries_main == 12
+    grants = collections.Counter(
+        ev.name for ev in events if ev.name.endswith(".grant") and ev.rank == 0
+    )
+    main_entries = collections.Counter(
+        ev.args["args"]["vci"] for ev in events
+        if ev.kind is EventKind.SPAN_BEGIN and ev.name == "cs.main"
+        and ev.rank == 0
+    )
+    assert grants[f"{rt.domains[failed].lock.name}.grant"] == 0
+    assert grants[f"{rt.domains[1 - failed].lock.name}.grant"] > 0
+    assert main_entries == {1 - failed: 12}

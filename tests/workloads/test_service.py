@@ -242,7 +242,6 @@ def test_disabled_robustness_is_bit_identical_to_absent():
     assert absent.fingerprint == disabled.fingerprint
 
 
-def test_service_cluster_defaults_to_event_driven_wait():
-    assert service_cluster().config.event_driven_wait
-    assert not service_cluster(
-        event_driven_wait=False).config.event_driven_wait
+def test_service_cluster_defaults_to_event_completion():
+    assert service_cluster().config.completion == "event"
+    assert service_cluster(completion="poll").config.completion == "poll"
