@@ -1,10 +1,10 @@
 """Automated ablation harness over runtime components (DESIGN.md §13).
 
 The repo accumulates remedies -- lock classes, VCI sharding,
-continuation completion, the reliability layer, the watchdog, overload
-protection -- and 21 experiments that exercise them.  This module turns
-"which component matters for metric M under workload W" into one
-command::
+continuation completion, the eager protocol, the reliability layer,
+overload protection -- and 21 experiments that exercise them.  This
+module turns "which component matters for metric M under workload W"
+into one command::
 
     python -m repro ablate --experiments fig2 --jobs 2 --quick --report
 
@@ -14,7 +14,7 @@ Four pieces:
   :class:`Component` declares the knob's *baseline* value (the remedied
   runtime) and its *ablated* value (the remedy forced off), as
   ``repro.overrides`` keys that land on ``ClusterConfig`` fields or the
-  watchdog / robust-preset gates.
+  robust-preset gate.
 * **run matrix** (:func:`build_matrix`) -- baseline + leave-one-out
   (optionally pairwise) cells over a registry selection, with **stable
   run IDs**: blake2b over the canonicalized cell spec (experiment,
@@ -126,15 +126,6 @@ COMPONENTS: Dict[str, Component] = _components(
         # fig_chaos's recovery cells drop packets; without retransmit
         # they stall (by design -- the watchdog-abort cell shows it).
         unsafe_for=("fig_chaos",),
-    ),
-    Component(
-        "watchdog",
-        "progress watchdog (stall detection + degraded-mode trigger)",
-        baseline={"watchdog": True},
-        ablated={"watchdog": False},
-        # Both experiments run lossy cells that terminate *via* the
-        # watchdog when recovery is off; ablating it risks a hang.
-        unsafe_for=("fig_chaos", "fig_service"),
     ),
     Component(
         "robust",

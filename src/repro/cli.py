@@ -387,9 +387,9 @@ def build_parser() -> argparse.ArgumentParser:
     tp.add_argument("--windows", type=int, default=6)
     tp.add_argument("--binding", choices=("compact", "scatter"), default="compact")
     tp.add_argument("--cs", default="global", metavar="POLICY",
-                    help="critical-section domain policy: 'global' (paper), "
-                         "'per-peer', 'per-tag:N', 'per-vci:N' or "
-                         "'per-vci:N:LOCK' (default: global)")
+                    help="critical-section domain policy: 'global' (paper) "
+                         "or 'per-vci:N'; domain locks use --lock "
+                         "(default: global)")
     tp.add_argument("--faults", default=None, metavar="SPEC",
                     help="fault plan, e.g. 'drop=0.01,dup=0.001' "
                          "(see repro.faults.parse_fault_plan)")

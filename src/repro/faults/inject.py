@@ -124,7 +124,8 @@ class FaultInjector:
                         self._note("drop.outage", packet, rank=packet.src_rank)
                         return PacketFate(drop=True, reason="outage")
                     break
-        if plan.internode_only and not internode:
+        if not internode:
+            # Random faults spare the shm path: it does not lose data.
             return PacketFate()
         if plan.drop > 0.0 and self._random() < plan.drop:
             self.stats.drops += 1

@@ -167,9 +167,6 @@ class FaultPlan:
     reorder_delay_ns: float = 5000.0
     #: Gap between a packet and its duplicate's delivery (ns).
     duplicate_gap_ns: float = 1000.0
-    #: Random faults apply only to internode packets (the shm path does
-    #: not lose data); outages/stalls/crashes are inherently per-link.
-    internode_only: bool = True
     outages: Tuple[LinkOutage, ...] = ()
     stalls: Tuple[InjectStall, ...] = ()
     crashes: Tuple[RankCrash, ...] = ()
@@ -223,50 +220,45 @@ class FaultPlan:
         """The explicit no-fault plan (identical to passing no plan)."""
         return cls()
 
-    @classmethod
-    def lossy(cls, drop: float, **kw) -> "FaultPlan":
-        """Shorthand for a uniformly lossy fabric."""
-        return cls(drop=drop, **kw)
-
     def with_overrides(self, **kw) -> "FaultPlan":
         return replace(self, **kw)
 
     def spec(self) -> str:
-        """Canonical ``key=value`` spec of the scalar knobs (schedules
-        are not representable as a flat string)."""
+        """Canonical ``key=value`` spec of every non-default scalar knob
+        :func:`parse_fault_plan` accepts (schedules are not
+        representable as a flat string)."""
         parts = []
-        if self.drop:
-            parts.append(f"drop={self.drop:g}")
-        if self.duplicate:
-            parts.append(f"dup={self.duplicate:g}")
-        if self.reorder:
-            parts.append(f"reorder={self.reorder:g}")
-        if not self.internode_only:
-            parts.append("intranode=1")
+        for key, name in _SPEC_KEYS.items():
+            value = getattr(self, name)
+            if value != getattr(_DEFAULT_PLAN, name):
+                # repr is the shortest text that parses back to value.
+                parts.append(f"{key}={repr(value).removesuffix('.0')}")
         return ",".join(parts) if parts else "none"
 
     def __str__(self) -> str:
         return self.spec()
 
 
-#: Spec keys accepted by :func:`parse_fault_plan` -> plan field name.
+#: Spec key -> plan field name, in the order :meth:`FaultPlan.spec`
+#: writes them.
 _SPEC_KEYS = {
     "drop": "drop",
     "dup": "duplicate",
-    "duplicate": "duplicate",
     "reorder": "reorder",
     "reorder_delay_ns": "reorder_delay_ns",
     "watchdog_interval_ns": "watchdog_interval_ns",
     "watchdog_grace": "watchdog_grace",
 }
+#: Every key :func:`parse_fault_plan` reads.
+_PARSE_KEYS = {**_SPEC_KEYS, "duplicate": "duplicate"}
+_DEFAULT_PLAN = FaultPlan()
 
 
 def parse_fault_plan(spec: "str | FaultPlan | None") -> "FaultPlan | None":
     """Parse a CLI-style fault spec like ``"drop=0.01,dup=0.001"``.
 
-    ``"none"`` and ``""`` parse to the inactive plan; an ``intranode=1``
-    entry extends the random faults to the shared-memory path.  Unknown
-    keys raise ``ValueError`` listing the valid ones.
+    ``"none"`` and ``""`` parse to the inactive plan.  Unknown keys
+    raise ``ValueError`` listing the valid ones.
     """
     if spec is None or isinstance(spec, FaultPlan):
         return spec
@@ -282,13 +274,10 @@ def parse_fault_plan(spec: "str | FaultPlan | None") -> "FaultPlan | None":
         if not sep:
             raise ValueError(f"malformed fault spec item {item!r} (expected key=value)")
         key = key.strip()
-        if key == "intranode":
-            kw["internode_only"] = value.strip() in ("0", "false", "no")
-            continue
-        if key not in _SPEC_KEYS:
-            valid = ", ".join(sorted(_SPEC_KEYS) + ["intranode"])
+        if key not in _PARSE_KEYS:
+            valid = ", ".join(sorted(_PARSE_KEYS))
             raise ValueError(f"unknown fault spec key {key!r}; valid keys: {valid}")
-        name = _SPEC_KEYS[key]
+        name = _PARSE_KEYS[key]
         ftype = {f.name: f.type for f in fields(FaultPlan)}[name]
         kw[name] = int(value) if ftype == "int" else float(value)
     return FaultPlan(**kw)

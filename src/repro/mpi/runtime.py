@@ -54,6 +54,9 @@ __all__ = ["COMPLETION_MODES", "MpiRuntime", "MpiThread", "RuntimeStats"]
 
 #: Blocking-call strategies (``ClusterConfig.completion``).
 COMPLETION_MODES = ("poll", "event", "continuation")
+#: Largest eager payload (bytes) that rides the send descriptor itself
+#: (``Protocol.INLINE``).
+INLINE_THRESHOLD = 128
 
 
 class _EagerInfo:
@@ -113,7 +116,6 @@ class MpiRuntime:
         lock: SimLock,
         costs: CostModel,
         eager_threshold: int = 16384,
-        inline_threshold: int = 128,
         completion: str = "poll",
         cs_granularity: "str | CsGranularity" = "global",
         policy: Optional[CsPolicy] = None,
@@ -130,7 +132,6 @@ class MpiRuntime:
         self.nic = nic
         self.costs = costs
         self.eager_threshold = int(eager_threshold)
-        self.inline_threshold = int(inline_threshold)
         #: Critical-section granularity (paper Fig. 1 / 7): "global"
         #: holds the CS across payload copies; "brief" releases it around
         #: them, shortening holds at the cost of extra lock transitions.
@@ -629,7 +630,7 @@ class MpiRuntime:
         yield self._cs_time(dom, self.costs.cs_main)
         if nbytes <= self.eager_threshold:
             protocol = (
-                Protocol.INLINE if nbytes <= self.inline_threshold else Protocol.EAGER
+                Protocol.INLINE if nbytes <= INLINE_THRESHOLD else Protocol.EAGER
             )
         else:
             protocol = Protocol.RNDV

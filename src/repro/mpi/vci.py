@@ -69,12 +69,9 @@ class CsGranularity(str, enum.Enum):
 
 
 #: Mapping-policy kinds accepted by :func:`parse_cs_policy`, with the
-#: per-kind default domain count (``None`` = derived from the cluster:
-#: per-peer defaults to the number of ranks).
-CS_POLICY_KINDS: Dict[str, Optional[int]] = {
+#: per-kind default domain count.
+CS_POLICY_KINDS: Dict[str, int] = {
     "global": 1,
-    "per-peer": None,
-    "per-tag": 4,
     "per-vci": 4,
 }
 
@@ -88,15 +85,12 @@ class CsPolicy:
     kind:
         One of ``CS_POLICY_KINDS``.
     n_domains:
-        Number of arbitration domains per rank (>= 1).
-    lock:
-        Optional lock-class name (see ``repro.locks.LOCK_CLASSES``) for
-        the domain locks; ``None`` inherits the cluster's lock.
+        Number of arbitration domains per rank (>= 1).  Every domain
+        lock is of the cluster's lock class.
     """
 
     kind: str = "global"
     n_domains: int = 1
-    lock: Optional[str] = None
 
     def __post_init__(self) -> None:
         if self.kind not in CS_POLICY_KINDS:
@@ -110,16 +104,6 @@ class CsPolicy:
             raise ValueError("the global policy has exactly one domain")
 
     # ------------------------------------------------------------------
-    @property
-    def hashes_source(self) -> bool:
-        """Routing depends on the peer/source rank."""
-        return self.kind in ("per-peer", "per-vci")
-
-    @property
-    def hashes_tag(self) -> bool:
-        """Routing depends on the tag."""
-        return self.kind in ("per-tag", "per-vci")
-
     def route(self, peer: int, tag: int, comm: int = 0) -> int:
         """Domain index for a concrete ``(peer, tag, comm)`` triple.
 
@@ -129,20 +113,16 @@ class CsPolicy:
         n = self.n_domains
         if n == 1:
             return 0
-        if self.kind == "per-peer":
-            return peer % n
-        if self.kind == "per-tag":
-            return (tag + comm * 31) % n
-        # per-vci: fold the full triple.
         return (peer * 31 + tag + comm * 131) % n
 
     def route_recv(self, env: Envelope) -> Optional[int]:
         """Domain index for a receive *pattern*, or ``None`` when a
         wildcard in a hashed field makes the route ambiguous (the
-        receive must then span every domain)."""
-        if self.hashes_source and env.source == ANY_SOURCE:
-            return None
-        if self.hashes_tag and env.tag == ANY_TAG:
+        receive must then span every domain).  ``per-vci`` hashes both
+        the source and the tag; ``global`` hashes nothing."""
+        if self.kind == "per-vci" and (
+            env.source == ANY_SOURCE or env.tag == ANY_TAG
+        ):
             return None
         return self.route(env.source, env.tag, env.comm)
 
@@ -153,8 +133,7 @@ class CsPolicy:
 
     def spec(self) -> str:
         """The canonical string spec (inverse of :func:`parse_cs_policy`)."""
-        s = self.kind if self.kind == "global" else f"{self.kind}:{self.n_domains}"
-        return s if self.lock is None else f"{s}:{self.lock}"
+        return self.kind if self.kind == "global" else f"{self.kind}:{self.n_domains}"
 
     def __str__(self) -> str:
         return self.spec()
@@ -163,41 +142,33 @@ class CsPolicy:
 GLOBAL_POLICY = CsPolicy()
 
 
-def parse_cs_policy(
-    spec: Union[str, CsPolicy], n_ranks: Optional[int] = None
-) -> CsPolicy:
-    """Parse a policy spec string like ``"global"``, ``"per-peer"``,
-    ``"per-tag:8"``, ``"per-vci:4"`` or ``"per-vci:4:ticket"``.
+def parse_cs_policy(spec: Union[str, CsPolicy]) -> CsPolicy:
+    """Parse a policy spec string: ``"global"``, ``"per-vci"`` (4
+    domains) or ``"per-vci:N"``.
 
-    The optional trailing component selects the lock class used for the
-    domain locks.  ``n_ranks`` resolves the per-peer default domain
-    count; unknown kinds raise ``ValueError`` listing the valid names.
+    Malformed specs and unknown kinds raise ``ValueError`` listing the
+    valid policies.
     """
     if isinstance(spec, CsPolicy):
         return spec
-    parts = str(spec).split(":")
-    kind = parts[0]
+    kind, _, count = str(spec).partition(":")
+    valid = (
+        f"valid policies: {', '.join(sorted(CS_POLICY_KINDS))} "
+        f"(e.g. 'global' or 'per-vci:4')"
+    )
     if kind not in CS_POLICY_KINDS:
-        raise ValueError(
-            f"unknown cs policy {spec!r}; valid policies: "
-            f"{', '.join(sorted(CS_POLICY_KINDS))} "
-            f"(e.g. 'per-vci:4' or 'per-vci:4:ticket')"
-        )
+        raise ValueError(f"unknown cs policy {spec!r}; {valid}")
     n_domains = CS_POLICY_KINDS[kind]
-    lock: Optional[str] = None
-    if len(parts) > 1 and parts[1]:
+    if count:
         try:
-            n_domains = int(parts[1])
+            n_domains = int(count)
         except ValueError:
             raise ValueError(
-                f"bad domain count {parts[1]!r} in cs policy {spec!r}"
+                f"bad domain count {count!r} in cs policy {spec!r}; {valid}"
             ) from None
-    if len(parts) > 2 and parts[2]:
-        lock = parts[2]
-    if len(parts) > 3:
-        raise ValueError(f"malformed cs policy spec {spec!r}")
-    if n_domains is None:
-        n_domains = n_ranks if n_ranks is not None else 4
-    if kind == "global":
-        n_domains = 1
-    return CsPolicy(kind=kind, n_domains=n_domains, lock=lock)
+    if kind == "global" and n_domains != 1:
+        raise ValueError(
+            f"cs policy {spec!r}: the global policy has exactly one "
+            f"domain; {valid}"
+        )
+    return CsPolicy(kind=kind, n_domains=n_domains)

@@ -38,7 +38,7 @@ from ..machine import (
 )
 from ..network import Fabric, NetworkConfig
 from ..obs import Instrument
-from ..overrides import cluster_overrides, get_override
+from ..overrides import cluster_overrides
 from ..sim import Simulator
 from .collectives import Communicator
 from .parking import IdleProgress
@@ -69,7 +69,6 @@ class ClusterConfig:
     net: NetworkConfig = field(default_factory=NetworkConfig)
     machine_spec: MachineSpec = field(default_factory=MachineSpec)
     eager_threshold: int = 16384
-    inline_threshold: int = 128
     async_progress: bool = False
     #: Blocking-call completion strategy: "poll" (the paper's CS_YIELD
     #: loops, bit-identity baseline), "event" (paper 9 future work: the
@@ -82,8 +81,8 @@ class ClusterConfig:
     #: "brief" (payload copies outside the CS, paper Fig. 1 / 7).
     cs_granularity: str = "global"
     #: Domain-mapping policy: "global" (the paper's single critical
-    #: section), or a sharded spec like "per-peer", "per-tag:8",
-    #: "per-vci:4", "per-vci:4:ticket" (see :mod:`repro.mpi.vci`).
+    #: section) or a sharded spec like "per-vci:4" (see
+    #: :mod:`repro.mpi.vci`); every domain lock is of class ``lock``.
     #: Parsed to a :class:`~repro.mpi.vci.CsPolicy` at construction.
     cs: "str | CsPolicy" = "global"
     #: Observability bus to attach (see :mod:`repro.obs`); None = no
@@ -122,19 +121,13 @@ class ClusterConfig:
                 f"modes: {', '.join(sorted(COMPLETION_MODES))}"
             )
         self.cs_granularity = CsGranularity.parse(self.cs_granularity)
-        self.cs = parse_cs_policy(self.cs, n_ranks=self.n_ranks)
+        self.cs = parse_cs_policy(self.cs)
         if isinstance(self.faults, str):
             self.faults = parse_fault_plan(self.faults)
         if self.reliability is True:
             self.reliability = ReliabilityConfig()
         elif self.reliability is False:
             self.reliability = None
-        if self.cs.lock is not None and self.cs.lock not in LOCK_CLASSES:
-            raise ValueError(
-                f"unknown lock {self.cs.lock!r} in cs policy "
-                f"{self.cs.spec()!r}; valid locks: "
-                f"{', '.join(sorted(LOCK_CLASSES))}"
-            )
 
     @property
     def n_ranks(self) -> int:
@@ -187,7 +180,6 @@ class Cluster:
             self.fabric.faults = self.fault_injector
 
         policy: CsPolicy = config.cs
-        lock_kind = policy.lock or config.lock
         for rank in range(config.n_ranks):
             node = rank // config.ranks_per_node
             machine = self.machines[node]
@@ -198,11 +190,11 @@ class Cluster:
             # identical to the pre-domain runtime.
             locks = [
                 make_lock(
-                    lock_kind, self.sim, config.costs,
+                    config.lock, self.sim, config.costs,
                     name=(
-                        f"{lock_kind}@rank{rank}"
+                        f"{config.lock}@rank{rank}"
                         if policy.n_domains == 1
-                        else f"{lock_kind}@rank{rank}.d{di}"
+                        else f"{config.lock}@rank{rank}.d{di}"
                     ),
                 )
                 for di in range(policy.n_domains)
@@ -210,7 +202,6 @@ class Cluster:
             rt = MpiRuntime(
                 self.sim, rank, self.fabric, nic, locks[0], config.costs,
                 eager_threshold=config.eager_threshold,
-                inline_threshold=config.inline_threshold,
                 completion=config.completion,
                 cs_granularity=config.cs_granularity,
                 policy=policy,
@@ -249,9 +240,7 @@ class Cluster:
                     df.at_s, self.runtimes[df.rank].fail_domain,
                     df.domain, df.fallback,
                 )
-            # get_override("watchdog"): the ablation harness can force
-            # the watchdog off to measure what it buys (repro.overrides).
-            if plan.watchdog_interval_ns > 0.0 and get_override("watchdog", True):
+            if plan.watchdog_interval_ns > 0.0:
                 self.watchdog = ProgressWatchdog(
                     self, plan.watchdog_interval_ns * 1e-9,
                     grace=plan.watchdog_grace,

@@ -8,15 +8,13 @@ its own completion modes, ...).  The ablation harness
 without rewriting 21 runners.
 
 This module is that seam: a process-global table of forced knob values,
-consulted at the three construction points every experiment funnels
+consulted at the two construction points every experiment funnels
 through:
 
 * **cluster keys** (:data:`CLUSTER_KEYS`) are applied on top of whatever
   the runner passed, inside ``ClusterConfig.__post_init__`` -- *before*
   validation/parsing, so a forced ``cs="per-vci:4"`` goes through the
   same policy parser as an explicit one;
-* ``"watchdog"`` gates the progress-watchdog install in
-  ``Cluster.__init__`` (an active fault plan arms it by default);
 * ``"robust"`` gates :meth:`repro.robust.RobustConfig.protected` -- when
   forced off, the preset degrades to :meth:`RobustConfig.none`.
 
@@ -50,8 +48,8 @@ CLUSTER_KEYS = frozenset({
     "eager_threshold",
 })
 
-#: Every key the seam understands (cluster fields + the two gates).
-OVERRIDE_KEYS = CLUSTER_KEYS | frozenset({"watchdog", "robust"})
+#: Every key the seam understands (cluster fields + the robust gate).
+OVERRIDE_KEYS = CLUSTER_KEYS | frozenset({"robust"})
 
 _active: Dict[str, object] = {}
 

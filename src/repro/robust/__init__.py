@@ -12,8 +12,7 @@ capacity** or the fabric misbehaves.  Four cooperating mechanisms:
   optional hedged duplicates, metered by a token bucket so retries
   cannot amplify an overload into a retry storm.
 * **admission control** (:mod:`.admission`) -- server-side load
-  shedding: queue caps, deadline-aware drop-expired-first, or a
-  CoDel-style target-delay controller.
+  shedding: deadline-aware drop-expired-first.
 * **degraded mode** (:mod:`.degrade`) -- a hysteretic state machine
   that sheds a deterministic fraction of traffic when the progress
   watchdog warns or a domain fails, and recovers in stages.
@@ -34,9 +33,7 @@ from typing import Optional
 from .admission import (
     ADMISSION_POLICIES,
     AdmissionPolicy,
-    CoDelPolicy,
     DeadlineAwarePolicy,
-    QueueCapPolicy,
     make_admission,
 )
 from .deadline import Deadline, DeadlineTimer
@@ -46,13 +43,11 @@ from .retry import RetryBudget, RetryPolicy
 __all__ = [
     "ADMISSION_POLICIES",
     "AdmissionPolicy",
-    "CoDelPolicy",
     "Deadline",
     "DeadlineAwarePolicy",
     "DeadlineTimer",
     "DegradeState",
     "DegradedModeController",
-    "QueueCapPolicy",
     "RetryBudget",
     "RetryPolicy",
     "RobustConfig",
@@ -76,7 +71,7 @@ class RobustConfig:
     #: Client retry/hedging policy; None disables retries.
     retry: Optional[RetryPolicy] = None
     #: Server admission-control spec (see :func:`make_admission`):
-    #: ``"none"``, ``"queue-cap:N"``, ``"deadline"``, ``"codel"``.
+    #: ``"none"`` or ``"deadline"``.
     admission: str = "none"
     #: Install the degraded-mode controller (watchdog / domain-failure
     #: triggered shedding).

@@ -8,36 +8,27 @@ explicit rejection (a tiny fail-fast reply the client sees in
 microseconds) for the expensive implicit one (a reply that arrives too
 late to matter).
 
-Four pluggable policies, all deterministic (no RNG):
+Two policies, both deterministic (no RNG):
 
 * ``none`` -- admit everything (the collapse baseline).
-* ``queue-cap:N`` -- admit while the rank's backlog is <= N.
 * ``deadline`` -- admit iff the request can still *meet its deadline*
   given the estimated service time (drop-expired-first: anything that
-  would complete late is shed on arrival).  This is the strongest
-  policy here: every served request meets its deadline by construction,
-  so p999 of successes is bounded.
-* ``codel`` -- CoDel-style target-delay control on queue *sojourn*
-  (arrival stamp to service start): sheds at an increasing rate
-  (sqrt control law) while minimum sojourn stays above target for a
-  full interval.
+  would complete late is shed on arrival).  Every served request meets
+  its deadline by construction, so p999 of successes is bounded.
 
-Policies are small state machines instantiated **per server rank** (all
-of a rank's threads share the queue, so they share the policy state);
-:func:`make_admission` parses a CLI-style spec into a fresh instance.
+A policy instance is created **per server rank** (all of a rank's
+threads share the queue, so they share the decision counters);
+:func:`make_admission` turns a policy name into a fresh instance.
 """
 
 from __future__ import annotations
 
-import math
 from typing import Optional
 
 __all__ = [
     "ADMISSION_POLICIES",
     "AdmissionPolicy",
-    "QueueCapPolicy",
     "DeadlineAwarePolicy",
-    "CoDelPolicy",
     "make_admission",
 ]
 
@@ -48,8 +39,7 @@ class AdmissionPolicy:
     ``admit`` is called once per arriving request, *before* service,
     with everything a shedding decision may read: the simulated clock,
     the request's absolute deadline stamp (None when deadlines are
-    off), its client-side arrival stamp (sojourn = ``now - t_sent``),
-    the rank's current backlog depth, and the estimated service time.
+    off) and the estimated service time.
     """
 
     __slots__ = ("admitted", "shed")
@@ -65,8 +55,6 @@ class AdmissionPolicy:
         now: float,
         *,
         deadline_s: Optional[float],
-        t_sent: float,
-        depth: int,
         service_s: float,
     ) -> bool:
         self.admitted += 1
@@ -74,26 +62,6 @@ class AdmissionPolicy:
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"<{type(self).__name__} admitted={self.admitted} shed={self.shed}>"
-
-
-class QueueCapPolicy(AdmissionPolicy):
-    """Admit while backlog depth is at most ``cap``."""
-
-    __slots__ = ("cap",)
-    name = "queue-cap"
-
-    def __init__(self, cap: int = 64):
-        super().__init__()
-        if cap < 1:
-            raise ValueError(f"queue cap must be >= 1, got {cap}")
-        self.cap = cap
-
-    def admit(self, now, *, deadline_s, t_sent, depth, service_s):
-        if depth > self.cap:
-            self.shed += 1
-            return False
-        self.admitted += 1
-        return True
 
 
 class DeadlineAwarePolicy(AdmissionPolicy):
@@ -113,64 +81,8 @@ class DeadlineAwarePolicy(AdmissionPolicy):
             raise ValueError(f"deadline margin must be >= 1, got {margin}")
         self.margin = margin
 
-    def admit(self, now, *, deadline_s, t_sent, depth, service_s):
+    def admit(self, now, *, deadline_s, service_s):
         if deadline_s is not None and now + service_s * self.margin > deadline_s:
-            self.shed += 1
-            return False
-        self.admitted += 1
-        return True
-
-
-class CoDelPolicy(AdmissionPolicy):
-    """CoDel-style controlled-delay shedding on queue sojourn.
-
-    Tracks whether sojourn has stayed above ``target_ns`` for a full
-    ``interval_ns``; once it has, sheds at an increasing rate (the next
-    shed comes ``interval / sqrt(n)`` after the previous), and leaves
-    the shedding state the moment a sojourn dips below target.
-    """
-
-    __slots__ = ("target_s", "interval_s", "_first_above", "_dropping",
-                 "_drop_next", "_drop_count")
-    name = "codel"
-
-    def __init__(self, target_ns: float = 100_000.0, interval_ns: float = 1_000_000.0):
-        super().__init__()
-        if target_ns <= 0.0 or interval_ns <= 0.0:
-            raise ValueError(
-                f"codel target/interval must be positive, got "
-                f"target={target_ns} interval={interval_ns}"
-            )
-        self.target_s = target_ns * 1e-9
-        self.interval_s = interval_ns * 1e-9
-        self._first_above: Optional[float] = None
-        self._dropping = False
-        self._drop_next = 0.0
-        self._drop_count = 0
-
-    def admit(self, now, *, deadline_s, t_sent, depth, service_s):
-        sojourn = now - t_sent
-        if sojourn < self.target_s:
-            self._first_above = None
-            self._dropping = False
-            self.admitted += 1
-            return True
-        if self._first_above is None:
-            self._first_above = now + self.interval_s
-            self.admitted += 1
-            return True
-        if now < self._first_above:
-            self.admitted += 1
-            return True
-        if not self._dropping:
-            self._dropping = True
-            self._drop_count = 1
-            self._drop_next = now + self.interval_s
-            self.shed += 1
-            return False
-        if now >= self._drop_next:
-            self._drop_count += 1
-            self._drop_next = now + self.interval_s / math.sqrt(self._drop_count)
             self.shed += 1
             return False
         self.admitted += 1
@@ -180,42 +92,21 @@ class CoDelPolicy(AdmissionPolicy):
 #: Policy name -> class, for spec validation and docs.
 ADMISSION_POLICIES = {
     "none": AdmissionPolicy,
-    "queue-cap": QueueCapPolicy,
     "deadline": DeadlineAwarePolicy,
-    "codel": CoDelPolicy,
 }
 
 
 def make_admission(spec: str) -> AdmissionPolicy:
-    """Parse ``"name[:arg[:arg]]"`` into a fresh policy instance.
+    """A fresh policy instance for ``"none"`` (also ``""``) or
+    ``"deadline"``.
 
-    ``"none"``, ``"queue-cap:64"``, ``"deadline"``, ``"deadline:3"``
-    (margin), ``"codel"``, ``"codel:100000:1000000"`` (target_ns,
-    interval_ns).  Unknown names raise ``ValueError`` listing the valid
-    ones; each call returns new state (policies are per server rank).
+    Any other spec raises ``ValueError`` listing the valid names; each
+    call returns new state (policies are per server rank).
     """
-    text = str(spec).strip() or "none"
-    name, _, rest = text.partition(":")
-    args = [a for a in rest.split(":") if a] if rest else []
+    name = str(spec).strip() or "none"
     if name not in ADMISSION_POLICIES:
         raise ValueError(
-            f"unknown admission policy {name!r}; valid policies: "
+            f"unknown admission policy {spec!r}; valid policies: "
             f"{', '.join(sorted(ADMISSION_POLICIES))}"
         )
-    try:
-        if name == "none":
-            if args:
-                raise ValueError(f"admission policy 'none' takes no arguments")
-            return AdmissionPolicy()
-        if name == "queue-cap":
-            return QueueCapPolicy(int(args[0])) if args else QueueCapPolicy()
-        if name == "deadline":
-            return DeadlineAwarePolicy(float(args[0])) if args else DeadlineAwarePolicy()
-        # codel
-        if len(args) >= 2:
-            return CoDelPolicy(float(args[0]), float(args[1]))
-        if len(args) == 1:
-            return CoDelPolicy(float(args[0]))
-        return CoDelPolicy()
-    except (TypeError, IndexError) as exc:
-        raise ValueError(f"malformed admission spec {spec!r}: {exc}") from exc
+    return ADMISSION_POLICIES[name]()

@@ -3,13 +3,12 @@
 The paper's microbenchmarks are **closed-loop**: a fixed team of threads
 issues the next operation only when the previous one finishes, so
 offered load self-throttles to capacity and overload is unobservable.
-This workload is **open-loop**: arrivals come from a seeded generator
-(Poisson / bursty Markov-modulated / diurnal -- stand-ins for external
-user traffic) at a configured rate that does *not* slow down when the
-service does.  That is the regime where the runtime-contention collapse
-the paper measures actually hurts, and the regime the
-:mod:`repro.robust` remedies (deadlines, retry budgets, admission
-control, degraded mode) are built for.
+This workload is **open-loop**: arrivals come from a seeded Poisson
+generator (a stand-in for external user traffic) at a configured rate
+that does *not* slow down when the service does.  That is the regime
+where the runtime-contention collapse the paper measures actually
+hurts, and the regime the :mod:`repro.robust` remedies (deadlines,
+retry budgets, admission control, degraded mode) are built for.
 
 Topology: the cluster's ranks split into client / server halves, rank
 ``c`` paired with rank ``P + c``.  Per client rank:
@@ -64,8 +63,6 @@ __all__ = [
     "service_cluster",
 ]
 
-ARRIVAL_SHAPES = ("poisson", "bursty", "diurnal")
-
 #: Tag of the request/stop channel (replies use tag = req_id).
 _REQ_TAG = 1
 #: Stop-ack tags: ``_STOP_ACK_BASE + server_thread_index``.
@@ -87,20 +84,12 @@ _EPS = 1e-12
 # ======================================================================
 @dataclass(frozen=True)
 class ServiceConfig:
-    """Traffic shape and per-request costs for one service run."""
+    """Offered load and per-request costs for one service run."""
 
     #: Offered arrival rate per client rank (requests/s).
     rate_hz: float = 50_000.0
     #: Open-loop generation horizon (simulated seconds).
     duration_s: float = 0.01
-    #: Arrival process: "poisson" | "bursty" | "diurnal".
-    shape: str = "poisson"
-    #: Bursty: rate multiplier in the high state (MMPP-2), in (1, 4).
-    burst_factor: float = 3.0
-    #: Bursty: mean dwell per low state (s); 0 = ``duration_s / 8``.
-    burst_dwell_s: float = 0.0
-    #: Diurnal: modulation depth in [0, 1] (rate swings +-depth).
-    diurnal_depth: float = 0.8
     req_bytes: int = 512
     reply_bytes: int = 256
     #: Server compute per admitted request (ns).
@@ -113,21 +102,6 @@ class ServiceConfig:
             raise ValueError(f"rate_hz must be positive, got {self.rate_hz}")
         if self.duration_s <= 0.0:
             raise ValueError(f"duration_s must be positive, got {self.duration_s}")
-        if self.shape not in ARRIVAL_SHAPES:
-            raise ValueError(
-                f"unknown arrival shape {self.shape!r}; valid shapes: "
-                f"{', '.join(ARRIVAL_SHAPES)}"
-            )
-        if not 1.0 < self.burst_factor < 4.0:
-            raise ValueError(
-                f"burst_factor must be in (1, 4), got {self.burst_factor}"
-            )
-        if self.burst_dwell_s < 0.0:
-            raise ValueError(f"burst_dwell_s must be >= 0, got {self.burst_dwell_s}")
-        if not 0.0 <= self.diurnal_depth <= 1.0:
-            raise ValueError(
-                f"diurnal_depth {self.diurnal_depth} not in [0, 1]"
-            )
         if self.req_bytes <= 0 or self.reply_bytes <= 0:
             raise ValueError("req_bytes and reply_bytes must be positive")
         if self.service_ns < 0.0:
@@ -167,75 +141,21 @@ class ServiceResult:
 # ======================================================================
 # Arrival generation
 # ======================================================================
-def arrival_times(
-    rng,
-    shape: str,
-    rate_hz: float,
-    duration_s: float,
-    *,
-    burst_factor: float = 3.0,
-    burst_dwell_s: float = 0.0,
-    diurnal_depth: float = 0.8,
-) -> List[float]:
-    """Generate one rank's arrival schedule on ``[0, duration_s)``.
+def arrival_times(rng, rate_hz: float, duration_s: float) -> List[float]:
+    """Generate one rank's Poisson arrival schedule on ``[0, duration_s)``.
 
-    All draws come from the caller's RNG stream, one at a time, so the
-    schedule is a pure function of (stream, shape, knobs) -- the replay
-    contract for the ``"service:<rank>"`` stream.
-
-    * ``poisson`` -- homogeneous, exponential gaps at ``rate_hz``.
-    * ``bursty`` -- 2-state MMPP: a high state at ``burst_factor x``
-      the mean rate, dwell times exponential, low rate solved so the
-      long-run mean stays ``rate_hz``.
-    * ``diurnal`` -- one sinusoidal "day" over the horizon (trough at
-      t=0, peak mid-run), sampled by thinning a ``(1 + depth) x``
-      homogeneous process.
+    Exponential gaps at ``rate_hz``, drawn one at a time from the
+    caller's RNG stream, so the schedule is a pure function of
+    (stream, rate, horizon) -- the replay contract for the
+    ``"service:<rank>"`` stream.
     """
     out: List[float] = []
     t = 0.0
-    if shape == "poisson":
-        while True:
-            t += rng.exponential(1.0 / rate_hz)
-            if t >= duration_s:
-                break
-            out.append(t)
-        return out
-    if shape == "bursty":
-        # High state for a fraction f of time at burst_factor * rate;
-        # the low rate is solved so the long-run mean is rate_hz
-        # (requires burst_factor < 1/f = 4).
-        f = 0.25
-        rate_hi = rate_hz * burst_factor
-        rate_lo = rate_hz * (1.0 - f * burst_factor) / (1.0 - f)
-        dwell_lo = burst_dwell_s or duration_s / 8.0
-        dwell_hi = dwell_lo * f / (1.0 - f)
-        hi = False
-        t_switch = rng.exponential(dwell_lo)
-        while t < duration_s:
-            rate = rate_hi if hi else rate_lo
-            t_next = t + rng.exponential(1.0 / rate)
-            if t_next >= t_switch:
-                t = t_switch
-                hi = not hi
-                t_switch = t + rng.exponential(dwell_hi if hi else dwell_lo)
-                continue
-            t = t_next
-            if t < duration_s:
-                out.append(t)
-        return out
-    # diurnal: thinning against the peak rate.
-    rate_max = rate_hz * (1.0 + diurnal_depth)
     while True:
-        t += rng.exponential(1.0 / rate_max)
+        t += rng.exponential(1.0 / rate_hz)
         if t >= duration_s:
             break
-        inst = rate_hz * (
-            1.0 + diurnal_depth * math.sin(
-                2.0 * math.pi * t / duration_s - math.pi / 2.0
-            )
-        )
-        if rng.random() * rate_max <= inst:
-            out.append(t)
+        out.append(t)
     return out
 
 
@@ -243,15 +163,11 @@ def arrival_times(
 # Wire payloads
 # ======================================================================
 class _SvcRequest:
-    __slots__ = ("req_id", "client", "t_sent", "deadline_s", "service_s",
-                 "reply_bytes")
+    __slots__ = ("req_id", "client", "deadline_s", "service_s", "reply_bytes")
 
-    def __init__(self, req_id, client, t_sent, deadline_s, service_s,
-                 reply_bytes):
+    def __init__(self, req_id, client, deadline_s, service_s, reply_bytes):
         self.req_id = req_id
         self.client = client
-        #: Issue time of this attempt (CoDel sojourn base).
-        self.t_sent = t_sent
         #: Absolute deadline (propagated; None = no deadline).
         self.deadline_s = deadline_s
         self.service_s = service_s
@@ -451,8 +367,8 @@ def _issue(st: _ClientState, th: MpiThread, rec: _Rec):
     now = th.sim.now
     attempt = len(rec.attempts)
     msg = _SvcRequest(
-        rec.req_id, st.rank, now, rec.deadline_s,
-        cfg.service_ns * 1e-9, cfg.reply_bytes,
+        rec.req_id, st.rank, rec.deadline_s, cfg.service_ns * 1e-9,
+        cfg.reply_bytes,
     )
     sreq = yield from th.isend(st.server, cfg.req_bytes, tag=_REQ_TAG, data=msg)
     rreq = yield from th.irecv(
@@ -691,8 +607,7 @@ def _server_worker(sst: _ServerState, th: MpiThread, cfg: ServiceConfig):
             sst.degrade_shed += 1
             sst.trace.append(f"{msg.req_id}:d")
         elif not sst.admission.admit(
-            now, deadline_s=msg.deadline_s, t_sent=msg.t_sent,
-            depth=depth, service_s=msg.service_s,
+            now, deadline_s=msg.deadline_s, service_s=msg.service_s,
         ):
             shed = True
             sst.trace.append(f"{msg.req_id}:s")
@@ -806,11 +721,7 @@ def run_service(
     cstates: List[_ClientState] = []
     for c in range(pairs):
         rng = sim.rng.stream(f"service:{c}")
-        arrivals = arrival_times(
-            rng, cfg.shape, cfg.rate_hz, cfg.duration_s,
-            burst_factor=cfg.burst_factor, burst_dwell_s=cfg.burst_dwell_s,
-            diurnal_depth=cfg.diurnal_depth,
-        )
+        arrivals = arrival_times(rng, cfg.rate_hz, cfg.duration_s)
         st = _ClientState(cfg, robust, sim, obs, c, pairs + c, n_threads)
         st.arrivals = arrivals
         rt = cluster.runtimes[c]

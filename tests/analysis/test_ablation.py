@@ -77,7 +77,6 @@ class TestMatrixShape:
         cells = build_matrix(["fig_chaos"])
         labels = {c.label for c in cells}
         assert "no-reliability" not in labels
-        assert "no-watchdog" not in labels
         assert "no-lock" in labels  # safe components still vary
 
     def test_pairwise_cells(self):
@@ -253,7 +252,7 @@ def _fake_records():
         mk("baseline", [], rate=100.0, dangling=10.0),
         mk("no-lock", ["lock"], rate=50.0, dangling=40.0),
         mk("no-eager", ["eager"], rate=90.0, dangling=10.0),
-        dict(mk("no-watchdog", ["watchdog"]), status="failed",
+        dict(mk("no-robust", ["robust"]), status="failed",
              error="boom", metrics=None),
     ]
 

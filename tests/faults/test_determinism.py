@@ -11,8 +11,6 @@ Two halves:
   hot path at the cost of one attribute check.
 """
 
-import pytest
-
 from repro.faults import FaultPlan
 from repro.mpi import Cluster, ClusterConfig
 from repro.workloads import (
@@ -25,7 +23,6 @@ from repro.workloads import (
     throughput_cluster,
 )
 
-pytestmark = pytest.mark.faults
 
 TP_CFG = ThroughputConfig(msg_size=1024, n_windows=4)
 

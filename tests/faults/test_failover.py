@@ -8,7 +8,6 @@ from repro.mpi import Cluster, ClusterConfig
 from repro.obs import Instrument
 from repro.workloads import ThroughputConfig, run_throughput, throughput_cluster
 
-pytestmark = pytest.mark.faults
 
 
 def make_vci_cluster(**kw):

@@ -14,7 +14,6 @@ from repro.network import Fabric, NetworkConfig, Packet, PacketKind, PacketTrace
 from repro.obs import Instrument
 from repro.sim import Simulator
 
-pytestmark = pytest.mark.faults
 
 
 def make_fabric(plan=None, n_ranks=2, ranks_per_node=1, seed=7):
@@ -132,21 +131,12 @@ def test_crashed_receiver_drops_inbound():
     assert fab.faults.stats.crash_drops == 1
 
 
-def test_internode_only_spares_the_shm_path():
+def test_random_faults_spare_the_shm_path():
     sim, fab = make_fabric(FaultPlan(drop=1.0), n_ranks=2, ranks_per_node=2)
     fab.send(Packet(PacketKind.EAGER, 0, 1, 100))  # same node
     sim.run()
     assert len(fab.nic(1).recv_q) == 1
     assert fab.faults.stats.drops == 0
-
-
-def test_intranode_faults_opt_in():
-    plan = FaultPlan(drop=1.0, internode_only=False)
-    sim, fab = make_fabric(plan, n_ranks=2, ranks_per_node=2)
-    fab.send(Packet(PacketKind.EAGER, 0, 1, 100))
-    sim.run()
-    assert len(fab.nic(1).recv_q) == 0
-    assert fab.faults.stats.drops == 1
 
 
 def test_fault_events_on_obs_bus():

@@ -11,7 +11,6 @@ from repro.faults import (
     parse_fault_plan,
 )
 
-pytestmark = pytest.mark.faults
 
 
 def test_default_plan_is_inactive():
@@ -69,7 +68,6 @@ def test_parse_basic_spec():
     plan = parse_fault_plan("drop=0.01,dup=0.001")
     assert plan.drop == 0.01
     assert plan.duplicate == 0.001
-    assert plan.internode_only
 
 
 def test_parse_none_and_empty():
@@ -83,11 +81,6 @@ def test_parse_passthrough_plan():
     assert parse_fault_plan(plan) is plan
 
 
-def test_parse_intranode_flag():
-    assert not parse_fault_plan("drop=0.1,intranode=1").internode_only
-    assert parse_fault_plan("drop=0.1,intranode=0").internode_only
-
-
 def test_parse_int_fields_coerced():
     plan = parse_fault_plan("drop=0.1,watchdog_grace=3")
     assert plan.watchdog_grace == 3
@@ -97,6 +90,9 @@ def test_parse_int_fields_coerced():
 def test_parse_unknown_key_rejected():
     with pytest.raises(ValueError, match="valid keys"):
         parse_fault_plan("dorp=0.01")
+    # Random faults always spare the shm path; there is no switch.
+    with pytest.raises(ValueError, match="valid keys: drop, dup, "):
+        parse_fault_plan("intranode=1")
 
 
 def test_parse_malformed_item_rejected():
@@ -108,6 +104,14 @@ def test_spec_round_trips():
     plan = FaultPlan(drop=0.01, duplicate=0.001)
     assert parse_fault_plan(plan.spec()) == plan
     assert str(FaultPlan.none()) == "none"
+    assert str(FaultPlan(drop=0.01)) == "drop=0.01"
+    # Every non-default knob the parser reads is printed back.
+    text = "drop=0.01,watchdog_grace=3,reorder_delay_ns=7"
+    assert parse_fault_plan(text).spec() == \
+        "drop=0.01,reorder_delay_ns=7,watchdog_grace=3"
+    plan = FaultPlan(reorder=0.25, reorder_delay_ns=1234.5,
+                     watchdog_interval_ns=123_456_789.0, watchdog_grace=9)
+    assert parse_fault_plan(plan.spec()) == plan
 
 
 def test_with_overrides():

@@ -5,7 +5,6 @@ import pytest
 from repro.faults import FaultPlan, ReliabilityConfig
 from repro.mpi import Cluster, ClusterConfig
 
-pytestmark = pytest.mark.faults
 
 
 def make_cluster(**kw):

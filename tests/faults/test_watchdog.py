@@ -8,7 +8,6 @@ from repro.mpi import Cluster, ClusterConfig
 from repro.obs import Instrument
 from repro.workloads.n2n import N2NConfig, run_n2n
 
-pytestmark = pytest.mark.faults
 
 
 def _lossy_cluster(bus=None):

@@ -3,6 +3,7 @@ per-domain dangling-request accounting."""
 
 import pytest
 
+from repro.locks.ticket import TicketLock
 from repro.mpi import Cluster, ClusterConfig
 from repro.mpi.envelope import ANY_SOURCE, ANY_TAG, Envelope
 from repro.mpi.vci import CsGranularity, CsPolicy, parse_cs_policy
@@ -30,15 +31,11 @@ def test_granularity_parse_rejects_unknown():
 def test_parse_policy_specs():
     assert parse_cs_policy("global") == CsPolicy()
     assert parse_cs_policy("per-vci:4") == CsPolicy(kind="per-vci", n_domains=4)
-    assert parse_cs_policy("per-vci:4:ticket") == CsPolicy(
-        kind="per-vci", n_domains=4, lock="ticket")
-    assert parse_cs_policy("per-tag:8") == CsPolicy(kind="per-tag", n_domains=8)
-    # per-peer defaults its domain count to the rank count.
-    assert parse_cs_policy("per-peer", n_ranks=6).n_domains == 6
+    assert parse_cs_policy("per-vci") == CsPolicy(kind="per-vci", n_domains=4)
 
 
 def test_parse_policy_roundtrip():
-    for spec in ("global", "per-peer:2", "per-tag:8", "per-vci:4:ticket"):
+    for spec in ("global", "per-vci:4", "per-vci:2"):
         assert parse_cs_policy(spec).spec() == spec
 
 
@@ -47,12 +44,18 @@ def test_parse_policy_rejects_garbage():
         parse_cs_policy("per-rainbow:4")
     with pytest.raises(ValueError, match="domain count"):
         parse_cs_policy("per-vci:many")
-    with pytest.raises(ValueError, match="malformed"):
-        parse_cs_policy("per-vci:4:ticket:extra")
+    with pytest.raises(ValueError, match="'global:4'.*valid policies"):
+        parse_cs_policy("global:4")
     with pytest.raises(ValueError):
         CsPolicy(kind="per-vci", n_domains=0)
     with pytest.raises(ValueError):
         CsPolicy(kind="global", n_domains=2)
+
+
+@pytest.mark.parametrize("spec", ["per-peer", "per-tag:8", "per-vci:4:ticket"])
+def test_removed_policy_specs_rejected(spec):
+    with pytest.raises(ValueError, match="valid policies: global, per-vci"):
+        parse_cs_policy(spec)
 
 
 def test_routing_is_deterministic_and_in_range():
@@ -71,12 +74,12 @@ def test_global_policy_routes_everything_to_zero():
 
 
 def test_wildcards_unroutable_only_in_hashed_fields():
-    per_peer = CsPolicy(kind="per-peer", n_domains=4)
-    assert per_peer.route_recv(Envelope(source=ANY_SOURCE, tag=3)) is None
-    assert per_peer.route_recv(Envelope(source=2, tag=ANY_TAG)) == 2
-    per_tag = CsPolicy(kind="per-tag", n_domains=4)
-    assert per_tag.route_recv(Envelope(source=ANY_SOURCE, tag=3)) == 3
-    assert per_tag.route_recv(Envelope(source=2, tag=ANY_TAG)) is None
+    # per-vci hashes both the source and the tag; global hashes nothing.
+    per_vci = CsPolicy(kind="per-vci", n_domains=4)
+    assert per_vci.route_recv(Envelope(source=ANY_SOURCE, tag=3)) is None
+    assert per_vci.route_recv(Envelope(source=2, tag=ANY_TAG)) is None
+    assert per_vci.route_recv(Envelope(source=2, tag=3)) == per_vci.route(2, 3)
+    assert CsPolicy().route_recv(Envelope(source=ANY_SOURCE, tag=3)) == 0
 
 
 def test_sender_and_receiver_agree_on_route():
@@ -90,7 +93,8 @@ def test_sender_and_receiver_agree_on_route():
 def test_cluster_rejects_bad_policy_and_bad_policy_lock():
     with pytest.raises(ValueError, match="valid policies"):
         ClusterConfig(cs="per-rainbow")
-    with pytest.raises(ValueError, match="unknown lock"):
+    # Domain locks take the cluster's lock class; a spec names no lock.
+    with pytest.raises(ValueError, match="valid policies"):
         ClusterConfig(cs="per-vci:4:rainbow")
 
 
@@ -114,14 +118,20 @@ def _exchange(cluster, n_msgs=6, nbytes=256, wildcard=False):
     ])
 
 
-@pytest.mark.parametrize("cs", ["per-peer", "per-tag:3", "per-vci:4"])
+@pytest.mark.parametrize("cs", ["per-vci:4"])
 def test_sharded_exchange_completes(cs):
-    cl = Cluster(ClusterConfig(n_nodes=2, threads_per_rank=1, cs=cs, seed=0))
+    cl = Cluster(ClusterConfig(n_nodes=2, threads_per_rank=1, lock="ticket",
+                               cs=cs, seed=0))
     _exchange(cl)
     rt = cl.runtimes[1]
     assert rt.stats.completed == rt.stats.freed
     assert rt.dangling_count == 0
     assert all(len(d.posted_q) == 0 for d in rt.domains)
+    # Every domain lock is of the cluster's class, under its own name
+    # (lock names key RNG streams).
+    assert all(isinstance(d.lock, TicketLock) for d in rt.domains)
+    names = [d.lock.name for d in rt.domains]
+    assert len(set(names)) == len(names)
 
 
 @pytest.mark.parametrize("nbytes", [256, 100_000])  # eager and rendezvous
@@ -190,15 +200,3 @@ def test_dangling_sums_across_domains(gran, cs):
         assert rt.dangling_count == 0
         assert rt.dangling_by_domain() == [0] * n_domains
         assert rt.peak_dangling >= 1
-
-
-def test_policy_lock_override_builds_that_lock():
-    from repro.locks.ticket import TicketLock
-
-    cl = Cluster(ClusterConfig(n_nodes=2, threads_per_rank=1, lock="mutex",
-                               cs="per-vci:2:ticket", seed=0))
-    rt = cl.runtimes[0]
-    assert all(isinstance(d.lock, TicketLock) for d in rt.domains)
-    # Multi-domain locks get distinct names (they key RNG streams).
-    names = [d.lock.name for d in rt.domains]
-    assert len(set(names)) == len(names)

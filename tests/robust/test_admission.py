@@ -5,19 +5,13 @@ import pytest
 from repro.robust import (
     ADMISSION_POLICIES,
     AdmissionPolicy,
-    CoDelPolicy,
     DeadlineAwarePolicy,
-    QueueCapPolicy,
     make_admission,
 )
 
 
-def admit(policy, now=0.0, deadline_s=None, t_sent=0.0, depth=0,
-          service_s=20e-6):
-    return policy.admit(
-        now, deadline_s=deadline_s, t_sent=t_sent, depth=depth,
-        service_s=service_s,
-    )
+def admit(policy, now=0.0, deadline_s=None, service_s=20e-6):
+    return policy.admit(now, deadline_s=deadline_s, service_s=service_s)
 
 
 # ----------------------------------------------------------------------
@@ -25,25 +19,9 @@ def admit(policy, now=0.0, deadline_s=None, t_sent=0.0, depth=0,
 # ----------------------------------------------------------------------
 def test_none_admits_everything():
     p = AdmissionPolicy()
-    for depth in (0, 10_000):
-        assert admit(p, depth=depth, deadline_s=-1.0)
+    for deadline_s in (None, -1.0):
+        assert admit(p, deadline_s=deadline_s)
     assert p.admitted == 2 and p.shed == 0
-
-
-# ----------------------------------------------------------------------
-# queue-cap
-# ----------------------------------------------------------------------
-def test_queue_cap_sheds_above_cap():
-    p = QueueCapPolicy(cap=4)
-    assert admit(p, depth=4)   # at cap: admitted
-    assert not admit(p, depth=5)
-    assert admit(p, depth=0)   # recovers instantly once drained
-    assert p.admitted == 2 and p.shed == 1
-
-
-def test_queue_cap_validation():
-    with pytest.raises(ValueError):
-        QueueCapPolicy(cap=0)
 
 
 # ----------------------------------------------------------------------
@@ -69,78 +47,18 @@ def test_deadline_margin_validation():
 
 
 # ----------------------------------------------------------------------
-# CoDel
-# ----------------------------------------------------------------------
-def test_codel_quiet_queue_never_sheds():
-    p = CoDelPolicy(target_ns=100_000.0, interval_ns=1_000_000.0)
-    for i in range(50):
-        # Sojourn 50us < 100us target.
-        assert admit(p, now=i * 1e-5, t_sent=i * 1e-5 - 50e-6)
-    assert p.shed == 0
-
-
-def test_codel_sheds_after_a_full_interval_above_target():
-    p = CoDelPolicy(target_ns=100_000.0, interval_ns=1_000_000.0)
-    # Sojourn permanently 200us > target.  First above-target arrival
-    # starts the interval clock; arrivals inside the interval are still
-    # admitted; the first arrival past it is shed.
-    assert admit(p, now=0.0, t_sent=-200e-6)
-    assert admit(p, now=0.5e-3, t_sent=0.5e-3 - 200e-6)
-    assert not admit(p, now=1.1e-3, t_sent=1.1e-3 - 200e-6)
-    # In the dropping state the next shed comes interval/sqrt(2) later;
-    # an arrival before that is admitted, one after is shed.
-    assert admit(p, now=1.2e-3, t_sent=1.2e-3 - 200e-6)
-    assert not admit(p, now=2.2e-3, t_sent=2.2e-3 - 200e-6)
-    assert p.shed == 2
-
-
-def test_codel_exits_dropping_when_sojourn_dips_below_target():
-    p = CoDelPolicy(target_ns=100_000.0, interval_ns=1_000_000.0)
-    admit(p, now=0.0, t_sent=-200e-6)
-    admit(p, now=0.5e-3, t_sent=0.5e-3 - 200e-6)
-    assert not admit(p, now=1.1e-3, t_sent=1.1e-3 - 200e-6)  # dropping
-    # One good sojourn resets the whole state machine...
-    assert admit(p, now=1.2e-3, t_sent=1.2e-3 - 10e-6)
-    # ...so the next above-target arrival gets a fresh full interval.
-    assert admit(p, now=1.3e-3, t_sent=1.3e-3 - 200e-6)
-    assert admit(p, now=2.0e-3, t_sent=2.0e-3 - 200e-6)
-    assert p.shed == 1
-
-
-def test_codel_validation():
-    with pytest.raises(ValueError):
-        CoDelPolicy(target_ns=0.0)
-    with pytest.raises(ValueError):
-        CoDelPolicy(interval_ns=-1.0)
-
-
-# ----------------------------------------------------------------------
 # make_admission (spec parsing)
 # ----------------------------------------------------------------------
 def test_registry_matches_parser():
-    assert set(ADMISSION_POLICIES) == {"none", "queue-cap", "deadline", "codel"}
+    assert set(ADMISSION_POLICIES) == {"none", "deadline"}
 
 
 @pytest.mark.parametrize("spec,cls", [
     ("none", AdmissionPolicy),
-    ("queue-cap", QueueCapPolicy),
-    ("queue-cap:8", QueueCapPolicy),
     ("deadline", DeadlineAwarePolicy),
-    ("deadline:3", DeadlineAwarePolicy),
-    ("codel", CoDelPolicy),
-    ("codel:50000", CoDelPolicy),
-    ("codel:50000:500000", CoDelPolicy),
 ])
 def test_specs_parse_to_expected_class(spec, cls):
     assert type(make_admission(spec)) is cls
-
-
-def test_spec_args_reach_the_policy():
-    assert make_admission("queue-cap:8").cap == 8
-    assert make_admission("deadline:3").margin == 3.0
-    p = make_admission("codel:50000:500000")
-    assert p.target_s == pytest.approx(50e-6)
-    assert p.interval_s == pytest.approx(500e-6)
 
 
 def test_empty_spec_means_none():
@@ -149,9 +67,9 @@ def test_empty_spec_means_none():
 
 
 def test_each_call_returns_fresh_state():
-    a, b = make_admission("queue-cap"), make_admission("queue-cap")
+    a, b = make_admission("deadline"), make_admission("deadline")
     assert a is not b
-    admit(a, depth=10_000)
+    assert not admit(a, deadline_s=-1.0)
     assert b.shed == 0
 
 
@@ -163,7 +81,9 @@ def test_unknown_policy_listed_in_error():
 def test_malformed_specs_rejected():
     with pytest.raises(ValueError):
         make_admission("none:3")
-    with pytest.raises(ValueError):
-        make_admission("queue-cap:many")
-    with pytest.raises(ValueError):
-        make_admission("queue-cap:0")  # policy's own validation
+
+
+@pytest.mark.parametrize("spec", ["codel", "queue-cap:8", "deadline:3"])
+def test_removed_policies_and_spec_arguments_rejected(spec):
+    with pytest.raises(ValueError, match="valid policies: deadline, none"):
+        make_admission(spec)

@@ -41,4 +41,4 @@ def test_malformed_admission_spec_fails_at_construction():
     with pytest.raises(ValueError, match="valid policies"):
         RobustConfig(admission="fifo")
     with pytest.raises(ValueError):
-        RobustConfig(admission="queue-cap:0")
+        RobustConfig(admission="deadline:0")

@@ -181,6 +181,15 @@ def test_ablate_unknown_component(capsys):
     assert "unknown component" in capsys.readouterr().err
 
 
+def test_ablate_removed_watchdog_component(capsys):
+    assert main(["ablate", "--experiments", "fig2b",
+                 "--components", "watchdog"]) == 2
+    err = capsys.readouterr().err
+    assert "unknown component(s) 'watchdog'" in err
+    assert ("valid components: lock, sharding, completion, eager, "
+            "reliability, robust") in err
+
+
 def test_ablate_runs_and_resumes(capsys, tmp_path):
     journal = tmp_path / "ablate.jsonl"
     argv = ["ablate", "--experiments", "fig2b", "--components", "lock",
