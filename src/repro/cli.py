@@ -143,11 +143,15 @@ def _cmd_spec(args) -> int:
 def _cmd_throughput(args) -> int:
     from .workloads import ThroughputConfig, run_throughput, throughput_cluster
 
-    cluster = throughput_cluster(
-        lock=args.lock, threads_per_rank=args.threads,
-        binding=args.binding, seed=args.seed, cs=args.cs,
-        faults=args.faults, reliability=args.retransmit,
-    )
+    try:
+        cluster = throughput_cluster(
+            lock=args.lock, threads_per_rank=args.threads,
+            binding=args.binding, seed=args.seed, cs=args.cs,
+            faults=args.faults, reliability=args.retransmit,
+        )
+    except ValueError as exc:
+        print(f"throughput: error: {exc}", file=sys.stderr)
+        return 2
     res = run_throughput(cluster, ThroughputConfig(
         msg_size=args.size, n_windows=args.windows))
     rows = [[args.lock, cluster.config.cs.spec(), args.threads, args.size,

@@ -91,7 +91,7 @@ class PthreadMutexModel(SimLock):
             self.futex_wakes += 1
             # FUTEX_WAKE: syscall + IPI + scheduler latency before the
             # woken thread is back in user space retrying its CAS.
-            self.sim.call_after(self.costs.futex_wake, ev.succeed)
+            self.sim.succeed_after(self.costs.futex_wake, ev)
             # The *releaser* is stuck in the syscall meanwhile -- a
             # contended unlock is far more expensive than an uncontended
             # one, which is the main per-message penalty the mutex pays.

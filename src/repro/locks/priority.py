@@ -147,5 +147,5 @@ class SocketAwareLock(SimLock):
         pool = same if same else list(self._waiting.values())
         seq, ev, wctx = min(pool, key=lambda rec: rec[0])
         del self._waiting[wctx.tid]
-        self.sim.call_after(self._handoff_cost(ctx.core, wctx.core), ev.succeed)
+        self.sim.succeed_after(self._handoff_cost(ctx.core, wctx.core), ev)
         return 0.0

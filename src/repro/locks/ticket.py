@@ -68,5 +68,5 @@ class TicketLock(SimLock):
             ev, wctx = nxt
             # The waiter spins on now_serving; it observes the store after
             # the cache line reaches its core.
-            self.sim.call_after(self._handoff_cost(ctx.core, wctx.core), ev.succeed)
+            self.sim.succeed_after(self._handoff_cost(ctx.core, wctx.core), ev)
         return 0.0

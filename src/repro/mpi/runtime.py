@@ -35,6 +35,7 @@ the live requests on demand.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..locks.base import Priority, SimLock
@@ -672,12 +673,12 @@ class MpiRuntime:
                 payload=_EagerInfo(env, nbytes, req.req_id, data, dom.index),
                 vci=self.policy.route_msg(env),
             )
-            local_done = self.fabric.send(pkt)
             if self._rel is None:
                 # Reliable fabric: local completion is delivery.
-                local_done.add_callback(lambda _ev, r=req: self._complete(r))
+                self.fabric.send(pkt, partial(self._complete, req))
             else:
                 # Lossy fabric: completion waits for the receiver's ACK.
+                self.fabric.send(pkt)
                 self._rel.track(pkt, req)
         yield from self._cs_release(dom, ctx)
         return req
@@ -1259,10 +1260,10 @@ class MpiRuntime:
                 PacketKind.RNDV_DATA, self.rank, pkt.src_rank, req.nbytes,
                 payload=(recv_req_id, data, req.vci), vci=recv_vci,
             )
-            local_done = self.fabric.send(data_pkt)
             if self._rel is None:
-                local_done.add_callback(lambda _ev, r=req: self._complete(r))
+                self.fabric.send(data_pkt, partial(self._complete, req))
             else:
+                self.fabric.send(data_pkt)
                 self._rel.track(data_pkt, req)
         elif kind is PacketKind.RNDV_DATA:
             recv_req_id, data, _sender_vci = pkt.payload

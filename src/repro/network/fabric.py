@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, Optional
 
 from ..sim.engine import Simulator
 from .message import Packet
@@ -156,9 +156,12 @@ class Fabric:
         return self._nics[rank]
 
     # ------------------------------------------------------------------
-    def send(self, packet: Packet):
-        """Inject ``packet``; returns an Event firing at *local completion*
-        (source buffer reusable / data handed to the NIC)."""
+    def send(self, packet: Packet, done: Optional[Callable[[], None]] = None) -> None:
+        """Inject ``packet``; ``done()`` runs at *local completion*
+        (source buffer reusable / data handed to the NIC), before the
+        delivery.  Without ``done`` nothing is queued for the local
+        completion.  A crashed sender's packet never leaves and its
+        ``done`` never runs."""
         cfg = self.config
         try:
             src = self._nics[packet.src_rank]
@@ -171,9 +174,9 @@ class Fabric:
         now = self.sim.now
         faults = self.faults
         if faults is not None and faults.block_send(packet, now):
-            # A crashed sender's packets never leave; the local-completion
-            # event never fires (its buffers are gone with it).
-            return self.sim.event(name="send-from-crashed-rank")
+            # A crashed sender's packets never leave; the local completion
+            # never comes (its buffers are gone with it).
+            return
         stall = 0.0 if faults is None else faults.inject_penalty(packet.src_rank, now)
         wire_bytes = packet.nbytes + cfg.header_bytes
 
@@ -212,23 +215,23 @@ class Fabric:
                 obs.counter("net", "uplink.backlog_us",
                             max(0.0, self._uplinks[src.node].busy_until - now) * 1e6,
                             rank=packet.src_rank)
-        local_done = self.sim.timeout(inject_done - now)
+        if done is not None:
+            self.sim.call_after(inject_done - now, done)
         if faults is None:
             self.sim.call_after(deliver_at - now, self._deliver, dst, packet)
-            return local_done
+            return
         fate = faults.fate(packet, src.node, dst.node, now, deliver_at)
         if fate.drop:
             # The wire time was spent (reservations stand); only the
-            # delivery is lost.  Local completion still fires: a lossy
+            # delivery is lost.  Local completion still comes: a lossy
             # NIC reports injection, not receipt.
-            return local_done
+            return
         delay = deliver_at - now + fate.extra_delay
         self.sim.call_after(delay, self._deliver, dst, packet)
         if fate.duplicate:
             self.sim.call_after(
                 delay + faults.duplicate_gap, self._deliver, dst, packet
             )
-        return local_done
 
     def _deliver(self, nic: RankNic, packet: Packet) -> None:
         if nic.on_touch is not None:

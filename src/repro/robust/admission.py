@@ -64,25 +64,24 @@ class AdmissionPolicy:
         return f"<{type(self).__name__} admitted={self.admitted} shed={self.shed}>"
 
 
+#: Factor on the service estimate that covers reply flight time and
+#: queueing ahead of the request (:class:`DeadlineAwarePolicy`).
+DEADLINE_MARGIN = 2.0
+
+
 class DeadlineAwarePolicy(AdmissionPolicy):
     """Admit iff the request can still meet its deadline.
 
-    ``margin`` scales the service estimate to cover reply flight time
-    and queueing ahead of this request; requests without a deadline
-    stamp are always admitted (nothing to judge against).
+    The service estimate is scaled by :data:`DEADLINE_MARGIN`; requests
+    without a deadline stamp are always admitted (nothing to judge
+    against).
     """
 
-    __slots__ = ("margin",)
+    __slots__ = ()
     name = "deadline"
 
-    def __init__(self, margin: float = 2.0):
-        super().__init__()
-        if margin < 1.0:
-            raise ValueError(f"deadline margin must be >= 1, got {margin}")
-        self.margin = margin
-
     def admit(self, now, *, deadline_s, service_s):
-        if deadline_s is not None and now + service_s * self.margin > deadline_s:
+        if deadline_s is not None and now + service_s * DEADLINE_MARGIN > deadline_s:
             self.shed += 1
             return False
         self.admitted += 1

@@ -167,6 +167,31 @@ class Simulator:
         self._push((self.now + delay, next(self._seq), timer))
         return timer
 
+    def succeed_after(self, delay: float, event: Event) -> None:
+        """Trigger ``event`` ``delay`` seconds from now, as
+        ``call_after(delay, event.succeed)`` would, in one dispatch.
+
+        When the timer fires and nothing could run between it and the
+        event's own zero-delay dispatch -- no batch sibling in flight,
+        no live-or-dead entry at this instant, no bus wanting ``sim``
+        instants -- the event's callbacks run inside the timer's
+        dispatch (DESIGN.md section 9).  Otherwise, or if the event was
+        cancelled or triggered meanwhile, it is ``event.succeed()``."""
+        self.call_after(delay, self._succeed_now, event)
+
+    def _succeed_now(self, event: Event) -> None:
+        heap = self.queue._heap
+        obs = self.obs
+        if (
+            self._inflight or (heap and heap[0][0] <= self.now)
+            or event._scheduled or event._triggered or event._cancelled
+            or (obs is not None and obs.wants("sim"))
+        ):
+            event.succeed()
+            return
+        event._value = None
+        event._process()
+
     # ------------------------------------------------------------------
     # Scheduling internals
     # ------------------------------------------------------------------

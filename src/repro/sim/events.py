@@ -190,7 +190,7 @@ class Timeout(Event):
     """An event that fires ``delay`` simulated seconds after creation.
 
     For an event others wait on or compose (``any_of``, a watchdog
-    sample, a NIC's local completion).  A process that only sleeps
+    sample).  A process that only sleeps
     yields the bare ``float`` delay instead, and a plain callback uses
     :meth:`Simulator.call_after`: neither allocates a Timeout (DESIGN.md
     section 9).

@@ -43,8 +43,17 @@ class Signal:
         return self._event
 
     def fire(self, value: Any = None) -> None:
-        ev, self._event = self._event, self.sim.event(name=self.name)
+        """Wake every waiter with ``value`` and re-arm.
+
+        A fire with nobody waiting schedules nothing: the armed event
+        has no callbacks, so dispatching it would do no work.  It stays
+        armed for the next :meth:`wait`, whose caller yields it at once
+        and so wakes on the next fire, with that fire's value."""
+        ev = self._event
         del self._waiters[:]
+        if not ev.callbacks:
+            return
+        self._event = self.sim.event(name=self.name)
         ev.succeed(value)
 
 

@@ -46,7 +46,7 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from ..machine import BINDINGS, ThreadCtx
 from ..mpi.world import Cluster, ClusterConfig

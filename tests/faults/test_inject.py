@@ -29,13 +29,8 @@ def make_fabric(plan=None, n_ranks=2, ranks_per_node=1, seed=7):
 def test_certain_drop_loses_delivery_but_completes_locally():
     sim, fab = make_fabric(FaultPlan(drop=1.0))
     local = []
-
-    def proc():
-        done = fab.send(Packet(PacketKind.EAGER, 0, 1, 1000))
-        yield done
-        local.append(sim.now)
-
-    sim.process(proc())
+    fab.send(Packet(PacketKind.EAGER, 0, 1, 1000),
+             lambda: local.append(sim.now))
     sim.run()
     assert local, "local completion must fire even for a dropped packet"
     assert len(fab.nic(1).recv_q) == 0
@@ -102,13 +97,8 @@ def test_inject_stall_delays_delivery():
 def test_crashed_sender_blocks_and_never_completes():
     sim, fab = make_fabric(FaultPlan(crashes=(RankCrash(rank=0, at_s=0.0),)))
     finished = []
-
-    def proc():
-        done = fab.send(Packet(PacketKind.EAGER, 0, 1, 100))
-        yield done
-        finished.append(True)  # pragma: no cover - must not run
-
-    sim.process(proc())
+    fab.send(Packet(PacketKind.EAGER, 0, 1, 100),
+             lambda: finished.append(True))  # pragma: no cover - must not run
     sim.run()
     assert not finished, "a crashed rank's send must never complete"
     assert len(fab.nic(1).recv_q) == 0
@@ -118,13 +108,7 @@ def test_crashed_sender_blocks_and_never_completes():
 def test_crashed_receiver_drops_inbound():
     sim, fab = make_fabric(FaultPlan(crashes=(RankCrash(rank=1, at_s=0.0),)))
     local = []
-
-    def proc():
-        done = fab.send(Packet(PacketKind.EAGER, 0, 1, 100))
-        yield done
-        local.append(True)
-
-    sim.process(proc())
+    fab.send(Packet(PacketKind.EAGER, 0, 1, 100), lambda: local.append(True))
     sim.run()
     assert local, "the sender still completes locally"
     assert len(fab.nic(1).recv_q) == 0

@@ -91,14 +91,9 @@ def test_intranode_uses_shm_path_and_is_faster():
 def test_local_completion_before_delivery():
     sim, fab = make_fabric()
     times = {}
-
-    def proc():
-        done = fab.send(Packet(PacketKind.EAGER, 0, 1, 10_000))
-        yield done
-        times["local"] = sim.now
-
     recs = delivered(sim)
-    sim.process(proc())
+    fab.send(Packet(PacketKind.EAGER, 0, 1, 10_000),
+             lambda: times.setdefault("local", sim.now))
     sim.run()
     times["deliver"] = recs[0].time
     assert times["local"] < times["deliver"]
@@ -106,6 +101,14 @@ def test_local_completion_before_delivery():
     assert times["deliver"] - times["local"] == pytest.approx(
         fab.config.latency_ns * 1e-9
     )
+
+
+def test_send_without_done_queues_only_the_delivery():
+    sim, fab = make_fabric()
+    fab.send(Packet(PacketKind.EAGER, 0, 1, 10_000))
+    assert sim.queued_events == 1
+    fab.send(Packet(PacketKind.EAGER, 0, 1, 10_000), lambda: None)
+    assert sim.queued_events == 3
 
 
 def test_uplink_serializes_concurrent_messages():

@@ -28,7 +28,7 @@ def test_none_admits_everything():
 # deadline-aware
 # ----------------------------------------------------------------------
 def test_deadline_aware_sheds_unmeetable_requests():
-    p = DeadlineAwarePolicy(margin=2.0)
+    p = DeadlineAwarePolicy()
     # Needs 2 * 20us = 40us of headroom.
     assert admit(p, now=0.0, deadline_s=41e-6)
     assert not admit(p, now=0.0, deadline_s=39e-6)
@@ -39,11 +39,6 @@ def test_deadline_aware_admits_without_deadline():
     p = DeadlineAwarePolicy()
     assert admit(p, now=1e9, deadline_s=None)
     assert p.shed == 0
-
-
-def test_deadline_margin_validation():
-    with pytest.raises(ValueError):
-        DeadlineAwarePolicy(margin=0.5)
 
 
 # ----------------------------------------------------------------------

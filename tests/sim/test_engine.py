@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import Event, SimulationError, Simulator
+from repro.sim import SimulationError, Simulator
 from repro.sim.rng import batched_draws
 
 

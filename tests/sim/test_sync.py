@@ -174,3 +174,27 @@ def test_signal_broadcast_and_rearm():
     sim.process(firer())
     sim.run()
     assert sorted(got) == [(0, "first"), (1, "first"), (2, "second")]
+
+
+def test_signal_fire_without_waiter_queues_nothing():
+    sim = Simulator()
+    sig = Signal(sim)
+    sig.wait(ctx="registered")  # introspection only; nobody yields it
+    queued = sim.queued_events
+    sig.fire("lost")
+    assert sim.queued_events == queued
+    assert sig.waiters == ()
+    got = []
+
+    def late_waiter():
+        got.append((yield sig.wait()))
+        got.append(sim.now)
+
+    def firer():
+        yield 1.0
+        sig.fire("next")
+
+    sim.process(late_waiter())
+    sim.process(firer())
+    sim.run()
+    assert got == ["next", 1.0]

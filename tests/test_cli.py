@@ -81,6 +81,20 @@ def test_throughput_command(capsys):
     assert "ticket" in out
 
 
+@pytest.mark.parametrize("argv, valid", [
+    (["--cs", "global:4"], "valid policies: global, per-vci"),
+    (["--faults", "dorp=1"], "valid keys: drop, dup, duplicate, reorder"),
+])
+def test_throughput_config_error_is_one_line(capsys, argv, valid):
+    assert main(["throughput", *argv]) == 2
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("throughput: error: ")
+    assert valid in lines[0]
+    assert captured.out == ""
+
+
 def test_requires_subcommand():
     with pytest.raises(SystemExit):
         main([])
