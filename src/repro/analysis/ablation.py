@@ -129,7 +129,7 @@ COMPONENTS: Dict[str, Component] = _components(
     ),
     Component(
         "robust",
-        "overload-protection preset (deadlines/retry/admission/degrade)",
+        "overload-protection preset (deadlines/retry/admission)",
         baseline={"robust": True},
         ablated={"robust": False},
     ),

@@ -161,7 +161,7 @@ def _cmd_throughput(args) -> int:
     inj = cluster.fault_injector
     if inj is not None or args.retransmit:
         headers += ["faults", "drops", "retransmits"]
-        drops = inj.stats.total_drops if inj is not None else 0
+        drops = inj.stats.drops if inj is not None else 0
         retx = sum(
             rt.rel_stats.retransmits for rt in cluster.runtimes
             if rt.rel_stats is not None

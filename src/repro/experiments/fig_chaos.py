@@ -58,7 +58,7 @@ def _goodput(
     total = threads * cfg.window * cfg.n_windows
     rate_k = total / elapsed / 1e3
     retransmits = sum(rt.rel_stats.retransmits for rt in cl.runtimes)
-    drops = cl.fault_injector.stats.total_drops if cl.fault_injector else 0
+    drops = cl.fault_injector.stats.drops if cl.fault_injector else 0
     return rate_k, retransmits, drops
 
 

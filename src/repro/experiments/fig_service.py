@@ -12,8 +12,8 @@ The fourth (``priority/global/cont``) runs continuation completion.
 Four traffic cells per variant:
 
 * ``0.8x prot``  -- clean fabric, 80% of nominal capacity, full
-  protection (deadlines + retry budget + deadline-aware shedding +
-  degraded mode).  This is the goodput peak.
+  protection (deadlines + retry budget + deadline-aware shedding).
+  This is the goodput peak.
 * ``1.5x prot``  -- same protection, offered load 1.5x capacity.  The
   graceful-degradation claim: goodput holds >= 70% of peak, p99 stays
   within 5x of the 0.8x cell's and p999 stays bounded near the
@@ -181,8 +181,7 @@ def run_fig_service(
         },
         notes=[
             "protection = deadline stamps (= SLO) + deadline-aware "
-            "admission (served => meets deadline) + retry budget + "
-            "degraded-mode controller",
+            "admission (served => meets deadline) + retry budget",
             "the unprotected open-loop queue grows ~0.5x offered rate; "
             "every reply is eventually delivered but misses the SLO",
             f"worst protected retention across variants: {worst_prot:.2f}x",

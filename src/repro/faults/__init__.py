@@ -3,9 +3,8 @@
 The paper's pathologies are liveness failures on a *perfect* fabric; this
 package asks what each remedy does when the fabric itself misbehaves.
 
-* :class:`FaultPlan` -- declarative, seeded fault description: packet
-  drop/duplicate/reorder, uplink brownout/blackout windows, NIC injection
-  stalls, scheduled rank crashes and arbitration-domain failures.
+* :class:`FaultPlan` -- declarative, seeded fault description: random
+  internode packet drop/duplicate/reorder.
 * :class:`FaultInjector` -- interprets a plan on the fabric's send path
   using its own named RNG stream (``"faults"``).
 * :class:`ReliabilityLayer` / :class:`ReliabilityConfig` -- the runtime
@@ -24,23 +23,12 @@ Wire it via ``ClusterConfig(faults=..., reliability=...)``, the
 """
 
 from .inject import FaultInjector, FaultStats, PacketFate
-from .plan import (
-    DomainFailure,
-    FaultPlan,
-    InjectStall,
-    LinkOutage,
-    RankCrash,
-    parse_fault_plan,
-)
+from .plan import FaultPlan, parse_fault_plan
 from .reliability import ReliabilityConfig, ReliabilityLayer, ReliabilityStats
 from .watchdog import ProgressStallError, ProgressWatchdog
 
 __all__ = [
     "FaultPlan",
-    "LinkOutage",
-    "InjectStall",
-    "RankCrash",
-    "DomainFailure",
     "parse_fault_plan",
     "FaultInjector",
     "FaultStats",

@@ -54,9 +54,8 @@ class ProgressWatchdog:
         self.diagnostics: Optional[dict] = None
         #: Early-warning hooks: callables invoked as ``hook(frozen)``
         #: once per stall episode, when the frozen-sample count first
-        #: reaches half the grace period -- before the abort, early
-        #: enough for a degraded-mode controller (:mod:`repro.robust`)
-        #: to start shedding load and perhaps avert the stall.
+        #: reaches half the grace period, before the abort (the
+        #: deadlock detector checks its waits-for graph here).
         self.on_warning: list = []
         #: Diagnostic providers: zero-arg callables returning a dict
         #: merged into the stall dump (the deadlock detector adds its

@@ -3,12 +3,12 @@ while its rank is idle.
 
 MPICH's async progress thread (paper 6.1.2) "does no useful work most of
 the time": on an idle rank every round is the same fixed chain of
-sleeps -- per active domain an uncontended LOW acquire (its atomics),
+sleeps -- per domain an uncontended LOW acquire (its atomics),
 an empty poll and the release, then the progress gap.  Nothing else
 reads or writes the rank's state meanwhile, so those rounds can be
 skipped and replayed at the first *touch* of the rank: a packet
 delivery to its NIC, another thread entering one of its domain locks,
-``fail_domain``, or any exit from ``Simulator.run``.
+or any exit from ``Simulator.run``.
 
 The replay makes the same jitter draws in the same order and the same
 float additions the generator would, so every output stays
@@ -46,7 +46,7 @@ class IdleProgress(Park):
         """True when the thread may park after this round; arms the
         touch hooks if so.  These are properties of the run, not a
         knob: no bus, no fault, reliability or watchdog machinery, no
-        shutdown, and on every active domain an empty NIC queue and a
+        shutdown, and on every domain an empty NIC queue and a
         lock whose LOW round is fully determined
         (``SimLock.parkable_on``)."""
         rt = self.rt
@@ -58,7 +58,7 @@ class IdleProgress(Park):
         ):
             return False
         core = self.ctx.core
-        doms = rt._active_domains()
+        doms = rt.domains
         for dom in doms:
             if dom.recv_q or not dom.lock.parkable_on(core):
                 return False
@@ -82,7 +82,7 @@ class IdleProgress(Park):
         if not s < bound:
             return s
         rt = self.rt
-        doms = rt._active_domains()
+        doms = rt.domains
         # One round as the generator's float additions: per domain
         # t + (atomic + jitter) for each atomic, then t + poll * factor
         # (the factor is 1.0 with no contenders), then the gap.

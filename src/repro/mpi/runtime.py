@@ -212,21 +212,12 @@ class MpiRuntime:
             self._rel = ReliabilityLayer(self, cfg)
         else:
             self._rel = None
-        #: Graceful degradation: indices of failed domains.  The
-        #: re-routing map :meth:`fail_domain` installs lives on the NIC
-        #: (``nic.vci_redirect``), which also redirects in-flight packets.
-        self.failed_domains: set = set()
         #: Blocking calls currently parked on the activity signal (the
         #: "event" and "continuation" modes).  A parked waiter has
         #: pending requests, so a simulator whose event queue has run
         #: dry while this is nonzero is *stuck*, not finished -- the
         #: progress watchdog reads this as part of its liveness input.
         self.parked_waiters = 0
-        #: Degraded-mode hooks: callables invoked as ``hook(index)``
-        #: whenever :meth:`fail_domain` declares a domain failed.  The
-        #: overload-protection layer (:mod:`repro.robust`) registers its
-        #: degraded-mode controllers here.
-        self.degrade_hooks: List = []
 
     # ==================================================================
     # Single-domain compatibility views
@@ -257,9 +248,8 @@ class MpiRuntime:
         return self.stats.completed - self.stats.freed
 
     def dangling_by_domain(self) -> List[int]:
-        """Dangling requests per domain, index-aligned with ``domains``.
-        Counted from the live requests, whose ``vci`` ``fail_domain``
-        rewrites, so the counts follow a failover."""
+        """Dangling requests per domain, index-aligned with ``domains``,
+        counted from the live requests."""
         out = [0] * len(self.domains)
         for req in self.requests.values():
             if req._done:
@@ -272,99 +262,21 @@ class MpiRuntime:
         return None if self._rel is None else self._rel.stats
 
     # ==================================================================
-    # Graceful degradation
-    # ==================================================================
-    def fail_domain(self, index: int, fallback: int = 0) -> None:
-        """Fail arbitration domain ``index`` and re-route its traffic to
-        ``fallback``: queued packets and posted/unexpected entries
-        migrate immediately, future routing (and in-flight packets, via
-        the NIC-level redirect) lands in the fallback domain.  The
-        failed domain's lock is simply never taken again."""
-        if index == fallback:
-            raise ValueError("fallback must differ from the failed domain")
-        n = len(self.domains)
-        if not (0 <= index < n) or not (0 <= fallback < n):
-            raise ValueError(f"domain index out of range (have {n} domains)")
-        if fallback in self.failed_domains:
-            raise ValueError(f"fallback domain {fallback} has itself failed")
-        if index in self.failed_domains:
-            return
-        nic = self.nic
-        if nic.on_touch is not None:
-            # A parked async progress thread catches up first.
-            nic.on_touch()
-        self.failed_domains.add(index)
-        # Route-through for earlier failures that pointed at this domain,
-        # then the new redirect itself.
-        redirect = nic.vci_redirect
-        for k, v in redirect.items():
-            if v == index:
-                redirect[k] = fallback
-        redirect[index] = fallback
-
-        d = self.domains[index]
-        fb = self.domains[fallback]
-        moved_pkts = len(d.recv_q) if d.recv_q is not None else 0
-        if d.recv_q is not None:
-            while d.recv_q:
-                fb.recv_q.append(d.recv_q.popleft())
-        moved_posted = len(d.posted_q)
-        fb.posted_q._q.extend(d.posted_q._q)
-        d.posted_q._q.clear()
-        moved_unexp = len(d.unexp_q)
-        fb.unexp_q._q.extend(d.unexp_q._q)
-        d.unexp_q._q.clear()
-        for req in self.requests.values():
-            if req.vci == index:
-                req.vci = fallback
-            if index in req.vcis:
-                req.vcis = tuple(dict.fromkeys(
-                    fallback if i == index else i for i in req.vcis
-                ))
-        obs = self.sim.obs
-        if obs is not None and obs.wants("fault"):
-            obs.instant(
-                "fault", "domain.failover", rank=self.rank,
-                args={"failed": index, "fallback": fallback,
-                      "moved_packets": moved_pkts,
-                      "moved_posted": moved_posted,
-                      "moved_unexpected": moved_unexp},
-            )
-        for hook in self.degrade_hooks:
-            hook(index)
-
-    # ==================================================================
     # Routing
     # ==================================================================
-    def _route(self, index: int) -> int:
-        """Map a policy-chosen domain index through the failover
-        redirects (identity while no domain has failed)."""
-        redirect = self.nic.vci_redirect
-        if redirect:
-            return redirect.get(index, index)
-        return index
-
     def _send_domain(self, dest: int, tag: int, comm: int) -> ArbitrationDomain:
-        return self.domains[self._route(self.policy.route(dest, tag, comm))]
+        return self.domains[self.policy.route(dest, tag, comm)]
 
     def _req_domains(self, reqs: Sequence[Request]) -> List[ArbitrationDomain]:
         """Ordered unique domains the given requests live in."""
         seen: List[int] = []
         for r in reqs:
             for i in r.vcis:
-                i = self._route(i)
                 if i not in seen:
                     seen.append(i)
         if not seen:
             seen.append(0)
         return [self.domains[i] for i in seen]
-
-    def _active_domains(self) -> "Sequence[ArbitrationDomain]":
-        """All domains, minus failed ones (the common no-failure case
-        returns the list itself)."""
-        if not self.failed_domains:
-            return self.domains
-        return [d for d in self.domains if d.index not in self.failed_domains]
 
     # ==================================================================
     # Critical section (all per-domain)
@@ -537,7 +449,7 @@ class MpiRuntime:
     def _free(self, req: Request, ctx: Optional[ThreadCtx] = None) -> None:
         if ctx is not None and self.sim.obs is not None:
             self._san(ctx, f"requests[{req.req_id}]",
-                      guards=(self.domains[self._route(req.vci)].lock.name,),
+                      guards=(self.domains[req.vci].lock.name,),
                       owner=req.owner_tid)
         req.mark_freed(self.sim.now)
         self.stats.freed += 1
@@ -705,7 +617,7 @@ class MpiRuntime:
         route = self.policy.route_recv(env)
         yield self.costs.request_alloc * (0.5 + self._random())
         if route is not None:
-            dom = self.domains[self._route(route)]
+            dom = self.domains[route]
             yield from self._cs_acquire(dom, ctx, Priority.HIGH)
             yield self._cs_time(dom, self.costs.cs_main)
             req = Request(
@@ -748,9 +660,9 @@ class MpiRuntime:
             yield from self._cs_release(dom, ctx)
             return req
 
-        # Spanning wildcard: visit every (live) domain in index order.
+        # Spanning wildcard: visit every domain in index order.
         req = None
-        doms = self._active_domains()
+        doms = self.domains
         for i, dom in enumerate(doms):
             yield from self._cs_acquire(dom, ctx, Priority.HIGH)
             if i == 0:
@@ -879,7 +791,7 @@ class MpiRuntime:
             )
         if req.freed:
             return False
-        dom = self.domains[self._route(req.vci)]
+        dom = self.domains[req.vci]
         yield from self._cs_acquire(dom, ctx, Priority.HIGH)
         yield self._cs_time(dom, self.costs.cs_main)
         if req._done:
@@ -1052,15 +964,14 @@ class MpiRuntime:
         # (grouped, so a waitall over one domain pays one entry total).
         freed_doms: List[int] = []
         for r in to_free:
-            d = self._route(r.vci)
-            if d not in freed_doms:
-                freed_doms.append(d)
+            if r.vci not in freed_doms:
+                freed_doms.append(r.vci)
         for di in freed_doms:
             dom = self.domains[di]
             yield from self._cs_acquire(dom, ctx, Priority.HIGH)
             yield self._cs_time(dom, self.costs.cs_main)
             for r in to_free:
-                if self._route(r.vci) == di and not r.freed:
+                if r.vci == di and not r.freed:
                     self._free(r, ctx)
             yield from self._cs_release(dom, ctx)
         if any_mode:
@@ -1079,8 +990,8 @@ class MpiRuntime:
         env = Envelope(source=source, tag=tag, comm=comm)
         route = self.policy.route_recv(env)
         doms = (
-            self._active_domains() if route is None
-            else (self.domains[self._route(route)],)
+            self.domains if route is None
+            else (self.domains[route],)
         )
         from .envelope import matches as _matches
         found = None
@@ -1139,7 +1050,7 @@ class MpiRuntime:
     def progress_poke(self, ctx: ThreadCtx):
         """One LOW-priority progress poll over every domain (the async
         progress thread's whole life, paper 6.1.2)."""
-        for dom in self._active_domains():
+        for dom in self.domains:
             yield from self._cs_acquire(dom, ctx, Priority.LOW)
             yield from self._progress_poll(dom, ctx)
             yield from self._cs_release(dom, ctx)
@@ -1279,7 +1190,7 @@ class MpiRuntime:
                 self._san(
                     ctx, f"requests[{recv_req_id}]",
                     guards=tuple(
-                        self.domains[self._route(i)].lock.name
+                        self.domains[i].lock.name
                         for i in req.vcis
                     ),
                     owner=req.owner_tid,

@@ -229,22 +229,10 @@ class Cluster:
             for rank in range(config.n_ranks):
                 self._fork_progress_thread(rank)
 
-        if self.fault_injector is not None:
-            inj = self.fault_injector
-            for c in plan.crashes:
-                # The injector enforces the crash by timestamp; this
-                # marker just announces it on the obs bus.
-                self.sim.call_after(c.at_s, inj.note_crash, c.rank)
-            for df in plan.domain_failures:
-                self.sim.call_after(
-                    df.at_s, self.runtimes[df.rank].fail_domain,
-                    df.domain, df.fallback,
-                )
-            if plan.watchdog_interval_ns > 0.0:
-                self.watchdog = ProgressWatchdog(
-                    self, plan.watchdog_interval_ns * 1e-9,
-                    grace=plan.watchdog_grace,
-                ).install()
+        if self.fault_injector is not None and plan.watchdog_interval_ns > 0.0:
+            self.watchdog = ProgressWatchdog(
+                self, plan.watchdog_interval_ns * 1e-9, grace=plan.watchdog_grace,
+            ).install()
 
     # ------------------------------------------------------------------
     def _rank_cores(self, machine: Machine, rank: int):

@@ -87,10 +87,6 @@ class RankNic:
         #: Optional callback ``cb(packet)`` fired on delivery (used by
         #: the runtime's event-driven wait mode).
         self.on_packet = None
-        #: Failed-domain re-routing: packets stamped with a failed VCI
-        #: are delivered into the fallback domain's queue instead
-        #: (installed by ``MpiRuntime.fail_domain``).  Empty = no-op.
-        self.vci_redirect: Dict[int, int] = {}
         #: Delivery-time filter ``f(packet) -> bool`` installed by the
         #: reliability layer: returning True absorbs the packet (ACKed /
         #: deduplicated at the NIC, like hardware-level RDMA acks) so it
@@ -160,8 +156,7 @@ class Fabric:
         """Inject ``packet``; ``done()`` runs at *local completion*
         (source buffer reusable / data handed to the NIC), before the
         delivery.  Without ``done`` nothing is queued for the local
-        completion.  A crashed sender's packet never leaves and its
-        ``done`` never runs."""
+        completion."""
         cfg = self.config
         try:
             src = self._nics[packet.src_rank]
@@ -172,22 +167,16 @@ class Fabric:
         except KeyError:
             raise ValueError(f"unknown destination rank {packet.dst_rank}") from None
         now = self.sim.now
-        faults = self.faults
-        if faults is not None and faults.block_send(packet, now):
-            # A crashed sender's packets never leave; the local completion
-            # never comes (its buffers are gone with it).
-            return
-        stall = 0.0 if faults is None else faults.inject_penalty(packet.src_rank, now)
         wire_bytes = packet.nbytes + cfg.header_bytes
 
         if src.node == dst.node:
-            serialize = cfg.shm_inject_ns * 1e-9 + stall + wire_bytes / (
+            serialize = cfg.shm_inject_ns * 1e-9 + wire_bytes / (
                 cfg.shm_bandwidth_gbps * 1e9
             )
             inject_done = src.inject.reserve(now, serialize)
             deliver_at = inject_done + cfg.shm_latency_ns * 1e-9
         else:
-            inject_done = src.inject.reserve(now, cfg.inject_ns * 1e-9 + stall)
+            inject_done = src.inject.reserve(now, cfg.inject_ns * 1e-9)
             uplink = self._uplinks[src.node]
             xfer_done = uplink.reserve(
                 inject_done, wire_bytes / (cfg.bandwidth_gbps * 1e9)
@@ -217,10 +206,11 @@ class Fabric:
                             rank=packet.src_rank)
         if done is not None:
             self.sim.call_after(inject_done - now, done)
+        faults = self.faults
         if faults is None:
             self.sim.call_after(deliver_at - now, self._deliver, dst, packet)
             return
-        fate = faults.fate(packet, src.node, dst.node, now, deliver_at)
+        fate = faults.fate(packet, src.node, dst.node)
         if fate.drop:
             # The wire time was spent (reservations stand); only the
             # delivery is lost.  Local completion still comes: a lossy
@@ -266,8 +256,6 @@ class Fabric:
                 obs.counter("fault", "vci.fallback", nic.vci_fallbacks,
                             rank=nic.rank)
             vci = 0
-        if nic.vci_redirect:
-            vci = nic.vci_redirect.get(vci, vci)
         nic.recv_qs[vci].append(packet)
         nic.recv_packets += 1
         obs = self.sim.obs

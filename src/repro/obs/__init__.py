@@ -36,9 +36,9 @@ Event taxonomy (category / notable names):
 ``net``    per-packet in-flight async spans (named by packet kind),
            ``inject.backlog_us`` / ``uplink.backlog_us`` counters
 ``fault``  injected-fault instants (``drop`` / ``duplicate`` /
-           ``reorder`` / ``crash``), reliability ``retransmit`` /
+           ``reorder``), reliability ``retransmit`` /
            ``retransmit.giveup``, ``vci.fallback`` warnings,
-           ``domain.failover``, ``watchdog.stall`` / ``watchdog.dump``
+           ``watchdog.stall`` / ``watchdog.dump``
 ``meta``   lane naming (``thread_name`` / ``process_name``) and run
            markers
 =========  ============================================================

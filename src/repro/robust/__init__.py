@@ -3,19 +3,16 @@
 The paper's remedies (lock classes, VCI sharding, continuations) fix
 *contention* inside the runtime; this package addresses the layer above:
 what a multithreaded MPI service must do when **offered load exceeds
-capacity** or the fabric misbehaves.  Four cooperating mechanisms:
+capacity** or the fabric misbehaves.  Three cooperating mechanisms:
 
 * **deadlines** (:mod:`.deadline`) -- every request carries an absolute
   deadline; the client cancels work whose deadline passed instead of
   completing it late (:meth:`repro.mpi.runtime.MpiRuntime.cancel`).
-* **retry budgets** (:mod:`.retry`) -- exponential-backoff retries and
-  optional hedged duplicates, metered by a token bucket so retries
-  cannot amplify an overload into a retry storm.
+* **retry budgets** (:mod:`.retry`) -- exponential-backoff retries,
+  metered by a token bucket so retries cannot amplify an overload into
+  a retry storm.
 * **admission control** (:mod:`.admission`) -- server-side load
   shedding: deadline-aware drop-expired-first.
-* **degraded mode** (:mod:`.degrade`) -- a hysteretic state machine
-  that sheds a deterministic fraction of traffic when the progress
-  watchdog warns or a domain fails, and recovers in stages.
 
 Everything here is deterministic: no RNG, no wall clock.  Decisions are
 pure functions of the simulated clock and the observed request stream,
@@ -37,7 +34,6 @@ from .admission import (
     make_admission,
 )
 from .deadline import Deadline, DeadlineTimer
-from .degrade import DegradeState, DegradedModeController
 from .retry import RetryBudget, RetryPolicy
 
 __all__ = [
@@ -46,8 +42,6 @@ __all__ = [
     "Deadline",
     "DeadlineAwarePolicy",
     "DeadlineTimer",
-    "DegradeState",
-    "DegradedModeController",
     "RetryBudget",
     "RetryPolicy",
     "RobustConfig",
@@ -68,14 +62,11 @@ class RobustConfig:
     #: Per-request deadline budget (ns from arrival); 0 disables
     #: deadline enforcement entirely (no timers armed).
     deadline_ns: float = 0.0
-    #: Client retry/hedging policy; None disables retries.
+    #: Client retry policy; None disables retries.
     retry: Optional[RetryPolicy] = None
     #: Server admission-control spec (see :func:`make_admission`):
     #: ``"none"`` or ``"deadline"``.
     admission: str = "none"
-    #: Install the degraded-mode controller (watchdog / domain-failure
-    #: triggered shedding).
-    degrade: bool = False
 
     def __post_init__(self) -> None:
         if self.deadline_ns < 0.0:
@@ -91,7 +82,6 @@ class RobustConfig:
             self.deadline_ns > 0.0
             or self.retry is not None
             or self.admission != "none"
-            or self.degrade
         )
 
     @classmethod
@@ -104,7 +94,6 @@ class RobustConfig:
         cls,
         deadline_ns: float = 300_000.0,
         admission: str = "deadline",
-        degrade: bool = True,
         retry: Optional[RetryPolicy] = None,
     ) -> "RobustConfig":
         """The standard all-remedies-on preset.
@@ -122,5 +111,4 @@ class RobustConfig:
             deadline_ns=deadline_ns,
             retry=retry if retry is not None else RetryPolicy(),
             admission=admission,
-            degrade=degrade,
         )

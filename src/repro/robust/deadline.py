@@ -10,7 +10,7 @@ clock -- the simulation has no clock skew to model).
 :meth:`~repro.sim.engine.Simulator.call_after` handle (the PR-4 timer
 machinery) with idempotent cancel/re-arm semantics, which is exactly the
 lifecycle a per-request timer has: armed at issue, re-armed at every
-retry/hedge decision point, cancelled the instant the reply lands.
+retry decision point, cancelled the instant the reply lands.
 
 Timer callbacks run in **callback context** (no simulated time, no
 blocking runtime calls -- the ``continuation-discipline`` lint rule);
@@ -56,7 +56,7 @@ class DeadlineTimer:
 
     ``arm`` replaces any pending timer (cancelling it first), so a
     request always has at most one timer outstanding no matter how many
-    retry/hedge/deadline decision points re-arm it.  ``cancel`` is
+    retry/deadline decision points re-arm it.  ``cancel`` is
     idempotent and guarantees the callback never runs afterwards.
     """
 

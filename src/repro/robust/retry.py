@@ -7,13 +7,11 @@ classic remedy (adopted from production RPC stacks) is a per-client
 loss rate retries freely while systemic failure starves the bucket and
 the client fails fast instead of piling on.
 
-Retried attempts never cancel the original receive: the retry *hedges*
--- both attempts stay posted, the server deduplicates by request id
-(CTS-replay-cache pattern) and re-sends the cached reply, and whichever
-reply lands first completes the request.  This is strictly better than
-cancel-and-reissue (a merely-slow original reply still counts) and
-makes an explicit hedge (``hedge_ns``) the same mechanism on a faster
-trigger.
+Retried attempts never cancel the original receive: both attempts
+stay posted, the server deduplicates by request id (CTS-replay-cache
+pattern) and re-sends the cached reply, and whichever reply lands first
+completes the request.  This is strictly better than cancel-and-reissue
+(a merely-slow original reply still counts).
 
 Everything is deterministic: backoff is a pure function of the attempt
 number (no jitter -- the simulator's cost model already decorrelates
@@ -39,9 +37,6 @@ class RetryPolicy:
     backoff: float = 2.0
     #: Cap on the backed-off RTO (ns).
     rto_cap_ns: float = 2_000_000.0
-    #: Issue a hedged duplicate this long (ns) after the first attempt;
-    #: 0 disables hedging.  Hedges do not consume budget tokens.
-    hedge_ns: float = 0.0
     #: Token bucket capacity (max banked retries).
     budget_cap: int = 32
     #: Tokens returned per successful reply (the classic "retries may
@@ -59,8 +54,6 @@ class RetryPolicy:
             raise ValueError(
                 f"rto_cap_ns ({self.rto_cap_ns}) must be >= rto_ns ({self.rto_ns})"
             )
-        if self.hedge_ns < 0.0:
-            raise ValueError(f"hedge_ns must be >= 0, got {self.hedge_ns}")
         if self.budget_cap < 0:
             raise ValueError(f"budget_cap must be >= 0, got {self.budget_cap}")
         if not 0.0 <= self.budget_refill <= 1.0:

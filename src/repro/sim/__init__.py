@@ -18,7 +18,7 @@ from .equeue import EventQueue
 from .events import AllOf, AnyOf, Event, Timeout
 from .process import Interrupt, Park, Process
 from .rng import RngStreams, stable_hash
-from .sync import CompletionLatch, Mailbox, Signal, SimBarrier, SimSemaphore
+from .sync import CompletionLatch, Signal, SimBarrier
 
 __all__ = [
     "Simulator",
@@ -34,8 +34,6 @@ __all__ = [
     "RngStreams",
     "stable_hash",
     "CompletionLatch",
-    "Mailbox",
     "Signal",
     "SimBarrier",
-    "SimSemaphore",
 ]

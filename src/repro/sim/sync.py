@@ -8,15 +8,12 @@ hardware-arbitrated critical sections with NUMA-dependent hand-off.
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Any
 
 from .engine import Simulator
 from .events import Event
 
-__all__ = [
-    "CompletionLatch", "Signal", "SimBarrier", "SimSemaphore", "Mailbox",
-]
+__all__ = ["CompletionLatch", "Signal", "SimBarrier"]
 
 
 class Signal:
@@ -159,84 +156,3 @@ class SimBarrier:
             self._event = self.sim.event(name=self.name)
             ev.succeed(self.generation)
         return ev
-
-
-class SimSemaphore:
-    """Counting semaphore with FIFO wakeup order."""
-
-    __slots__ = ("sim", "name", "_value", "_waiters")
-
-    def __init__(self, sim: Simulator, value: int = 1, name: str = ""):
-        if value < 0:
-            raise ValueError("initial value must be >= 0")
-        self.sim = sim
-        self.name = name
-        self._value = value
-        self._waiters: deque[Event] = deque()
-
-    @property
-    def value(self) -> int:
-        return self._value
-
-    def acquire(self) -> Event:
-        ev = self.sim.event(name=f"sem:{self.name}")
-        if self._value > 0:
-            self._value -= 1
-            ev.succeed()
-        else:
-            self._waiters.append(ev)
-        return ev
-
-    def release(self) -> None:
-        # A waiter cancelled while queued (teardown) must not swallow
-        # the permit: succeed() on a cancelled event is a no-op, so
-        # hand the permit to the next live waiter instead.
-        waiters = self._waiters
-        while waiters:
-            ev = waiters.popleft()
-            if not ev.cancelled:
-                ev.succeed()
-                return
-        self._value += 1
-
-
-class Mailbox:
-    """An unbounded FIFO channel between processes.
-
-    ``put`` never blocks; ``get`` returns an event fired with the oldest
-    item.  Used for in-simulation plumbing (e.g. NIC receive queues).
-    """
-
-    __slots__ = ("sim", "name", "_items", "_getters")
-
-    def __init__(self, sim: Simulator, name: str = ""):
-        self.sim = sim
-        self.name = name
-        self._items: deque = deque()
-        self._getters: deque[Event] = deque()
-
-    def __len__(self) -> int:
-        return len(self._items)
-
-    def put(self, item: Any) -> None:
-        # Skip getters cancelled while queued; delivering to one would
-        # silently drop the item (succeed() on cancelled is a no-op).
-        getters = self._getters
-        while getters:
-            ev = getters.popleft()
-            if not ev.cancelled:
-                ev.succeed(item)
-                return
-        self._items.append(item)
-
-    def get(self) -> Event:
-        ev = self.sim.event(name=f"mbox:{self.name}")
-        if self._items:
-            ev.succeed(self._items.popleft())
-        else:
-            self._getters.append(ev)
-        return ev
-
-    def try_get(self) -> Any:
-        """Non-blocking pop; returns None when empty."""
-        return self._items.popleft() if self._items else None

@@ -8,7 +8,7 @@ generator (a stand-in for external user traffic) at a configured rate
 that does *not* slow down when the service does.  That is the regime
 where the runtime-contention collapse the paper measures actually
 hurts, and the regime the :mod:`repro.robust` remedies (deadlines,
-retry budgets, admission control, degraded mode) are built for.
+retry budgets, admission control) are built for.
 
 Topology: the cluster's ranks split into client / server halves, rank
 ``c`` paired with rank ``P + c``.  Per client rank:
@@ -20,23 +20,23 @@ Topology: the cluster's ranks split into client / server halves, rank
 * one **reaper** thread is the rank's completion engine: it drains the
   client NIC (a chained ``nic.on_packet`` hook fires its wake signal),
   runs every action that needs generator context -- deadline expiry
-  (:meth:`~repro.mpi.runtime.MpiRuntime.cancel`), retries, hedges,
-  request frees -- and keeps timer/continuation callbacks down to
+  (:meth:`~repro.mpi.runtime.MpiRuntime.cancel`), retries, request
+  frees -- and keeps timer/continuation callbacks down to
   bookkeeping plus a ``Signal.fire`` (the ``continuation-discipline``
   rule).
 
 Server threads loop ``recv -> dedup -> admission -> compute -> reply``.
-Retried/hedged attempts are deduplicated by request id through a
+Retried attempts are deduplicated by request id through a
 replay cache (the reliability layer's CTS-replay pattern): a duplicate
 re-sends the cached reply instead of recomputing.  Termination is a
 lossy-safe stop handshake: client worker 0 sends per-server-thread stop
 messages and re-sends until acked.
 
 Determinism: all randomness comes from the per-client-rank RNG stream
-``"service:<rank>"``; retries, hedges, deadlines, and shedding are
+``"service:<rank>"``; retries, deadlines, and shedding are
 deterministic functions of the simulated clock.  A run's
 :attr:`ServiceResult.fingerprint` hashes arrival times, the issue
-(retry/hedge) schedule, shed decisions, and outcomes -- the replay
+(retry) schedule, shed decisions, and outcomes -- the replay
 tests pin it across repeated runs, and ``RobustConfig.none()`` runs are
 bit-identical to runs that never pass a config at all.
 """
@@ -51,7 +51,7 @@ from typing import Dict, List, Optional
 from ..machine import BINDINGS, ThreadCtx
 from ..mpi.world import Cluster, ClusterConfig
 from ..mpi.runtime import MpiThread
-from ..robust import DegradedModeController, RetryBudget, RobustConfig, make_admission
+from ..robust import RetryBudget, RobustConfig, make_admission
 from ..robust.deadline import DeadlineTimer
 from ..sim.sync import CompletionLatch, Signal, SimBarrier
 
@@ -123,10 +123,7 @@ class ServiceResult:
     slo_violations: int
     retries: int
     retries_denied: int
-    hedges: int
     dedup_hits: int
-    degrade_signals: int
-    degrade_shed: int
     #: Successful replies *within SLO* per second of offered horizon.
     goodput_rps: float
     p50_us: float
@@ -199,8 +196,8 @@ class _Rec:
     """One open-loop request on the client side."""
 
     __slots__ = ("req_id", "worker", "t_arrival", "deadline_s", "attempts",
-                 "n_retries", "hedged", "no_retry", "done", "outcome",
-                 "latency_s", "t_first_issue", "t_last_issue", "timer")
+                 "n_retries", "no_retry", "done", "outcome",
+                 "latency_s", "t_last_issue", "timer")
 
     def __init__(self, req_id, worker, t_arrival, deadline_s):
         self.req_id = req_id
@@ -210,13 +207,11 @@ class _Rec:
         #: (send_req, reply_recv_req) per attempt, in issue order.
         self.attempts: List[tuple] = []
         self.n_retries = 0
-        self.hedged = False
         #: Set when the retry budget denied a token (stops re-arming).
         self.no_retry = False
         self.done = False
         self.outcome: Optional[str] = None
         self.latency_s: Optional[float] = None
-        self.t_first_issue = 0.0
         self.t_last_issue = 0.0
         self.timer: Optional[DeadlineTimer] = None
 
@@ -228,7 +223,7 @@ class _ClientState:
                  "n_server_threads", "slo_s", "budget", "actions", "wake",
                  "latches", "barrier", "lingering", "rank_done", "arrivals",
                  "trace", "latencies", "counts", "ok_within_slo", "retries",
-                 "retries_denied", "hedges", "_next_req_id", "th_reaper")
+                 "retries_denied", "_next_req_id", "th_reaper")
 
     def __init__(self, cfg, robust, sim, obs, rank, server, n_threads):
         self.cfg = cfg
@@ -260,7 +255,6 @@ class _ClientState:
         self.ok_within_slo = 0
         self.retries = 0
         self.retries_denied = 0
-        self.hedges = 0
         self._next_req_id = _REQ_ID_BASE
         self.th_reaper: Optional[MpiThread] = None
 
@@ -273,15 +267,14 @@ class _ClientState:
 class _ServerState:
     """Shared state of one server rank (all its worker threads)."""
 
-    __slots__ = ("cfg", "rank", "admission", "degrade", "replay",
-                 "stops_seen", "pending_sends", "reaping", "trace",
-                 "dedup_hits", "degrade_shed", "peak_backlog", "obs")
+    __slots__ = ("cfg", "rank", "admission", "replay", "stops_seen",
+                 "pending_sends", "reaping", "trace", "dedup_hits",
+                 "peak_backlog", "obs")
 
-    def __init__(self, cfg, rank, admission, degrade, obs):
+    def __init__(self, cfg, rank, admission, obs):
         self.cfg = cfg
         self.rank = rank
         self.admission = admission
-        self.degrade = degrade
         #: req_id -> cached _SvcReply (CTS-replay-cache pattern).
         self.replay: Dict[int, _SvcReply] = {}
         self.stops_seen = set()
@@ -291,7 +284,6 @@ class _ServerState:
         #: Fingerprint trace: admit/shed decision per request.
         self.trace: List[str] = []
         self.dedup_hits = 0
-        self.degrade_shed = 0
         self.peak_backlog = 0
         self.obs = obs
 
@@ -306,8 +298,6 @@ def _next_due(st: _ClientState, rec: _Rec) -> Optional[float]:
     if rec.deadline_s is not None:
         cands.append(rec.deadline_s)
     if pol is not None and len(rec.attempts) < pol.max_attempts and not rec.no_retry:
-        if pol.hedge_ns > 0.0 and not rec.hedged:
-            cands.append(rec.t_first_issue + pol.hedge_ns * 1e-9)
         cands.append(rec.t_last_issue + pol.rto(rec.n_retries))
     return min(cands) if cands else None
 
@@ -341,7 +331,7 @@ def _client_on_reply(st: _ClientState, rec: _Rec, rreq) -> None:
     a budget refill, and a wake.
     """
     if rec.done:
-        # A hedged/retried duplicate raced the winner; the pending
+        # A retried duplicate raced the winner; the pending
         # finalize frees every completed attempt.
         return
     rec.done = True
@@ -362,7 +352,7 @@ def _client_on_reply(st: _ClientState, rec: _Rec, rreq) -> None:
 
 
 def _issue(st: _ClientState, th: MpiThread, rec: _Rec):
-    """Issue one attempt (initial, retry, or hedge) for ``rec``."""
+    """Issue one attempt (initial or retry) for ``rec``."""
     cfg = st.cfg
     now = th.sim.now
     attempt = len(rec.attempts)
@@ -375,8 +365,6 @@ def _issue(st: _ClientState, th: MpiThread, rec: _Rec):
         source=st.server, nbytes=cfg.reply_bytes, tag=rec.req_id,
     )
     rec.attempts.append((sreq, rreq))
-    if attempt == 0:
-        rec.t_first_issue = now
     rec.t_last_issue = th.sim.now
     st.trace.append(f"i:{rec.req_id}:{attempt}:{now.hex()}")
     # Arm before attaching: if the reply is already in (an inline
@@ -426,7 +414,7 @@ def _finalize(st: _ClientState, th: MpiThread, rec: _Rec):
 
 
 def _handle_due(st: _ClientState, th: MpiThread, rec: _Rec):
-    """A timer decision point: expire, hedge, retry, or re-arm."""
+    """A timer decision point: expire, retry, or re-arm."""
     if rec.done:
         return
     now = th.sim.now
@@ -436,25 +424,18 @@ def _handle_due(st: _ClientState, th: MpiThread, rec: _Rec):
         rec.outcome = "expired"
         yield from _finalize(st, th, rec)
         return
-    if pol is not None and len(rec.attempts) < pol.max_attempts and not rec.no_retry:
-        if (
-            pol.hedge_ns > 0.0 and not rec.hedged
-            and now >= rec.t_first_issue + pol.hedge_ns * 1e-9 - _EPS
-        ):
-            # Hedged duplicate: free (no budget token), original stays
-            # posted, first reply wins.
-            rec.hedged = True
-            st.hedges += 1
+    if (
+        pol is not None and len(rec.attempts) < pol.max_attempts
+        and not rec.no_retry
+        and now >= rec.t_last_issue + pol.rto(rec.n_retries) - _EPS
+    ):
+        if st.budget.take():
+            rec.n_retries += 1
+            st.retries += 1
             yield from _issue(st, th, rec)
             return
-        if now >= rec.t_last_issue + pol.rto(rec.n_retries) - _EPS:
-            if st.budget.take():
-                rec.n_retries += 1
-                st.retries += 1
-                yield from _issue(st, th, rec)
-                return
-            st.retries_denied += 1
-            rec.no_retry = True
+        st.retries_denied += 1
+        rec.no_retry = True
     _arm_timer(st, rec)
 
 
@@ -595,24 +576,16 @@ def _server_worker(sst: _ServerState, th: MpiThread, cfg: ServiceConfig):
             obs.counter("service", "backlog", depth, rank=sst.rank)
         cached = sst.replay.get(msg.req_id)
         if cached is not None:
-            # Retry/hedge duplicate: replay the decision, skip compute.
+            # Retry duplicate: replay the decision, skip compute.
             sst.dedup_hits += 1
             yield from _server_send(
                 sst, th, msg.client, msg.reply_bytes, msg.req_id, cached,
             )
             continue
-        shed = False
-        if sst.degrade is not None and sst.degrade.should_shed():
-            shed = True
-            sst.degrade_shed += 1
-            sst.trace.append(f"{msg.req_id}:d")
-        elif not sst.admission.admit(
+        shed = not sst.admission.admit(
             now, deadline_s=msg.deadline_s, service_s=msg.service_s,
-        ):
-            shed = True
-            sst.trace.append(f"{msg.req_id}:s")
-        else:
-            sst.trace.append(f"{msg.req_id}:a")
+        )
+        sst.trace.append(f"{msg.req_id}:{'s' if shed else 'a'}")
         if shed:
             reply = _SvcReply(msg.req_id, False, now)
         else:
@@ -706,12 +679,7 @@ def run_service(
 
     sstates: List[_ServerState] = []
     for s in range(pairs, n):
-        ctrl = DegradedModeController() if robust.degrade else None
-        if ctrl is not None:
-            cluster.runtimes[s].degrade_hooks.append(ctrl.note_signal)
-            if cluster.watchdog is not None:
-                cluster.watchdog.on_warning.append(ctrl.note_signal)
-        sst = _ServerState(cfg, s, make_admission(robust.admission), ctrl, obs)
+        sst = _ServerState(cfg, s, make_admission(robust.admission), obs)
         sstates.append(sst)
         for k, th in enumerate(cluster.threads[s]):
             procs.append(cluster.spawn(
@@ -771,12 +739,7 @@ def run_service(
         slo_violations=offered - ok_slo,
         retries=sum(st.retries for st in cstates),
         retries_denied=sum(st.retries_denied for st in cstates),
-        hedges=sum(st.hedges for st in cstates),
         dedup_hits=sum(sst.dedup_hits for sst in sstates),
-        degrade_signals=sum(
-            sst.degrade.signals for sst in sstates if sst.degrade is not None
-        ),
-        degrade_shed=sum(sst.degrade_shed for sst in sstates),
         goodput_rps=ok_slo / cfg.duration_s,
         p50_us=_pct(lat, 0.50) * 1e6,
         p99_us=_pct(lat, 0.99) * 1e6,

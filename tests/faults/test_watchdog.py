@@ -216,8 +216,8 @@ def test_parked_waiters_under_total_loss_are_a_stall_not_idle():
 
 def test_on_warning_fires_before_the_abort():
     """The early-warning hook (half the grace period) runs exactly once
-    per stall episode, before the ProgressStallError -- the degraded-
-    mode controller's trigger."""
+    per stall episode, before the ProgressStallError -- the deadlock
+    detector's trigger."""
     cl = _lossy_cluster()
     warned = []
     cl.watchdog.on_warning.append(warned.append)

@@ -164,8 +164,7 @@ def test_messages_spread_across_domains():
 
 # ----------------------------------------------------------------------
 # Dangling accounting across domains: the per-domain counts are derived
-# from the live requests and must add up to the rank's count, also
-# across a domain failover.
+# from the live requests and must add up to the rank's count.
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("gran", ["global", "brief"])
 @pytest.mark.parametrize("cs", ["global", "per-vci:4"])
@@ -173,10 +172,6 @@ def test_dangling_sums_across_domains(gran, cs):
     cl = Cluster(ClusterConfig(
         n_nodes=2, threads_per_rank=4, cs=cs, cs_granularity=gran, seed=2,
     ))
-    rt1 = cl.runtimes[1]
-    n_domains = rt1.n_domains
-    if n_domains > 1:
-        cl.sim.call_after(20e-6, rt1.fail_domain, 2, 0)
     samples = []
 
     def sample():
@@ -192,11 +187,10 @@ def test_dangling_sums_across_domains(gran, cs):
     cl.sim.call_after(1e-6, sample)
     run_n2n(cl, N2NConfig(msg_size=2048, window=2, n_windows=4,
                           style="rounds"))
-    assert rt1.failed_domains == ({2} if n_domains > 1 else set())
     assert max(samples) > 0, "no sample saw a dangling request"
     for rt in cl.runtimes:
         # Everything drained: dangling is zero rank-wide and per domain.
         assert rt.stats.completed == rt.stats.freed
         assert rt.dangling_count == 0
-        assert rt.dangling_by_domain() == [0] * n_domains
+        assert rt.dangling_by_domain() == [0] * rt.n_domains
         assert rt.peak_dangling >= 1

@@ -15,7 +15,6 @@ def test_any_mechanism_activates():
     assert RobustConfig(deadline_ns=100_000.0).active
     assert RobustConfig(retry=RetryPolicy()).active
     assert RobustConfig(admission="deadline").active
-    assert RobustConfig(degrade=True).active
 
 
 def test_protected_preset_turns_everything_on():
@@ -24,7 +23,6 @@ def test_protected_preset_turns_everything_on():
     assert r.deadline_ns == 250_000.0
     assert r.retry == RetryPolicy()
     assert r.admission == "deadline"
-    assert r.degrade
 
 
 def test_protected_accepts_a_custom_retry_policy():

@@ -11,7 +11,6 @@ from repro.robust import RetryBudget, RetryPolicy
 def test_defaults_are_valid():
     p = RetryPolicy()
     assert p.max_attempts == 3
-    assert p.hedge_ns == 0.0
 
 
 @pytest.mark.parametrize("kw", [
@@ -20,7 +19,6 @@ def test_defaults_are_valid():
     dict(rto_ns=-1.0),
     dict(backoff=0.5),
     dict(rto_cap_ns=100.0, rto_ns=200.0),
-    dict(hedge_ns=-1.0),
     dict(budget_cap=-1),
     dict(budget_refill=-0.1),
     dict(budget_refill=1.5),

@@ -6,7 +6,6 @@ extraction protocol.
 import pytest
 
 from repro.sim import EventQueue, SimulationError, Simulator
-from repro.sim.sync import Mailbox, SimSemaphore
 
 
 @pytest.fixture(params=["heap"])
@@ -229,30 +228,3 @@ def test_pop_run_finishes_a_popped_heads_batch(sim):
     alone = q.pop_run(q.pop())
     assert type(alone) is tuple and alone[1] == 3
     assert (q.skipped, q.dead, q.live) == (2, 0, 1)
-
-
-# ----------------------------------------------------------------------
-# sync primitives vs cancelled waiters
-# ----------------------------------------------------------------------
-
-def test_semaphore_release_skips_cancelled_waiter(sim):
-    sem = SimSemaphore(sim, value=1, name="s")
-    assert sem.acquire().triggered
-    dead = sem.acquire()
-    live = sem.acquire()
-    dead.cancel()
-    sem.release()
-    assert live.triggered  # permit skipped the cancelled waiter
-    sem.release()
-    assert sem.value == 1  # no waiters left: permit returns to the pool
-
-
-def test_mailbox_put_skips_cancelled_getter(sim):
-    box = Mailbox(sim, name="m")
-    dead = box.get()
-    live = box.get()
-    dead.cancel()
-    box.put("payload")
-    assert live.triggered and live.value == "payload"
-    box.put("queued")
-    assert len(box) == 1  # no live getters: the item is stored, not lost

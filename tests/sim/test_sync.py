@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import Mailbox, Signal, SimBarrier, SimSemaphore, Simulator
+from repro.sim import Signal, SimBarrier, Simulator
 
 
 def test_barrier_releases_all_at_last_arrival():
@@ -56,99 +56,6 @@ def test_barrier_single_party_never_blocks():
 def test_barrier_invalid_parties():
     with pytest.raises(ValueError):
         SimBarrier(Simulator(), parties=0)
-
-
-def test_semaphore_mutual_exclusion_and_fifo():
-    sim = Simulator()
-    sem = SimSemaphore(sim, value=1)
-    order = []
-
-    def worker(i):
-        yield sim.timeout(i * 0.1)
-        yield sem.acquire()
-        order.append(("in", i))
-        yield sim.timeout(10.0)
-        order.append(("out", i))
-        sem.release()
-
-    for i in range(3):
-        sim.process(worker(i))
-    sim.run()
-    assert order == [
-        ("in", 0), ("out", 0),
-        ("in", 1), ("out", 1),
-        ("in", 2), ("out", 2),
-    ]
-
-
-def test_semaphore_counting():
-    sim = Simulator()
-    sem = SimSemaphore(sim, value=2)
-    active = []
-    peak = []
-
-    def worker(i):
-        yield sem.acquire()
-        active.append(i)
-        peak.append(len(active))
-        yield sim.timeout(1.0)
-        active.remove(i)
-        sem.release()
-
-    for i in range(4):
-        sim.process(worker(i))
-    sim.run()
-    assert max(peak) == 2
-
-
-def test_semaphore_negative_value_rejected():
-    with pytest.raises(ValueError):
-        SimSemaphore(Simulator(), value=-1)
-
-
-def test_mailbox_put_then_get():
-    sim = Simulator()
-    box = Mailbox(sim)
-    got = []
-
-    def consumer():
-        got.append((yield box.get()))
-        got.append((yield box.get()))
-
-    box.put("a")
-    box.put("b")
-    sim.process(consumer())
-    sim.run()
-    assert got == ["a", "b"]
-
-
-def test_mailbox_get_blocks_until_put():
-    sim = Simulator()
-    box = Mailbox(sim)
-    got = []
-
-    def consumer():
-        item = yield box.get()
-        got.append((item, sim.now))
-
-    def producer():
-        yield sim.timeout(3.0)
-        box.put("x")
-
-    sim.process(consumer())
-    sim.process(producer())
-    sim.run()
-    assert got == [("x", pytest.approx(3.0))]
-
-
-def test_mailbox_try_get_nonblocking():
-    sim = Simulator()
-    box = Mailbox(sim)
-    assert box.try_get() is None
-    box.put(1)
-    assert len(box) == 1
-    assert box.try_get() == 1
-    assert box.try_get() is None
 
 
 def test_signal_broadcast_and_rearm():

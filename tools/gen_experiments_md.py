@@ -68,7 +68,7 @@ PAPER_CLAIMS = {
                    "(`repro.workloads.service`) past saturation across the "
                    "same runtime variants and shows the overload remedies "
                    "(`repro.robust`: deadlines, retry budgets, "
-                   "deadline-aware admission, degraded mode) hold goodput "
+                   "deadline-aware admission) hold goodput "
                    ">= 70% of peak at 1.5x capacity with bounded tail "
                    "latency (p99 within 5x of the 0.8x cell's), while the unprotected baseline collapses "
                    "below 40%; at 1% drop with transport reliability off, "
