@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict
 
-__all__ = ["message_rate_k", "TimeBreakdown", "speedup"]
+__all__ = ["message_rate_k", "TimeBreakdown"]
 
 
 def message_rate_k(n_messages: int, elapsed_s: float) -> float:
@@ -13,14 +13,6 @@ def message_rate_k(n_messages: int, elapsed_s: float) -> float:
     if elapsed_s <= 0:
         raise ValueError(f"non-positive elapsed time {elapsed_s}")
     return n_messages / elapsed_s / 1e3
-
-
-def speedup(baseline: float, improved: float) -> float:
-    """How many times faster ``improved`` is than ``baseline`` (times are
-    durations, rates are inverted by the caller)."""
-    if improved <= 0:
-        raise ValueError("non-positive time")
-    return baseline / improved
 
 
 @dataclass

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-__all__ = ["format_table", "format_size", "format_rate"]
+__all__ = ["format_table", "format_size"]
 
 
 def format_size(nbytes: int) -> str:
@@ -20,15 +20,6 @@ def format_size(nbytes: int) -> str:
         v = nbytes / (1 << 10)
         return f"{v:g}K"
     return str(nbytes)
-
-
-def format_rate(rate_k: float) -> str:
-    """Message rate in 10^3 msgs/s with sensible precision."""
-    if rate_k >= 100:
-        return f"{rate_k:.0f}"
-    if rate_k >= 10:
-        return f"{rate_k:.1f}"
-    return f"{rate_k:.2f}"
 
 
 def format_table(

@@ -149,11 +149,11 @@ def _cmd_throughput(args) -> int:
             binding=args.binding, seed=args.seed, cs=args.cs,
             faults=args.faults, reliability=args.retransmit,
         )
+        cfg = ThroughputConfig(msg_size=args.size, n_windows=args.windows)
     except ValueError as exc:
         print(f"throughput: error: {exc}", file=sys.stderr)
         return 2
-    res = run_throughput(cluster, ThroughputConfig(
-        msg_size=args.size, n_windows=args.windows))
+    res = run_throughput(cluster, cfg)
     rows = [[args.lock, cluster.config.cs.spec(), args.threads, args.size,
              f"{res.msg_rate_k:.0f}", f"{res.dangling.mean:.1f}"]]
     headers = ["lock", "cs", "threads", "size (B)", "rate (10^3 msg/s)",

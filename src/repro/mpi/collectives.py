@@ -17,10 +17,7 @@ from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 from .runtime import MpiThread
 
-__all__ = [
-    "Communicator", "barrier", "bcast", "reduce", "allreduce",
-    "alltoall", "gather", "scatter", "allgather", "scan",
-]
+__all__ = ["Communicator", "barrier", "bcast", "reduce", "allreduce", "alltoall"]
 
 COLL_TAG_BASE = 1 << 20
 _MAX_ROUNDS = 64
@@ -184,137 +181,3 @@ def alltoall(
         out[src_idx] = rreq.data
     return out
 
-
-def gather(
-    th: MpiThread,
-    comm: Communicator,
-    value: Any,
-    root: int = 0,
-    nbytes: int = 8,
-):
-    """Binomial-tree gather: the root returns the list of values ordered
-    by comm rank; non-roots return None.
-
-    Each subtree forwards a partial dict {comm_rank: value} up the tree.
-    """
-    p = comm.size
-    if p == 1:
-        return [value]
-        yield  # pragma: no cover
-    me = comm.index(th.rank)
-    root_idx = comm.index(root)
-    rel = (me - root_idx) % p
-    base = _next_tag(th, comm)
-
-    acc = {me: value}
-    mask = 1
-    while mask < p:
-        if rel & mask:
-            dst = comm.ranks[((rel - mask) + root_idx) % p]
-            yield from th.send(dst, nbytes * len(acc), tag=base, comm=comm.id,
-                               data=acc)
-            return None
-        src_rel = rel + mask
-        if src_rel < p:
-            src = comm.ranks[(src_rel + root_idx) % p]
-            part = yield from th.recv(source=src, nbytes=nbytes * (mask),
-                                      tag=base, comm=comm.id)
-            acc.update(part)
-        mask <<= 1
-    return [acc[i] for i in range(p)]
-
-
-def scatter(
-    th: MpiThread,
-    comm: Communicator,
-    values: Optional[Sequence[Any]] = None,
-    root: int = 0,
-    nbytes: int = 8,
-):
-    """Binomial-tree scatter: every rank returns its slice of the root's
-    ``values`` (indexed by comm rank).
-
-    Payloads travel as ``{comm_index: value}`` dicts covering the
-    receiving node's subtree; each hop halves the span.
-    """
-    p = comm.size
-    me = comm.index(th.rank)
-    root_idx = comm.index(root)
-    rel = (me - root_idx) % p
-    if rel == 0:
-        if values is None or len(values) != p:
-            raise ValueError(f"root must supply {p} values")
-        payload = {i: v for i, v in enumerate(values)}
-    else:
-        payload = None
-    if p == 1:
-        return payload[0]
-        yield  # pragma: no cover
-    base = _next_tag(th, comm)
-
-    # Receive phase: obtain the dict covering my subtree (span = mask).
-    mask = 1
-    while mask < p:
-        if rel & mask:
-            src = comm.ranks[((rel - mask) + root_idx) % p]
-            payload = yield from th.recv(source=src, nbytes=nbytes * mask,
-                                         tag=base, comm=comm.id)
-            break
-        mask <<= 1
-    # ``mask`` is now my subtree's span (for the root: >= p).
-    mask >>= 1
-    # Send phase: each child rel+mask owns the upper half of my span.
-    while mask > 0:
-        child_rel = rel + mask
-        if child_rel < p:
-            dst = comm.ranks[(child_rel + root_idx) % p]
-            child = {
-                i: v for i, v in payload.items()
-                if child_rel <= (i - root_idx) % p < child_rel + mask
-            }
-            yield from th.send(dst, nbytes * max(1, len(child)), tag=base,
-                               comm=comm.id, data=child)
-            payload = {i: v for i, v in payload.items() if i not in child}
-        mask >>= 1
-    return payload[me]
-
-
-def allgather(
-    th: MpiThread,
-    comm: Communicator,
-    value: Any,
-    nbytes: int = 8,
-):
-    """Gather to comm rank 0, then broadcast the full list."""
-    root = comm.ranks[0]
-    vals = yield from gather(th, comm, value, root=root, nbytes=nbytes)
-    vals = yield from bcast(th, comm, vals, root=root,
-                            nbytes=nbytes * comm.size)
-    return vals
-
-
-def scan(
-    th: MpiThread,
-    comm: Communicator,
-    value: Any,
-    op: Callable[[Any, Any], Any],
-    nbytes: int = 8,
-):
-    """Inclusive prefix reduction (linear pipeline): rank i returns
-    op(v_0, ..., v_i)."""
-    p = comm.size
-    me = comm.index(th.rank)
-    if p == 1:
-        return value
-        yield  # pragma: no cover
-    base = _next_tag(th, comm)
-    acc = value
-    if me > 0:
-        left = comm.ranks[me - 1]
-        prefix = yield from th.recv(source=left, nbytes=nbytes, tag=base,
-                                    comm=comm.id)
-        acc = op(prefix, value)
-    if me < p - 1:
-        right = comm.ranks[me + 1]
-        yield from th.send(right, nbytes, tag=base, comm=comm.id, data=acc)
-    return acc

@@ -251,16 +251,6 @@ class Request:
             self._continuations.append(handle)
         return handle
 
-    def detach_continuation(self, handle: Continuation) -> bool:
-        """Detach a previously attached continuation (see
-        :meth:`Continuation.detach`)."""
-        if handle.req is not self:
-            raise ValueError(
-                f"continuation {handle!r} does not belong to request "
-                f"#{self.req_id}"
-            )
-        return handle.detach()
-
     # ------------------------------------------------------------------
     def mark_posted(self) -> None:
         # Idempotent for POSTED: a spanning wildcard receive is posted

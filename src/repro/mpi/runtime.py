@@ -978,64 +978,6 @@ class MpiRuntime:
             return idx
         return [r.data for r in reqs]
 
-    def iprobe(self, ctx: ThreadCtx, source=ANY_SOURCE, tag=ANY_TAG, comm=0):
-        """MPI_Iprobe: one progress poke, then a non-destructive check of
-        the unexpected queue(s).  Returns the matched concrete
-        ``(source, tag, nbytes)`` or None.
-
-        As in real MPICH, probing only observes messages the progress
-        engine has already moved to the unexpected queue; a message
-        sitting in a matching *posted* receive is not probe-visible.
-        """
-        env = Envelope(source=source, tag=tag, comm=comm)
-        route = self.policy.route_recv(env)
-        doms = (
-            self.domains if route is None
-            else (self.domains[route],)
-        )
-        from .envelope import matches as _matches
-        found = None
-        for i, dom in enumerate(doms):
-            yield from self._cs_acquire(dom, ctx, Priority.HIGH)
-            if i == 0:
-                yield self._cs_time(dom, self.costs.cs_main)
-            yield from self._progress_poll(dom, ctx)
-            if self.sim.obs is not None:
-                self._san(ctx, f"unexp_q.d{dom.index}",
-                          guards=(dom.unexp_q.guard,))
-            scanned = 0
-            for msg in dom.unexp_q._q:
-                scanned += 1
-                if _matches(env, msg.envelope):
-                    found = (msg.envelope.source, msg.envelope.tag, msg.nbytes)
-                    break
-            yield self._cs_time(dom, self.costs.queue_scan * scanned)
-            yield from self._cs_release(dom, ctx)
-            if found is not None:
-                break
-        return found
-
-    def probe(self, ctx: ThreadCtx, source=ANY_SOURCE, tag=ANY_TAG, comm=0):
-        """MPI_Probe: block until a matching message is probe-visible."""
-        while True:
-            found = yield from self.iprobe(ctx, source=source, tag=tag, comm=comm)
-            if found is not None:
-                return found
-            yield self.costs.progress_gap * (0.5 + self._random())
-
-    def sendrecv(self, ctx, dest, source, nbytes, tag=0, comm=0, data=None,
-                 recv_nbytes=None, recv_tag=None):
-        """MPI_Sendrecv: simultaneous blocking send + receive (the
-        deadlock-free exchange primitive).  Returns the received data."""
-        sreq = yield from self.isend(ctx, dest, nbytes, tag=tag, comm=comm, data=data)
-        rreq = yield from self.irecv(
-            ctx, source=source,
-            nbytes=nbytes if recv_nbytes is None else recv_nbytes,
-            tag=tag if recv_tag is None else recv_tag, comm=comm,
-        )
-        yield from self.waitall(ctx, (sreq, rreq))
-        return rreq.data
-
     def send(self, ctx, dest, nbytes, tag=0, comm=0, data=None):
         """Blocking send (isend + wait)."""
         req = yield from self.isend(ctx, dest, nbytes, tag=tag, comm=comm, data=data)
@@ -1281,19 +1223,6 @@ class MpiThread:
 
     def cancel(self, req):
         return self.runtime.cancel(self.ctx, req)
-
-    def iprobe(self, source=ANY_SOURCE, tag=ANY_TAG, comm=0):
-        return self.runtime.iprobe(self.ctx, source=source, tag=tag, comm=comm)
-
-    def probe(self, source=ANY_SOURCE, tag=ANY_TAG, comm=0):
-        return self.runtime.probe(self.ctx, source=source, tag=tag, comm=comm)
-
-    def sendrecv(self, dest, source, nbytes, tag=0, comm=0, data=None,
-                 recv_nbytes=None, recv_tag=None):
-        return self.runtime.sendrecv(
-            self.ctx, dest, source, nbytes, tag=tag, comm=comm, data=data,
-            recv_nbytes=recv_nbytes, recv_tag=recv_tag,
-        )
 
     def progress_poke(self):
         return self.runtime.progress_poke(self.ctx)

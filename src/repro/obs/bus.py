@@ -14,14 +14,12 @@ Design constraints, in order:
    simulated clocks.
 3. **One API for every layer.**  ``Simulator``, ``SimLock``,
    ``MpiRuntime`` and ``Fabric`` all emit through the same six methods;
-   consumers (Chrome-trace export, counter dumps, the legacy
-   ``LockTrace``/``PacketTracer`` adapters)
-   subscribe with an optional category filter.
+   consumers (Chrome-trace export, counter dumps, the ``LockTrace``
+   adapter) subscribe with an optional category filter.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 from .events import EventKind, ObsEvent
@@ -182,17 +180,6 @@ class Instrument:
                 args: Optional[dict] = None) -> None:
         """A point event (hand-off, empty poll, marker)."""
         self._emit(EventKind.INSTANT, category, name, rank, tid, args=args)
-
-    @contextmanager
-    def span(self, category: str, name: str, rank: int = -1, tid: int = -1,
-             **args: Any):
-        """Context manager for *synchronous* (non-yielding) sections.
-        Generator-based emitters pair begin/end manually instead."""
-        self.span_begin(category, name, rank, tid, **args)
-        try:
-            yield self
-        finally:
-            self.span_end(category, name, rank, tid)
 
     # ------------------------------------------------------------------
     # Lane metadata

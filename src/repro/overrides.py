@@ -28,16 +28,13 @@ without this module.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from typing import Dict, Iterator, Mapping
+from typing import Dict, Mapping
 
 __all__ = [
     "CLUSTER_KEYS",
     "OVERRIDE_KEYS",
-    "active_overrides",
     "clear_overrides",
     "cluster_overrides",
-    "forced",
     "get_override",
     "set_overrides",
 ]
@@ -71,11 +68,6 @@ def clear_overrides() -> None:
     _active.clear()
 
 
-def active_overrides() -> Dict[str, object]:
-    """Snapshot of the active table (empty outside ablation runs)."""
-    return dict(_active)
-
-
 def cluster_overrides() -> Dict[str, object]:
     """The subset applied to ``ClusterConfig`` fields."""
     return {k: v for k, v in _active.items() if k in CLUSTER_KEYS}
@@ -90,19 +82,3 @@ def get_override(key: str, default: object = None) -> object:
         )
     return _active.get(key, default)
 
-
-@contextmanager
-def forced(**overrides: object) -> Iterator[None]:
-    """Scoped override install (tests and in-process serial execution).
-
-    Restores the previous table on exit, so nesting composes and an
-    exception inside the block cannot leak forced values into later
-    runs.
-    """
-    previous = dict(_active)
-    set_overrides(overrides)
-    try:
-        yield
-    finally:
-        _active.clear()
-        _active.update(previous)

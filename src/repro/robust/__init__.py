@@ -33,13 +33,12 @@ from .admission import (
     DeadlineAwarePolicy,
     make_admission,
 )
-from .deadline import Deadline, DeadlineTimer
+from .deadline import DeadlineTimer
 from .retry import RetryBudget, RetryPolicy
 
 __all__ = [
     "ADMISSION_POLICIES",
     "AdmissionPolicy",
-    "Deadline",
     "DeadlineAwarePolicy",
     "DeadlineTimer",
     "RetryBudget",
@@ -74,15 +73,6 @@ class RobustConfig:
         # Fail malformed admission specs at construction, not on the
         # first request: make_admission raises the explanatory error.
         make_admission(self.admission)
-
-    @property
-    def active(self) -> bool:
-        """True when any mechanism can change the run at all."""
-        return bool(
-            self.deadline_ns > 0.0
-            or self.retry is not None
-            or self.admission != "none"
-        )
 
     @classmethod
     def none(cls) -> "RobustConfig":

@@ -1,6 +1,6 @@
 """Per-request deadlines and their cancellable timers.
 
-A :class:`Deadline` is a point on the simulated clock; the client stamps
+A request's deadline is a point on the simulated clock; the client stamps
 it on the request at arrival (``t_arrival + budget``) and the server
 reads it for deadline-aware admission (**propagation**: the wire payload
 carries the absolute deadline, so every hop judges against the same
@@ -22,33 +22,7 @@ from __future__ import annotations
 
 from typing import Callable, Optional
 
-__all__ = ["Deadline", "DeadlineTimer"]
-
-
-class Deadline:
-    """An absolute point on the simulated clock a request must beat."""
-
-    __slots__ = ("at_s",)
-
-    def __init__(self, at_s: float):
-        if at_s < 0.0:
-            raise ValueError(f"deadline at negative time {at_s}")
-        self.at_s = at_s
-
-    @classmethod
-    def from_budget(cls, now: float, budget_ns: float) -> "Deadline":
-        """Deadline ``budget_ns`` nanoseconds after ``now``."""
-        return cls(now + budget_ns * 1e-9)
-
-    def expired(self, now: float) -> bool:
-        return now >= self.at_s
-
-    def remaining(self, now: float) -> float:
-        """Seconds left (negative once expired)."""
-        return self.at_s - now
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return f"<Deadline at={self.at_s * 1e6:.1f}us>"
+__all__ = ["DeadlineTimer"]
 
 
 class DeadlineTimer:

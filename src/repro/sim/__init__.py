@@ -15,8 +15,8 @@ Public surface::
 
 from .engine import SimulationError, Simulator
 from .equeue import EventQueue
-from .events import AllOf, AnyOf, Event, Timeout
-from .process import Interrupt, Park, Process
+from .events import AllOf, Event, Timeout
+from .process import Park, Process
 from .rng import RngStreams, stable_hash
 from .sync import CompletionLatch, Signal, SimBarrier
 
@@ -26,10 +26,8 @@ __all__ = [
     "EventQueue",
     "Event",
     "Timeout",
-    "AnyOf",
     "AllOf",
     "Process",
-    "Interrupt",
     "Park",
     "RngStreams",
     "stable_hash",

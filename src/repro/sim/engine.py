@@ -38,9 +38,8 @@ from math import inf as _INF
 from math import nextafter
 from typing import Any, Callable, Generator, Optional
 
-from .equeue import _COMPACT_MIN_DEAD as _COMPACT_MIN_DEAD  # re-export, tests
 from .equeue import EventQueue
-from .events import AllOf, AnyOf, Event, Timeout
+from .events import AllOf, Event, Timeout
 from .process import Park, Process, _Wake
 from .rng import RngStreams
 
@@ -145,9 +144,6 @@ class Simulator:
     def process(self, gen: Generator, name: str = "") -> Process:
         """Start a new process driving ``gen``."""
         return Process(self, gen, name=name)
-
-    def any_of(self, events) -> AnyOf:
-        return AnyOf(self, events)
 
     def all_of(self, events) -> AllOf:
         return AllOf(self, events)
@@ -283,24 +279,6 @@ class Simulator:
     # ------------------------------------------------------------------
     # Main loop
     # ------------------------------------------------------------------
-    def step(self) -> None:
-        """Dispatch the next live event, skipping cancelled entries.
-        Raises IndexError if no live event remains in the queue.
-        Parked sleepers are caught up to the new clock afterwards."""
-        if self._parked and not self.queue.live:
-            self._unpark_all()
-        when, _seq, event = self.queue.pop()
-        self.now = when
-        self.dispatched += 1
-        obs = self.obs
-        if obs is not None and event.name and obs.wants("sim"):
-            obs.instant("sim", "dispatch", args={"event": event.name})
-        event._process()
-        if self._crashed:
-            self._raise_crash()
-        if self._parked:
-            self._catch_up_all(self.now, False)
-
     def _dispatch_batch(self, batch: list, obs, stop: Optional[Event]) -> None:
         """Dispatch a batch already counted in ``dispatched`` and
         ``_inflight``: a multi-entry batch, or any batch while the obs

@@ -6,7 +6,7 @@ it owns an :class:`EventQueue`, a small priority-queue interface over
 allocated at push time.  The implementation is a lazy-deletion binary
 heap: ``heapq`` keeps the entries totally ordered, cancelled entries are
 skipped at pop time and swept by an in-place compaction once more than
-half of the heap is dead.  The method set (``push`` / ``pop`` /
+half of the heap is dead.  The method set (``push`` /
 ``pop_batch`` / ``pop_run`` / ``note_cancelled`` / ``skip_inflight`` /
 ``requeue`` and the ``live`` / ``dead`` / ``size`` / ``stats``
 accounting) is the seam the engine and the benches read through;
@@ -89,20 +89,6 @@ class EventQueue:
         }
 
     # -- operations ----------------------------------------------------
-    def pop(self):
-        """Remove and return the minimal live entry.
-
-        Leading cancelled entries are consumed (and accounted as
-        skipped) on the way; raises ``IndexError`` when no live entry
-        remains."""
-        heap = self._heap
-        entry = heappop(heap)
-        while entry[2]._cancelled:
-            self._dead -= 1
-            self.skipped += 1
-            entry = heappop(heap)
-        return entry
-
     def pop_batch(self, horizon: Optional[float] = None):
         """Remove and return the leading run of live entries sharing the
         minimal timestamp, or ``None`` when no live entry remains (or

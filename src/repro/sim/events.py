@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from typing import Any, Callable, Optional
 
-__all__ = ["Event", "Timeout", "AnyOf", "AllOf"]
+__all__ = ["Event", "Timeout", "AllOf"]
 
 _PENDING = object()
 
@@ -104,7 +104,7 @@ class Event:
         an event only when every waiter is being torn down with it (the
         intended idiom for service-loop timers).  Cancelling a
         :class:`~repro.sim.process.Process` does *not* stop its
-        generator -- use :meth:`Process.interrupt` for that.
+        generator.
         """
         if self._cancelled or self._triggered or self.callbacks is None:
             return False
@@ -189,7 +189,7 @@ class Event:
 class Timeout(Event):
     """An event that fires ``delay`` simulated seconds after creation.
 
-    For an event others wait on or compose (``any_of``, a watchdog
+    For an event others wait on or compose (``all_of``, a watchdog
     sample).  A process that only sleeps
     yields the bare ``float`` delay instead, and a plain callback uses
     :meth:`Simulator.call_after`: neither allocates a Timeout (DESIGN.md
@@ -208,8 +208,8 @@ class Timeout(Event):
         self._scheduled = True
 
 
-class _Condition(Event):
-    """Base for composite events over a fixed set of child events."""
+class AllOf(Event):
+    """Fires once every child event has fired; fails fast on any failure."""
 
     __slots__ = ("events", "_n_fired")
 
@@ -227,50 +227,6 @@ class _Condition(Event):
             ev.add_callback(self._check)
 
     def _check(self, event: Event) -> None:
-        raise NotImplementedError
-
-    def _detach(self) -> None:
-        """Drop this condition's ``_check`` from every losing child.
-
-        Once the condition has triggered, the remaining children's
-        callbacks are dead weight: on a long-lived child (e.g. a NIC
-        activity signal raced against repeated timeouts) they would
-        otherwise accumulate without bound.
-        """
-        check = self._check
-        for ev in self.events:
-            cbs = ev.callbacks
-            if cbs:
-                cbs[:] = [cb for cb in cbs if cb != check]
-
-    def _collect(self) -> dict:
-        return {ev: ev.value for ev in self.events if ev.triggered and ev.ok}
-
-
-class AnyOf(_Condition):
-    """Fires as soon as any child event fires (or fails)."""
-
-    __slots__ = ()
-
-    def _check(self, event: Event) -> None:
-        if self.triggered:
-            if not event.ok:
-                event._defused = True
-            return
-        if not event.ok:
-            event._defused = True
-            self.fail(event.value)
-        else:
-            self.succeed(self._collect())
-        self._detach()
-
-
-class AllOf(_Condition):
-    """Fires once every child event has fired; fails fast on any failure."""
-
-    __slots__ = ()
-
-    def _check(self, event: Event) -> None:
         if self.triggered:
             if not event.ok:
                 event._defused = True
@@ -282,4 +238,17 @@ class AllOf(_Condition):
             return
         self._n_fired += 1
         if self._n_fired == len(self.events):
-            self.succeed(self._collect())
+            self.succeed({ev: ev.value for ev in self.events if ev.triggered and ev.ok})
+
+    def _detach(self) -> None:
+        """Drop this condition's ``_check`` from every child still pending.
+
+        Once the condition has failed, the remaining children's
+        callbacks are dead weight: on a long-lived child they would
+        otherwise accumulate without bound.
+        """
+        check = self._check
+        for ev in self.events:
+            cbs = ev.callbacks
+            if cbs:
+                cbs[:] = [cb for cb in cbs if cb != check]

@@ -17,15 +17,7 @@ from typing import Generator
 
 from .events import Event
 
-__all__ = ["Process", "Interrupt", "Park"]
-
-
-class Interrupt(Exception):
-    """Thrown into a process by :meth:`Process.interrupt`."""
-
-    @property
-    def cause(self):
-        return self.args[0] if self.args else None
+__all__ = ["Process", "Park"]
 
 
 class _Wake:
@@ -110,24 +102,6 @@ class Process(Event):
     def is_alive(self) -> bool:
         return not self.triggered
 
-    def interrupt(self, cause=None) -> None:
-        """Throw :class:`Interrupt` into the process at the current time."""
-        if self.triggered:
-            raise RuntimeError(f"{self!r} has already terminated")
-        if isinstance(self._waiting_on, Park):
-            # Bring the sleeper to where it would be now; the interrupt
-            # then lands on that wake like on any sleep.
-            self.sim.catch_up(self._waiting_on)
-        ev = Event(self.sim, name=f"interrupt:{self.name}")
-        # Detach from whatever we were waiting on; the stale callback
-        # becomes a no-op because _resume checks identity.
-        ev.add_callback(self._resume_interrupt)
-        ev._value = Interrupt(cause)
-        ev._ok = False
-        ev._defused = True
-        self.sim._schedule(ev, 0.0)
-        ev._scheduled = True
-
     # ------------------------------------------------------------------
     def _resume(self, event: Event, ahead: bool = False) -> "float | None":
         # The per-event wake path: every dispatched event or wake token
@@ -137,10 +111,6 @@ class Process(Event):
         # not pushed: its wake time is returned, and the caller either
         # runs the process ahead to it or pushes the token itself.
         if self._triggered:
-            return None
-        waiting = self._waiting_on
-        if waiting is not event and waiting is not None:
-            # Stale wakeup from an event we stopped waiting on (interrupt).
             return None
         self._waiting_on = None
         sim = self.sim
@@ -217,12 +187,3 @@ class Process(Event):
         if not target._cancelled:
             cbs.append(self._resume)
         return None
-
-    def _resume_interrupt(self, event: Event) -> None:
-        # Interrupt delivery: bypass the identity check on _waiting_on.
-        if self.triggered:
-            return
-        # A cut-short sleep leaves its token queued: use a fresh one.
-        self._wake = _Wake(self)
-        self._waiting_on = event
-        self._resume(event)

@@ -86,16 +86,6 @@ class CompletionLatch:
         self.n_fired = 0
         self._signal: "Signal | None" = None
 
-    @property
-    def done(self) -> bool:
-        """True once every tracked request has completed."""
-        return self.n_pending == 0
-
-    @property
-    def any_fired(self) -> bool:
-        """True once at least one tracked request has completed."""
-        return self.n_fired > 0
-
     def add(self, n: int = 1) -> None:
         """Track ``n`` more pending completions."""
         self.n_pending += n

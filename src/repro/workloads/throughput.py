@@ -49,6 +49,14 @@ class ThroughputConfig:
     n_windows: int = 8
     tag: int = 0
 
+    def __post_init__(self) -> None:
+        if self.msg_size < 0:
+            raise ValueError(f"msg_size must be >= 0, got {self.msg_size}")
+        if self.window < 1 or self.n_windows < 1:
+            raise ValueError(
+                f"window and n_windows must be >= 1, got {self.window} "
+                f"and {self.n_windows}")
+
 
 @dataclass(frozen=True)
 class ThroughputResult:

@@ -170,13 +170,14 @@ class TestExecution:
         assert "no-such-experiment" in rec["error"]
 
     def test_overrides_cleared_after_cell(self):
-        from repro.overrides import active_overrides
+        from repro.overrides import cluster_overrides, get_override
         ablation.execute_cell({
             "run_id": "deadbeef", "exp_id": "no-such-experiment",
             "label": "no-lock", "ablated": ["lock"],
             "overrides": {"lock": "mutex"}, "seed": 0, "quick": True,
         })
-        assert active_overrides() == {}
+        assert cluster_overrides() == {}
+        assert get_override("robust") is None
 
     def test_journal_resume_skips_completed_cells(self, tmp_path, monkeypatch):
         cells = _tiny_matrix()

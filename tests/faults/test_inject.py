@@ -5,8 +5,8 @@ import pytest
 
 from repro.faults import FaultInjector, FaultPlan
 from repro.faults.inject import DUPLICATE_GAP_NS
-from repro.network import Fabric, NetworkConfig, Packet, PacketKind, PacketTracer
-from repro.obs import Instrument
+from repro.network import Fabric, NetworkConfig, Packet, PacketKind
+from repro.obs import EventKind, Recording
 from repro.sim import Simulator
 
 
@@ -34,10 +34,11 @@ def test_certain_drop_loses_delivery_but_completes_locally():
 
 def test_certain_duplicate_delivers_two_copies():
     sim, fab = make_fabric(FaultPlan(duplicate=1.0))
-    recs = PacketTracer.from_bus(Instrument().bind_sim(sim)).records
+    rec = Recording(categories=("net",))
+    rec.bus.bind_sim(sim)
     fab.send(Packet(PacketKind.EAGER, 0, 1, 1000))
     sim.run()
-    arrivals = [r.time for r in recs]
+    arrivals = [ev.ts for ev in rec.events if ev.kind is EventKind.ASYNC_END]
     assert len(fab.nic(1).recv_q) == 2
     assert fab.faults.stats.duplicates == 1
     t1, t2 = sorted(arrivals)

@@ -1,6 +1,6 @@
 """Integration stress test: heterogeneous traffic on one cluster.
 
-Pt2pt streams, collectives, RMA, and probe-driven consumers all share
+Pt2pt streams, collectives, RMA, and tagged consumers all share
 the same runtimes, locks, and fabric concurrently -- the kind of mixed
 load a real MPI application generates.  Verifies global invariants at
 the end: every request freed, queues empty, data intact.
@@ -11,7 +11,7 @@ import operator
 import pytest
 
 from repro.mpi import Cluster, ClusterConfig, allocate_windows
-from repro.mpi.collectives import allgather, allreduce, barrier
+from repro.mpi.collectives import allreduce, alltoall, barrier
 
 
 @pytest.mark.parametrize("lock", ["mutex", "ticket", "priority"])
@@ -49,11 +49,11 @@ def test_mixed_workload_all_invariants(lock):
             total = yield from allreduce(th, cl.world, rank, operator.add)
             yield from wins[rank].put(th, (rank + 1) % P, 2048)
             yield from barrier(th, cl.world)
-            all_vals = yield from allgather(th, cl.world, rank * 2)
+            all_vals = yield from alltoall(th, cl.world, [rank * 2] * P)
             results["coll"][rank] = (total, all_vals)
         return gen()
 
-    # Thread 2: probe-driven consumer.
+    # Thread 2: a consumer matching by source and tag.
     def prober(rank):
         th = cl.thread(rank, 2)
         src = (rank + 2) % P
@@ -61,8 +61,7 @@ def test_mixed_workload_all_invariants(lock):
         def gen():
             dst = (rank - 2) % P
             yield from th.send(dst, 256, tag=7, data=f"probe-{rank}")
-            env = yield from th.probe(source=src, tag=7)
-            data = yield from th.recv(source=env[0], tag=7)
+            data = yield from th.recv(source=src, tag=7)
             results["probe"][rank] = data
         return gen()
 

@@ -1,4 +1,4 @@
-"""Tests for the extended MPI API: testall/testany/waitany/probe/sendrecv."""
+"""Tests for the extended MPI API: testall/testany/waitany."""
 
 
 from repro.mpi import Cluster, ClusterConfig
@@ -114,74 +114,3 @@ def test_testany_none_then_index():
     assert seen[-1] == 0
     assert seen.count(None) >= 1
 
-
-def test_iprobe_sees_unexpected_only():
-    cl = make_cluster()
-    t0, t1 = cl.thread(0), cl.thread(1)
-    out = {}
-
-    def sender():
-        yield from t0.send(1, 512, tag=4, data="probe-me")
-
-    def receiver():
-        # Let the message land, then probe before posting a receive.
-        found = yield from t1.probe(source=0, tag=4)
-        out["probe"] = found
-        # Probing is non-destructive: the receive still matches.
-        out["data"] = yield from t1.recv(source=0, tag=4)
-
-    cl.run_workload([sender(), receiver()])
-    assert out["probe"] == (0, 4, 512)
-    assert out["data"] == "probe-me"
-
-
-def test_iprobe_returns_none_when_nothing_matches():
-    cl = make_cluster()
-    t0, t1 = cl.thread(0), cl.thread(1)
-    out = {}
-
-    def sender():
-        yield from t0.send(1, 64, tag=8, data="other")
-
-    def receiver():
-        yield from t1.probe(source=0, tag=8)  # ensure msg is in UQ
-        out["miss"] = yield from t1.iprobe(source=0, tag=9)
-        yield from t1.recv(source=0, tag=8)
-
-    cl.run_workload([sender(), receiver()])
-    assert out["miss"] is None
-
-
-def test_sendrecv_exchanges_without_deadlock():
-    """Head-to-head blocking exchange: plain send+recv would deadlock for
-    rendezvous sizes; sendrecv must not."""
-    cl = make_cluster()
-    t0, t1 = cl.thread(0), cl.thread(1)
-    out = {}
-
-    def a():
-        out[0] = yield from t0.sendrecv(1, 1, 1 << 18, tag=5, data="from-0")
-
-    def b():
-        out[1] = yield from t1.sendrecv(0, 0, 1 << 18, tag=5, data="from-1")
-
-    cl.run_workload([a(), b()])
-    assert out[0] == "from-1"
-    assert out[1] == "from-0"
-
-
-def test_sendrecv_distinct_tags_and_sizes():
-    cl = make_cluster()
-    t0, t1 = cl.thread(0), cl.thread(1)
-    out = {}
-
-    def a():
-        out[0] = yield from t0.sendrecv(
-            1, 1, 64, tag=1, data="ping", recv_nbytes=128, recv_tag=2)
-
-    def b():
-        out[1] = yield from t1.sendrecv(
-            0, 0, 128, tag=2, data="pong", recv_nbytes=64, recv_tag=1)
-
-    cl.run_workload([a(), b()])
-    assert out == {0: "pong", 1: "ping"}

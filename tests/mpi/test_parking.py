@@ -96,7 +96,9 @@ def test_app_thread_entering_touches_a_parked_rank(lock):
             th = cl.thread(rank)
             for i in range(4):
                 yield th.compute(3e-6)
-                yield from th.sendrecv(1 - rank, 1 - rank, 64, tag=i)
+                sreq = yield from th.isend(1 - rank, 64, tag=i)
+                rreq = yield from th.irecv(source=1 - rank, nbytes=64, tag=i)
+                yield from th.waitall((sreq, rreq))
             return cl.sim.now
 
         ends = cl.run_workload([worker(0), worker(1)])

@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.network import Fabric, NetworkConfig, Packet, PacketKind, PacketTracer
-from repro.obs import Instrument
+from repro.network import Fabric, NetworkConfig, Packet, PacketKind
+from repro.obs import EventKind, Recording
 from repro.sim import Simulator
 
 
@@ -16,9 +16,16 @@ def make_fabric(n_ranks=2, ranks_per_node=1, **overrides):
     return sim, fab
 
 
-def delivered(sim):
-    """Live list of the packets the fabric delivers, read off the bus."""
-    return PacketTracer.from_bus(Instrument().bind_sim(sim)).records
+def recording(sim):
+    """A recording of ``sim``'s ``net`` bus events."""
+    rec = Recording(categories=("net",))
+    rec.bus.bind_sim(sim)
+    return rec
+
+
+def delivered(rec):
+    """The packets delivered so far: the ``net`` async-span ends."""
+    return [ev for ev in rec.events if ev.kind is EventKind.ASYNC_END]
 
 
 def test_register_duplicate_rank_rejected():
@@ -91,11 +98,11 @@ def test_intranode_uses_shm_path_and_is_faster():
 def test_local_completion_before_delivery():
     sim, fab = make_fabric()
     times = {}
-    recs = delivered(sim)
+    rec = recording(sim)
     fab.send(Packet(PacketKind.EAGER, 0, 1, 10_000),
              lambda: times.setdefault("local", sim.now))
     sim.run()
-    times["deliver"] = recs[0].time
+    times["deliver"] = delivered(rec)[0].ts
     assert times["local"] < times["deliver"]
     # They differ by exactly the propagation latency.
     assert times["deliver"] - times["local"] == pytest.approx(
@@ -116,12 +123,12 @@ def test_uplink_serializes_concurrent_messages():
     transfer-time later, not concurrently."""
     sim, fab = make_fabric(n_ranks=3, ranks_per_node=1)
     # Rank 0 sends to ranks 1 and 2 at the same instant.
-    recs = delivered(sim)
+    rec = recording(sim)
     nbytes = 1_000_000
     fab.send(Packet(PacketKind.EAGER, 0, 1, nbytes))
     fab.send(Packet(PacketKind.EAGER, 0, 2, nbytes))
     sim.run()
-    arrivals = [(r.dst_rank, r.time) for r in recs]
+    arrivals = [(ev.args["dst"], ev.ts) for ev in delivered(rec)]
     (d1, t1), (d2, t2) = sorted(arrivals, key=lambda x: x[1])
     xfer = (nbytes + fab.config.header_bytes) / (fab.config.bandwidth_gbps * 1e9)
     assert t2 - t1 == pytest.approx(xfer, rel=1e-6)
@@ -129,12 +136,12 @@ def test_uplink_serializes_concurrent_messages():
 
 def test_sends_from_different_nodes_do_not_serialize():
     sim, fab = make_fabric(n_ranks=3, ranks_per_node=1)
-    recs = delivered(sim)
+    rec = recording(sim)
     nbytes = 1_000_000
     fab.send(Packet(PacketKind.EAGER, 0, 2, nbytes))
     fab.send(Packet(PacketKind.EAGER, 1, 2, nbytes))
     sim.run()
-    arrivals = [r.time for r in recs]
+    arrivals = [ev.ts for ev in delivered(rec)]
     assert arrivals[0] == pytest.approx(arrivals[1])
 
 

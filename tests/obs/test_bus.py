@@ -41,19 +41,6 @@ def test_unsubscribe_disables():
     assert not bus.enabled
 
 
-def test_span_context_manager_pairs_begin_end():
-    log = EventLog()
-    bus = Instrument()
-    bus.subscribe(log.append)
-    with bus.span("mpi", "cs.main", rank=0, tid=3):
-        bus.counter("mpi", "depth", 1, rank=0)
-    kinds = [ev.kind for ev in log]
-    assert kinds == [EventKind.SPAN_BEGIN, EventKind.COUNTER, EventKind.SPAN_END]
-    spans = log.spans(strict=True)
-    assert len(spans) == 1
-    assert spans[0].name == "cs.main" and spans[0].tid == 3
-
-
 def test_span_nesting_lifo_per_lane():
     """Nested spans on one lane pair LIFO; lanes don't interfere."""
     log = EventLog()

@@ -3,16 +3,16 @@
 The bus only *reads* the simulated clock -- it never schedules events,
 yields, or consumes random numbers -- so a run with a bus attached must
 be bit-identical (simulated clock and results) to the same run without
-one.  These tests pin that invariant, plus the books of the two
-profilers built as bus adapters (LockTrace, PacketTracer).
+one.  These tests pin that invariant, plus the books of the lock
+profiler built as a bus adapter (LockTrace) and of the ``net`` delivery
+events.
 """
 
 import pytest
 
 from repro.experiments import run_experiment
 from repro.locks.stats import LockTrace
-from repro.network.trace import PacketTracer
-from repro.obs import Instrument, Recording
+from repro.obs import EventKind, Instrument, Recording
 from repro.workloads import ThroughputConfig, run_throughput, throughput_cluster
 
 
@@ -64,13 +64,13 @@ def test_locktrace_adapter_records_every_cs_entry():
     assert (a["n_contenders_prev_socket"] <= a["n_contenders"]).all()
 
 
-def test_packettracer_adapter_records_every_delivery():
-    bus = Instrument()
-    tracer = PacketTracer.from_bus(bus)
-    cl, _ = _run(2, obs=bus)
+def test_net_events_record_every_delivery():
+    rec = Recording(categories=("net",))
+    cl, _ = _run(2, obs=rec.bus)
     nics = [rt.nic for rt in cl.runtimes]
-    assert len(tracer) == sum(n.recv_packets for n in nics) > 0
+    ends = [ev for ev in rec.events if ev.kind is EventKind.ASYNC_END]
+    assert len(ends) == sum(n.recv_packets for n in nics) > 0
     sent = {}
-    for (src, _dst), n in tracer.summary().by_pair.items():
-        sent[src] = sent.get(src, 0) + n
+    for ev in ends:
+        sent[ev.args["src"]] = sent.get(ev.args["src"], 0) + 1
     assert sent == {n.rank: n.sent_packets for n in nics if n.sent_packets}

@@ -10,16 +10,16 @@ queue against an oracle built from the schedule itself:
   its float-equal fire time;
 * **books balance** -- after any interleaving, ``live + dead == size``
   and every scheduled event is eventually dispatched or skipped;
-* **sleep protocol** -- random plans of sleeps, timers, cancels and
-  interrupts give the same ``(now, who, step)`` trace, counters, clock
-  and next seq whether processes sleep with ``yield delay`` (and run
+* **sleep protocol** -- random plans of sleeps, timers and cancels
+  give the same ``(now, who, step)`` trace, counters, clock and next
+  seq whether processes sleep with ``yield delay`` (and run
   ahead of the queue) or ``yield sim.timeout(delay)``.
 """
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim import Interrupt, Simulator
+from repro.sim import Simulator
 
 NS = 1e-9
 
@@ -100,11 +100,11 @@ def test_dispatch_matches_time_then_scheduling_order(plan, horizon_ns):
 
 #: One process: its sleeps in ns (0 makes same-timestamp ties).
 _proc = st.lists(st.integers(0, 60), min_size=1, max_size=6)
-#: One timer: (delay ns, action, target index); actions act on the
-#: target-th process or timer at fire time.
+#: One timer: (delay ns, action, target index); a cancel acts on the
+#: target-th timer at fire time.
 _timer = st.tuples(
     st.integers(0, 200),
-    st.sampled_from(["nothing", "cancel", "interrupt"]),
+    st.sampled_from(["nothing", "cancel"]),
     st.integers(0, 7),
 )
 
@@ -118,26 +118,20 @@ def _run_sleep_plan(procs, timers, cancel_upfront, horizon_ns, float_sleep):
 
     def body(name, sleeps):
         for k, ns in enumerate(sleeps):
-            try:
-                if float_sleep:
-                    yield ns * NS
-                else:
-                    yield sim.timeout(ns * NS)
-                seen.append((sim.now, name, k))
-            except Interrupt:
-                seen.append((sim.now, name, (k, "interrupted")))
+            if float_sleep:
+                yield ns * NS
+            else:
+                yield sim.timeout(ns * NS)
+            seen.append((sim.now, name, k))
 
-    ps = [sim.process(body(f"p{i}", sl), name=f"p{i}") for i, sl in enumerate(procs)]
+    for i, sl in enumerate(procs):
+        sim.process(body(f"p{i}", sl), name=f"p{i}")
     handles = []
 
     def act(label, action, target):
         step = action
         if action == "cancel":
             step = (action, handles[target % len(handles)].cancel())
-        elif action == "interrupt":
-            p = ps[target % len(ps)]
-            if p.is_alive:
-                p.interrupt(label)
         seen.append((sim.now, f"t{label}", step))
 
     for i, (ns, action, target) in enumerate(timers):
@@ -151,7 +145,7 @@ def _run_sleep_plan(procs, timers, cancel_upfront, horizon_ns, float_sleep):
     sim.run()
     # The next sequence number, read off a probe entry's key.
     sim.call_after(0.0, lambda: None)
-    _when, next_seq, _item = sim.queue.pop()
+    _when, next_seq, _item = sim.queue.pop_batch()
     return seen, sim.dispatched, sim.skipped, sim.now, next_seq
 
 
@@ -167,7 +161,7 @@ def test_float_sleep_matches_timeout_sleep(procs, timers, cancel_upfront,
     """``yield delay`` -- which runs ahead of the queue whenever it can
     -- dispatches exactly like ``yield sim.timeout(delay)``, which never
     does: same trace, dispatch and skip counts, clock and next seq,
-    interrupts, timer races and horizon stops included."""
+    timer races and horizon stops included."""
     float_run = _run_sleep_plan(procs, timers, cancel_upfront, horizon_ns, True)
     timeout_run = _run_sleep_plan(procs, timers, cancel_upfront, horizon_ns, False)
     assert float_run == timeout_run

@@ -1,4 +1,4 @@
-"""RobustConfig: validation, presets and the `active` contract."""
+"""RobustConfig: validation and presets."""
 
 import pytest
 
@@ -6,20 +6,13 @@ from repro.robust import RetryPolicy, RobustConfig
 
 
 def test_default_and_none_are_inactive():
-    assert not RobustConfig().active
-    assert not RobustConfig.none().active
-    assert RobustConfig.none() == RobustConfig()
-
-
-def test_any_mechanism_activates():
-    assert RobustConfig(deadline_ns=100_000.0).active
-    assert RobustConfig(retry=RetryPolicy()).active
-    assert RobustConfig(admission="deadline").active
+    r = RobustConfig()
+    assert (r.deadline_ns, r.retry, r.admission) == (0.0, None, "none")
+    assert RobustConfig.none() == r
 
 
 def test_protected_preset_turns_everything_on():
     r = RobustConfig.protected(deadline_ns=250_000.0)
-    assert r.active
     assert r.deadline_ns == 250_000.0
     assert r.retry == RetryPolicy()
     assert r.admission == "deadline"

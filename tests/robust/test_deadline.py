@@ -1,34 +1,8 @@
-"""Deadline stamps and the re-armable cancellable timer."""
+"""The re-armable cancellable deadline timer."""
 
 import pytest
 
-from repro.robust import Deadline, DeadlineTimer
-
-
-# ----------------------------------------------------------------------
-# Deadline (pure arithmetic)
-# ----------------------------------------------------------------------
-def test_from_budget_converts_ns():
-    d = Deadline.from_budget(1e-3, 250_000.0)
-    assert d.at_s == pytest.approx(1e-3 + 250e-6)
-
-
-def test_expired_is_inclusive_at_the_instant():
-    d = Deadline(1.0)
-    assert not d.expired(0.999)
-    assert d.expired(1.0)
-    assert d.expired(1.5)
-
-
-def test_remaining_goes_negative_past_expiry():
-    d = Deadline(1.0)
-    assert d.remaining(0.25) == pytest.approx(0.75)
-    assert d.remaining(1.25) == pytest.approx(-0.25)
-
-
-def test_negative_deadline_rejected():
-    with pytest.raises(ValueError):
-        Deadline(-1e-9)
+from repro.robust import DeadlineTimer
 
 
 # ----------------------------------------------------------------------

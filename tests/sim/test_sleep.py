@@ -4,7 +4,7 @@ the run loop's run-ahead of a process woken by its own sleep."""
 import pytest
 
 from repro.obs import Recording
-from repro.sim import EventQueue, Interrupt, SimulationError, Simulator
+from repro.sim import EventQueue, SimulationError, Simulator
 from repro.sim import engine as engine_mod
 
 
@@ -20,30 +20,6 @@ def test_float_sleep_resumes_with_none_after_delay():
     sim.run()
     assert seen == [None, 1e-6]
     assert sim.dispatched == 3  # init, one wake, the process's completion
-
-
-def test_interrupt_during_float_sleep():
-    # The interrupted sleep's wake entry stays queued and dispatches as
-    # a no-op; the next sleep fires on time, not at the stale wake.
-    sim = Simulator()
-    log = []
-
-    def sleeper():
-        try:
-            yield 10e-6
-        except Interrupt as it:
-            log.append(("interrupted", sim.now, it.cause))
-        yield 7e-6
-        log.append(("woke", sim.now))
-
-    p = sim.process(sleeper())
-    sim.call_after(5e-6, p.interrupt, "poke")
-    sim.run()
-    assert log == [("interrupted", 5e-6, "poke"), ("woke", 5e-6 + 7e-6)]
-    # init, timer, interrupt, the stale wake at 10 us, the live wake,
-    # and the process's own completion.
-    assert sim.dispatched == 6
-    assert sim.now == 5e-6 + 7e-6
 
 
 def test_negative_float_sleep_raises_valueerror_at_the_yield():
@@ -216,22 +192,3 @@ def test_raise_inside_run_ahead_chain_surfaces_at_its_time():
     with pytest.raises(SimulationError, match=r"'bad' died at t=3\.0"):
         sim.run()
     assert sim.now == 3.0
-
-
-def test_step_dispatches_exactly_one_entry():
-    sim = Simulator()
-    times = []
-
-    def proc():
-        for _ in range(3):
-            yield 1.0
-            times.append(sim.now)
-
-    sim.process(proc())
-    sim.step()  # init: the first sleep is pushed
-    assert (sim.dispatched, sim.now, times) == (1, 0.0, [])
-    sim.step()  # one wake; step never runs ahead
-    assert (sim.dispatched, sim.now, times) == (2, 1.0, [1.0])
-    assert sim.queued_events == 1
-    sim.step()
-    assert (sim.dispatched, sim.now, times) == (3, 2.0, [1.0, 2.0])

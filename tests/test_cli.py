@@ -84,6 +84,9 @@ def test_throughput_command(capsys):
 @pytest.mark.parametrize("argv, valid", [
     (["--cs", "global:4"], "valid policies: global, per-vci"),
     (["--faults", "dorp=1"], "valid keys: drop, dup, duplicate, reorder"),
+    (["--size", "-5"], "msg_size must be >= 0, got -5"),
+    (["--windows", "0"], "n_windows must be >= 1"),
+    (["--windows", "-2"], "n_windows must be >= 1"),
 ])
 def test_throughput_config_error_is_one_line(capsys, argv, valid):
     assert main(["throughput", *argv]) == 2
