@@ -37,16 +37,15 @@ them as AST rules (stdlib :mod:`ast`, no new dependencies):
     exception swallow model bugs that determinism tests would otherwise
     surface.
 ``queue-encapsulation``
-    The simulator's event queue sits behind a narrow seam
-    (:mod:`repro.sim.equeue`); only the sim core (engine, queue and
-    event primitives) may import :mod:`heapq` or touch queue internals
-    (the heap array, the push binding, the sequence counter).  The
+    The simulator's event heap and its books are private to the sim
+    core: only the engine and the event primitives may import
+    :mod:`heapq` or touch ``sim._heap``, ``sim._dead``, the push
+    binding ``sim._push`` or the sequence counter ``sim._seq``.  The
     process module may read the push binding and the sequence counter
     -- its float-sleep path pushes the wake token -- and nothing else.
-    Everything else goes
-    through the :class:`EventQueue` methods and the ``Simulator``
-    properties, so the queue's books (live / dead / skipped) stay
-    exact and the queue can change without touching its callers.
+    Everything else schedules through the ``Simulator`` methods and
+    reads its accounting properties, so the heap's books (live / dead /
+    skipped) stay exact.
 ``continuation-discipline``
     Callbacks registered via ``attach_continuation`` fire inside the
     runtime's completion dispatch; callbacks handed to the timer paths
@@ -609,12 +608,11 @@ def _check_broad_except(mod: _Module) -> Iterator[Finding]:
             )
 
 
-#: Files allowed to import heapq / touch queue internals: the engine,
-#: the queue module and the event primitives (whose trigger-time
-#: scheduling is deliberately inlined into the push fast path).
+#: Files allowed to import heapq / touch the event heap: the engine
+#: and the event primitives (whose trigger-time scheduling is
+#: deliberately inlined into the push fast path).
 _QUEUE_WHITELIST = (
     "repro/sim/engine.py",
-    "repro/sim/equeue.py",
     "repro/sim/events.py",
 )
 
@@ -626,25 +624,14 @@ _QUEUE_GRANTS = {
     "repro/sim/process.py": frozenset({"_push", "_seq"}),
 }
 
-#: Attribute names that are queue internals wherever they appear
-#: (heap array, bucket-queue state).
-_QUEUE_PRIVATE_ANY = frozenset({
-    "_heap", "_buckets", "_inv_width", "_grow_at",
-})
-
-#: Attribute names that are queue internals only on a simulator or
-#: queue receiver (generic enough to exist on unrelated classes).
-_QUEUE_PRIVATE_SIM = frozenset({
-    "_dead", "_push", "_seq", "_cur", "_width", "_count",
-})
-
-#: Receiver spellings that denote the simulator or its queue.
-_QUEUE_RECEIVERS = frozenset({"sim", "queue", "q", "equeue"})
+#: The simulator's event-heap internals: the heap, its dead count, the
+#: push binding and the sequence counter.
+_QUEUE_PRIVATE = frozenset({"_heap", "_dead", "_push", "_seq"})
 
 
 @_rule("queue-encapsulation")
 def _check_queue_encapsulation(mod: _Module) -> Iterator[Finding]:
-    """queue internals stay behind the EventQueue interface"""
+    """event-heap internals stay inside the sim engine"""
     path = mod.path.replace("\\", "/")
     if path.endswith(_QUEUE_WHITELIST):
         return
@@ -652,51 +639,44 @@ def _check_queue_encapsulation(mod: _Module) -> Iterator[Finding]:
         (g for suffix, g in _QUEUE_GRANTS.items() if path.endswith(suffix)),
         frozenset(),
     )
+    heapq_msg = (
+        "heapq import outside the sim engine: schedule through the "
+        "Simulator (timeout/call_after/succeed_after) instead"
+    )
     for node in ast.walk(mod.tree):
         if isinstance(node, ast.Import):
             for alias in node.names:
                 if alias.name.split(".")[0] == "heapq":
                     yield Finding(
                         mod.path, node.lineno, node.col_offset,
-                        "queue-encapsulation",
-                        "heapq import outside the sim engine: the event "
-                        "queue is pluggable, schedule through "
-                        "Simulator/EventQueue instead",
+                        "queue-encapsulation", heapq_msg,
                     )
         elif isinstance(node, ast.ImportFrom):
             if node.module and node.module.split(".")[0] == "heapq":
                 yield Finding(
                     mod.path, node.lineno, node.col_offset,
-                    "queue-encapsulation",
-                    "heapq import outside the sim engine: the event "
-                    "queue is pluggable, schedule through "
-                    "Simulator/EventQueue instead",
+                    "queue-encapsulation", heapq_msg,
                 )
-        elif isinstance(node, ast.Attribute):
-            attr = node.attr
-            if attr in _QUEUE_PRIVATE_ANY:
+        elif (
+            isinstance(node, ast.Attribute)
+            and node.attr in _QUEUE_PRIVATE
+            and node.attr not in granted
+        ):
+            recv = node.value
+            tail = (
+                recv.attr if isinstance(recv, ast.Attribute)
+                else recv.id if isinstance(recv, ast.Name)
+                else None
+            )
+            if tail == "sim":
                 yield Finding(
                     mod.path, node.lineno, node.col_offset,
                     "queue-encapsulation",
-                    f"direct access to queue internal {attr!r}; use the "
-                    "EventQueue interface (push/pop/pop_batch/stats) or "
-                    "the Simulator accounting properties",
+                    f"direct access to sim.{node.attr}: the event heap "
+                    "and its books are private to the sim engine; use "
+                    "the Simulator's scheduling methods and its "
+                    "queued_events/dead_events/heap_size/skipped counters",
                 )
-            elif attr in _QUEUE_PRIVATE_SIM and attr not in granted:
-                recv = node.value
-                tail = (
-                    recv.attr if isinstance(recv, ast.Attribute)
-                    else recv.id if isinstance(recv, ast.Name)
-                    else None
-                )
-                if tail in _QUEUE_RECEIVERS:
-                    yield Finding(
-                        mod.path, node.lineno, node.col_offset,
-                        "queue-encapsulation",
-                        f"direct access to {tail}.{attr}: queue internals "
-                        "are private to the sim engine; use the "
-                        "EventQueue interface or Simulator properties",
-                    )
 
 
 #: Methods a continuation callback must never call: blocking waits and

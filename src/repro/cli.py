@@ -92,6 +92,10 @@ def _cmd_trace(args) -> int:
         print(f"unknown experiment {args.name!r}; try `python -m repro list`",
               file=sys.stderr)
         return 2
+    if args.max_events < 0:
+        print(f"trace: error: --max-events must be >= 0, got {args.max_events}",
+              file=sys.stderr)
+        return 2
     categories = tuple(
         c.strip() for c in args.categories.split(",") if c.strip()
     )
@@ -301,6 +305,10 @@ def _cmd_ablate(args) -> int:
         run_matrix,
     )
 
+    if args.jobs < 1:
+        print(f"ablate: error: --jobs must be >= 1, got {args.jobs}",
+              file=sys.stderr)
+        return 2
     names = select_experiments(args.experiments)
     if not names:
         print(f"unknown experiment {args.experiments!r}; "

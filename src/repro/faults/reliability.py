@@ -44,7 +44,7 @@ are just skipped by the engine).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Dict, Optional, Set, Tuple
 
 from ..network.message import Packet, PacketKind
@@ -94,9 +94,6 @@ class ReliabilityConfig:
     @property
     def rto(self) -> float:
         return self.rto_ns * 1e-9
-
-    def with_overrides(self, **kw) -> "ReliabilityConfig":
-        return replace(self, **kw)
 
 
 class ReliabilityStats:

@@ -19,7 +19,7 @@ Table 1):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Tuple
 
 __all__ = ["CostModel", "NS"]
@@ -127,7 +127,3 @@ class CostModel:
         if unexpected:
             t *= self.unexpected_copy_factor
         return t
-
-    def with_overrides(self, **kw) -> "CostModel":
-        """A copy of this model with selected fields replaced."""
-        return replace(self, **kw)

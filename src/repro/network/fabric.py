@@ -19,7 +19,7 @@ asynchronous receive interrupts, matching MPICH's polled progress).
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
 
 from ..sim.engine import Simulator
@@ -46,9 +46,6 @@ class NetworkConfig:
     shm_bandwidth_gbps: float = 6.0
     #: Per-message overhead on the shm path (ns).
     shm_inject_ns: float = 80.0
-
-    def with_overrides(self, **kw) -> "NetworkConfig":
-        return replace(self, **kw)
 
 
 class _FifoServer:

@@ -14,7 +14,6 @@ Public surface::
 """
 
 from .engine import SimulationError, Simulator
-from .equeue import EventQueue
 from .events import AllOf, Event, Timeout
 from .process import Park, Process
 from .rng import RngStreams, stable_hash
@@ -23,7 +22,6 @@ from .sync import CompletionLatch, Signal, SimBarrier
 __all__ = [
     "Simulator",
     "SimulationError",
-    "EventQueue",
     "Event",
     "Timeout",
     "AllOf",

@@ -1,21 +1,20 @@
 """The discrete-event simulator core.
 
-:class:`Simulator` owns the simulated clock and an
-:class:`~repro.sim.equeue.EventQueue` holding the pending events.  All
-behaviour in the reproduction -- threads contending on locks, the MPI
-progress engine, network packet delivery -- is expressed as processes and
-events scheduled here.  Time is a ``float`` in **seconds**; the calibrated
-cost model works at nanosecond scale (1e-9).
+:class:`Simulator` owns the simulated clock and a binary heap of
+``(time, seq, item)`` entries holding the pending events, with ``seq``
+drawn at push time.  All behaviour in the reproduction -- threads
+contending on locks, the MPI progress engine, network packet delivery --
+is expressed as processes and events scheduled here.  Time is a
+``float`` in **seconds**; the calibrated cost model works at nanosecond
+scale (1e-9).
 
-The queue (:mod:`repro.sim.equeue`) dispatches in ``(time, seq)``
-total order, so the schedule -- and therefore every bit-identity pin in
-the test suite -- depends only on the seed and the model.  The run
-loops pull *batches* of same-timestamp entries and dispatch them in one
-tight loop.  A queue item is one of three kinds, each dispatched
-straight from its entry: an :class:`Event` (run its callbacks), a
-process's sleep token (resume the generator; see
-:mod:`repro.sim.process`) or a :class:`Timer` from :meth:`call_after`
-(call ``fn(*args)``).  Sleeps and timers allocate no Timeout, callbacks
+The run loop pops one entry at a time in ``(time, seq)`` total order,
+so the schedule -- and therefore every bit-identity pin in the test
+suite -- depends only on the seed and the model.  A queue item is one
+of three kinds, each dispatched straight from its entry: an
+:class:`Event` (run its callbacks), a process's sleep token (resume the
+generator; see :mod:`repro.sim.process`) or a :class:`Timer` from
+:meth:`call_after` (call ``fn(*args)``).  Sleeps and timers allocate no Timeout, callbacks
 list or bound method, and a process woken by its own sleep token whose
 next sleep ends before every queued entry runs ahead without a queue
 round trip (see :meth:`Simulator.run`).  A process that yields a
@@ -23,8 +22,8 @@ round trip (see :meth:`Simulator.run`).  A process that yields a
 (:meth:`Simulator.catch_up`).
 
 Cancelled events (:meth:`~repro.sim.events.Event.cancel`) are deleted
-*lazily*: the queue entry stays where it is, is skipped at pop time
-without being dispatched, and a compaction sweep rebuilds the queue in
+*lazily*: the heap entry stays where it is, is skipped at pop time
+without being dispatched, and a compaction sweep rebuilds the heap in
 place once more than half of it is dead.  Skipping is schedule-neutral
 -- live events dispatch at exactly the times and in exactly the order
 they would have without any cancellations.
@@ -32,18 +31,23 @@ they would have without any cancellations.
 
 from __future__ import annotations
 
-from heapq import heappop
+from functools import partial
+from heapq import heapify, heappop, heappush
 from itertools import count
 from math import inf as _INF
 from math import nextafter
 from typing import Any, Callable, Generator, Optional
 
-from .equeue import EventQueue
 from .events import AllOf, Event, Timeout
 from .process import Park, Process, _Wake
 from .rng import RngStreams
 
-__all__ = ["Simulator", "SimulationError", "EventQueue", "Timer"]
+__all__ = ["Simulator", "SimulationError", "Timer"]
+
+#: Lazy-deletion compaction gate: never sweep a heap carrying fewer
+#: dead entries than this, however high the dead fraction (tiny heaps
+#: are cheaper to drain than to rebuild).
+_COMPACT_MIN_DEAD = 64
 
 
 class SimulationError(RuntimeError):
@@ -86,7 +90,7 @@ class Timer:
 
 
 class Simulator:
-    """Event queue + clock + factory for events and processes.
+    """Event heap + clock + factory for events and processes.
 
     Construction is keyword-only.
 
@@ -100,12 +104,19 @@ class Simulator:
 
     def __init__(self, *, seed: int = 0):
         self.now: float = 0.0
-        self.queue = EventQueue()
-        #: Bound ``queue.push``, cached: scheduling happens several times
-        #: per dispatched event, and the queue never changes after
-        #: construction.
-        self._push = self.queue.push
+        self._heap: list = []
+        #: ``_push((time, seq, item))``: ``heappush`` bound to the heap,
+        #: a C call with no Python frame.  Compaction rebuilds the heap
+        #: list in place, so the binding never goes stale.
+        self._push = partial(heappush, self._heap)
         self._seq = count()
+        #: Cancelled entries still in the heap (lazy deletion).
+        self._dead = 0
+        #: Cancelled entries removed without dispatch (pop-time skips
+        #: plus compaction sweeps).
+        self.skipped = 0
+        #: In-place heap rebuilds triggered by the >50%-dead threshold.
+        self.compactions = 0
         self._crashed: list = []
         self.rng = RngStreams(seed)
         #: Observability bus (:class:`repro.obs.Instrument`) or None.
@@ -115,11 +126,6 @@ class Simulator:
         self.obs = None
         #: Live queue items dispatched (events, sleep wakes, timers).
         self.dispatched = 0
-        #: Batch entries extracted but not yet dispatched.  Nonzero only
-        #: while a run loop is inside a batch; ``queued_events`` folds it
-        #: back in so callbacks (e.g. the progress watchdog's idle
-        #: check) see their same-timestamp siblings as still pending.
-        self._inflight = 0
         #: Parked sleeps (:class:`~repro.sim.process.Park`), in park order.
         self._parked: list = []
         #: Catch-ups whose next wake tied another entry's time exactly,
@@ -168,18 +174,17 @@ class Simulator:
         ``call_after(delay, event.succeed)`` would, in one dispatch.
 
         When the timer fires and nothing could run between it and the
-        event's own zero-delay dispatch -- no batch sibling in flight,
-        no live-or-dead entry at this instant, no bus wanting ``sim``
-        instants -- the event's callbacks run inside the timer's
-        dispatch (DESIGN.md section 9).  Otherwise, or if the event was
+        event's own zero-delay dispatch -- no live-or-dead entry at this
+        instant, no bus wanting ``sim`` instants -- the event's callbacks
+        run inside the timer's dispatch (DESIGN.md section 9).  Otherwise, or if the event was
         cancelled or triggered meanwhile, it is ``event.succeed()``."""
         self.call_after(delay, self._succeed_now, event)
 
     def _succeed_now(self, event: Event) -> None:
-        heap = self.queue._heap
+        heap = self._heap
         obs = self.obs
         if (
-            self._inflight or (heap and heap[0][0] <= self.now)
+            (heap and heap[0][0] <= self.now)
             or event._scheduled or event._triggered or event._cancelled
             or (obs is not None and obs.wants("sim"))
         ):
@@ -195,7 +200,19 @@ class Simulator:
         self._push((self.now + delay, next(self._seq), event))
 
     def _note_cancelled(self) -> None:
-        self.queue.note_cancelled()
+        """Account one freshly-cancelled entry; may trigger a sweep."""
+        self._dead = dead = self._dead + 1
+        heap = self._heap
+        if dead >= _COMPACT_MIN_DEAD and dead * 2 > len(heap):
+            # The rebuild mutates the list *in place* (slice assignment
+            # + heapify): the run loop and ``_push`` hold references.
+            old = len(heap)
+            heap[:] = [e for e in heap if not e[2]._cancelled]
+            heapify(heap)
+            removed = old - len(heap)
+            self.skipped += removed
+            self._dead -= removed
+            self.compactions += 1
 
     def _crash(self, process: Process, exc: BaseException) -> None:
         self._crashed.append((process, exc))
@@ -205,15 +222,6 @@ class Simulator:
         raise SimulationError(
             f"process {process.name!r} died at t={self.now:.9f}s: {exc!r}"
         ) from exc
-
-    def _abort_batch(self, batch: list, n: int) -> None:
-        """Hand the undispatched tail of ``batch`` back to the queue
-        (early stop: the until-event fired or a process crashed)."""
-        rest = self._inflight
-        if rest:
-            self.queue.requeue(batch[n - rest:])
-            self.dispatched -= rest
-            self._inflight = 0
 
     # ------------------------------------------------------------------
     # Parked sleeps
@@ -254,7 +262,7 @@ class Simulator:
         self._queue_wake(when, wake)
 
     def _queue_wake(self, when: float, wake: _Wake) -> None:
-        for entry in self.queue._heap:
+        for entry in self._heap:
             if entry[0] == when and not entry[2]._cancelled:
                 self.park_ties += 1
         self._push((when, next(self._seq), wake))
@@ -279,29 +287,6 @@ class Simulator:
     # ------------------------------------------------------------------
     # Main loop
     # ------------------------------------------------------------------
-    def _dispatch_batch(self, batch: list, obs, stop: Optional[Event]) -> None:
-        """Dispatch a batch already counted in ``dispatched`` and
-        ``_inflight``: a multi-entry batch, or any batch while the obs
-        bus wants ``sim`` instants.  Stops early when ``stop`` fires."""
-        q = self.queue
-        n = len(batch)
-        for entry in batch:
-            self._inflight -= 1
-            event = entry[2]
-            if event._cancelled:
-                self.dispatched -= 1
-                q.skip_inflight()
-                continue
-            if obs is not None and event.name and obs.wants("sim"):
-                obs.instant("sim", "dispatch", args={"event": event.name})
-            event._process()
-            if self._crashed:
-                self._abort_batch(batch, n)
-                self._raise_crash()
-            if stop is not None and stop.callbacks is None:
-                self._abort_batch(batch, n)
-                return
-
     def run(self, until: "float | Event | None" = None) -> Any:
         """Run the simulation.
 
@@ -313,12 +298,13 @@ class Simulator:
             ``Event``  -- run until this event has been processed and
             return its value (raising if it failed).
 
-        All forms share one inlined loop -- the simulator's hot path.  A
-        live head with no same-timestamp sibling (the common case in the
-        MPI workloads) is popped here and dispatched without in-flight
-        bookkeeping: with no sibling, nothing can cancel it between
-        extraction and dispatch.  Cancelled heads, the horizon and ties
-        go through the queue's batch methods.
+        All forms share one inlined loop -- the simulator's hot path.  It
+        pops one live entry at a time, skipping cancelled heads, together
+        with any cancelled entries right behind it at the same instant
+        (so a callback never sees a dead sibling as pending work), and
+        dispatches it by kind.  When the bus wants ``sim`` instants the
+        loop emits the dispatch instant and calls the item's
+        ``_process()`` instead.
 
         A process resumed by its own sleep token *runs ahead*: when its
         next sleep ends strictly before every queued entry (and within
@@ -361,25 +347,19 @@ class Simulator:
 
     def _loop(self, stop: Optional[Event], horizon: Optional[float],
               limit: float) -> Any:
-        q = self.queue
-        heap = q._heap
-        pop_batch = q.pop_batch
+        heap = self._heap
         push = self._push
         seq = self._seq
 
         while stop is None or stop.callbacks is not None:
-            if not heap:
-                batch = None
-            else:
-                batch = heap[0]
-                when = batch[0]
-                if batch[2]._cancelled or when > limit:
-                    batch = pop_batch(horizon)
-                else:
+            if heap:
+                when, _, event = heap[0]
+                if event._cancelled:
                     heappop(heap)
-                    if heap and heap[0][0] == when:
-                        batch = q.pop_run(batch)
-            if batch is None:
+                    self._dead -= 1
+                    self.skipped += 1
+                    continue
+            if not heap or when > limit:
                 if self._parked and not heap:
                     self._unpark_all()
                     continue
@@ -391,51 +371,47 @@ class Simulator:
                 if horizon is not None:
                     self.now = horizon
                 return None
-            if type(batch) is tuple:
-                # Singleton batch, a bare entry.
-                self.now = batch[0]
-                obs = self.obs
-                if obs is not None and obs.wants("sim"):
+            heappop(heap)
+            # Dead entries right behind it at this instant go with it.
+            while heap and heap[0][0] == when and heap[0][2]._cancelled:
+                heappop(heap)
+                self._dead -= 1
+                self.skipped += 1
+            self.now = when
+            self.dispatched += 1
+            obs = self.obs
+            kind = type(event)
+            if obs is not None and obs.wants("sim"):
+                if event.name:
+                    obs.instant("sim", "dispatch", args={"event": event.name})
+                event._process()
+            elif kind is _Wake:
+                proc = event.proc
+                when = proc._resume(event, True)
+                while when is not None:
+                    obs = self.obs
+                    if (
+                        (heap and when >= heap[0][0]) or when > limit
+                        or (obs is not None and obs.wants("sim"))
+                    ):
+                        push((when, next(seq), proc._wake))
+                        break
+                    # Run ahead: this wake is the next entry.
+                    self.now = when
                     self.dispatched += 1
-                    self._inflight = 1
-                    self._dispatch_batch([batch], obs, stop)
-                    continue
-                event = batch[2]
-                self.dispatched += 1
-                kind = type(event)
-                if kind is _Wake:
-                    proc = event.proc
-                    when = proc._resume(event, True)
-                    while when is not None:
-                        obs = self.obs
-                        if (
-                            (heap and when >= heap[0][0]) or when > limit
-                            or (obs is not None and obs.wants("sim"))
-                        ):
-                            push((when, next(seq), proc._wake))
-                            break
-                        # Run ahead: this wake is the next entry.
-                        self.now = when
-                        self.dispatched += 1
-                        next(seq)
-                        when = proc._resume(proc._wake, True)
-                elif kind is Timer:
-                    fn, event.fn = event.fn, None
-                    fn(*event.args)
-                else:
-                    event._triggered = True
-                    callbacks = event.callbacks
-                    event.callbacks = None
-                    for cb in callbacks:
-                        cb(event)
-                if self._crashed:
-                    self._raise_crash()
-                continue
-            self.now = batch[0][0]
-            n = len(batch)
-            self.dispatched += n
-            self._inflight = n
-            self._dispatch_batch(batch, self.obs, stop)
+                    next(seq)
+                    when = proc._resume(proc._wake, True)
+            elif kind is Timer:
+                fn, event.fn = event.fn, None
+                fn(*event.args)
+            else:
+                event._triggered = True
+                callbacks = event.callbacks
+                event.callbacks = None
+                for cb in callbacks:
+                    cb(event)
+            if self._crashed:
+                self._raise_crash()
 
         if not stop.ok:
             stop._defused = True
@@ -443,39 +419,27 @@ class Simulator:
         return stop.value
 
     # ------------------------------------------------------------------
-    # Queue accounting, delegated to the queue.
+    # Heap accounting
     # ------------------------------------------------------------------
     @property
     def queued_events(self) -> int:
-        """Number of *live* (non-cancelled) events still pending,
-        including the undispatched tail of the batch currently in
-        flight."""
-        return self.queue.live + self._inflight
+        """Number of *live* (non-cancelled) entries still pending."""
+        return len(self._heap) - self._dead
 
     @property
     def dead_events(self) -> int:
-        """Cancelled queue entries awaiting lazy removal."""
-        return self.queue.dead
+        """Cancelled heap entries awaiting lazy removal."""
+        return self._dead
 
     @property
     def heap_size(self) -> int:
-        """Raw queue length, live plus dead."""
-        return self.queue.size
-
-    @property
-    def skipped(self) -> int:
-        """Cancelled entries removed without dispatch."""
-        return self.queue.skipped
-
-    @property
-    def compactions(self) -> int:
-        """In-place queue rebuilds triggered by the >50%-dead threshold."""
-        return self.queue.compactions
+        """Raw heap length, live plus dead."""
+        return len(self._heap)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"<Simulator t={self.now:.9f}s queued={self.queued_events} "
-            f"dead={self.queue.dead}>"
+            f"dead={self._dead}>"
         )
 
 

@@ -8,13 +8,13 @@ the waiting generator).
 
 Events are *triggered* by calling :meth:`Event.succeed` or :meth:`Event.fail`
 and are *processed* (their callbacks run) when the simulator pops them off
-the event queue.  Triggering schedules processing at the current simulation
-time, so callback execution order is always governed by the queue's
+its event heap.  Triggering schedules processing at the current simulation
+time, so callback execution order is always governed by the heap's
 ``(time, seq)`` total order -- this keeps re-entrancy out of user code.
 
 Events can also be *cancelled* (:meth:`Event.cancel`): a cancelled event
-never runs its callbacks and its queue entry is deleted lazily -- skipped at
-pop time, or swept out by the queue's periodic compaction (see
+never runs its callbacks and its heap entry is deleted lazily -- skipped at
+pop time, or swept out by the heap's periodic compaction (see
 ``Simulator._note_cancelled``).  Cancellation is a race the caller may
 legitimately lose: cancelling an event that already triggered (or was
 already processed, or already cancelled) is a no-op returning ``False``,
@@ -98,7 +98,7 @@ class Event:
         legitimately loses, not an error.  Likewise, triggering a
         cancelled event is a no-op.
 
-        A cancelled queue entry is *lazily* deleted: it is skipped at pop
+        A cancelled heap entry is *lazily* deleted: it is skipped at pop
         time (or swept by compaction) and never dispatched.  Any process
         still waiting on a cancelled event is parked forever, so cancel
         an event only when every waiter is being torn down with it (the

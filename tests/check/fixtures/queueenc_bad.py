@@ -1,19 +1,19 @@
-"""Fixture: every queue-internal touch simlint must flag."""
+"""Fixture: every event-heap touch simlint must flag."""
 import heapq
 from heapq import heappush
 
 
-def sneak_past_the_interface(sim):
-    # Scheduling around the EventQueue API: heap-era attribute pokes.
+def sneak_past_the_simulator(sim):
+    # Scheduling around the Simulator: pokes at its heap and books.
     heappush(sim._heap, (0.0, 0, None))
     heapq.heappop(sim._heap)
     sim._push((0.0, next(sim._seq), None))
-    return sim.queue._dead
+    return sim._dead
 
 
-def poke_bucket_state(queue):
-    queue._buckets.clear()
-    queue._cur = 0
-    width = queue._inv_width
-    queue._grow_at = 1 << 30
-    return width
+class Probe:
+    def __init__(self, sim):
+        self.sim = sim
+
+    def dead(self):
+        return self.sim._dead

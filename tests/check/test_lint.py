@@ -81,8 +81,8 @@ def test_queue_encapsulation_grants_process_module_only_its_sleep_push(tmp_path)
         "import heapq\n"
         "def sleep(sim, wake, d):\n"
         "    sim._push((sim.now + d, next(sim._seq), wake))\n"
-        "    heapq.heappop(sim.queue._heap)\n"
-        "    return sim.queue._dead\n"
+        "    heapq.heappop(sim._heap)\n"
+        "    return sim._dead\n"
     )
     granted = tmp_path / "repro" / "sim" / "process.py"
     granted.parent.mkdir(parents=True)

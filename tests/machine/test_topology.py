@@ -1,5 +1,7 @@
 """Tests for the machine model (paper Table 1)."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.machine import (
@@ -124,7 +126,7 @@ def test_cost_model_copy_time_scales():
 
 
 def test_cost_model_overrides():
-    cm = CostModel().with_overrides(futex_wake_ns=9999.0)
+    cm = replace(CostModel(), futex_wake_ns=9999.0)
     assert cm.futex_wake == pytest.approx(9999e-9)
     # Original untouched (frozen dataclass semantics).
     assert CostModel().futex_wake_ns != 9999.0

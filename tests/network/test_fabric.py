@@ -1,5 +1,7 @@
 """Tests for the fabric model."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.network import Fabric, NetworkConfig, Packet, PacketKind
@@ -9,7 +11,7 @@ from repro.sim import Simulator
 
 def make_fabric(n_ranks=2, ranks_per_node=1, **overrides):
     sim = Simulator(seed=0)
-    cfg = NetworkConfig().with_overrides(**overrides) if overrides else NetworkConfig()
+    cfg = replace(NetworkConfig(), **overrides)
     fab = Fabric(sim, cfg)
     for r in range(n_ranks):
         fab.register_rank(r, node=r // ranks_per_node)

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.sim import Simulator
-from repro.sim.equeue import _COMPACT_MIN_DEAD
+from repro.sim.engine import _COMPACT_MIN_DEAD
 
 
 # ----------------------------------------------------------------------

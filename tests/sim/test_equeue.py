@@ -1,20 +1,18 @@
-"""Unit tests for the simulator's event queue (repro.sim.equeue): the
-``(time, seq)`` dispatch order, the lazy-deletion books, and the batched
-extraction protocol.
+"""Unit tests for the simulator's event queue, its lazy-deletion binary
+heap: the ``(time, seq)`` dispatch order, the lazy-deletion books, early
+stops and same-instant siblings.
 """
 
 import pytest
 
-from repro.sim import EventQueue, SimulationError, Simulator
+from repro.sim import SimulationError, Simulator
 
 
 @pytest.fixture(params=["heap"])
 def sim():
     """A fresh simulator.  The ``heap`` id names the queue under test,
     the lazy-deletion binary heap, and keeps these tests' ids stable."""
-    sim = Simulator()
-    assert type(sim.queue) is EventQueue
-    return sim
+    return Simulator()
 
 
 def test_simulator_ctor_is_kw_only():
@@ -24,9 +22,8 @@ def test_simulator_ctor_is_kw_only():
 
 def test_stats_shape(sim):
     sim.timeout(1e-9)
-    s = sim.queue.stats()
-    assert s["live"] == 1 and s["dead"] == 0 and s["size"] == 1
-    assert s["skipped"] == 0 and s["compactions"] == 0
+    assert (sim.queued_events, sim.dead_events, sim.heap_size) == (1, 0, 1)
+    assert sim.skipped == 0 and sim.compactions == 0
 
 
 # ----------------------------------------------------------------------
@@ -85,8 +82,7 @@ def test_cancel_storm_books_balance(sim):
     evs = [sim.timeout(i * 1e-9) for i in range(256)]
     for ev in evs[::2]:
         assert ev.cancel()
-    q = sim.queue
-    assert q.live + q.dead == q.size
+    assert sim.queued_events + sim.dead_events == sim.heap_size
     sim.run()
     assert sim.dispatched == 128
     assert sim.skipped == 128
@@ -135,7 +131,7 @@ def test_mid_batch_stop_requeues_tail(sim):
     c = sim.timeout(0.0, name="c")
     c.callbacks.append(lambda e: log.append("c"))
     sim.run(until=stop)
-    # a and the stop event dispatched; b and c went back to the queue.
+    # a and the stop event dispatched; b and c are still queued.
     assert log == ["a"]
     assert sim.queued_events == 2
     assert sim.dispatched == 2
@@ -152,12 +148,14 @@ def test_inflight_cancel_resolved_on_early_stop(sim):
     fired = []
     survivor.callbacks.append(lambda e: fired.append("survivor"))
     sim.run(until=stop)
-    q = sim.queue
-    assert q.live + q.dead == q.size
-    assert sim.dead_events == 0  # in-flight cancel resolved as a skip
-    assert sim.skipped == 1
+    assert sim.queued_events + sim.dead_events == sim.heap_size
+    # The victim stays in the heap as one lazily-dead entry.
+    assert sim.dead_events == 1
+    assert sim.skipped == 0
     sim.run()
     assert fired == ["survivor"]
+    assert sim.skipped == 1
+    assert sim.dispatched == 2
 
 
 def test_queued_events_sees_batch_siblings(sim):
@@ -172,47 +170,18 @@ def test_queued_events_sees_batch_siblings(sim):
     assert seen == [1, 0]
 
 
-# ----------------------------------------------------------------------
-# The batched extraction protocol
-# ----------------------------------------------------------------------
-
-def test_pop_batch_singleton_is_bare_entry(sim):
-    q = sim.queue
-
-    class _Ev:
-        _cancelled = False
-
-    q.push((1e-9, 0, _Ev()))
-    q.push((2e-9, 1, _Ev()))
-    q.push((2e-9, 2, _Ev()))
-    first = q.pop_batch()
-    assert type(first) is tuple and first[0] == 1e-9
-    tie = q.pop_batch()
-    assert type(tie) is list and [e[1] for e in tie] == [1, 2]
-    assert q.pop_batch() is None
-
-
-def test_pop_run_finishes_a_popped_heads_batch(sim):
-    q = sim.queue
-
-    class _Ev:
-        _cancelled = False
-
-    dead = [_Ev(), _Ev()]
-    q.push((1e-9, 0, _Ev()))
-    q.push((1e-9, 1, dead[0]))
-    q.push((1e-9, 2, _Ev()))
-    q.push((2e-9, 3, _Ev()))
-    q.push((2e-9, 4, dead[1]))
-    q.push((3e-9, 5, _Ev()))
-    for ev in dead:
-        ev._cancelled = True
-        q.note_cancelled()
-    # Each live head has a same-time sibling, so pop_batch pops it and
-    # hands it to pop_run.
-    run = q.pop_batch()
-    assert type(run) is list and [e[1] for e in run] == [0, 2]
-    # Every sibling dead: the run collapses to the bare head.
-    alone = q.pop_batch()
-    assert type(alone) is tuple and alone[1] == 3
-    assert (q.skipped, q.dead, q.live) == (2, 0, 1)
+def test_dead_same_instant_siblings_leave_with_the_head(sim):
+    # Cancelled entries right behind a popped head at its instant are
+    # swept with it, so succeed_after's hand-off sees no pending work at
+    # this instant and fires the event inside the timer's dispatch.
+    fired = []
+    done = sim.event(name="done")
+    done.callbacks.append(lambda e: fired.append(sim.now))
+    sim.succeed_after(1e-9, done)
+    for _ in range(2):
+        sim.call_after(1e-9, fired.append, "dead").cancel()
+    sim.call_after(2e-9, fired.append, "later")
+    sim.run()
+    assert fired == [1e-9, "later"]
+    assert sim.dispatched == 2
+    assert sim.skipped == 2

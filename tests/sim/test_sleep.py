@@ -4,8 +4,7 @@ the run loop's run-ahead of a process woken by its own sleep."""
 import pytest
 
 from repro.obs import Recording
-from repro.sim import EventQueue, SimulationError, Simulator
-from repro.sim import engine as engine_mod
+from repro.sim import SimulationError, Simulator
 
 
 def test_float_sleep_resumes_with_none_after_delay():
@@ -61,25 +60,19 @@ def test_call_after_rejects_negative_delay():
 # its next wake is strictly earliest.
 # ----------------------------------------------------------------------
 
-class _CountingQueue(EventQueue):
-    """EventQueue counting pushes, to see what bypassed the queue."""
-
-    def __init__(self):
-        super().__init__()
-        self.pushes = 0
-        inner = self.push
-
-        def push(entry):
-            self.pushes += 1
-            inner(entry)
-
-        self.push = push
-
-
 def _counting_sim():
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(engine_mod, "EventQueue", _CountingQueue)
-        return Simulator()
+    """A simulator counting heap pushes in ``sim.pushes``, to see what
+    bypassed the heap."""
+    sim = Simulator()
+    sim.pushes = 0
+    inner = sim._push  # simlint: disable=queue-encapsulation (wraps the push to count it)
+
+    def push(entry):
+        sim.pushes += 1
+        inner(entry)
+
+    sim._push = push  # simlint: disable=queue-encapsulation (wraps the push to count it)
+    return sim
 
 
 def test_lone_sleeper_runs_ahead_of_the_queue():
@@ -98,7 +91,7 @@ def test_lone_sleeper_runs_ahead_of_the_queue():
     assert sim.dispatched == 102
     # Only the init event, the first sleep (resumed by init, not by its
     # own token) and the completion went through the queue.
-    assert sim.queue.pushes == 3
+    assert sim.pushes == 3
 
 
 def test_run_ahead_stops_at_horizon_and_resumes():
@@ -169,8 +162,8 @@ def test_bus_wanting_sim_sees_every_dispatch_and_changes_nothing():
     assert tsim.now == sim.now
     # Under the bus every dispatch came off the queue; without it some
     # wakes ran ahead.
-    assert tsim.queue.pushes == 11
-    assert sim.queue.pushes < 11
+    assert tsim.pushes == 11
+    assert sim.pushes < 11
     # Every resume (the init and each of the six wakes) shows up; none
     # was run ahead past the bus.
     wakes = [e for e in rec.events if e.name == "wake"]

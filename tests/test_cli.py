@@ -98,6 +98,24 @@ def test_throughput_config_error_is_one_line(capsys, argv, valid):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["ablate", "--experiments", "fig2b", "--jobs", "0"],
+     "ablate: error: --jobs must be >= 1, got 0"),
+    (["ablate", "--experiments", "fig2b", "--jobs", "-3"],
+     "ablate: error: --jobs must be >= 1, got -3"),
+    (["trace", "fig2b", "--max-events", "-1", "--out", "t.json"],
+     "trace: error: --max-events must be >= 0, got -1"),
+])
+def test_bad_bound_is_one_line(capsys, monkeypatch, tmp_path, argv, message):
+    # Rejected before anything runs or is written.
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [message]
+    assert captured.out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_requires_subcommand():
     with pytest.raises(SystemExit):
         main([])

@@ -34,10 +34,10 @@ from typing import Dict, Iterable, List, Set, Tuple
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "repro"
 
-#: Never-called lines measured when the audit was added.  Lower it when
+#: Never-called lines measured after the last deletion.  Lower it when
 #: code is deleted; raising it needs a figure, gate or ablation
 #: component that the audit cannot see.
-CEILING = 695
+CEILING = 641
 
 #: ``(file, first line)`` -> ``(qualified name, lines)``.
 Table = Dict[Tuple[str, int], Tuple[str, int]]
