@@ -6,7 +6,7 @@ Layered packages:
 
 * :mod:`repro.sim`      -- discrete-event engine (events, processes, RNG)
 * :mod:`repro.machine`  -- NUMA topology, thread binding, cost model
-* :mod:`repro.locks`    -- mutex / ticket / priority / socket-aware
+* :mod:`repro.locks`    -- mutex / ticket / priority
 * :mod:`repro.network`  -- QDR-like fabric, NICs, packets
 * :mod:`repro.mpi`      -- miniature MPICH: requests, queues, progress
   engine, global critical section, collectives, RMA, cluster builder

@@ -36,8 +36,9 @@ How held-sets propagate (design notes, not user API):
   *released on the path before it* (its ``kills``).  At a call site, a
   held lock only pairs with a summary event if its identity is not in
   the event's kills -- this is how ``release(A) ... acquire(A)``
-  re-entry gaps (``_charge_copy``) avoid false edges, and it reuses the
-  same try/finally must-release reasoning as simlint's ``_PairScan``:
+  re-entry gaps (``_wait_poll``'s CS_YIELD) avoid false edges, and it
+  reuses the same try/finally must-release reasoning as simlint's
+  ``_PairScan``:
   ``finally`` releases apply to everything *after* the try statement.
 * Branches merge may-held (union) with must-released (intersection);
   loop bodies are scanned twice so cross-iteration orders appear.

@@ -7,7 +7,6 @@ implementations:
 ``mutex``      NPTL pthread mutex model (baseline, paper 2.2)
 ``ticket``     FCFS ticket lock (paper 5.1, Fig. 4)
 ``priority``   Two-level priority ticket lock (paper 5.2, Fig. 7)
-``socket``     Socket-aware lock (paper 7 discussion; ablation)
 ``null``       No-op lock for MPI_THREAD_SINGLE runs
 =============  =====================================================
 """
@@ -15,7 +14,7 @@ implementations:
 from .base import LockError, NullLock, Priority, SimLock
 from .domain import ArbitrationDomain
 from .mutex import PthreadMutexModel
-from .priority import PriorityTicketLock, SocketAwareLock
+from .priority import PriorityTicketLock
 from .stats import LockTrace
 from .ticket import TicketLock
 
@@ -23,7 +22,6 @@ LOCK_CLASSES = {
     "mutex": PthreadMutexModel,
     "ticket": TicketLock,
     "priority": PriorityTicketLock,
-    "socket": SocketAwareLock,
     "null": NullLock,
 }
 
@@ -48,7 +46,6 @@ __all__ = [
     "PthreadMutexModel",
     "TicketLock",
     "PriorityTicketLock",
-    "SocketAwareLock",
     "LOCK_CLASSES",
     "make_lock",
     "ArbitrationDomain",

@@ -14,23 +14,17 @@ The ``already_blocked`` flag lets high-priority threads chain the hold on
 hands ``ticket_B`` to the low class.  Fairness inside each class comes
 from the tickets -- the property the paper stresses a mutex-based
 hierarchy would lack (7).
-
-Also here: :class:`SocketAwareLock`, the 7-discussion variant that
-prefers same-socket waiters to cut hand-off cost.  The paper predicts it
-can starve remote sockets under ``MPI_Test`` polling; the ablation bench
-reproduces that failure mode.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict
 
 from ..machine.threads import ThreadCtx
-from ..machine.topology import Core
 from .base import LockError, Priority, SimLock
 from .ticket import TicketLock
 
-__all__ = ["PriorityTicketLock", "SocketAwareLock"]
+__all__ = ["PriorityTicketLock"]
 
 
 class PriorityTicketLock(SimLock):
@@ -98,54 +92,3 @@ class PriorityTicketLock(SimLock):
             cost += self.ticket_b.release(ctx)
             cost += self.ticket_l.release(ctx)
         return cost
-
-
-class SocketAwareLock(SimLock):
-    """FIFO-per-socket lock preferring waiters on the releaser's socket.
-
-    On release the earliest waiter on the *same socket* is granted if one
-    exists, otherwise the globally earliest waiter.  This minimizes
-    intersocket hand-offs but sacrifices global fairness -- under a
-    polling workload one socket can monopolize the lock indefinitely
-    (the starvation case discussed in paper 7).
-    """
-
-    def __init__(self, sim, costs, name: str = ""):
-        super().__init__(sim, costs, name=name)
-        self._seq = 0
-        #: waiting: tid -> (arrival_seq, event, ctx)
-        self._waiting: Dict[int, tuple] = {}
-        self._held = False
-        self._last_core: Optional[Core] = None
-
-    @property
-    def n_queued(self) -> int:
-        return len(self._waiting)
-
-    def acquire(self, ctx: ThreadCtx, priority: Priority = Priority.HIGH):
-        self._enter(ctx)
-        yield self._atomic_cost(ctx.core)
-        self.line_owner = ctx.core
-        if not self._held:
-            self._held = True
-            self._grant(ctx)
-            return
-        ev = self.sim.event(name=f"sock:{self.name}:{ctx.name}")
-        self._waiting[ctx.tid] = (self._seq, ev, ctx)
-        self._seq += 1
-        yield ev
-        self._grant(ctx)
-
-    def release(self, ctx: ThreadCtx) -> float:
-        self._release_checks(ctx)
-        if not self._waiting:
-            self._held = False
-            return 0.0
-        same = [
-            rec for rec in self._waiting.values() if rec[2].socket == ctx.socket
-        ]
-        pool = same if same else list(self._waiting.values())
-        seq, ev, wctx = min(pool, key=lambda rec: rec[0])
-        del self._waiting[wctx.tid]
-        self.sim.succeed_after(self._handoff_cost(ctx.core, wctx.core), ev)
-        return 0.0

@@ -79,9 +79,6 @@ class CostModel:
     #: arrival").  Cheaper than a futex round trip: the waker is inside
     #: the runtime and signals directly.
     event_wakeup_ns: float = 900.0
-    #: Under "brief" CS granularity, only copies at least this long are
-    #: worth the two extra lock transitions of dropping the lock.
-    brief_copy_min_ns: float = 100.0
     #: Coherence slowdown of in-CS work per waiting thread: waiters'
     #: retries and spinning bounce the runtime's shared cache lines
     #: (queues, counters), slowing the critical path for *any* lock

@@ -14,7 +14,7 @@ from .queues import PostedQueue, UnexpectedMsg, UnexpectedQueue
 from .request import Protocol, ReqKind, ReqState, Request, RequestError
 from .rma import RmaWindow, allocate_windows
 from .runtime import MpiRuntime, MpiThread, RuntimeStats
-from .vci import CS_POLICY_KINDS, CsGranularity, CsPolicy, parse_cs_policy
+from .vci import CS_POLICY_KINDS, CsPolicy, parse_cs_policy
 from .world import Cluster, ClusterConfig
 
 __all__ = [
@@ -43,7 +43,6 @@ __all__ = [
     "allocate_windows",
     "Cluster",
     "ClusterConfig",
-    "CsGranularity",
     "CsPolicy",
     "CS_POLICY_KINDS",
     "parse_cs_policy",

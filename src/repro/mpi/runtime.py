@@ -49,7 +49,7 @@ from ..sim.sync import CompletionLatch, Signal
 from .envelope import ANY_SOURCE, ANY_TAG, Envelope
 from .queues import UnexpectedMsg
 from .request import Protocol, ReqKind, Request, RequestError
-from .vci import GLOBAL_POLICY, CsGranularity, CsPolicy
+from .vci import GLOBAL_POLICY, CsPolicy
 
 __all__ = ["COMPLETION_MODES", "MpiRuntime", "MpiThread", "RuntimeStats"]
 
@@ -118,7 +118,6 @@ class MpiRuntime:
         costs: CostModel,
         eager_threshold: int = 16384,
         completion: str = "poll",
-        cs_granularity: "str | CsGranularity" = "global",
         policy: Optional[CsPolicy] = None,
         domain_locks: Optional[Sequence[SimLock]] = None,
         reliability=None,
@@ -133,11 +132,6 @@ class MpiRuntime:
         self.nic = nic
         self.costs = costs
         self.eager_threshold = int(eager_threshold)
-        #: Critical-section granularity (paper Fig. 1 / 7): "global"
-        #: holds the CS across payload copies; "brief" releases it around
-        #: them, shortening holds at the cost of extra lock transitions.
-        #: Orthogonal to the arbitration method, as the paper argues.
-        self.cs_granularity = CsGranularity.parse(cs_granularity)
         #: Domain mapping policy; the default single global domain is
         #: the paper's model.
         self.policy = policy if policy is not None else GLOBAL_POLICY
@@ -220,27 +214,8 @@ class MpiRuntime:
         self.parked_waiters = 0
 
     # ==================================================================
-    # Single-domain compatibility views
+    # Derived views
     # ==================================================================
-    @property
-    def lock(self) -> SimLock:
-        """Domain 0's lock: *the* lock for the global policy."""
-        return self.domains[0].lock
-
-    @property
-    def posted_q(self):
-        """Domain 0's posted queue (the whole rank under ``global``)."""
-        return self.domains[0].posted_q
-
-    @property
-    def unexp_q(self):
-        """Domain 0's unexpected queue (the whole rank under ``global``)."""
-        return self.domains[0].unexp_q
-
-    @property
-    def n_domains(self) -> int:
-        return len(self.domains)
-
     @property
     def dangling_count(self) -> int:
         """Completed-but-not-freed requests (the paper's dangling
@@ -323,26 +298,6 @@ class MpiRuntime:
         al., SOSP'13).  Sharding pays off exactly here: fewer waiters
         per domain, smaller factor."""
         return seconds * dom.lock.contention_factor()
-
-    def _charge_copy(
-        self, dom: ArbitrationDomain, ctx: ThreadCtx, seconds: float,
-        priority: Priority,
-    ):
-        """Charge a payload copy.  Under "global" granularity the copy
-        happens while holding the domain's CS; under "brief" the CS is
-        released around it (the copy touches only private buffers),
-        paying two extra lock transitions instead of a long hold."""
-        if seconds <= 0.0:
-            return
-        if (
-            self.cs_granularity is CsGranularity.BRIEF
-            and seconds * 1e9 >= self.costs.brief_copy_min_ns
-        ):
-            yield from self._cs_release(dom, ctx)
-            yield seconds
-            yield from self._cs_acquire(dom, ctx, priority)
-        else:
-            yield self._cs_time(dom, seconds)
 
     # ==================================================================
     # Completion plumbing
@@ -535,7 +490,10 @@ class MpiRuntime:
         comm: int = 0,
         data: Any = None,
     ):
-        """Nonblocking send.  Returns the Request."""
+        """Nonblocking send.  Returns the Request.  A negative ``tag``
+        (``ANY_TAG`` included) is a :class:`ValueError`."""
+        if tag < 0:
+            raise ValueError(f"isend tag must be >= 0, got {tag}")
         env = Envelope(source=self.rank, tag=tag, comm=comm)
         dom = self._send_domain(dest, tag, comm)
         yield self.costs.request_alloc * (0.5 + self._random())
@@ -575,10 +533,10 @@ class MpiRuntime:
                 self._rel.track_rts(pkt, req)
         else:
             if protocol is Protocol.EAGER:
-                # Copy into the NIC's eager buffer.
-                yield from self._charge_copy(
-                    dom, ctx, self.costs.copy_time(nbytes), Priority.HIGH
-                )
+                # Copy into the NIC's eager buffer, holding the CS.
+                copy = self.costs.copy_time(nbytes)
+                if copy > 0.0:
+                    yield self._cs_time(dom, copy)
             req.mark_pending()
             pkt = Packet(
                 PacketKind.EAGER, self.rank, dest, nbytes,
@@ -606,63 +564,28 @@ class MpiRuntime:
         """Nonblocking receive.  ``nbytes`` is the buffer size (modeling
         only; the matched message's size is used for copy costs).
 
-        A receive with a wildcard in a field the policy hashes on cannot
-        be routed to one domain; it *spans* all of them: each domain's
+        A routed receive visits its one domain.  A receive with a
+        wildcard in a field the policy hashes on cannot be routed; it
+        *spans* all domains, visited in index order: each domain's
         unexpected queue is searched under that domain's lock, posting
         into the domain on a miss so no concurrent arrival is lost, and
         the first match claims the request (the stale postings are
         skipped by ``match()`` and discarded at free time).
+
+        A negative ``tag`` other than ``ANY_TAG`` is a :class:`ValueError`.
         """
+        if tag < 0 and tag != ANY_TAG:
+            raise ValueError(f"irecv tag must be >= 0 or ANY_TAG, got {tag}")
         env = Envelope(source=source, tag=tag, comm=comm)
         route = self.policy.route_recv(env)
-        yield self.costs.request_alloc * (0.5 + self._random())
         if route is not None:
-            dom = self.domains[route]
-            yield from self._cs_acquire(dom, ctx, Priority.HIGH)
-            yield self._cs_time(dom, self.costs.cs_main)
-            req = Request(
-                ReqKind.RECV, self.rank, ctx.tid, env, nbytes, self.sim.now,
-                peer=source,
-            )
-            req.vci = dom.index
-            req.vcis = (dom.index,)
-            self.requests[req.req_id] = req
-            self.stats.recvs_issued += 1
-            if self.sim.obs is not None:
-                self._san(ctx, f"requests[{req.req_id}]",
-                          guards=(dom.lock.name,), owner=req.owner_tid)
-                self._san(ctx, f"unexp_q.d{dom.index}",
-                          guards=(dom.unexp_q.guard,))
-
-            msg, scanned = dom.unexp_q.match(env)
-            yield self._cs_time(dom, self.costs.queue_scan * scanned)
-            if msg is None:
-                if self.sim.obs is not None:
-                    self._san(ctx, f"posted_q.d{dom.index}",
-                              guards=(dom.posted_q.guard,))
-                dom.posted_q.post(req)
-            elif msg.rndv:
-                # Rendezvous sender is waiting for clearance.
-                req.unexpected = True
-                req.mark_pending()
-                self._send_cts(msg.src_rank, msg.sender_req_id, req,
-                               msg.sender_vci)
-            else:
-                # Eager payload parked in the unexpected buffer: extra copy.
-                req.unexpected = True
-                yield from self._charge_copy(
-                    dom, ctx, self.costs.copy_time(msg.nbytes, unexpected=True),
-                    Priority.HIGH,
-                )
-                req.data = msg.data
-                self._complete(req)
-            self._emit_queue_depths(dom)
-            yield from self._cs_release(dom, ctx)
-            return req
-
-        # Spanning wildcard: visit every domain in index order.
+            doms: Sequence[ArbitrationDomain] = (self.domains[route],)
+            vcis: Tuple[int, ...] = (route,)
+        else:
+            doms = self.domains
+            vcis = tuple(range(len(doms)))
+        yield self.costs.request_alloc * (0.5 + self._random())
         req = None
-        doms = self.domains
         for i, dom in enumerate(doms):
             yield from self._cs_acquire(dom, ctx, Priority.HIGH)
             if i == 0:
@@ -672,14 +595,14 @@ class MpiRuntime:
                     self.sim.now, peer=source,
                 )
                 req.vci = dom.index
-                req.vcis = tuple(d.index for d in doms)
+                req.vcis = vcis
                 self.requests[req.req_id] = req
                 self.stats.recvs_issued += 1
                 if self.sim.obs is not None:
                     self._san(ctx, f"requests[{req.req_id}]",
                               guards=tuple(d.lock.name for d in doms),
                               owner=req.owner_tid)
-            if req.claimed or req.complete:
+            elif req.claimed or req._done:
                 # A packet matched an earlier posting while we walked on.
                 yield from self._cs_release(dom, ctx)
                 break
@@ -703,14 +626,15 @@ class MpiRuntime:
             req.vci = dom.index
             req.unexpected = True
             if msg.rndv:
+                # Rendezvous sender is waiting for clearance.
                 req.mark_pending()
                 self._send_cts(msg.src_rank, msg.sender_req_id, req,
                                msg.sender_vci)
             else:
-                yield from self._charge_copy(
-                    dom, ctx, self.costs.copy_time(msg.nbytes, unexpected=True),
-                    Priority.HIGH,
-                )
+                # Eager payload parked in the unexpected buffer: extra copy.
+                copy = self.costs.copy_time(msg.nbytes, unexpected=True)
+                if copy > 0.0:
+                    yield self._cs_time(dom, copy)
                 req.data = msg.data
                 self._complete(req)
             self._emit_queue_depths(dom)
@@ -1019,9 +943,6 @@ class MpiRuntime:
         # Handle a bounded batch; the rest waits for the next poll (a
         # real progress engine processes a bounded completion batch per
         # call, it does not drain the wire in one critical section).
-        # Re-check emptiness each iteration: under "brief" granularity a
-        # handler may drop the CS mid-copy and another thread may drain
-        # the queue meanwhile.
         for _ in range(self.costs.progress_batch):
             if not q:
                 break
@@ -1041,7 +962,7 @@ class MpiRuntime:
             # reliability layer; they never reach the protocol handlers.
             return
         kind = pkt.kind
-        if kind is PacketKind.EAGER:
+        if kind is PacketKind.EAGER or kind is PacketKind.RTS:
             info = pkt.payload
             if self.sim.obs is not None:
                 self._san(ctx, f"posted_q.d{dom.index}",
@@ -1052,47 +973,33 @@ class MpiRuntime:
                 req.claimed = True
                 req.vci = dom.index
                 self.stats.posted_hits += 1
-                yield from self._charge_copy(
-                    dom, ctx, self.costs.copy_time(info.nbytes), Priority.LOW
-                )
-                req.data = info.data
-                self._complete(req)
+                if kind is PacketKind.EAGER:
+                    copy = self.costs.copy_time(info.nbytes)
+                    if copy > 0.0:
+                        yield self._cs_time(dom, copy)
+                    req.data = info.data
+                    self._complete(req)
+                else:
+                    req.mark_pending()
+                    self._send_cts(pkt.src_rank, info.req_id, req, info.vci)
             else:
                 self.stats.unexpected_hits += 1
                 if self.sim.obs is not None:
                     self._san(ctx, f"unexp_q.d{dom.index}",
                               guards=(dom.unexp_q.guard,))
-                dom.unexp_q.add(
-                    UnexpectedMsg(
+                if kind is PacketKind.EAGER:
+                    msg = UnexpectedMsg(
                         info.envelope, info.nbytes, pkt.src_rank,
                         data=info.data, arrival_time=self.sim.now,
                     )
-                )
-        elif kind is PacketKind.RTS:
-            info = pkt.payload
-            if self.sim.obs is not None:
-                self._san(ctx, f"posted_q.d{dom.index}",
-                          guards=(dom.posted_q.guard,))
-            req, scanned = dom.posted_q.match(info.envelope)
-            yield self._cs_time(dom, self.costs.queue_scan * scanned)
-            if req is not None:
-                req.claimed = True
-                req.vci = dom.index
-                self.stats.posted_hits += 1
-                req.mark_pending()
-                self._send_cts(pkt.src_rank, info.req_id, req, info.vci)
-            else:
-                self.stats.unexpected_hits += 1
-                if self.sim.obs is not None:
-                    self._san(ctx, f"unexp_q.d{dom.index}",
-                              guards=(dom.unexp_q.guard,))
-                dom.unexp_q.add(
-                    UnexpectedMsg(
+                else:
+                    msg = UnexpectedMsg(
                         info.envelope, info.nbytes, pkt.src_rank,
                         rndv=True, sender_req_id=info.req_id,
                         sender_vci=info.vci, arrival_time=self.sim.now,
                     )
-                )
+                dom.unexp_q.add(msg)
+            self._emit_queue_depths(dom)
         elif kind is PacketKind.CTS:
             sender_req_id, recv_req_id, recv_vci = pkt.payload
             if self.sim.obs is not None:
@@ -1148,8 +1055,6 @@ class MpiRuntime:
             yield from handler.handle_packet(dom, ctx, pkt)
         else:
             raise RuntimeError(f"unhandled packet kind {kind}")
-        if kind is PacketKind.EAGER or kind is PacketKind.RTS:
-            self._emit_queue_depths(dom)
 
     def _send_cts(self, dest: int, sender_req_id: int, recv_req: Request,
                   sender_vci: int = 0) -> None:
@@ -1168,7 +1073,7 @@ class MpiRuntime:
     def __repr__(self) -> str:  # pragma: no cover
         return (
             f"<MpiRuntime rank={self.rank} policy={self.policy} "
-            f"lock={type(self.lock).__name__} "
+            f"lock={type(self.domains[0].lock).__name__} "
             f"posted={sum(len(d.posted_q) for d in self.domains)} "
             f"unexp={sum(len(d.unexp_q) for d in self.domains)} "
             f"dangling={self.dangling_count}>"

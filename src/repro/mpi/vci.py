@@ -19,53 +19,20 @@ Wildcard receives (``MPI_ANY_SOURCE`` / ``MPI_ANY_TAG``) cannot be
 routed when the policy hashes the wildcarded field; they *span* every
 domain (posted to all, first match claims -- see
 :meth:`repro.mpi.runtime.MpiRuntime.irecv`).
-
-This module is also the single source of truth for the critical-section
-**granularity** names (``global`` / ``brief``), previously validated by
-ad-hoc string checks duplicated across ``mpi/world.py`` and
-``mpi/runtime.py``.
 """
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 from typing import Dict, Optional, Union
 
 from .envelope import ANY_SOURCE, ANY_TAG, Envelope
 
 __all__ = [
-    "CsGranularity",
     "CS_POLICY_KINDS",
     "CsPolicy",
     "parse_cs_policy",
 ]
-
-
-class CsGranularity(str, enum.Enum):
-    """Critical-section granularity (paper Fig. 1 / 7).
-
-    ``GLOBAL`` holds the CS across payload copies; ``BRIEF`` releases it
-    around them, shortening holds at the cost of extra lock transitions.
-    Orthogonal to both the arbitration method and the domain mapping
-    policy, as the paper argues.
-    """
-
-    GLOBAL = "global"
-    BRIEF = "brief"
-
-    @classmethod
-    def parse(cls, value: "str | CsGranularity") -> "CsGranularity":
-        """Validate a granularity name; the error lists the valid names."""
-        if isinstance(value, cls):
-            return value
-        try:
-            return cls(value)
-        except ValueError:
-            valid = ", ".join(sorted(g.value for g in cls))
-            raise ValueError(
-                f"unknown cs_granularity {value!r}; valid granularities: {valid}"
-            ) from None
 
 
 #: Mapping-policy kinds accepted by :func:`parse_cs_policy`, with the

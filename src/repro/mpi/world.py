@@ -43,7 +43,7 @@ from ..sim import Simulator
 from .collectives import Communicator
 from .parking import IdleProgress
 from .runtime import COMPLETION_MODES, MpiRuntime, MpiThread
-from .vci import CsGranularity, CsPolicy, parse_cs_policy
+from .vci import CsPolicy, parse_cs_policy
 
 __all__ = ["ClusterConfig", "Cluster"]
 
@@ -77,9 +77,6 @@ class ClusterConfig:
     #: (waiters park on that signal and only enter the critical section
     #: when there are packets to progress -- see DESIGN.md section 11).
     completion: str = "poll"
-    #: Critical-section granularity: "global" (paper baseline) or
-    #: "brief" (payload copies outside the CS, paper Fig. 1 / 7).
-    cs_granularity: str = "global"
     #: Domain-mapping policy: "global" (the paper's single critical
     #: section) or a sharded spec like "per-vci:4" (see
     #: :mod:`repro.mpi.vci`); every domain lock is of class ``lock``.
@@ -120,7 +117,6 @@ class ClusterConfig:
                 f"unknown completion mode {self.completion!r}; valid "
                 f"modes: {', '.join(sorted(COMPLETION_MODES))}"
             )
-        self.cs_granularity = CsGranularity.parse(self.cs_granularity)
         self.cs = parse_cs_policy(self.cs)
         if isinstance(self.faults, str):
             self.faults = parse_fault_plan(self.faults)
@@ -203,7 +199,6 @@ class Cluster:
                 self.sim, rank, self.fabric, nic, locks[0], config.costs,
                 eager_threshold=config.eager_threshold,
                 completion=config.completion,
-                cs_granularity=config.cs_granularity,
                 policy=policy,
                 domain_locks=locks,
                 reliability=config.reliability,

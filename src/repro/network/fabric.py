@@ -104,11 +104,6 @@ class RankNic:
     def n_vcis(self) -> int:
         return len(self.recv_qs)
 
-    @property
-    def recv_q(self) -> deque:
-        """The VCI-0 receive queue (the whole NIC for single-VCI runs)."""
-        return self.recv_qs[0]
-
     def has_packets(self) -> bool:
         """True when any VCI queue holds an undelivered packet."""
         return any(self.recv_qs)

@@ -32,8 +32,8 @@ def loop_balanced(lock, ctx, n):
 
 
 def gap_wrapper(lock, ctx):
-    # Release-first wrappers (re-acquire gap around a payload copy,
-    # as in MpiRuntime._charge_copy) deliberately end one acquire up.
+    # Release-first wrappers (a re-acquire gap, as across the CS_YIELD
+    # in MpiRuntime._wait_poll) deliberately end one acquire up.
     lock.release(ctx)
     yield copy_done()
     yield from lock.acquire(ctx)

@@ -28,7 +28,7 @@ def test_certain_drop_loses_delivery_but_completes_locally():
              lambda: local.append(sim.now))
     sim.run()
     assert local, "local completion must fire even for a dropped packet"
-    assert len(fab.nic(1).recv_q) == 0
+    assert len(fab.nic(1).recv_qs[0]) == 0
     assert fab.faults.stats.drops == 1
 
 
@@ -39,7 +39,7 @@ def test_certain_duplicate_delivers_two_copies():
     fab.send(Packet(PacketKind.EAGER, 0, 1, 1000))
     sim.run()
     arrivals = [ev.ts for ev in rec.events if ev.kind is EventKind.ASYNC_END]
-    assert len(fab.nic(1).recv_q) == 2
+    assert len(fab.nic(1).recv_qs[0]) == 2
     assert fab.faults.stats.duplicates == 1
     t1, t2 = sorted(arrivals)
     assert t2 - t1 == pytest.approx(DUPLICATE_GAP_NS * 1e-9)
@@ -63,7 +63,7 @@ def test_random_faults_spare_the_shm_path():
     sim, fab = make_fabric(FaultPlan(drop=1.0), n_ranks=2, ranks_per_node=2)
     fab.send(Packet(PacketKind.EAGER, 0, 1, 100))  # same node
     sim.run()
-    assert len(fab.nic(1).recv_q) == 1
+    assert len(fab.nic(1).recv_qs[0]) == 1
     assert fab.faults.stats.drops == 0
 
 

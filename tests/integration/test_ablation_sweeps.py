@@ -2,9 +2,6 @@
 
 Each test varies one cost-model or runtime knob and checks that the
 mechanism behind a reproduced effect responds in the expected direction.
-The socket-aware lock's starvation sweep is not repeated here:
-``tests/locks/test_lock_behaviour.py::test_socket_aware_can_starve_remote_socket``
-asserts it.
 """
 
 from __future__ import annotations
@@ -131,24 +128,3 @@ def test_event_driven_wakeup_removes_empty_polls():
     assert out["event"][1] < 0.2 * max(1, out["poll"][1])
     # ... without losing throughput.
     assert out["event"][0] > 0.9 * out["poll"][0]
-
-
-def test_granularity_and_arbitration_combine():
-    """Paper 7: granularity and arbitration are orthogonal and combine.
-
-    "Brief" critical sections (payload copies outside the lock) help
-    every arbitration method, and fair arbitration still helps on top --
-    the synergistic effect the paper predicts for combining the two."""
-    rates = {}
-    for lock in ("mutex", "ticket"):
-        for gran in ("global", "brief"):
-            cl = Cluster(ClusterConfig(n_nodes=2, threads_per_rank=8,
-                                       lock=lock, seed=1,
-                                       cs_granularity=gran))
-            rates[(lock, gran)] = run_throughput(
-                cl, ThroughputConfig(msg_size=4096, n_windows=4)).msg_rate_k
-    # Granularity helps both methods...
-    assert rates[("mutex", "brief")] > 1.5 * rates[("mutex", "global")]
-    assert rates[("ticket", "brief")] > 1.5 * rates[("ticket", "global")]
-    # ... and fair arbitration still helps on top of brief sections.
-    assert rates[("ticket", "brief")] > rates[("mutex", "brief")]

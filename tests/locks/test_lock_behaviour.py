@@ -1,9 +1,8 @@
 """Behavioural tests: the arbitration phenomena the paper builds on.
 
 These check that the *mechanisms* of 2.2/4.3 emerge from the timing
-model: mutex monopolization by the releasing thread, ticket FIFO order,
-priority ordering of the custom lock, and socket capture by the
-socket-aware variant.
+model: mutex monopolization by the releasing thread, ticket FIFO order
+and priority ordering of the custom lock.
 """
 
 
@@ -12,7 +11,6 @@ from repro.locks import (
     Priority,
     PriorityTicketLock,
     PthreadMutexModel,
-    SocketAwareLock,
     TicketLock,
     make_lock,
 )
@@ -204,63 +202,6 @@ def test_priority_mixed_classes_no_deadlock(sim, machine, costs):
         sim.process(worker(t, i))
     sim.run()
     assert sorted(done) == [0, 1, 2, 3]
-
-
-def test_socket_aware_prefers_same_socket(sim, machine, costs):
-    """With waiters on both sockets, the same-socket one is served first
-    even if it arrived later."""
-    lock = SocketAwareLock(sim, costs)
-    threads = make_threads(machine, 8)  # compact: 0-3 socket0, 4-7 socket1
-    holder, remote, local = threads[0], threads[4], threads[1]
-    order = []
-
-    def hold():
-        yield from lock.acquire(holder)
-        yield sim.timeout(3000 * NS)
-        lock.release(holder)
-
-    def waiter(ctx, delay, label):
-        yield sim.timeout(delay)
-        yield from lock.acquire(ctx)
-        order.append(label)
-        yield sim.timeout(100 * NS)
-        lock.release(ctx)
-
-    sim.process(hold())
-    sim.process(waiter(remote, 500 * NS, "remote"))   # arrives first
-    sim.process(waiter(local, 1000 * NS, "local"))    # same socket as holder
-    sim.run()
-    assert order == ["local", "remote"]
-
-
-def test_socket_aware_can_starve_remote_socket(sim, machine, costs):
-    """Continuous same-socket demand captures the lock (paper 7)."""
-    from repro.sim import Simulator
-
-    s = Simulator(seed=3)
-    lock = SocketAwareLock(s, costs)
-    trace = bus_trace(s, lock)
-    threads = make_threads(machine, 4, binding=scatter_binding)
-    # threads 0,2 on socket0; 1,3 on socket1
-    got = {t.tid: 0 for t in threads}
-
-    def worker(ctx):
-        while s.now < 100e-6:
-            yield from lock.acquire(ctx)
-            got[ctx.tid] += 1
-            yield s.timeout(200 * NS)
-            lock.release(ctx)
-            yield s.timeout(10 * NS)  # re-request almost immediately
-
-    for t in threads:
-        s.process(worker(t))
-    s.run()
-    per_socket = {0: 0, 1: 0}
-    for t in threads:
-        per_socket[t.socket] += got[t.tid]
-    lo, hi = sorted(per_socket.values())
-    # One socket ends up with the overwhelming majority.
-    assert hi > 5 * max(1, lo)
 
 
 def test_ticket_scatter_slower_than_compact(machine, costs):

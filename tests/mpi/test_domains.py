@@ -6,23 +6,9 @@ import pytest
 from repro.locks.ticket import TicketLock
 from repro.mpi import Cluster, ClusterConfig
 from repro.mpi.envelope import ANY_SOURCE, ANY_TAG, Envelope
-from repro.mpi.vci import CsGranularity, CsPolicy, parse_cs_policy
+from repro.mpi.vci import CsPolicy, parse_cs_policy
 from repro.obs import EventKind, Instrument
 from repro.workloads.n2n import N2NConfig, run_n2n
-
-
-# ----------------------------------------------------------------------
-# CsGranularity (the single registry replacing duplicated string checks)
-# ----------------------------------------------------------------------
-def test_granularity_parse():
-    assert CsGranularity.parse("global") is CsGranularity.GLOBAL
-    assert CsGranularity.parse("brief") is CsGranularity.BRIEF
-    assert CsGranularity.parse(CsGranularity.BRIEF) is CsGranularity.BRIEF
-
-
-def test_granularity_parse_rejects_unknown():
-    with pytest.raises(ValueError, match="cs_granularity"):
-        CsGranularity.parse("fine")
 
 
 # ----------------------------------------------------------------------
@@ -166,12 +152,9 @@ def test_messages_spread_across_domains():
 # Dangling accounting across domains: the per-domain counts are derived
 # from the live requests and must add up to the rank's count.
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("gran", ["global", "brief"])
 @pytest.mark.parametrize("cs", ["global", "per-vci:4"])
-def test_dangling_sums_across_domains(gran, cs):
-    cl = Cluster(ClusterConfig(
-        n_nodes=2, threads_per_rank=4, cs=cs, cs_granularity=gran, seed=2,
-    ))
+def test_dangling_sums_across_domains(cs):
+    cl = Cluster(ClusterConfig(n_nodes=2, threads_per_rank=4, cs=cs, seed=2))
     samples = []
 
     def sample():
@@ -192,5 +175,5 @@ def test_dangling_sums_across_domains(gran, cs):
         # Everything drained: dangling is zero rank-wide and per domain.
         assert rt.stats.completed == rt.stats.freed
         assert rt.dangling_count == 0
-        assert rt.dangling_by_domain() == [0] * rt.n_domains
+        assert rt.dangling_by_domain() == [0] * len(rt.domains)
         assert rt.peak_dangling >= 1

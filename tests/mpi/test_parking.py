@@ -80,7 +80,7 @@ def test_no_parking_when_the_rank_is_observed():
     assert all(rt.nic.on_touch is None for rt in cl.runtimes)
 
 
-@pytest.mark.parametrize("lock", ["mutex", "ticket", "priority", "socket"])
+@pytest.mark.parametrize("lock", ["mutex", "ticket", "priority"])
 def test_app_thread_entering_touches_a_parked_rank(lock):
     # Each rank computes while its progress thread parks, then enters
     # its own lock for a send/receive: the entry catches the parked
@@ -105,7 +105,7 @@ def test_app_thread_entering_touches_a_parked_rank(lock):
         results.append((
             ends, cl.sim.now,
             [rt.stats.as_dict() for rt in cl.runtimes],
-            [lock_state(rt.lock) for rt in cl.runtimes],
+            [lock_state(rt.domains[0].lock) for rt in cl.runtimes],
         ))
         assert cl.sim.park_ties == 0
     assert results[0] == results[1]

@@ -312,3 +312,33 @@ def test_single_thread_null_lock_runs():
 
     cl.run_workload([sender(), receiver()])
     assert out["v"] == b"s"
+
+
+@pytest.mark.parametrize("tag", [ANY_TAG, -5])
+def test_isend_rejects_a_negative_tag_at_the_call(tag):
+    # A lone sender: no rank ever probes the message, so only a check at
+    # the call can catch the bad tag.
+    cl = make_cluster()
+    t0 = cl.thread(0)
+
+    def sender():
+        req = yield from t0.isend(1, 64, tag=tag)
+        yield from t0.wait(req)
+
+    with pytest.raises(ValueError, match="isend tag must be >= 0"):
+        cl.run_workload([sender()])
+    assert cl.sim.now == 0.0
+    assert cl.runtimes[0].stats.sends_issued == 0
+
+
+def test_irecv_rejects_a_negative_tag_other_than_any_tag():
+    cl = make_cluster()
+    t1 = cl.thread(1)
+
+    def receiver():
+        yield from t1.irecv(source=0, tag=-5)
+
+    with pytest.raises(ValueError, match="irecv tag must be >= 0 or ANY_TAG"):
+        cl.run_workload([receiver()])
+    assert cl.sim.now == 0.0
+    assert cl.runtimes[1].stats.recvs_issued == 0

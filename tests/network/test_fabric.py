@@ -83,7 +83,7 @@ def test_internode_delivery_time():
         + cfg.latency_ns * 1e-9
     )
     assert sim.now == pytest.approx(expected, rel=1e-9)
-    assert list(fab.nic(1).recv_q) == [pkt]
+    assert list(fab.nic(1).recv_qs[0]) == [pkt]
 
 
 def test_intranode_uses_shm_path_and_is_faster():
@@ -155,7 +155,7 @@ def test_fifo_ordering_per_pair():
     for i, s in enumerate(sizes):
         fab.send(Packet(PacketKind.EAGER, 0, 1, s, payload=i))
     sim.run()
-    got = [pkt.payload for pkt in fab.nic(1).recv_q]
+    got = [pkt.payload for pkt in fab.nic(1).recv_qs[0]]
     assert got == list(range(len(sizes)))
 
 

@@ -25,9 +25,9 @@ def test_cluster_config_rejects_unknown_binding():
         ClusterConfig(n_nodes=2, binding="spread")
 
 
-def test_cluster_config_rejects_unknown_granularity():
-    with pytest.raises(ValueError, match="granularit"):
-        ClusterConfig(n_nodes=2, cs_granularity="fine")
+def test_cluster_config_rejects_unknown_completion():
+    with pytest.raises(ValueError, match="valid modes.*continuation"):
+        ClusterConfig(n_nodes=2, completion="spin")
 
 
 def test_all_runners_share_the_uniform_signature():

@@ -22,7 +22,7 @@ def test_spec_prints_table1(capsys):
 def test_locks_lists_all_methods(capsys):
     assert main(["locks"]) == 0
     out = capsys.readouterr().out
-    for name in ("mutex", "ticket", "priority", "socket", "null"):
+    for name in ("mutex", "ticket", "priority", "null"):
         assert name in out
 
 
