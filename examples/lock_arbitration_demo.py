@@ -11,7 +11,8 @@ the paper's 4.3 core/socket bias factors.
 import argparse
 
 from repro.analysis import compute_bias_factors, format_table
-from repro.locks import LOCK_CLASSES, LockTrace, make_lock
+from repro.locks import LOCK_CLASSES, make_lock
+from repro.locks.stats import LockTrace
 from repro.machine import NS, CostModel, ThreadCtx, nehalem_node
 from repro.obs import Instrument
 from repro.sim import Simulator
@@ -35,7 +36,8 @@ def main() -> None:
     horizon = args.duration_us * 1e-6
 
     threads = [
-        ThreadCtx(machine.core(i % machine.n_cores), name=f"t{i}")
+        ThreadCtx(next(sim.ids.tid), machine.core(i % machine.n_cores),
+                  name=f"t{i}")
         for i in range(args.threads)
     ]
 

@@ -5,14 +5,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict
 
+from ..workloads.throughput import message_rate_k
+
 __all__ = ["message_rate_k", "TimeBreakdown"]
-
-
-def message_rate_k(n_messages: int, elapsed_s: float) -> float:
-    """Message rate in 10^3 messages/second (the paper's unit)."""
-    if elapsed_s <= 0:
-        raise ValueError(f"non-positive elapsed time {elapsed_s}")
-    return n_messages / elapsed_s / 1e3
 
 
 @dataclass

@@ -56,6 +56,15 @@ them as AST rules (stdlib :mod:`ast`, no new dependencies):
     would wedge or corrupt the dispatch.  Callbacks must stay O(1)
     bookkeeping; a callback that needs to block should set a flag or
     fire a latch a real process waits on.
+``module-state``
+    A run's state belongs to its simulator (``sim.ids`` numbers its
+    threads, packets, requests and locks), never to a module of the
+    model packages (``sim``, ``locks``, ``mpi``, ``network``,
+    ``faults``, ``robust``, ``machine``, ``workloads``).  A
+    module-level ``count()`` or a module-level container a function
+    mutates outlives the run, so a second run in the same process sees
+    the first one's leftovers.  Constant
+    registries built at import time (``LOCK_CLASSES``) are fine.
 
 Any finding is suppressible on its line with ``# simlint:
 disable=RULE`` (comma-separated rules, or ``all``; ``# simcheck:
@@ -783,6 +792,98 @@ def _check_continuation_discipline(mod: _Module) -> Iterator[Finding]:
                 "must not block (no wait*/acquire) -- fire a latch or "
                 "wake a real process that does the blocking work",
             )
+
+
+#: Packages whose modules must hold no run state (``repro.<pkg>``).
+_MODEL_PACKAGES = frozenset({
+    "sim", "locks", "mpi", "network", "faults", "robust", "machine",
+    "workloads",
+})
+
+#: Constructors of mutable containers.
+_CONTAINER_CALLS = frozenset({
+    "dict", "list", "set", "deque", "defaultdict", "OrderedDict", "Counter",
+})
+
+#: Methods that change a list, dict, set or deque in place.
+_MUTATORS = frozenset({
+    "append", "appendleft", "extend", "extendleft", "insert", "remove",
+    "pop", "popleft", "popitem", "clear", "update", "setdefault", "add",
+    "discard", "sort", "reverse", "difference_update",
+    "intersection_update", "symmetric_difference_update",
+})
+
+
+def _in_model_package(path: str) -> bool:
+    parts = Path(path).parts
+    return any(
+        a == "repro" and b in _MODEL_PACKAGES for a, b in zip(parts, parts[1:])
+    )
+
+
+def _is_container(value: ast.AST) -> bool:
+    if isinstance(value, (ast.List, ast.Dict, ast.Set, ast.ListComp,
+                          ast.DictComp, ast.SetComp)):
+        return True
+    return (
+        isinstance(value, ast.Call)
+        and (_dotted(value.func) or "").rsplit(".", 1)[-1] in _CONTAINER_CALLS
+    )
+
+
+@_rule("module-state")
+def _check_module_state(mod: _Module) -> Iterator[Finding]:
+    """no run state in model modules (count(), mutated containers)"""
+    if not _in_model_package(mod.path):
+        return
+    containers = set()
+    for stmt in mod.tree.body:
+        if isinstance(stmt, ast.Assign):
+            targets, value = stmt.targets, stmt.value
+        elif isinstance(stmt, ast.AnnAssign) and stmt.value is not None:
+            targets, value = [stmt.target], stmt.value
+        else:
+            continue
+        names = [t.id for t in targets if isinstance(t, ast.Name)]
+        if (
+            isinstance(value, ast.Call)
+            and _dotted(value.func) in ("count", "itertools.count")
+        ):
+            yield Finding(
+                mod.path, stmt.lineno, stmt.col_offset, "module-state",
+                f"module-level count() {', '.join(names)} numbers across "
+                "every run in the process; draw ids from the run's "
+                "simulator (sim.ids)",
+            )
+        elif _is_container(value):
+            containers.update(names)
+    for fn in _functions(mod.tree):
+        nodes = list(_own_nodes(fn))
+        local = {
+            a.arg for a in ast.walk(fn.args) if isinstance(a, ast.arg)
+        } | {
+            n.id for n in nodes
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)
+        }
+        shared = containers - local
+        for n in nodes:
+            if isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute):
+                target, how = n.func.value, f".{n.func.attr}()"
+                if n.func.attr not in _MUTATORS:
+                    continue
+            elif isinstance(n, ast.Subscript) and isinstance(
+                n.ctx, (ast.Store, ast.Del)
+            ):
+                target, how = n.value, "[...]"
+            else:
+                continue
+            if isinstance(target, ast.Name) and target.id in shared:
+                yield Finding(
+                    mod.path, n.lineno, n.col_offset, "module-state",
+                    f"{fn.name}() mutates module-level {target.id}{how}: "
+                    "the change outlives the run and leaks into the next "
+                    "one; keep it on an object the run owns",
+                )
 
 
 # ======================================================================

@@ -15,7 +15,7 @@ from typing import Optional
 
 from ..analysis.bias import compute_bias_factors
 from ..analysis.report import format_size
-from ..locks import LockTrace
+from ..locks.stats import LockTrace
 from ..workloads.throughput import ThroughputConfig, run_throughput, throughput_cluster
 from ..obs import Instrument
 from .base import ExperimentResult

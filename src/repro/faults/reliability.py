@@ -348,7 +348,8 @@ class ReliabilityLayer:
             if cached is not None:
                 recv_req_id, recv_vci, sender_vci = cached
                 cts = Packet(
-                    PacketKind.CTS, self.rt.rank, pkt.src_rank, 0,
+                    next(self.rt.sim.ids.packet), PacketKind.CTS,
+                    self.rt.rank, pkt.src_rank, 0,
                     payload=(pkt.payload.req_id, recv_req_id, recv_vci),
                     vci=sender_vci,
                 )
@@ -367,7 +368,8 @@ class ReliabilityLayer:
         else:  # RNDV_DATA payload is (recv_req_id, data, sender_vci)
             ack_vci = pkt.payload[2]
         ack = Packet(
-            PacketKind.ACK, self.rt.rank, pkt.src_rank, 0,
+            next(self.rt.sim.ids.packet), PacketKind.ACK, self.rt.rank,
+            pkt.src_rank, 0,
             payload=pkt.seq, vci=ack_vci,
         )
         self.rt.fabric.send(ack)

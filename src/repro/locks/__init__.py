@@ -15,7 +15,6 @@ from .base import LockError, NullLock, Priority, SimLock
 from .domain import ArbitrationDomain
 from .mutex import PthreadMutexModel
 from .priority import PriorityTicketLock
-from .stats import LockTrace
 from .ticket import TicketLock
 
 LOCK_CLASSES = {
@@ -42,7 +41,6 @@ __all__ = [
     "NullLock",
     "Priority",
     "LockError",
-    "LockTrace",
     "PthreadMutexModel",
     "TicketLock",
     "PriorityTicketLock",

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import enum
 import re
-from itertools import count
 from typing import Callable, Dict, Optional, Tuple
 
 from ..machine.costs import NS, CostModel
@@ -25,8 +24,6 @@ from ..machine.topology import Core, Proximity
 from ..sim.rng import batched_draws
 
 __all__ = ["Priority", "SimLock", "NullLock", "LockError"]
-
-_lock_ids = count()
 
 
 class Priority(enum.IntEnum):
@@ -57,7 +54,7 @@ class SimLock:
     def __init__(self, sim, costs: CostModel, name: str = ""):
         self.sim = sim
         self.costs = costs
-        self.lock_id = next(_lock_ids)
+        self.lock_id = next(sim.ids.lock)
         self.name = name or f"{type(self).__name__}#{self.lock_id}"
         self.owner: Optional[ThreadCtx] = None
         #: Cache line home: core of the last thread that touched the lock word.
@@ -69,9 +66,8 @@ class SimLock:
         #: (e.g. ``"PriorityTicketLock.ticket_h"`` on the priority
         #: lock's inner tickets); None derives one from ``name``.
         self.order_class: Optional[str] = None
-        # Keyed by name (stable across runs), not the global lock_id:
-        # experiment results must not depend on what ran earlier in the
-        # process.
+        # Keyed by name, not lock_id: a named lock's stream does not
+        # move when another lock is built before it.
         rng = sim.rng.stream(f"lock:{self.name}")
         scale = costs.jitter_ns
         #: Exponential completion jitter in seconds, drawn in batches

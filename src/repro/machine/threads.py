@@ -1,21 +1,19 @@
 """Software thread contexts.
 
 A :class:`ThreadCtx` is the identity a simulated thread presents to locks
-and to the MPI runtime: a unique id plus the core it is pinned to.  All
+and to the MPI runtime: an id unique in its run (drawn by whatever builds
+the thread, from ``sim.ids.tid``) plus the core it is pinned to.  All
 experiments in the paper pin threads (via compact/scatter bindings), so a
 thread's core never changes during a run.
 """
 
 from __future__ import annotations
 
-from itertools import count
 from typing import Optional
 
 from .topology import Core, Proximity
 
 __all__ = ["ThreadCtx"]
-
-_ids = count()
 
 
 class ThreadCtx:
@@ -23,8 +21,9 @@ class ThreadCtx:
 
     __slots__ = ("tid", "core", "name", "rank", "held", "socket")
 
-    def __init__(self, core: Core, name: str = "", rank: Optional[int] = None):
-        self.tid = next(_ids)
+    def __init__(self, tid: int, core: Core, name: str = "",
+                 rank: Optional[int] = None):
+        self.tid = tid
         self.core = core
         self.rank = rank
         self.name = name or f"thread{self.tid}"

@@ -24,7 +24,6 @@ completion code path.  See DESIGN.md section 11.
 from __future__ import annotations
 
 import enum
-from itertools import count
 from typing import Any, Callable, List, Optional
 
 from .envelope import Envelope
@@ -33,8 +32,6 @@ __all__ = [
     "Continuation", "ReqKind", "ReqState", "Protocol", "Request",
     "RequestError",
 ]
-
-_req_seq = count()
 
 
 class RequestError(RuntimeError):
@@ -134,7 +131,8 @@ class Continuation:
 
 
 class Request:
-    """One nonblocking operation."""
+    """One nonblocking operation; ``req_id`` is unique in its run (the
+    issuing runtime draws it from ``sim.ids.request``)."""
 
     __slots__ = (
         "req_id", "kind", "rank", "owner_tid", "envelope", "nbytes",
@@ -145,6 +143,7 @@ class Request:
 
     def __init__(
         self,
+        req_id: int,
         kind: ReqKind,
         rank: int,
         owner_tid: int,
@@ -156,7 +155,7 @@ class Request:
     ):
         if nbytes < 0:
             raise ValueError(f"negative request size {nbytes}")
-        self.req_id = next(_req_seq)
+        self.req_id = req_id
         self.kind = kind
         self.rank = rank
         self.owner_tid = owner_tid

@@ -86,7 +86,7 @@ class RmaWindow:
         yield from rt._cs_acquire(dom, ctx, Priority.HIGH)
         yield rt._cs_time(dom, rt.costs.cs_main)
         req = Request(
-            ReqKind.RMA, rt.rank, ctx.tid,
+            next(rt.sim.ids.request), ReqKind.RMA, rt.rank, ctx.tid,
             Envelope(source=rt.rank, tag=0, comm=comm_id),
             nbytes, rt.sim.now, peer=target,
         )
@@ -102,8 +102,10 @@ class RmaWindow:
             wire = nbytes
         else:
             wire = 0
-        rt.fabric.send(Packet(kind, rt.rank, target, wire, payload,
-                              vci=rt.policy.route(rt.rank, 0, comm_id)))
+        rt.fabric.send(Packet(
+            next(rt.sim.ids.packet), kind, rt.rank, target, wire, payload,
+            vci=rt.policy.route(rt.rank, 0, comm_id),
+        ))
         yield from rt._cs_release(dom, ctx)
         # Wait for remote completion in the progress loop.
         yield from rt.waitall(ctx, (req,))
@@ -133,8 +135,9 @@ class RmaWindow:
             yield rt._cs_time(dom, rt.costs.copy_time(payload.nbytes))
             rt.fabric.send(
                 Packet(
-                    PacketKind.RMA_GET_REPLY, rt.rank, payload.origin_rank,
-                    payload.nbytes, payload, vci=payload.origin_vci,
+                    next(rt.sim.ids.packet), PacketKind.RMA_GET_REPLY,
+                    rt.rank, payload.origin_rank, payload.nbytes, payload,
+                    vci=payload.origin_vci,
                 )
             )
         elif kind is PacketKind.RMA_GET_REPLY:
@@ -147,10 +150,11 @@ class RmaWindow:
             raise RuntimeError(f"bad RMA packet {pkt!r}")
 
     def _ack(self, payload: RmaPayload) -> None:
-        self.runtime.fabric.send(
+        rt = self.runtime
+        rt.fabric.send(
             Packet(
-                PacketKind.RMA_ACK, self.runtime.rank, payload.origin_rank,
-                0, payload, vci=payload.origin_vci,
+                next(rt.sim.ids.packet), PacketKind.RMA_ACK, rt.rank,
+                payload.origin_rank, 0, payload, vci=payload.origin_vci,
             )
         )
 

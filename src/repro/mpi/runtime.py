@@ -114,12 +114,11 @@ class MpiRuntime:
         rank: int,
         fabric: Fabric,
         nic: RankNic,
-        lock: SimLock,
+        locks: Sequence[SimLock],
         costs: CostModel,
         eager_threshold: int = 16384,
         completion: str = "poll",
         policy: Optional[CsPolicy] = None,
-        domain_locks: Optional[Sequence[SimLock]] = None,
         reliability=None,
     ):
         # Keep fewer than 30 attributes here: past 29, CPython 3.11 moves
@@ -135,9 +134,6 @@ class MpiRuntime:
         #: Domain mapping policy; the default single global domain is
         #: the paper's model.
         self.policy = policy if policy is not None else GLOBAL_POLICY
-        locks: List[SimLock] = (
-            list(domain_locks) if domain_locks is not None else [lock]
-        )
         if len(locks) != self.policy.n_domains:
             raise ValueError(
                 f"policy {self.policy} needs {self.policy.n_domains} domain "
@@ -506,8 +502,8 @@ class MpiRuntime:
         else:
             protocol = Protocol.RNDV
         req = Request(
-            ReqKind.SEND, self.rank, ctx.tid, env, nbytes, self.sim.now,
-            protocol=protocol, peer=dest,
+            next(self.sim.ids.request), ReqKind.SEND, self.rank, ctx.tid,
+            env, nbytes, self.sim.now, protocol=protocol, peer=dest,
         )
         req.vci = dom.index
         req.vcis = (dom.index,)
@@ -524,7 +520,8 @@ class MpiRuntime:
                 self._san(ctx, f"pending_sends[{req.req_id}]",
                           guards=(dom.lock.name,), owner=req.owner_tid)
             pkt = Packet(
-                PacketKind.RTS, self.rank, dest, 0,
+                next(self.sim.ids.packet), PacketKind.RTS, self.rank, dest,
+                0,
                 payload=_RndvInfo(env, nbytes, req.req_id, dom.index),
                 vci=self.policy.route_msg(env),
             )
@@ -539,7 +536,8 @@ class MpiRuntime:
                     yield self._cs_time(dom, copy)
             req.mark_pending()
             pkt = Packet(
-                PacketKind.EAGER, self.rank, dest, nbytes,
+                next(self.sim.ids.packet), PacketKind.EAGER, self.rank, dest,
+                nbytes,
                 payload=_EagerInfo(env, nbytes, req.req_id, data, dom.index),
                 vci=self.policy.route_msg(env),
             )
@@ -591,8 +589,8 @@ class MpiRuntime:
             if i == 0:
                 yield self._cs_time(dom, self.costs.cs_main)
                 req = Request(
-                    ReqKind.RECV, self.rank, ctx.tid, env, nbytes,
-                    self.sim.now, peer=source,
+                    next(self.sim.ids.request), ReqKind.RECV, self.rank,
+                    ctx.tid, env, nbytes, self.sim.now, peer=source,
                 )
                 req.vci = dom.index
                 req.vcis = vcis
@@ -1017,7 +1015,8 @@ class MpiRuntime:
             else:
                 req, data = self._pending_sends.pop(sender_req_id)
             data_pkt = Packet(
-                PacketKind.RNDV_DATA, self.rank, pkt.src_rank, req.nbytes,
+                next(self.sim.ids.packet), PacketKind.RNDV_DATA, self.rank,
+                pkt.src_rank, req.nbytes,
                 payload=(recv_req_id, data, req.vci), vci=recv_vci,
             )
             if self._rel is None:
@@ -1061,7 +1060,7 @@ class MpiRuntime:
         """Clear a rendezvous sender: the CTS goes back to the *sender's*
         domain and tells it which receiver domain the data belongs in."""
         pkt = Packet(
-            PacketKind.CTS, self.rank, dest, 0,
+            next(self.sim.ids.packet), PacketKind.CTS, self.rank, dest, 0,
             payload=(sender_req_id, recv_req.req_id, recv_req.vci),
             vci=sender_vci,
         )

@@ -18,7 +18,7 @@ every rank (paper 6.1.2): an endless LOW-priority progress poller.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import TYPE_CHECKING, List, Optional
 
 from ..faults import (
     FaultInjector,
@@ -37,13 +37,15 @@ from ..machine import (
     ThreadCtx,
 )
 from ..network import Fabric, NetworkConfig
-from ..obs import Instrument
 from ..overrides import cluster_overrides
 from ..sim import Simulator
 from .collectives import Communicator
 from .parking import IdleProgress
 from .runtime import COMPLETION_MODES, MpiRuntime, MpiThread
 from .vci import CsPolicy, parse_cs_policy
+
+if TYPE_CHECKING:
+    from ..obs import Instrument
 
 __all__ = ["ClusterConfig", "Cluster"]
 
@@ -196,11 +198,10 @@ class Cluster:
                 for di in range(policy.n_domains)
             ]
             rt = MpiRuntime(
-                self.sim, rank, self.fabric, nic, locks[0], config.costs,
+                self.sim, rank, self.fabric, nic, locks, config.costs,
                 eager_threshold=config.eager_threshold,
                 completion=config.completion,
                 policy=policy,
-                domain_locks=locks,
                 reliability=config.reliability,
             )
             self.runtimes.append(rt)
@@ -209,7 +210,8 @@ class Cluster:
             ths = []
             for i in range(config.threads_per_rank):
                 ctx = ThreadCtx(
-                    cores[i % len(cores)], name=f"r{rank}t{i}", rank=rank
+                    next(self.sim.ids.tid), cores[i % len(cores)],
+                    name=f"r{rank}t{i}", rank=rank,
                 )
                 ths.append(MpiThread(rt, ctx))
             self.threads.append(ths)
@@ -250,7 +252,8 @@ class Cluster:
         else:
             chunk = self._rank_cores(machine, rank)
             core = chunk[cfg.threads_per_rank % len(chunk)]
-        ctx = ThreadCtx(core, name=f"r{rank}async", rank=rank)
+        ctx = ThreadCtx(next(self.sim.ids.tid), core, name=f"r{rank}async",
+                        rank=rank)
         self._progress_ctxs.append(ctx)
         if cfg.obs is not None:
             cfg.obs.declare_thread(rank, ctx.tid, ctx.name)

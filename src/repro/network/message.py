@@ -9,12 +9,9 @@ bandwidth accounting; header overhead is added by the fabric.
 from __future__ import annotations
 
 import enum
-from itertools import count
 from typing import Any
 
 __all__ = ["PacketKind", "Packet"]
-
-_packet_seq = count()
 
 
 class PacketKind(enum.Enum):
@@ -41,12 +38,14 @@ CONTROL_KINDS = frozenset(
 
 
 class Packet:
-    """One message on the wire."""
+    """One message on the wire; ``seq`` is unique in its run (the sender
+    draws it from ``sim.ids.packet``)."""
 
     __slots__ = ("seq", "kind", "src_rank", "dst_rank", "nbytes", "payload", "vci")
 
     def __init__(
         self,
+        seq: int,
         kind: PacketKind,
         src_rank: int,
         dst_rank: int,
@@ -56,7 +55,7 @@ class Packet:
     ):
         if nbytes < 0:
             raise ValueError(f"negative packet size {nbytes}")
-        self.seq = next(_packet_seq)
+        self.seq = seq
         self.kind = kind
         self.src_rank = src_rank
         self.dst_rank = dst_rank

@@ -54,6 +54,9 @@ class Instrument:
         #: ``(rank, tid)`` / ``rank`` -- consumed by the Chrome exporter.
         self.thread_names: Dict[Tuple[int, int], str] = {}
         self.process_names: Dict[int, str] = {}
+        #: The id space of the first simulator bound, handed to every
+        #: later one (see :meth:`bind_sim`).
+        self._ids = None
 
     # ------------------------------------------------------------------
     # Wiring
@@ -62,8 +65,17 @@ class Instrument:
         """Attach this bus to a simulator: the bus reads ``sim.now`` and
         the simulator (and everything holding a reference to it) emits
         through ``sim.obs``.  Rebinding to a fresh simulator is legal --
-        multi-cluster experiments reuse one bus across sub-runs."""
+        multi-cluster experiments reuse one bus across sub-runs.
+
+        Every simulator bound shares the first one's id space, so a later
+        sub-run numbers its threads, packets, requests and locks on from
+        where the earlier ones stopped and their trace lanes and spans
+        stay apart.  Bind before building the model on ``sim``."""
         self._clock = lambda: sim.now
+        if self._ids is None:
+            self._ids = sim.ids
+        else:
+            sim.ids = self._ids
         sim.obs = self
         return self
 

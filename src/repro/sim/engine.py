@@ -89,6 +89,24 @@ class Timer:
         fn(*self.args)
 
 
+class IdSpace:
+    """A run's identities: thread ids, packet seqs, request ids and lock
+    ids, each drawn with ``next()`` and numbered from 0.
+
+    Every :class:`Simulator` starts its own, so a run's ids do not depend
+    on what ran earlier in the process.  A bus bound to several
+    simulators hands them one space (:meth:`repro.obs.Instrument.bind_sim`),
+    so a sweep's sub-runs keep distinct ids in one trace."""
+
+    __slots__ = ("tid", "packet", "request", "lock")
+
+    def __init__(self):
+        self.tid = count()
+        self.packet = count()
+        self.request = count()
+        self.lock = count()
+
+
 class Simulator:
     """Event heap + clock + factory for events and processes.
 
@@ -119,6 +137,8 @@ class Simulator:
         self.compactions = 0
         self._crashed: list = []
         self.rng = RngStreams(seed)
+        #: The run's ids (thread, packet, request, lock).
+        self.ids = IdSpace()
         #: Observability bus (:class:`repro.obs.Instrument`) or None.
         #: Every component holding a ``sim`` reference emits through
         #: this single attach point; ``None`` means instrumentation is

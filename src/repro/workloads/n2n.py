@@ -15,8 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from ..analysis.metrics import message_rate_k
 from ..mpi.world import Cluster
+from .throughput import message_rate_k
 
 __all__ = ["N2NConfig", "N2NResult", "run_n2n"]
 

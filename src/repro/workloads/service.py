@@ -625,7 +625,8 @@ def _reaper_ctx(cluster: Cluster, rank: int) -> ThreadCtx:
     else:
         chunk = cluster._rank_cores(machine, rank)
         core = chunk[slot % len(chunk)]
-    ctx = ThreadCtx(core, name=f"r{rank}svc", rank=rank)
+    ctx = ThreadCtx(next(cluster.sim.ids.tid), core, name=f"r{rank}svc",
+                    rank=rank)
     if cfg.obs is not None:
         cfg.obs.declare_thread(rank, ctx.tid, ctx.name)
     return ctx

@@ -22,10 +22,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from ..analysis.metrics import message_rate_k
 from ..mpi.world import Cluster, ClusterConfig
 
-__all__ = ["DanglingStats", "ThroughputConfig", "ThroughputResult", "run_throughput"]
+__all__ = [
+    "DanglingStats", "ThroughputConfig", "ThroughputResult", "message_rate_k",
+    "run_throughput",
+]
+
+
+def message_rate_k(n_messages: int, elapsed_s: float) -> float:
+    """Message rate in 10^3 messages/second (the paper's unit)."""
+    if elapsed_s <= 0:
+        raise ValueError(f"non-positive elapsed time {elapsed_s}")
+    return n_messages / elapsed_s / 1e3
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ from repro.analysis import (
     format_table,
     message_rate_k,
 )
-from repro.locks import LockTrace
+from repro.locks.stats import LockTrace
 
 
 def synthetic_trace(tids, sockets, contenders, prev_socket_counts, holds=None):

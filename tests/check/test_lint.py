@@ -21,6 +21,9 @@ RULE_FIXTURES = {
     "broad-except": ("broadexcept_bad.py", "broadexcept_good.py"),
     "queue-encapsulation": ("queueenc_bad.py", "queueenc_good.py"),
     "continuation-discipline": ("contdisc_bad.py", "contdisc_good.py"),
+    # The rule looks only at model packages, so these live under repro/.
+    "module-state": ("repro/workloads/modstate_bad.py",
+                     "repro/workloads/modstate_good.py"),
 }
 
 
@@ -95,6 +98,15 @@ def test_queue_encapsulation_grants_process_module_only_its_sleep_push(tmp_path)
 
     assert lines(granted) == [1, 4, 5]
     assert lines(other) == [1, 3, 3, 4, 5]
+
+
+def test_module_state_looks_only_at_model_packages(tmp_path):
+    src = (FIXTURES / RULE_FIXTURES["module-state"][0]).read_text()
+    for where in ("repro/obs", "tools"):
+        path = tmp_path / where / "state.py"
+        path.parent.mkdir(parents=True)
+        path.write_text(src)
+        assert run_lint([str(path)], select=["module-state"]) == []
 
 
 def test_slots_names_the_missing_attribute():

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+from itertools import count
+
 import pytest
 
-from repro.locks import LockTrace
+from repro.locks.stats import LockTrace
 from repro.machine import CostModel, ThreadCtx, compact_binding, nehalem_node
 from repro.obs import Instrument
 from repro.sim import Simulator
@@ -25,10 +27,19 @@ def costs():
     return CostModel()
 
 
+#: Thread ids for test threads built without a cluster: distinct across
+#: calls, as a cluster's are within its run.
+_tids = count()
+
+
+def make_thread(core, name="", rank=None):
+    return ThreadCtx(next(_tids), core, name=name, rank=rank)
+
+
 def make_threads(machine, n, binding=compact_binding, rank=0):
     """Create n ThreadCtx bound per the given policy."""
     cores = binding(machine, n)
-    return [ThreadCtx(cores[i], name=f"t{i}", rank=rank) for i in range(n)]
+    return [make_thread(cores[i], name=f"t{i}", rank=rank) for i in range(n)]
 
 
 def bus_trace(sim, lock):

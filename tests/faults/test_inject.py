@@ -24,7 +24,7 @@ def make_fabric(plan=None, n_ranks=2, ranks_per_node=1, seed=7):
 def test_certain_drop_loses_delivery_but_completes_locally():
     sim, fab = make_fabric(FaultPlan(drop=1.0))
     local = []
-    fab.send(Packet(PacketKind.EAGER, 0, 1, 1000),
+    fab.send(Packet(0, PacketKind.EAGER, 0, 1, 1000),
              lambda: local.append(sim.now))
     sim.run()
     assert local, "local completion must fire even for a dropped packet"
@@ -36,7 +36,7 @@ def test_certain_duplicate_delivers_two_copies():
     sim, fab = make_fabric(FaultPlan(duplicate=1.0))
     rec = Recording(categories=("net",))
     rec.bus.bind_sim(sim)
-    fab.send(Packet(PacketKind.EAGER, 0, 1, 1000))
+    fab.send(Packet(0, PacketKind.EAGER, 0, 1, 1000))
     sim.run()
     arrivals = [ev.ts for ev in rec.events if ev.kind is EventKind.ASYNC_END]
     assert len(fab.nic(1).recv_qs[0]) == 2
@@ -47,13 +47,13 @@ def test_certain_duplicate_delivers_two_copies():
 
 def test_reorder_adds_bounded_delay():
     sim0, fab0 = make_fabric()
-    fab0.send(Packet(PacketKind.EAGER, 0, 1, 1000))
+    fab0.send(Packet(0, PacketKind.EAGER, 0, 1, 1000))
     sim0.run()
     t_base = sim0.now
 
     plan = FaultPlan(reorder=1.0, reorder_delay_ns=5000.0)
     sim, fab = make_fabric(plan)
-    fab.send(Packet(PacketKind.EAGER, 0, 1, 1000))
+    fab.send(Packet(0, PacketKind.EAGER, 0, 1, 1000))
     sim.run()
     assert fab.faults.stats.reorders == 1
     assert t_base < sim.now <= t_base + plan.reorder_delay_ns * 1e-9
@@ -61,7 +61,7 @@ def test_reorder_adds_bounded_delay():
 
 def test_random_faults_spare_the_shm_path():
     sim, fab = make_fabric(FaultPlan(drop=1.0), n_ranks=2, ranks_per_node=2)
-    fab.send(Packet(PacketKind.EAGER, 0, 1, 100))  # same node
+    fab.send(Packet(0, PacketKind.EAGER, 0, 1, 100))  # same node
     sim.run()
     assert len(fab.nic(1).recv_qs[0]) == 1
     assert fab.faults.stats.drops == 0
@@ -75,6 +75,6 @@ def test_fault_events_on_obs_bus():
     bus = Instrument()
     bus.subscribe(events.append, categories=("fault",))
     sim.obs = bus
-    fab.send(Packet(PacketKind.EAGER, 0, 1, 100))
+    fab.send(Packet(0, PacketKind.EAGER, 0, 1, 100))
     sim.run()
     assert any(ev.name == "drop" for ev in events)

@@ -7,7 +7,7 @@ mechanism behind a reproduced effect responds in the expected direction.
 from __future__ import annotations
 
 from repro.analysis import compute_bias_factors
-from repro.locks import LockTrace
+from repro.locks.stats import LockTrace
 from repro.machine import CostModel
 from repro.mpi import Cluster, ClusterConfig
 from repro.obs import Instrument

@@ -16,7 +16,7 @@ from repro.locks import (
 )
 from repro.machine import NS, compact_binding, scatter_binding
 
-from ..conftest import bus_trace, hammer, make_threads
+from ..conftest import bus_trace, hammer, make_thread, make_threads
 
 
 def test_mutex_monopolization_emerges(sim, machine, costs):
@@ -244,9 +244,7 @@ def test_mutex_cas_race_favours_same_socket(machine, costs):
         owner = make_threads(machine, 1)[0]              # core 0
         near = make_threads(machine, 2)[1]               # core 1, socket 0
         far_core = machine.core(4)                       # socket 1
-        from repro.machine import ThreadCtx
-
-        far = ThreadCtx(far_core, name="far")
+        far = make_thread(far_core, name="far")
         first = []
 
         def prime():

@@ -4,6 +4,7 @@ import pytest
 
 from repro.locks import LOCK_CLASSES, LockError, make_lock
 from repro.machine import NS
+from repro.sim import Simulator
 
 from ..conftest import bus_trace, hammer, make_threads
 
@@ -129,7 +130,19 @@ def test_make_lock_unknown_kind():
     import pytest as _pytest
 
     from repro.machine import CostModel
-    from repro.sim import Simulator
 
     with _pytest.raises(ValueError, match="unknown lock kind"):
         make_lock("bogus", Simulator(), CostModel())
+
+
+@pytest.mark.parametrize("kind", sorted(LOCK_CLASSES))
+def test_an_unnamed_lock_is_the_same_in_every_run(kind, costs):
+    """Each simulator numbers its locks from 0, so an unnamed lock's
+    name, and with it its ``lock:`` jitter stream, does not depend on
+    how many locks the process built before."""
+
+    def build():
+        lock = LOCK_CLASSES[kind](Simulator(seed=1), costs)
+        return lock.name, [lock._jitter() for _ in range(3)]
+
+    assert build() == build()

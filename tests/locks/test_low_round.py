@@ -40,7 +40,7 @@ def make(kind):
 
 @pytest.fixture
 def ctx():
-    return ThreadCtx(nehalem_node().cores[2], name="r3async", rank=3)
+    return ThreadCtx(0, nehalem_node().cores[2], name="r3async", rank=3)
 
 
 @pytest.mark.parametrize("k", [1, 2, 9])

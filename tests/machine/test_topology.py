@@ -95,9 +95,9 @@ def test_explicit_binding():
 
 def test_thread_ctx_identity_and_proximity():
     m = nehalem_node()
-    a = ThreadCtx(m.core(0), name="a")
-    b = ThreadCtx(m.core(5), name="b")
-    assert a.tid != b.tid
+    a = ThreadCtx(0, m.core(0), name="a")
+    b = ThreadCtx(1, m.core(5))
+    assert (a.tid, a.name, b.tid, b.name) == (0, "a", 1, "thread1")
     assert a.socket == 0 and b.socket == 1
     assert a.proximity(b) == Proximity.REMOTE
 

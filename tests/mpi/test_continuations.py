@@ -25,7 +25,7 @@ def make_cluster(**kw):
 
 def make_req(**kw):
     defaults = dict(
-        kind=ReqKind.RECV, rank=0, owner_tid=1,
+        req_id=0, kind=ReqKind.RECV, rank=0, owner_tid=1,
         envelope=Envelope(0, 0, 0), nbytes=100, now=0.0,
     )
     defaults.update(kw)
@@ -231,7 +231,7 @@ def test_free_cancels_inflight_deferred_fire_cleanly():
     cl = make_cluster()
     rt = cl.runtimes[0]
     sim = cl.sim
-    req = make_req(rank=0)
+    req = make_req(rank=0, req_id=next(sim.ids.request))
     rt.requests[req.req_id] = req
     fired = []
     h = req.attach_continuation(fired.append)
@@ -255,7 +255,7 @@ def test_dangling_continuation_guard_raises_on_freed_fire():
     cl = make_cluster()
     rt = cl.runtimes[0]
     sim = cl.sim
-    req = make_req(rank=0)
+    req = make_req(rank=0, req_id=next(sim.ids.request))
     rt.requests[req.req_id] = req
     req.attach_continuation(lambda r: None)
 
@@ -273,7 +273,7 @@ def test_guard_not_triggered_when_detached_in_flight():
     cl = make_cluster()
     rt = cl.runtimes[0]
     sim = cl.sim
-    req = make_req(rank=0)
+    req = make_req(rank=0, req_id=next(sim.ids.request))
     rt.requests[req.req_id] = req
     fired = []
     h = req.attach_continuation(fired.append)

@@ -6,7 +6,7 @@ from repro.mpi.queues import PostedQueue, UnexpectedMsg, UnexpectedQueue
 
 def recv_req(source=ANY_SOURCE, tag=ANY_TAG, comm=0):
     return Request(
-        ReqKind.RECV, rank=0, owner_tid=0,
+        0, ReqKind.RECV, rank=0, owner_tid=0,
         envelope=Envelope(source, tag, comm), nbytes=8, now=0.0,
     )
 

@@ -4,11 +4,12 @@ import pytest
 
 from repro.mpi import Envelope, ReqKind, ReqState, Request, RequestError
 from repro.mpi.request import Protocol
+from repro.sim import Simulator
 
 
 def make_req(**kw):
     defaults = dict(
-        kind=ReqKind.RECV, rank=0, owner_tid=1,
+        req_id=0, kind=ReqKind.RECV, rank=0, owner_tid=1,
         envelope=Envelope(0, 0, 0), nbytes=100, now=0.0,
     )
     defaults.update(kw)
@@ -99,7 +100,9 @@ def test_negative_size_rejected():
 
 
 def test_request_ids_unique():
-    assert make_req().req_id != make_req().req_id
+    ids = Simulator(seed=0).ids.request  # each run numbers from 0
+    a, b = make_req(req_id=next(ids)), make_req(req_id=next(ids))
+    assert (a.req_id, b.req_id) == (0, 1)
 
 
 def test_protocol_field():

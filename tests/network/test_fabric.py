@@ -39,13 +39,13 @@ def test_register_duplicate_rank_rejected():
 def test_unknown_destination_rejected():
     sim, fab = make_fabric()
     with pytest.raises(ValueError, match="unknown destination rank 99"):
-        fab.send(Packet(PacketKind.EAGER, 0, 99, 10))
+        fab.send(Packet(0, PacketKind.EAGER, 0, 99, 10))
 
 
 def test_unknown_source_rejected():
     sim, fab = make_fabric()
     with pytest.raises(ValueError, match="unknown source rank 99"):
-        fab.send(Packet(PacketKind.EAGER, 99, 1, 10))
+        fab.send(Packet(0, PacketKind.EAGER, 99, 1, 10))
 
 
 def test_out_of_range_vci_falls_back_loudly():
@@ -56,7 +56,7 @@ def test_out_of_range_vci_falls_back_loudly():
     bus = Instrument()
     bus.subscribe(events.append, categories=("fault",))
     sim.obs = bus
-    fab.send(Packet(PacketKind.EAGER, 0, 1, 100, vci=7))
+    fab.send(Packet(0, PacketKind.EAGER, 0, 1, 100, vci=7))
     sim.run()
     nic = fab.nic(1)
     # Delivered (into VCI 0), but counted and warned about -- never silent.
@@ -68,13 +68,13 @@ def test_out_of_range_vci_falls_back_loudly():
 
 def test_negative_size_rejected():
     with pytest.raises(ValueError):
-        Packet(PacketKind.EAGER, 0, 1, -1)
+        Packet(0, PacketKind.EAGER, 0, 1, -1)
 
 
 def test_internode_delivery_time():
     sim, fab = make_fabric()
     cfg = fab.config
-    pkt = Packet(PacketKind.EAGER, 0, 1, 1000)
+    pkt = Packet(0, PacketKind.EAGER, 0, 1, 1000)
     fab.send(pkt)
     sim.run()
     expected = (
@@ -88,11 +88,11 @@ def test_internode_delivery_time():
 
 def test_intranode_uses_shm_path_and_is_faster():
     sim, fab = make_fabric(n_ranks=4, ranks_per_node=2)
-    fab.send(Packet(PacketKind.EAGER, 0, 1, 4096))  # same node
+    fab.send(Packet(0, PacketKind.EAGER, 0, 1, 4096))  # same node
     sim.run()
     t_shm = sim.now
     sim2, fab2 = make_fabric(n_ranks=4, ranks_per_node=2)
-    fab2.send(Packet(PacketKind.EAGER, 0, 2, 4096))  # cross node
+    fab2.send(Packet(0, PacketKind.EAGER, 0, 2, 4096))  # cross node
     sim2.run()
     assert t_shm < sim2.now
 
@@ -101,7 +101,7 @@ def test_local_completion_before_delivery():
     sim, fab = make_fabric()
     times = {}
     rec = recording(sim)
-    fab.send(Packet(PacketKind.EAGER, 0, 1, 10_000),
+    fab.send(Packet(0, PacketKind.EAGER, 0, 1, 10_000),
              lambda: times.setdefault("local", sim.now))
     sim.run()
     times["deliver"] = delivered(rec)[0].ts
@@ -114,9 +114,9 @@ def test_local_completion_before_delivery():
 
 def test_send_without_done_queues_only_the_delivery():
     sim, fab = make_fabric()
-    fab.send(Packet(PacketKind.EAGER, 0, 1, 10_000))
+    fab.send(Packet(0, PacketKind.EAGER, 0, 1, 10_000))
     assert sim.queued_events == 1
-    fab.send(Packet(PacketKind.EAGER, 0, 1, 10_000), lambda: None)
+    fab.send(Packet(1, PacketKind.EAGER, 0, 1, 10_000), lambda: None)
     assert sim.queued_events == 3
 
 
@@ -127,8 +127,8 @@ def test_uplink_serializes_concurrent_messages():
     # Rank 0 sends to ranks 1 and 2 at the same instant.
     rec = recording(sim)
     nbytes = 1_000_000
-    fab.send(Packet(PacketKind.EAGER, 0, 1, nbytes))
-    fab.send(Packet(PacketKind.EAGER, 0, 2, nbytes))
+    fab.send(Packet(0, PacketKind.EAGER, 0, 1, nbytes))
+    fab.send(Packet(1, PacketKind.EAGER, 0, 2, nbytes))
     sim.run()
     arrivals = [(ev.args["dst"], ev.ts) for ev in delivered(rec)]
     (d1, t1), (d2, t2) = sorted(arrivals, key=lambda x: x[1])
@@ -140,8 +140,8 @@ def test_sends_from_different_nodes_do_not_serialize():
     sim, fab = make_fabric(n_ranks=3, ranks_per_node=1)
     rec = recording(sim)
     nbytes = 1_000_000
-    fab.send(Packet(PacketKind.EAGER, 0, 2, nbytes))
-    fab.send(Packet(PacketKind.EAGER, 1, 2, nbytes))
+    fab.send(Packet(0, PacketKind.EAGER, 0, 2, nbytes))
+    fab.send(Packet(1, PacketKind.EAGER, 1, 2, nbytes))
     sim.run()
     arrivals = [ev.ts for ev in delivered(rec)]
     assert arrivals[0] == pytest.approx(arrivals[1])
@@ -153,20 +153,20 @@ def test_fifo_ordering_per_pair():
     sim, fab = make_fabric()
     sizes = [100, 5000, 1, 20_000, 64]
     for i, s in enumerate(sizes):
-        fab.send(Packet(PacketKind.EAGER, 0, 1, s, payload=i))
+        fab.send(Packet(i, PacketKind.EAGER, 0, 1, s, payload=i))
     sim.run()
     got = [pkt.payload for pkt in fab.nic(1).recv_qs[0]]
     assert got == list(range(len(sizes)))
 
 
 def test_control_packets_flagged():
-    assert Packet(PacketKind.RTS, 0, 1, 0).is_control
-    assert not Packet(PacketKind.EAGER, 0, 1, 10).is_control
+    assert Packet(0, PacketKind.RTS, 0, 1, 0).is_control
+    assert not Packet(1, PacketKind.EAGER, 0, 1, 10).is_control
 
 
 def test_counters_update():
     sim, fab = make_fabric()
-    fab.send(Packet(PacketKind.EAGER, 0, 1, 500))
+    fab.send(Packet(0, PacketKind.EAGER, 0, 1, 500))
     sim.run()
     assert fab.nic(0).sent_packets == 1
     assert fab.nic(0).sent_bytes == 500 + fab.config.header_bytes
@@ -176,7 +176,7 @@ def test_counters_update():
 def test_bandwidth_scaling_with_size():
     def arrival(nbytes):
         sim, fab = make_fabric()
-        fab.send(Packet(PacketKind.EAGER, 0, 1, nbytes))
+        fab.send(Packet(0, PacketKind.EAGER, 0, 1, nbytes))
         sim.run()
         return sim.now
 

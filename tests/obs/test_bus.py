@@ -92,6 +92,22 @@ def test_bus_clock_follows_bound_sim():
     assert seen[-1].ts == 2.5
 
 
+def test_clusters_on_one_bus_share_an_id_space():
+    """A sweep through one bus numbers each cluster's threads on from the
+    last, so their trace lanes stay apart; without a bus every cluster
+    numbers from 0."""
+    from repro.mpi import Cluster, ClusterConfig
+
+    def tids(obs=None):
+        cl = Cluster(ClusterConfig(n_nodes=2, threads_per_rank=2, obs=obs))
+        return [th.ctx.tid for ths in cl.threads for th in ths]
+
+    bus = Instrument()
+    assert tids(bus) + tids(bus) == list(range(8))
+    assert tids() == tids() == [0, 1, 2, 3]
+    assert len(bus.thread_names) == 8
+
+
 def test_counter_monotonicity_packets_handled():
     """mpi/packets_handled is a cumulative counter: never decreases."""
     from repro.workloads import ThroughputConfig, run_throughput, throughput_cluster

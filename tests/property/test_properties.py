@@ -55,8 +55,8 @@ def test_match_implies_fieldwise_compatibility(pattern, env):
 def test_posted_queue_returns_first_match(patterns, env):
     q = PostedQueue()
     reqs = []
-    for p in patterns:
-        r = Request(ReqKind.RECV, 0, 0, p, 8, 0.0)
+    for i, p in enumerate(patterns):
+        r = Request(i, ReqKind.RECV, 0, 0, p, 8, 0.0)
         q.post(r)
         reqs.append(r)
     got, scanned = q.match(env)
@@ -128,7 +128,7 @@ def test_lock_exclusion_random_schedules(kind, holds, gaps, seed):
     acquired = [0]
 
     def worker(i):
-        ctx = ThreadCtx(machine.core(i % machine.n_cores), name=f"w{i}")
+        ctx = ThreadCtx(i, machine.core(i % machine.n_cores), name=f"w{i}")
         for _ in range(3):
             yield from lock.acquire(ctx)
             inside[0] += 1
@@ -151,7 +151,7 @@ def test_lock_exclusion_random_schedules(kind, holds, gaps, seed):
 # ----------------------------------------------------------------------
 @given(unexpected_hit=st.booleans(), posted_first=st.booleans())
 def test_request_dangling_flag_consistency(unexpected_hit, posted_first):
-    r = Request(ReqKind.RECV, 0, 0, Envelope(0, 0, 0), 8, 0.0)
+    r = Request(0, ReqKind.RECV, 0, 0, Envelope(0, 0, 0), 8, 0.0)
     if posted_first and not unexpected_hit:
         r.mark_posted()
     r.mark_complete(1.0)
