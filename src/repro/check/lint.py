@@ -48,9 +48,9 @@ them as AST rules (stdlib :mod:`ast`, no new dependencies):
     skipped) stay exact.
 ``continuation-discipline``
     Callbacks registered via ``attach_continuation`` fire inside the
-    runtime's completion dispatch; callbacks handed to the timer paths
-    (``sim.call_after``, ``DeadlineTimer.arm`` -- the deadline-expiry
-    machinery) fire inside the engine's dispatch loop.  Both are plain
+    runtime's completion dispatch; callbacks handed to the timer path
+    ``sim.call_after`` (retransmits, deadline expiry) fire inside the
+    engine's dispatch loop.  Both are plain
     functions, not sim processes, so a blocking call (``wait``/
     ``waitall``/``waitany``/``acquire``) can never yield its event and
     would wedge or corrupt the dispatch.  Callbacks must stay O(1)
@@ -698,13 +698,12 @@ _BLOCKING_ATTRS = frozenset({
 
 #: Callback registration points -> positional index of the callback.
 #: ``attach_continuation(fn)`` is the completion path; ``call_after(
-#: delay, fn, *args)`` and ``DeadlineTimer.arm(at_s, fn, *args)`` are
-#: the timer paths (deadline expiry) -- all three dispatch the callback
-#: in the same no-blocking callback context.
+#: delay, fn, *args)`` is the timer path (retransmits, deadline
+#: expiry) -- both dispatch the callback in the same no-blocking
+#: callback context.
 _CALLBACK_SITES = {
     "attach_continuation": 0,
     "call_after": 1,
-    "arm": 1,
 }
 
 

@@ -7,9 +7,10 @@ package asks what each remedy does when the fabric itself misbehaves.
   internode packet drop/duplicate/reorder.
 * :class:`FaultInjector` -- interprets a plan on the fabric's send path
   using its own named RNG stream (``"faults"``).
-* :class:`ReliabilityLayer` / :class:`ReliabilityConfig` -- the runtime
-  remedy: sequence-numbered ACK/retransmit with exponential backoff,
-  rendezvous handshake retry, duplicate absorption.
+* :class:`ReliabilityLayer` -- the runtime remedy, switched on or off
+  as a whole: sequence-numbered ACK/retransmit with exponential backoff,
+  rendezvous handshake retry, duplicate absorption.  Its timeouts and
+  retry limit are constants of :mod:`repro.faults.reliability`.
 * :class:`ProgressWatchdog` / :class:`ProgressStallError` -- turns hangs
   into diagnosed aborts with a state dump on the obs bus.
 
@@ -18,13 +19,14 @@ installs nothing and is bit-identical to a fault-free build; an active
 plan with the same seed reproduces the same faults and the same recovery
 schedule.
 
-Wire it via ``ClusterConfig(faults=..., reliability=...)``, the
-``--faults`` CLI flag, or the ``fig_chaos`` experiment.
+Wire it via ``ClusterConfig(faults=..., reliability=True)``, the
+``--faults`` and ``--retransmit`` CLI flags, or the ``fig_chaos``
+experiment.
 """
 
 from .inject import FaultInjector, FaultStats, PacketFate
 from .plan import FaultPlan, parse_fault_plan
-from .reliability import ReliabilityConfig, ReliabilityLayer, ReliabilityStats
+from .reliability import ReliabilityLayer, ReliabilityStats
 from .watchdog import ProgressStallError, ProgressWatchdog
 
 __all__ = [
@@ -33,7 +35,6 @@ __all__ = [
     "FaultInjector",
     "FaultStats",
     "PacketFate",
-    "ReliabilityConfig",
     "ReliabilityLayer",
     "ReliabilityStats",
     "ProgressWatchdog",

@@ -2,7 +2,7 @@
 
 MPICH over a reliable interconnect never retransmits; our fault injector
 breaks that assumption, so the runtime grows a thin reliability layer
-(one per rank, disabled by default -- with ``reliability=None`` the
+(one per rank, off by default -- with ``reliability=False`` the
 runtime executes the exact pre-reliability instruction stream):
 
 * **Data packets** (EAGER and RNDV_DATA) are tracked by their wire
@@ -25,12 +25,14 @@ runtime executes the exact pre-reliability instruction stream):
   small message forced through rendezvous at 8 threads -- looks
   identical to a dead one, and the sender fails deliverable requests on
   a lossless fabric while the receiver's matched recvs wait forever.
-* Retransmit timers back off exponentially (``rto * backoff**retries``)
-  under a configurable budget (``max_retries`` and ``budget_ns``); on
-  exhaustion the request is failed (``Request.error``) and completed so
-  its owner unblocks -- the watchdog is the backstop, not the only exit.
-  ``max_retries`` bounds *suspected loss* (no delivery confirmation);
-  ``budget_ns`` is the only cap that can fail a delivery-confirmed RTS.
+* Retransmit timers back off exponentially (``RTO_NS * BACKOFF**retries``,
+  capped at ``RTO_MAX_NS``) and give up after ``MAX_RETRIES``; the
+  request is then failed (``Request.error``) and completed so its owner
+  unblocks -- the watchdog is the backstop, not the only exit.
+  ``MAX_RETRIES`` bounds *suspected loss* only: a delivery-confirmed RTS
+  never gives up.
+
+The parameters are the module constants below, read at call time.
 
 Timers are cancellable simulator callbacks (``Simulator.call_after``
 handles): an ACK/CTS calls :meth:`Event.cancel` on the pending timer, so
@@ -44,56 +46,30 @@ are just skipped by the engine).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Optional, Set, Tuple
+from typing import Dict, Set, Tuple
 
 from ..network.message import Packet, PacketKind
 
-__all__ = ["ReliabilityConfig", "ReliabilityStats", "ReliabilityLayer"]
+__all__ = ["ReliabilityStats", "ReliabilityLayer"]
 
-
-@dataclass(frozen=True)
-class ReliabilityConfig:
-    """Retransmission parameters (nanoseconds, like the cost model)."""
-
-    #: Initial retransmit timeout for data packets.  ACKs are generated
-    #: at delivery (NIC-level), so this only needs to cover the wire
-    #: round-trip (~4us internode); spurious retransmits are harmless
-    #: (dedup) but waste wire time.
-    rto_ns: float = 15_000.0
-    #: Multiplier applied per retry (exponential backoff).
-    backoff: float = 2.0
-    #: Backoff ceiling: no retry interval exceeds this.  Must stay well
-    #: below the watchdog's grace window (interval x grace), or a packet
-    #: quietly waiting out a deep backoff reads as a stall.
-    rto_max_ns: float = 240_000.0
-    #: Initial-RTO multiplier for RTS packets: the CTS answer needs a
-    #: software match through the contended progress engine, not just a
-    #: wire round-trip.
-    rts_rto_scale: float = 4.0
-    #: Retry budget per packet; exhaustion fails the request.
-    max_retries: int = 8
-    #: Wall budget (simulated) per packet across all retries; <= 0 means
-    #: unlimited (the retry count still bounds it).
-    budget_ns: float = 0.0
-
-    def __post_init__(self) -> None:
-        if self.rto_ns <= 0.0:
-            raise ValueError(f"rto_ns must be positive, got {self.rto_ns}")
-        if self.backoff < 1.0:
-            raise ValueError(f"backoff must be >= 1, got {self.backoff}")
-        if self.rto_max_ns < self.rto_ns:
-            raise ValueError(
-                f"rto_max_ns ({self.rto_max_ns}) below rto_ns ({self.rto_ns})"
-            )
-        if self.rts_rto_scale < 1.0:
-            raise ValueError(f"rts_rto_scale must be >= 1, got {self.rts_rto_scale}")
-        if self.max_retries < 0:
-            raise ValueError(f"negative max_retries {self.max_retries}")
-
-    @property
-    def rto(self) -> float:
-        return self.rto_ns * 1e-9
+#: Initial retransmit timeout for data packets (ns).  ACKs are generated
+#: at delivery (NIC-level), so this only needs to cover the wire
+#: round-trip (~4us internode); spurious retransmits are harmless
+#: (dedup) but waste wire time.
+RTO_NS = 15_000.0
+#: Multiplier applied per retry (exponential backoff).
+BACKOFF = 2.0
+#: Backoff ceiling (ns): no retry interval exceeds this.  Must stay well
+#: below the watchdog's grace window (interval x grace), or a packet
+#: quietly waiting out a deep backoff reads as a stall.
+RTO_MAX_NS = 240_000.0
+#: Initial-RTO multiplier for RTS packets: the CTS answer needs a
+#: software match through the contended progress engine, not just a
+#: wire round-trip.
+RTS_RTO_SCALE = 4.0
+#: Retries per packet while loss is suspected; exhaustion fails the
+#: request.
+MAX_RETRIES = 8
 
 
 class ReliabilityStats:
@@ -115,10 +91,10 @@ class ReliabilityStats:
 class _Unacked:
     """One tracked in-flight packet and its retransmit state."""
 
-    __slots__ = ("pkt", "req", "retries", "timer", "t0", "is_rts",
+    __slots__ = ("pkt", "req", "retries", "timer", "is_rts",
                  "base_rto_ns", "delivered")
 
-    def __init__(self, pkt, req, now, base_rto_ns, is_rts=False):
+    def __init__(self, pkt, req, base_rto_ns, is_rts=False):
         self.pkt = pkt
         self.req = req
         self.retries = 0
@@ -129,7 +105,6 @@ class _Unacked:
         #: Pending retransmit timer: the cancellable handle returned by
         #: ``Simulator.call_after`` (None between firing and re-arm).
         self.timer = None
-        self.t0 = now
         self.is_rts = is_rts
         #: Size-aware initial RTO: the configured floor plus this
         #: packet's own wire serialization time (a 64KB rendezvous
@@ -140,12 +115,11 @@ class _Unacked:
 class ReliabilityLayer:
     """Per-rank ACK/retransmit state machine, owned by an MpiRuntime."""
 
-    __slots__ = ("rt", "cfg", "stats", "unacked", "rts_pending", "seen",
+    __slots__ = ("rt", "stats", "unacked", "rts_pending", "seen",
                  "cts_cache", "rts_by_seq")
 
-    def __init__(self, runtime, config: Optional[ReliabilityConfig] = None):
+    def __init__(self, runtime):
         self.rt = runtime
-        self.cfg = config or ReliabilityConfig()
         self.stats = ReliabilityStats()
         #: Data packets awaiting an ACK, by wire sequence number.
         self.unacked: Dict[int, _Unacked] = {}
@@ -175,7 +149,7 @@ class ReliabilityLayer:
         RTO blind to that backlog turns a full send window into a
         retransmit storm (every retransmit adds wire load, pushing every
         later ack past its own timer)."""
-        base = self.cfg.rto_ns * (self.cfg.rts_rto_scale if is_rts else 1.0)
+        base = RTO_NS * (RTS_RTO_SCALE if is_rts else 1.0)
         now = self.rt.sim.now
         nic = self.rt.nic
         busy = nic.inject.busy_until
@@ -188,29 +162,28 @@ class ReliabilityLayer:
 
     def track(self, pkt: Packet, req) -> None:
         """Track a data packet (EAGER / RNDV_DATA); complete ``req`` on ACK."""
-        e = _Unacked(pkt, req, self.rt.sim.now, self._base_rto_ns())
+        e = _Unacked(pkt, req, self._base_rto_ns())
         self.unacked[pkt.seq] = e
         self.stats.tracked += 1
         self._arm(e)
 
     def track_rts(self, pkt: Packet, req) -> None:
         """Track an RTS; retried until :meth:`on_cts` cancels it."""
-        e = _Unacked(pkt, req, self.rt.sim.now,
-                     self._base_rto_ns(is_rts=True), is_rts=True)
+        e = _Unacked(pkt, req, self._base_rto_ns(is_rts=True), is_rts=True)
         self.rts_pending[pkt.payload.req_id] = e
         self.rts_by_seq[pkt.seq] = e
         self.stats.tracked += 1
         self._arm(e)
 
     def _arm(self, e: _Unacked) -> None:
-        ceiling = max(self.cfg.rto_max_ns, e.base_rto_ns)
+        ceiling = max(RTO_MAX_NS, e.base_rto_ns)
         if e.is_rts and e.delivered:
             # Delivery-confirmed: slow refresh at the ceiling, enough to
             # replay a CTS that died on the wire without storming a
             # merely-contended receiver.
             rto = ceiling
         else:
-            rto = min(e.base_rto_ns * (self.cfg.backoff ** e.retries), ceiling)
+            rto = min(e.base_rto_ns * (BACKOFF ** e.retries), ceiling)
         e.timer = self.rt.sim.call_after(rto * 1e-9, self._on_timer, e)
 
     @staticmethod
@@ -224,14 +197,10 @@ class ReliabilityLayer:
 
     def _on_timer(self, e: _Unacked) -> None:
         e.timer = None
-        over_budget = (
-            self.cfg.budget_ns > 0.0
-            and (self.rt.sim.now - e.t0) * 1e9 >= self.cfg.budget_ns
-        )
         # A delivery-confirmed RTS is waiting on the peer's *software*
         # match, not the wire: latency must not exhaust the loss budget.
         suspected_loss = not e.delivered
-        if over_budget or (suspected_loss and e.retries >= self.cfg.max_retries):
+        if suspected_loss and e.retries >= MAX_RETRIES:
             self._give_up(e)
             return
         if suspected_loss:

@@ -119,7 +119,7 @@ class MpiRuntime:
         eager_threshold: int = 16384,
         completion: str = "poll",
         policy: Optional[CsPolicy] = None,
-        reliability=None,
+        reliability: bool = False,
     ):
         # Keep fewer than 30 attributes here: past 29, CPython 3.11 moves
         # each instance's attributes from the class's shared-key array to
@@ -194,12 +194,13 @@ class MpiRuntime:
         #: ACK/retransmit layer (:mod:`repro.faults.reliability`), or
         #: None -- the default, which leaves every hot-path branch on
         #: ``self._rel is None`` and the pre-reliability schedule intact.
-        if reliability is not None:
-            from ..faults.reliability import ReliabilityConfig, ReliabilityLayer
-            cfg = (
-                ReliabilityConfig() if reliability is True else reliability
+        if type(reliability) is not bool:
+            raise TypeError(
+                f"reliability must be True or False, got {reliability!r}"
             )
-            self._rel = ReliabilityLayer(self, cfg)
+        if reliability:
+            from ..faults.reliability import ReliabilityLayer
+            self._rel = ReliabilityLayer(self)
         else:
             self._rel = None
         #: Blocking calls currently parked on the activity signal (the

@@ -25,18 +25,11 @@ from ..faults import (
     FaultPlan,
     ProgressStallError,
     ProgressWatchdog,
-    ReliabilityConfig,
     parse_fault_plan,
 )
 from ..locks import LOCK_CLASSES, make_lock
-from ..machine import (
-    BINDINGS,
-    CostModel,
-    Machine,
-    MachineSpec,
-    ThreadCtx,
-)
-from ..network import Fabric, NetworkConfig
+from ..machine import BINDINGS, CostModel, Machine, ThreadCtx
+from ..network import Fabric
 from ..overrides import cluster_overrides
 from ..sim import Simulator
 from .collectives import Communicator
@@ -68,8 +61,6 @@ class ClusterConfig:
     binding: str = "compact"
     seed: int = 0
     costs: CostModel = field(default_factory=CostModel)
-    net: NetworkConfig = field(default_factory=NetworkConfig)
-    machine_spec: MachineSpec = field(default_factory=MachineSpec)
     eager_threshold: int = 16384
     async_progress: bool = False
     #: Blocking-call completion strategy: "poll" (the paper's CS_YIELD
@@ -92,10 +83,9 @@ class ClusterConfig:
     #: installs nothing -- the schedule is bit-identical to a build
     #: without the faults package.
     faults: "FaultPlan | str | None" = None
-    #: Reliability layer: True (defaults), a
-    #: :class:`~repro.faults.ReliabilityConfig`, or None/False (off --
-    #: the pre-reliability instruction stream).
-    reliability: "ReliabilityConfig | bool | None" = None
+    #: ACK/retransmit layer (:mod:`repro.faults.reliability`) on or off;
+    #: off is the pre-reliability instruction stream.
+    reliability: bool = False
 
     def __post_init__(self) -> None:
         # Ablation seam: forced component values (repro.overrides) win
@@ -122,10 +112,10 @@ class ClusterConfig:
         self.cs = parse_cs_policy(self.cs)
         if isinstance(self.faults, str):
             self.faults = parse_fault_plan(self.faults)
-        if self.reliability is True:
-            self.reliability = ReliabilityConfig()
-        elif self.reliability is False:
-            self.reliability = None
+        if type(self.reliability) is not bool:
+            raise TypeError(
+                f"reliability must be True or False, got {self.reliability!r}"
+            )
 
     @property
     def n_ranks(self) -> int:
@@ -152,10 +142,9 @@ class Cluster:
             # experiments reuse one bus across many clusters.
             config.obs.bind_sim(self.sim)
         self.machines: List[Machine] = [
-            Machine(node_id=n, spec=config.machine_spec)
-            for n in range(config.n_nodes)
+            Machine(node_id=n) for n in range(config.n_nodes)
         ]
-        self.fabric = Fabric(self.sim, config.net)
+        self.fabric = Fabric(self.sim)
         self.runtimes: List[MpiRuntime] = []
         self.threads: List[List[MpiThread]] = []
         self._progress_ctxs: List[ThreadCtx] = []

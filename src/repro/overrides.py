@@ -14,9 +14,11 @@ through:
 * **cluster keys** (:data:`CLUSTER_KEYS`) are applied on top of whatever
   the runner passed, inside ``ClusterConfig.__post_init__`` -- *before*
   validation/parsing, so a forced ``cs="per-vci:4"`` goes through the
-  same policy parser as an explicit one;
-* ``"robust"`` gates :meth:`repro.robust.RobustConfig.protected` -- when
-  forced off, the preset degrades to :meth:`RobustConfig.none`.
+  same policy parser as an explicit one (and a forced ``reliability``
+  must be a bool, like an explicit one);
+* ``"robust"`` gates :meth:`repro.robust.RobustConfig.protected`, the
+  protection layer's on switch -- when forced off, ``protected(...)``
+  returns :meth:`RobustConfig.none`.
 
 The table is deliberately process-global rather than a context variable:
 ablation cells run in worker *processes* (one cell per process), each of

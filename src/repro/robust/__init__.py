@@ -3,16 +3,20 @@
 The paper's remedies (lock classes, VCI sharding, continuations) fix
 *contention* inside the runtime; this package addresses the layer above:
 what a multithreaded MPI service must do when **offered load exceeds
-capacity** or the fabric misbehaves.  Three cooperating mechanisms:
+capacity** or the fabric misbehaves.  One switch, ``RobustConfig(
+deadline_ns)``, turns three cooperating mechanisms on or off together:
 
-* **deadlines** (:mod:`.deadline`) -- every request carries an absolute
-  deadline; the client cancels work whose deadline passed instead of
-  completing it late (:meth:`repro.mpi.runtime.MpiRuntime.cancel`).
-* **retry budgets** (:mod:`.retry`) -- exponential-backoff retries,
-  metered by a token bucket so retries cannot amplify an overload into
-  a retry storm.
-* **admission control** (:mod:`.admission`) -- server-side load
-  shedding: deadline-aware drop-expired-first.
+* **deadlines** -- every request carries an absolute deadline
+  (``arrival + deadline_ns``) in its wire payload; the client cancels
+  work whose deadline passed instead of completing it late
+  (:meth:`repro.mpi.runtime.MpiRuntime.cancel`).
+* **retry budgets** -- retries back off exponentially
+  (:func:`retry_rto`), metered by a per-client token bucket that only
+  successes refill, so retries cannot amplify an overload into a retry
+  storm.  A retry never cancels the original receive: the server
+  deduplicates by request id and the first reply wins.
+* **admission control** -- the server sheds, on arrival, any request
+  that can no longer meet its deadline (:func:`admits`).
 
 Everything here is deterministic: no RNG, no wall clock.  Decisions are
 pure functions of the simulated clock and the observed request stream,
@@ -27,52 +31,51 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .admission import (
-    ADMISSION_POLICIES,
-    AdmissionPolicy,
-    DeadlineAwarePolicy,
-    make_admission,
-)
-from .deadline import DeadlineTimer
-from .retry import RetryBudget, RetryPolicy
+__all__ = ["RobustConfig", "admits", "retry_rto"]
 
-__all__ = [
-    "ADMISSION_POLICIES",
-    "AdmissionPolicy",
-    "DeadlineAwarePolicy",
-    "DeadlineTimer",
-    "RetryBudget",
-    "RetryPolicy",
-    "RobustConfig",
-    "make_admission",
-]
+#: Attempts per request, the first included.
+RETRY_ATTEMPTS = 3
+#: Timeout of a first attempt (ns after its issue); it doubles with
+#: every retry, up to :data:`RETRY_RTO_CAP_NS`.
+RETRY_RTO_NS = 150_000.0
+RETRY_RTO_CAP_NS = 2_000_000.0
+#: Token bucket per client rank: it starts full, a retry spends one
+#: token and a successful reply banks :data:`RETRY_BUDGET_REFILL`.
+RETRY_BUDGET_CAP = 32
+RETRY_BUDGET_REFILL = 0.1
+#: Factor on the service estimate that covers reply flight time and
+#: queueing ahead of the request (:func:`admits`).
+ADMIT_MARGIN = 2.0
+
+
+def retry_rto(n_retries: int) -> float:
+    """Seconds until the retry decision for an attempt issued after
+    ``n_retries`` prior retries (doubling, capped)."""
+    return min(RETRY_RTO_NS * 2.0 ** n_retries, RETRY_RTO_CAP_NS) * 1e-9
+
+
+def admits(now: float, deadline_s: Optional[float], service_s: float) -> bool:
+    """True iff a request arriving at ``now`` can still meet its absolute
+    deadline, given its service estimate; a request without a deadline
+    (protection off) is always admitted."""
+    return deadline_s is None or now + service_s * ADMIT_MARGIN <= deadline_s
 
 
 @dataclass(frozen=True)
 class RobustConfig:
-    """The full overload-protection configuration for one service run.
+    """The overload-protection switch for one service run.
 
-    ``RobustConfig.none()`` (or passing ``robust=None`` to
-    ``run_service``) disables every mechanism and is bit-identical to a
-    build without the package; :meth:`protected` is the standard
-    all-remedies-on preset used by ``fig_service``.
+    A positive ``deadline_ns`` (the per-request budget, ns from arrival)
+    turns on deadlines, budgeted retries and deadline-aware admission
+    together; 0 turns all three off and is bit-identical to passing
+    ``robust=None`` to ``run_service``.
     """
 
-    #: Per-request deadline budget (ns from arrival); 0 disables
-    #: deadline enforcement entirely (no timers armed).
     deadline_ns: float = 0.0
-    #: Client retry policy; None disables retries.
-    retry: Optional[RetryPolicy] = None
-    #: Server admission-control spec (see :func:`make_admission`):
-    #: ``"none"`` or ``"deadline"``.
-    admission: str = "none"
 
     def __post_init__(self) -> None:
         if self.deadline_ns < 0.0:
             raise ValueError(f"deadline_ns must be >= 0, got {self.deadline_ns}")
-        # Fail malformed admission specs at construction, not on the
-        # first request: make_admission raises the explanatory error.
-        make_admission(self.admission)
 
     @classmethod
     def none(cls) -> "RobustConfig":
@@ -80,25 +83,16 @@ class RobustConfig:
         return cls()
 
     @classmethod
-    def protected(
-        cls,
-        deadline_ns: float = 300_000.0,
-        admission: str = "deadline",
-        retry: Optional[RetryPolicy] = None,
-    ) -> "RobustConfig":
-        """The standard all-remedies-on preset.
+    def protected(cls, deadline_ns: float = 300_000.0) -> "RobustConfig":
+        """Protection on, with per-request deadline ``deadline_ns``.
 
-        The ablation harness can force the whole preset off
-        (``repro.overrides`` key ``"robust"``): experiments keep calling
-        ``protected(...)`` and get the everything-off config instead,
-        measuring what the protection layer as a whole buys.
+        The ablation harness can force the layer off (``repro.overrides``
+        key ``"robust"``): experiments keep calling ``protected(...)``
+        and get :meth:`none` instead, measuring what the protection
+        layer as a whole buys.
         """
         from ..overrides import get_override
 
         if not get_override("robust", True):
             return cls.none()
-        return cls(
-            deadline_ns=deadline_ns,
-            retry=retry if retry is not None else RetryPolicy(),
-            admission=admission,
-        )
+        return cls(deadline_ns=deadline_ns)

@@ -51,8 +51,8 @@ from typing import Dict, List, Optional
 from ..machine import BINDINGS, ThreadCtx
 from ..mpi.world import Cluster, ClusterConfig
 from ..mpi.runtime import MpiThread
-from ..robust import RetryBudget, RobustConfig, make_admission
-from ..robust.deadline import DeadlineTimer
+from .. import robust as _robust
+from ..robust import RobustConfig, admits, retry_rto
 from ..sim.sync import CompletionLatch, Signal, SimBarrier
 
 __all__ = [
@@ -203,6 +203,8 @@ class _Rec:
         self.req_id = req_id
         self.worker = worker
         self.t_arrival = t_arrival
+        #: Absolute deadline; None when protection is off (no timer, no
+        #: retries).
         self.deadline_s = deadline_s
         #: (send_req, reply_recv_req) per attempt, in issue order.
         self.attempts: List[tuple] = []
@@ -213,14 +215,15 @@ class _Rec:
         self.outcome: Optional[str] = None
         self.latency_s: Optional[float] = None
         self.t_last_issue = 0.0
-        self.timer: Optional[DeadlineTimer] = None
+        #: Pending ``sim.call_after`` handle of the next decision point.
+        self.timer = None
 
 
 class _ClientState:
     """Shared state of one client rank (workers + reaper)."""
 
     __slots__ = ("cfg", "robust", "sim", "obs", "rank", "server",
-                 "n_server_threads", "slo_s", "budget", "actions", "wake",
+                 "n_server_threads", "slo_s", "tokens", "actions", "wake",
                  "latches", "barrier", "lingering", "rank_done", "arrivals",
                  "trace", "latencies", "counts", "ok_within_slo", "retries",
                  "retries_denied", "_next_req_id", "th_reaper")
@@ -234,8 +237,8 @@ class _ClientState:
         self.server = server
         self.n_server_threads = n_threads
         self.slo_s = cfg.slo_ns * 1e-9
-        pol = robust.retry
-        self.budget = RetryBudget.from_policy(pol) if pol is not None else None
+        #: Retry tokens left (the bucket of :mod:`repro.robust`).
+        self.tokens = float(_robust.RETRY_BUDGET_CAP)
         #: Deferred generator-context work: ("finalize" | "due", rec).
         self.actions = []
         self.wake = Signal(sim, name=f"svc-wake@{rank}")
@@ -267,14 +270,13 @@ class _ClientState:
 class _ServerState:
     """Shared state of one server rank (all its worker threads)."""
 
-    __slots__ = ("cfg", "rank", "admission", "replay", "stops_seen",
+    __slots__ = ("cfg", "rank", "replay", "stops_seen",
                  "pending_sends", "reaping", "trace", "dedup_hits",
                  "peak_backlog", "obs")
 
-    def __init__(self, cfg, rank, admission, obs):
+    def __init__(self, cfg, rank, obs):
         self.cfg = cfg
         self.rank = rank
-        self.admission = admission
         #: req_id -> cached _SvcReply (CTS-replay-cache pattern).
         self.replay: Dict[int, _SvcReply] = {}
         self.stops_seen = set()
@@ -291,28 +293,30 @@ class _ServerState:
 # ======================================================================
 # Client side
 # ======================================================================
-def _next_due(st: _ClientState, rec: _Rec) -> Optional[float]:
-    """Earliest decision point for ``rec``'s timer (None = no timer)."""
-    pol = st.robust.retry
-    cands = []
-    if rec.deadline_s is not None:
-        cands.append(rec.deadline_s)
-    if pol is not None and len(rec.attempts) < pol.max_attempts and not rec.no_retry:
-        cands.append(rec.t_last_issue + pol.rto(rec.n_retries))
-    return min(cands) if cands else None
+def _retry_due(rec: _Rec) -> Optional[float]:
+    """When ``rec``'s last attempt may be retried (None = no retry left)."""
+    if len(rec.attempts) < _robust.RETRY_ATTEMPTS and not rec.no_retry:
+        return rec.t_last_issue + retry_rto(rec.n_retries)
+    return None
+
+
+def _cancel_timer(rec: _Rec) -> None:
+    if rec.timer is not None:
+        rec.timer.cancel()
+        rec.timer = None
 
 
 def _arm_timer(st: _ClientState, rec: _Rec) -> None:
-    if rec.done:
+    """(Re-)arm ``rec``'s one timer at its next decision point: the
+    deadline or, if sooner, the retry timeout."""
+    if rec.done or rec.deadline_s is None:
         return
-    due = _next_due(st, rec)
-    if due is None:
-        if rec.timer is not None:
-            rec.timer.cancel()
-        return
-    if rec.timer is None:
-        rec.timer = DeadlineTimer(st.sim)
-    rec.timer.arm(due, _on_timer, st, rec)
+    due = _retry_due(rec)
+    if due is None or rec.deadline_s < due:
+        due = rec.deadline_s
+    _cancel_timer(rec)
+    delay = due - st.sim.now
+    rec.timer = st.sim.call_after(delay if delay > 0.0 else 0.0, _on_timer, st, rec)
 
 
 def _on_timer(st: _ClientState, rec: _Rec) -> None:
@@ -341,12 +345,11 @@ def _client_on_reply(st: _ClientState, rec: _Rec, rreq) -> None:
     elif data.ok:
         rec.outcome = "ok"
         rec.latency_s = st.sim.now - rec.t_arrival
-        if st.budget is not None:
-            st.budget.note_success()
+        st.tokens = min(float(_robust.RETRY_BUDGET_CAP),
+                        st.tokens + _robust.RETRY_BUDGET_REFILL)
     else:
         rec.outcome = "shed"
-    if rec.timer is not None:
-        rec.timer.cancel()
+    _cancel_timer(rec)
     st.actions.append(("finalize", rec))
     st.wake.fire()
 
@@ -379,8 +382,7 @@ def _finalize(st: _ClientState, th: MpiThread, rec: _Rec):
     """Free every attempt's requests and account the outcome (reaper,
     generator context)."""
     rec.done = True
-    if rec.timer is not None:
-        rec.timer.cancel()
+    _cancel_timer(rec)
     to_free = []
     for sreq, rreq in rec.attempts:
         if not rreq.freed:
@@ -418,18 +420,15 @@ def _handle_due(st: _ClientState, th: MpiThread, rec: _Rec):
     if rec.done:
         return
     now = th.sim.now
-    pol = st.robust.retry
-    if rec.deadline_s is not None and now >= rec.deadline_s - _EPS:
+    if now >= rec.deadline_s - _EPS:
         rec.done = True
         rec.outcome = "expired"
         yield from _finalize(st, th, rec)
         return
-    if (
-        pol is not None and len(rec.attempts) < pol.max_attempts
-        and not rec.no_retry
-        and now >= rec.t_last_issue + pol.rto(rec.n_retries) - _EPS
-    ):
-        if st.budget.take():
+    due = _retry_due(rec)
+    if due is not None and now >= due - _EPS:
+        if st.tokens >= 1.0:
+            st.tokens -= 1.0
             rec.n_retries += 1
             st.retries += 1
             yield from _issue(st, th, rec)
@@ -582,9 +581,7 @@ def _server_worker(sst: _ServerState, th: MpiThread, cfg: ServiceConfig):
                 sst, th, msg.client, msg.reply_bytes, msg.req_id, cached,
             )
             continue
-        shed = not sst.admission.admit(
-            now, deadline_s=msg.deadline_s, service_s=msg.service_s,
-        )
+        shed = not admits(now, msg.deadline_s, msg.service_s)
         sst.trace.append(f"{msg.req_id}:{'s' if shed else 'a'}")
         if shed:
             reply = _SvcReply(msg.req_id, False, now)
@@ -680,7 +677,7 @@ def run_service(
 
     sstates: List[_ServerState] = []
     for s in range(pairs, n):
-        sst = _ServerState(cfg, s, make_admission(robust.admission), obs)
+        sst = _ServerState(cfg, s, obs)
         sstates.append(sst)
         for k, th in enumerate(cluster.threads[s]):
             procs.append(cluster.spawn(

@@ -14,20 +14,42 @@ to MPI / computation / OMP_Sync segments for the Fig. 11b breakdown.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from dataclasses import dataclass, field
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ...analysis.metrics import TimeBreakdown
 from ...mpi.world import Cluster
 from ...sim.sync import SimBarrier
 from .decomposition import RankBox, decompose
 from .kernel import FLOPS_PER_CELL, step_interior
 
-__all__ = ["StencilConfig", "StencilResult", "run_stencil"]
+__all__ = ["StencilConfig", "StencilResult", "TimeBreakdown", "run_stencil"]
 
 STENCIL_TAG_BASE = 1 << 14
+
+
+@dataclass
+class TimeBreakdown:
+    """Accumulates named time segments (paper Fig. 11b: MPI /
+    computation / OMP_Sync percentages)."""
+
+    segments: Dict[str, float] = field(default_factory=dict)
+
+    def add(self, name: str, dt: float) -> None:
+        if dt < 0:
+            raise ValueError(f"negative segment {name}={dt}")
+        self.segments[name] = self.segments.get(name, 0.0) + dt
+
+    @property
+    def total(self) -> float:
+        return sum(self.segments.values())
+
+    def percentages(self) -> Dict[str, float]:
+        tot = self.total
+        if tot == 0:
+            return {k: 0.0 for k in self.segments}
+        return {k: 100.0 * v / tot for k, v in self.segments.items()}
 
 
 @dataclass(frozen=True)

@@ -8,14 +8,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.analysis import (
-    TimeBreakdown,
-    compute_bias_factors,
-    format_size,
-    format_table,
-    message_rate_k,
-)
+from repro.analysis import compute_bias_factors, format_size, format_table
 from repro.locks.stats import LockTrace
+from repro.workloads.stencil.runner import TimeBreakdown
+from repro.workloads.throughput import message_rate_k
 
 
 def synthetic_trace(tids, sockets, contenders, prev_socket_counts, holds=None):
@@ -119,14 +115,6 @@ class TestMetrics:
         with pytest.raises(ValueError):
             b.add("x", -1.0)
 
-    def test_breakdown_merge(self):
-        a, b = TimeBreakdown(), TimeBreakdown()
-        a.add("x", 1.0)
-        b.add("x", 2.0)
-        b.add("y", 3.0)
-        a.merge(b)
-        assert a.segments == {"x": 3.0, "y": 3.0}
-
 
 class TestReport:
     def test_format_size(self):
@@ -149,8 +137,7 @@ class TestReport:
 
 
 def test_simulation_imports_leave_multiprocessing_out():
-    # The ablation runner imports its process pool; a simulation
-    # reaches repro.analysis through the workloads' metrics and must
+    # The ablation runner imports its process pool; a simulation must
     # not pay for it.
     import repro
 
@@ -159,6 +146,28 @@ def test_simulation_imports_leave_multiprocessing_out():
         "import sys, repro.workloads\n"
         "assert 'multiprocessing' not in sys.modules, 'multiprocessing'\n"
         "assert 'concurrent.futures.process' not in sys.modules\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_application_runners_leave_analysis_and_obs_out():
+    # The application workloads are model code: none of them may pull
+    # in the analysis, tracing or lock-statistics modules.
+    import repro
+
+    src = str(Path(repro.__file__).resolve().parents[1])
+    code = (
+        "import sys\n"
+        "import repro.workloads.stencil.runner\n"
+        "import repro.workloads.bfs.runner\n"
+        "import repro.workloads.assembly.assembler\n"
+        "bad = sorted(m for m in sys.modules if m.startswith(\n"
+        "    ('repro.analysis', 'repro.obs', 'repro.locks.stats')))\n"
+        "assert not bad, bad\n"
     )
     proc = subprocess.run(
         [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},

@@ -1,8 +1,8 @@
 """Trigger fixture: deadline-expiry timer callbacks that block.
 
-The deadline-expiry path registers callbacks through ``sim.call_after``
-and ``DeadlineTimer.arm``; both fire in the engine's dispatch loop,
-the same no-blocking context as completion continuations.
+The deadline-expiry path registers its callbacks through
+``sim.call_after``; they fire in the engine's dispatch loop, the same
+no-blocking context as completion continuations.
 """
 
 
@@ -12,7 +12,7 @@ def expire_and_reap(th, rec):
     th.waitall([r for _s, r in rec.attempts])
 
 
-def install(sim, timer, th, rec, deadline_s, lock):
+def install(sim, th, rec, delay):
     sim.call_after(250e-6, expire_and_reap, th, rec)
-    timer.arm(deadline_s, expire_and_reap, th, rec)
-    timer.arm(deadline_s, lambda: lock.acquire())
+    rec.timer = sim.call_after(delay, expire_and_reap, th, rec)
+    rec.timer = sim.call_after(delay, lambda: rec.lock.acquire())

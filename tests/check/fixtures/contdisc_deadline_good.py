@@ -7,7 +7,7 @@ def on_deadline(st, rec):
     st.wake.fire()
 
 
-def install(sim, timer, st, rec, deadline_s):
+def install(sim, st, rec, delay):
     sim.call_after(250e-6, on_deadline, st, rec)
-    timer.arm(deadline_s, on_deadline, st, rec)
-    timer.arm(deadline_s, lambda: st.wake.fire())
+    rec.timer = sim.call_after(delay, on_deadline, st, rec)
+    rec.timer = sim.call_after(delay, lambda: st.wake.fire())

@@ -2,9 +2,8 @@
 
 import pytest
 
-from repro.faults import FaultPlan, ReliabilityConfig
+from repro.faults import FaultPlan, reliability
 from repro.mpi import Cluster, ClusterConfig
-
 
 
 def make_cluster(**kw):
@@ -31,17 +30,30 @@ def _stream(cl, n_msgs, size=256):
     return got
 
 
+def tight_budget(monkeypatch):
+    """A 2us data RTO and two retries: give-up comes fast."""
+    monkeypatch.setattr(reliability, "RTO_NS", 2000.0)
+    monkeypatch.setattr(reliability, "MAX_RETRIES", 2)
+
+
 def test_config_validation():
-    with pytest.raises(ValueError):
-        ReliabilityConfig(rto_ns=0.0)
-    with pytest.raises(ValueError):
-        ReliabilityConfig(backoff=0.5)
-    with pytest.raises(ValueError):
-        ReliabilityConfig(rto_max_ns=1.0)
-    with pytest.raises(ValueError):
-        ReliabilityConfig(max_retries=-1)
-    with pytest.raises(ValueError):
-        ReliabilityConfig(rts_rto_scale=0.5)
+    # The invariants the retransmit schedule relies on.
+    assert reliability.RTO_NS > 0.0
+    assert reliability.BACKOFF >= 1.0
+    assert reliability.RTO_MAX_NS >= reliability.RTO_NS
+    assert reliability.RTS_RTO_SCALE >= 1.0
+    assert reliability.MAX_RETRIES >= 0
+
+
+@pytest.mark.parametrize("value", [None, 1, "on"])
+def test_reliability_switch_must_be_a_bool(value):
+    with pytest.raises(TypeError, match="True or False"):
+        ClusterConfig(reliability=value)
+    cl = make_cluster()
+    rt = cl.runtimes[0]
+    with pytest.raises(TypeError, match="True or False"):
+        type(rt)(cl.sim, 0, cl.fabric, rt.nic, [d.lock for d in rt.domains],
+                 rt.costs, reliability=value)
 
 
 def test_reliable_no_loss_has_no_retransmits():
@@ -81,10 +93,11 @@ def test_duplicates_absorbed_once():
     assert rel.dup_data > 0, "every duplicated data packet is absorbed"
 
 
-def test_give_up_fails_request_and_unblocks_waiter():
+def test_give_up_fails_request_and_unblocks_waiter(monkeypatch):
+    tight_budget(monkeypatch)
     cl = make_cluster(
         faults=FaultPlan(drop=1.0, watchdog_interval_ns=0.0),
-        reliability=ReliabilityConfig(rto_ns=2000.0, max_retries=2),
+        reliability=True,
     )
     t0 = cl.thread(0)
     out = {}
@@ -102,7 +115,7 @@ def test_give_up_fails_request_and_unblocks_waiter():
     assert rel.retransmits == 2  # the full retry budget was spent
 
 
-def test_contended_rndv_not_mistaken_for_loss():
+def test_contended_rndv_not_mistaken_for_loss(monkeypatch):
     """Regression (found by the ablation harness's no-eager cell): with
     every message forced through rendezvous, a receiver that is slow to
     match -- eight threads funneling through the critical section -- must
@@ -114,11 +127,11 @@ def test_contended_rndv_not_mistaken_for_loss():
         ThroughputConfig, run_throughput, throughput_cluster,
     )
 
+    # Tight budget: without delivery confirmation this gives up fast.
+    tight_budget(monkeypatch)
     cl = throughput_cluster(
         lock="mutex", threads_per_rank=8, seed=0,
-        eager_threshold=0,
-        # Tight budget: without delivery confirmation this gives up fast.
-        reliability=ReliabilityConfig(rto_ns=2000.0, max_retries=2),
+        eager_threshold=0, reliability=True,
     )
     res = run_throughput(cl, ThroughputConfig(msg_size=1, n_windows=1))
     assert res.msg_rate_k > 0
@@ -129,13 +142,14 @@ def test_contended_rndv_not_mistaken_for_loss():
                for rt in cl.runtimes for r in rt.requests.values())
 
 
-def test_undelivered_rts_still_gives_up():
+def test_undelivered_rts_still_gives_up(monkeypatch):
     """The delivery-confirmation downshift must not weaken outage
     semantics: an RTS that never reaches the peer's NIC (total loss)
-    exhausts max_retries exactly as before."""
+    exhausts MAX_RETRIES exactly as before."""
+    tight_budget(monkeypatch)
     cl = make_cluster(
         faults=FaultPlan(drop=1.0, watchdog_interval_ns=0.0),
-        reliability=ReliabilityConfig(rto_ns=2000.0, max_retries=2),
+        reliability=True,
     )
     t0 = cl.thread(0)
     out = {}

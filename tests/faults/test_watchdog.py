@@ -165,18 +165,20 @@ def test_stop_cancels_pending_sample_so_drain_is_not_padded():
     assert cl.sim.queued_events == 0
 
 
-def test_backoff_quiet_period_is_not_a_stall():
+def test_backoff_quiet_period_is_not_a_stall(monkeypatch):
     # Reliability on, heavy loss, tight watchdog budget: retransmit
     # activity counts as progress, so recovery is never misdiagnosed.
     # The backoff ceiling must stay below the grace window (the
-    # ReliabilityConfig invariant), so cap it explicitly here.
-    from repro.faults import ReliabilityConfig
+    # RTO_MAX_NS invariant), so cap it explicitly here.
+    from repro.faults import reliability
 
+    monkeypatch.setattr(reliability, "RTO_NS", 5_000.0)
+    monkeypatch.setattr(reliability, "RTO_MAX_NS", 40_000.0)
     cl = Cluster(ClusterConfig(
         n_nodes=2, threads_per_rank=1, lock="ticket", seed=8,
         faults=FaultPlan(drop=0.3, watchdog_interval_ns=20_000.0,
                          watchdog_grace=3),
-        reliability=ReliabilityConfig(rto_ns=5_000.0, rto_max_ns=40_000.0),
+        reliability=True,
     ))
     t0, t1 = cl.thread(0), cl.thread(1)
     got = []

@@ -39,7 +39,7 @@ def test_get_roundtrip():
     cl.run_workload([origin()])
     assert wins[1].gets_served == 1
     # A get is a full round trip: at least two propagation latencies.
-    assert t_done["t"] >= 2 * cl.config.net.latency_ns * 1e-9
+    assert t_done["t"] >= 2 * cl.fabric.config.latency_ns * 1e-9
 
 
 def test_accumulate_served_and_costs_more_than_put():

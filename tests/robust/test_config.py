@@ -1,26 +1,19 @@
-"""RobustConfig: validation and presets."""
+"""RobustConfig: the one switch, its presets and the ablation gate."""
 
 import pytest
 
-from repro.robust import RetryPolicy, RobustConfig
+from repro.overrides import clear_overrides, set_overrides
+from repro.robust import RobustConfig
 
 
 def test_default_and_none_are_inactive():
-    r = RobustConfig()
-    assert (r.deadline_ns, r.retry, r.admission) == (0.0, None, "none")
-    assert RobustConfig.none() == r
+    assert RobustConfig().deadline_ns == 0.0
+    assert RobustConfig.none() == RobustConfig()
 
 
 def test_protected_preset_turns_everything_on():
-    r = RobustConfig.protected(deadline_ns=250_000.0)
-    assert r.deadline_ns == 250_000.0
-    assert r.retry == RetryPolicy()
-    assert r.admission == "deadline"
-
-
-def test_protected_accepts_a_custom_retry_policy():
-    p = RetryPolicy(max_attempts=5)
-    assert RobustConfig.protected(retry=p).retry is p
+    assert RobustConfig.protected(deadline_ns=250_000.0).deadline_ns == 250_000.0
+    assert RobustConfig.protected().deadline_ns == 300_000.0
 
 
 def test_negative_deadline_rejected():
@@ -28,8 +21,10 @@ def test_negative_deadline_rejected():
         RobustConfig(deadline_ns=-1.0)
 
 
-def test_malformed_admission_spec_fails_at_construction():
-    with pytest.raises(ValueError, match="valid policies"):
-        RobustConfig(admission="fifo")
-    with pytest.raises(ValueError):
-        RobustConfig(admission="deadline:0")
+def test_robust_override_off_makes_protected_return_none():
+    set_overrides({"robust": False})
+    try:
+        assert RobustConfig.protected(deadline_ns=250_000.0) == RobustConfig.none()
+    finally:
+        clear_overrides()
+    assert RobustConfig.protected(deadline_ns=250_000.0).deadline_ns == 250_000.0

@@ -1,70 +1,84 @@
-"""The re-armable cancellable deadline timer."""
+"""The service's per-request deadline timer: one cancellable
+``sim.call_after`` handle, re-armed at every decision point."""
+
+from types import SimpleNamespace
 
 import pytest
 
-from repro.robust import DeadlineTimer
+from repro.sim.sync import Signal
+from repro.workloads.service import _arm_timer, _cancel_timer, _Rec
 
 
-# ----------------------------------------------------------------------
-# DeadlineTimer (engine-backed)
-# ----------------------------------------------------------------------
+def client(sim):
+    """The client-state fields the timer path touches."""
+    return SimpleNamespace(sim=sim, actions=[], wake=Signal(sim, name="wake"))
+
+
+def request(deadline_s):
+    """A request whose only decision point is its deadline."""
+    rec = _Rec(0, 0, 0.0, deadline_s)
+    rec.no_retry = True
+    return rec
+
+
 def test_timer_fires_at_absolute_time(sim):
-    fired = []
-    t = DeadlineTimer(sim)
-    t.arm(50e-6, fired.append, "a")
-    assert t.armed and t.at_s == 50e-6
+    st, rec = client(sim), request(50e-6)
+    _arm_timer(st, rec)
+    assert rec.timer is not None
     sim.run()
-    assert fired == ["a"]
+    assert st.actions == [("due", rec)]
     assert sim.now == pytest.approx(50e-6)
 
 
 def test_cancel_prevents_the_callback(sim):
-    fired = []
-    t = DeadlineTimer(sim)
-    t.arm(50e-6, fired.append, "a")
-    t.cancel()
-    assert not t.armed and t.at_s is None
+    st, rec = client(sim), request(50e-6)
+    _arm_timer(st, rec)
+    _cancel_timer(rec)
+    assert rec.timer is None
     sim.run()
-    assert fired == []
+    assert st.actions == []
 
 
 def test_cancel_is_idempotent_and_safe_when_disarmed(sim):
-    t = DeadlineTimer(sim)
-    t.cancel()  # never armed
-    t.arm(10e-6, lambda: None)
-    t.cancel()
-    t.cancel()
-    assert not t.armed
+    st, rec = client(sim), request(10e-6)
+    _cancel_timer(rec)  # never armed
+    _arm_timer(st, rec)
+    _cancel_timer(rec)
+    _cancel_timer(rec)
+    assert rec.timer is None
+    sim.run()
+    assert st.actions == []
 
 
 def test_rearm_replaces_the_pending_timer(sim):
-    fired = []
-    t = DeadlineTimer(sim)
-    t.arm(50e-6, fired.append, "early")
-    t.arm(80e-6, fired.append, "late")  # replaces, never fires "early"
+    st, rec = client(sim), request(50e-6)
+    _arm_timer(st, rec)
+    rec.deadline_s = 80e-6
+    _arm_timer(st, rec)  # replaces: the 50us timer never fires
     sim.run()
-    assert fired == ["late"]
+    assert st.actions == [("due", rec)]
     assert sim.now == pytest.approx(80e-6)
 
 
 def test_arm_in_the_past_fires_immediately(sim):
-    fired = []
-    first = DeadlineTimer(sim)
-    first.arm(30e-6, lambda: None)
+    st = client(sim)
+    _arm_timer(st, request(30e-6))
     sim.run()
     assert sim.now == pytest.approx(30e-6)
-    t = DeadlineTimer(sim)
-    t.arm(10e-6, fired.append, "x")  # already past: zero-delay fire
+    st.actions.clear()
+    late = request(10e-6)  # already past: zero-delay fire
+    _arm_timer(st, late)
     sim.run()
-    assert fired == ["x"]
+    assert st.actions == [("due", late)]
     assert sim.now == pytest.approx(30e-6)  # no time travel
 
 
 def test_timer_is_reusable_after_firing(sim):
-    fired = []
-    t = DeadlineTimer(sim)
-    t.arm(10e-6, fired.append, 1)
+    st, rec = client(sim), request(10e-6)
+    _arm_timer(st, rec)
     sim.run()
-    t.arm(20e-6, fired.append, 2)
+    rec.deadline_s = 20e-6
+    _arm_timer(st, rec)
     sim.run()
-    assert fired == [1, 2]
+    assert st.actions == [("due", rec), ("due", rec)]
+    assert sim.now == pytest.approx(20e-6)

@@ -1,92 +1,74 @@
-"""Retry policy validation, the backoff schedule, and the token budget."""
+"""The client retry schedule and budget constants."""
 
 import pytest
 
-from repro.robust import RetryBudget, RetryPolicy
+from repro import robust
+from repro.robust import RobustConfig, retry_rto
+from repro.workloads import ServiceConfig, run_service, service_cluster
 
 
-# ----------------------------------------------------------------------
-# RetryPolicy validation
-# ----------------------------------------------------------------------
 def test_defaults_are_valid():
-    p = RetryPolicy()
-    assert p.max_attempts == 3
-
-
-@pytest.mark.parametrize("kw", [
-    dict(max_attempts=0),
-    dict(rto_ns=0.0),
-    dict(rto_ns=-1.0),
-    dict(backoff=0.5),
-    dict(rto_cap_ns=100.0, rto_ns=200.0),
-    dict(budget_cap=-1),
-    dict(budget_refill=-0.1),
-    dict(budget_refill=1.5),
-])
-def test_invalid_policy_rejected(kw):
-    with pytest.raises(ValueError):
-        RetryPolicy(**kw)
-
-
-def test_single_attempt_policy_is_legal():
-    # max_attempts=1 means "deadline only, never retry".
-    assert RetryPolicy(max_attempts=1).max_attempts == 1
+    # The invariants the retry schedule and the token bucket rely on.
+    assert robust.RETRY_ATTEMPTS >= 1
+    assert 0.0 < robust.RETRY_RTO_NS <= robust.RETRY_RTO_CAP_NS
+    assert robust.RETRY_BUDGET_CAP >= 0
+    assert 0.0 <= robust.RETRY_BUDGET_REFILL <= 1.0
+    assert robust.ADMIT_MARGIN >= 1.0
 
 
 def test_rto_schedule_is_exponential_and_capped():
-    p = RetryPolicy(rto_ns=100_000.0, backoff=2.0, rto_cap_ns=350_000.0)
-    assert p.rto(0) == pytest.approx(100e-6)
-    assert p.rto(1) == pytest.approx(200e-6)
-    # 400us would exceed the cap: clamped.
-    assert p.rto(2) == pytest.approx(350e-6)
-    assert p.rto(10) == pytest.approx(350e-6)
+    assert retry_rto(0) == pytest.approx(150e-6)
+    assert retry_rto(1) == pytest.approx(300e-6)
+    assert retry_rto(3) == pytest.approx(1200e-6)
+    # 2.4ms would exceed the cap: clamped.
+    assert retry_rto(4) == pytest.approx(2e-3)
+    assert retry_rto(10) == pytest.approx(2e-3)
 
 
-def test_rto_with_unit_backoff_is_flat():
-    p = RetryPolicy(rto_ns=50_000.0, backoff=1.0)
-    assert p.rto(0) == p.rto(5) == pytest.approx(50e-6)
+def test_rto_reads_the_constants_at_call_time(monkeypatch):
+    monkeypatch.setattr(robust, "RETRY_RTO_NS", 100_000.0)
+    monkeypatch.setattr(robust, "RETRY_RTO_CAP_NS", 350_000.0)
+    assert retry_rto(1) == pytest.approx(200e-6)
+    assert retry_rto(2) == pytest.approx(350e-6)
 
 
-# ----------------------------------------------------------------------
-# RetryBudget (token bucket)
-# ----------------------------------------------------------------------
-def test_budget_starts_full_and_spends():
-    b = RetryBudget(cap=2, refill=0.5)
-    assert b.take() and b.take()
-    assert not b.take()  # exhausted
-    assert b.taken == 2 and b.denied == 1
+def _lossy_service():
+    """A light service load over a lossy fabric without transport
+    reliability: only client retries recover lost requests."""
+    cl = service_cluster(lock="priority", threads_per_rank=2, seed=3,
+                         faults="drop=0.3,watchdog_interval_ns=0",
+                         reliability=False)
+    return run_service(
+        cl, ServiceConfig(rate_hz=40_000.0, duration_s=0.002),
+        RobustConfig.protected(deadline_ns=400_000.0),
+    )
 
 
-def test_successes_refill_fractionally_up_to_cap():
-    b = RetryBudget(cap=2, refill=0.5)
-    b.take(), b.take()
-    assert not b.take()
-    b.note_success()  # +0.5: still below a whole token
-    assert not b.take()
-    b.note_success()  # 1.0 banked: one retry available again
-    assert b.take()
-    # Refill never exceeds the cap.
-    for _ in range(100):
-        b.note_success()
-    assert b.tokens == pytest.approx(2.0)
+def test_single_attempt_policy_is_legal(monkeypatch):
+    # RETRY_ATTEMPTS = 1 means "deadline only, never retry".
+    monkeypatch.setattr(robust, "RETRY_ATTEMPTS", 1)
+    res = _lossy_service()
+    assert res.retries == res.retries_denied == 0
+    assert res.expired > 0
+    assert res.ok + res.expired == res.offered
 
 
-def test_zero_cap_budget_denies_everything():
-    b = RetryBudget(cap=0, refill=1.0)
-    assert not b.take()
-    b.note_success()
-    assert not b.take()
-    assert b.denied == 2
+def test_successes_refill_fractionally_up_to_cap(monkeypatch):
+    # One banked token: without refill the client retries exactly once;
+    # with half a token per success, later successes buy more retries.
+    monkeypatch.setattr(robust, "RETRY_BUDGET_CAP", 1)
+    monkeypatch.setattr(robust, "RETRY_BUDGET_REFILL", 0.0)
+    assert _lossy_service().retries == 1
+    monkeypatch.setattr(robust, "RETRY_BUDGET_REFILL", 0.5)
+    res = _lossy_service()
+    assert res.retries > 1
+    # Never more than one retry per two successes beyond the first token.
+    assert res.retries <= 1 + res.ok // 2
 
 
-def test_budget_validation():
-    with pytest.raises(ValueError):
-        RetryBudget(cap=-1)
-    with pytest.raises(ValueError):
-        RetryBudget(cap=1, refill=2.0)
-
-
-def test_from_policy_copies_knobs():
-    b = RetryBudget.from_policy(RetryPolicy(budget_cap=7, budget_refill=0.25))
-    assert b.cap == 7 and b.refill == 0.25
-    assert b.tokens == 7.0
+def test_zero_cap_budget_denies_everything(monkeypatch):
+    monkeypatch.setattr(robust, "RETRY_BUDGET_CAP", 0)
+    res = _lossy_service()
+    assert res.retries == 0
+    assert res.retries_denied > 0
+    assert res.ok + res.expired == res.offered

@@ -4,7 +4,8 @@ stream (same seed => identical fingerprint)."""
 
 import pytest
 
-from repro.robust import RetryPolicy, RobustConfig
+import repro.robust
+from repro.robust import RobustConfig
 from repro.sim import Simulator
 from repro.workloads import (
     ServiceConfig,
@@ -136,42 +137,46 @@ def test_overload_unprotected_misses_slo_protected_sheds():
     assert prot.peak_backlog <= naked.peak_backlog
 
 
-def test_deadline_expiry_without_admission_control():
-    # Client-side-only protection: server serves everything, the
-    # client's timers expire whatever comes back too late.
-    over = ServiceConfig(rate_hz=150_000.0, duration_s=0.002)
-    _, res = run(over, RobustConfig(deadline_ns=100_000.0))
+def test_deadline_expiry_cancels_lost_requests():
+    # Light load on a lossy fabric without transport reliability: the
+    # server sheds nothing, and a 150us deadline leaves no room for a
+    # retry, so the client's timers expire every lost request and
+    # cancel its pending receive.
+    cl, res = run(
+        ServiceConfig(**QUICK), RobustConfig(deadline_ns=150_000.0),
+        faults="drop=0.3,watchdog_interval_ns=0", reliability=False,
+    )
     assert res.expired > 0
-    assert res.shed == 0
+    assert res.shed == res.retries == 0
     assert res.ok + res.expired == res.offered
+    assert all(rt.dangling_count == 0 for rt in cl.runtimes)
 
 
-def test_lossy_fabric_recovers_via_retries_and_dedup():
+def test_lossy_fabric_recovers_via_retries_and_dedup(monkeypatch):
+    monkeypatch.setattr(repro.robust, "RETRY_ATTEMPTS", 4)
     cfg = ServiceConfig(rate_hz=30_000.0, duration_s=0.002)
     _, res = run(
         cfg,
-        RobustConfig(deadline_ns=500_000.0, retry=RetryPolicy(
-            rto_ns=150_000.0, max_attempts=4,
-        )),
+        RobustConfig(deadline_ns=500_000.0),
         faults="drop=0.05", reliability=False,
     )
     assert res.retries > 0
     assert res.ok >= 0.9 * res.offered
 
 
-def test_retry_budget_denies_when_exhausted():
+def test_retry_budget_denies_when_exhausted(monkeypatch):
     # Half of all internode packets lost, no transport reliability,
     # and a tiny non-refilling budget: early losses drain the bucket
     # and every later retry is denied.  A request either succeeds or
     # expires at its deadline.
+    monkeypatch.setattr(repro.robust, "RETRY_RTO_NS", 100_000.0)
+    monkeypatch.setattr(repro.robust, "RETRY_BUDGET_CAP", 2)
+    monkeypatch.setattr(repro.robust, "RETRY_BUDGET_REFILL", 0.0)
     cfg = ServiceConfig(rate_hz=30_000.0, duration_s=0.001,
                         slo_ns=400_000.0)
     _, res = run(
         cfg,
-        RobustConfig(deadline_ns=400_000.0, retry=RetryPolicy(
-            rto_ns=100_000.0, max_attempts=3, budget_cap=2,
-            budget_refill=0.0,
-        )),
+        RobustConfig(deadline_ns=400_000.0),
         faults="drop=0.5,watchdog_interval_ns=0",
         reliability=False,
     )
