@@ -38,7 +38,6 @@ Four pieces:
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 import json
 import multiprocessing
 import os
@@ -46,6 +45,7 @@ from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
+from ..experiments.base import canonical_id
 from .report import format_table
 
 __all__ = [
@@ -165,21 +165,14 @@ class Cell:
 def cell_run_id(
     exp_id: str, overrides: Mapping[str, object], seed: int, quick: bool,
 ) -> str:
-    """Stable ID of a cell spec: blake2b of its canonical JSON.
-
-    Depends on nothing but the spec -- no wall clock, no hostname, no
-    matrix position -- so re-generating the same matrix (today, next
-    week, in a worker process) names the same cells and the journal can
-    recognize completed work.
-    """
-    spec = {
-        "exp_id": exp_id,
-        "overrides": {k: overrides[k] for k in sorted(overrides)},
-        "seed": seed,
+    """Stable ID of a cell spec (:func:`~repro.experiments.base.canonical_id`
+    of the experiment, its overrides, seed and preset), so re-generating
+    the same matrix names the same cells and the journal can recognize
+    completed work."""
+    return canonical_id({
+        "exp_id": exp_id, "overrides": dict(overrides), "seed": seed,
         "quick": quick,
-    }
-    canon = json.dumps(spec, sort_keys=True, separators=(",", ":"))
-    return hashlib.blake2b(canon.encode(), digest_size=10).hexdigest()
+    })
 
 
 def _applicable(component: Component, exp_id: str) -> bool:

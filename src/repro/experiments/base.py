@@ -10,12 +10,27 @@ numbers depend on the authors' testbed).
 from __future__ import annotations
 
 import dataclasses
+import hashlib
+import json
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Sequence
 
 from ..analysis.report import format_table
 
-__all__ = ["ExperimentResult", "jsonable"]
+__all__ = ["ExperimentResult", "canonical_id", "jsonable"]
+
+
+def canonical_id(obj: Any) -> str:
+    """Stable ID of a JSON value: blake2b of its canonical JSON (sorted
+    keys, no whitespace).
+
+    It depends on nothing but the value -- no wall clock, no host, no
+    position in a sweep -- so the same spec names the same run today,
+    next week and in a worker process.  Ablation run IDs and the golden
+    corpus (``tools/golden.py``) hash through here.
+    """
+    canon = json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    return hashlib.blake2b(canon.encode(), digest_size=10).hexdigest()
 
 
 def jsonable(obj: Any) -> Any:

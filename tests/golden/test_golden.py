@@ -1,0 +1,41 @@
+"""The golden-output corpus (``tools/golden.py``): the manifest covers
+every experiment at every pinned seed, a subset recomputes to its pins
+within the manifest's stated budget, and ``moved`` names what changed."""
+
+import importlib.util
+import pathlib
+
+from repro.experiments import EXPERIMENTS
+
+_GOLDEN = pathlib.Path(__file__).resolve().parents[2] / "tools" / "golden.py"
+_spec = importlib.util.spec_from_file_location("_golden", _GOLDEN)
+golden = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(golden)
+
+
+def test_manifest_pins_every_experiment_at_every_seed():
+    pins = golden.load()["pins"]
+    assert sorted(pins) == sorted(EXPERIMENTS)
+    for name, by_seed in pins.items():
+        assert sorted(by_seed) == sorted(str(s) for s in golden.SEEDS), name
+
+
+def test_tier1_subset_matches_its_pins():
+    manifest = golden.load()
+    subset = {int(s): names for s, names in manifest["tier1"]["subset"].items()}
+    fresh = golden.compute(subset)
+    assert golden.moved(manifest["pins"], fresh) == []
+    assert sum(len(s) for s in fresh.values()) == sum(map(len, subset.values()))
+
+
+def test_moved_names_the_experiment_seed_and_keys():
+    doc = {"exp_id": "figX", "rows": [[1]], "checks": {"a": True}}
+    old = {"figX": {"1": golden.pin(doc)}}
+    assert golden.moved(old, {"figX": {"1": golden.pin(doc)}}) == []
+    changed = dict(doc, rows=[[2]])
+    assert golden.moved(old, {"figX": {"1": golden.pin(changed)}}) == [
+        ("figX", "1", ["rows"]),
+    ]
+    assert golden.moved(old, {"figX": {"0": golden.pin(doc)}}) == [
+        ("figX", "0", ["checks", "exp_id", "rows"]),
+    ]
