@@ -12,26 +12,27 @@ Four pieces:
 
 * **component registry** (:data:`COMPONENTS`) -- each
   :class:`Component` declares the knob's *baseline* value (the remedied
-  runtime) and its *ablated* value (the remedy forced off), as
-  ``repro.overrides`` keys that land on ``ClusterConfig`` fields or the
-  robust-preset gate.
+  runtime) and its *ablated* value (the remedy forced off): keys that
+  :func:`override` writes into every cell spec the experiment declares
+  (``ClusterConfig`` fields, and ``robust`` for the service's deadline).
 * **run matrix** (:func:`build_matrix`) -- baseline + leave-one-out
-  (optionally pairwise) cells over a registry selection, with **stable
-  run IDs**: blake2b over the canonicalized cell spec (experiment,
-  merged overrides, seed, preset).  No wall clock, no process identity
-  -- the same spec always names the same cell, so matrices are
-  reproducible and resumable.
+  (optionally pairwise) variants over a registry selection, with
+  **stable run IDs**: blake2b over the canonicalized variant
+  (experiment, merged overrides, seed, preset).  No wall clock, no
+  process identity -- the same spec always names the same variant, so
+  matrices are reproducible and resumable.
 * **executor** (:func:`run_matrix`) -- serial or
-  ``ProcessPoolExecutor`` over a *spawn* context (the worker re-imports
-  the experiment registry from scratch; nothing is inherited from the
-  parent's interpreter state).  Every finished cell is appended to a
-  JSONL **journal**; cells whose run ID already has an ``ok`` record
+  ``ProcessPoolExecutor`` over a *spawn* context (nothing is inherited
+  from the parent's interpreter state).  A variant runs its
+  experiment's cells, overridden, through the same cell executor as
+  ``repro run``.  Every finished variant is appended to a
+  JSONL **journal**; variants whose run ID already has an ``ok`` record
   are skipped on re-run, and a worker crash becomes a ``failed`` record
   instead of killing the sweep.  Records carry no timing fields, so
   serial and pooled sweeps produce identical journals (modulo append
   order -- compare sorted by run ID).
 * **report** (:func:`importance_report`) -- per metric, the delta of
-  each leave-one-out cell against its experiment's baseline, and a
+  each leave-one-out variant against its experiment's baseline, and a
   ranking of components by mean relative impact.
 """
 
@@ -45,18 +46,21 @@ from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
+from ..experiments import run_experiments
 from ..experiments.base import canonical_id
+from ..experiments.cells import Cell
 from .report import format_table
 
 __all__ = [
     "COMPONENTS",
-    "Cell",
     "Component",
+    "Variant",
     "build_matrix",
     "cell_run_id",
     "extract_metrics",
     "importance_report",
     "load_journal",
+    "override",
     "rank_components",
     "run_matrix",
 ]
@@ -70,10 +74,10 @@ __all__ = [
 class Component:
     """One toggleable runtime component.
 
-    ``baseline`` is applied in *every* cell of the matrix (the
+    ``baseline`` is applied in *every* variant of the matrix (the
     all-remedies-on reference); ``ablated`` replaces it in this
-    component's leave-one-out cell.  Values are ``repro.overrides``
-    keys, so they reach every cluster an experiment builds.
+    component's leave-one-out variant.  :func:`override` writes the
+    values into every cell the experiment declares.
     """
 
     name: str
@@ -84,7 +88,7 @@ class Component:
     #: because the experiment cannot terminate without the component
     #: (e.g. fig_chaos's lossy no-reliability cell relies on the
     #: watchdog to abort instead of hanging).  The matrix generator
-    #: skips those cells and the CLI says so.
+    #: skips those variants.
     unsafe_for: Tuple[str, ...] = ()
 
 
@@ -141,15 +145,16 @@ COMPONENTS: Dict[str, Component] = _components(
 # ----------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class Cell:
-    """One run of one experiment under one merged override table."""
+class Variant:
+    """One cell of the ablation matrix: an experiment under one merged
+    override table."""
 
     exp_id: str
     #: "baseline", "no-<comp>", or "no-<a>+no-<b>" (pairwise).
     label: str
-    #: Component names ablated in this cell (empty for the baseline).
+    #: Component names ablated in this variant (empty for the baseline).
     ablated: Tuple[str, ...]
-    #: Fully merged override table the cell runs under.
+    #: Fully merged override table its cells run under.
     overrides: Mapping[str, object]
     seed: int
     quick: bool
@@ -165,10 +170,10 @@ class Cell:
 def cell_run_id(
     exp_id: str, overrides: Mapping[str, object], seed: int, quick: bool,
 ) -> str:
-    """Stable ID of a cell spec (:func:`~repro.experiments.base.canonical_id`
+    """Stable ID of a variant (:func:`~repro.experiments.base.canonical_id`
     of the experiment, its overrides, seed and preset), so re-generating
-    the same matrix names the same cells and the journal can recognize
-    completed work."""
+    the same matrix names the same variants and the journal can
+    recognize completed work."""
     return canonical_id({
         "exp_id": exp_id, "overrides": dict(overrides), "seed": seed,
         "quick": quick,
@@ -179,19 +184,19 @@ def _applicable(component: Component, exp_id: str) -> bool:
     return not any(exp_id.startswith(p) for p in component.unsafe_for)
 
 
-def _make_cell(
+def _make_variant(
     exp_id: str,
     components: Sequence[Component],
     ablated: Tuple[str, ...],
     seed: int,
     quick: bool,
-) -> Cell:
+) -> Variant:
     merged: Dict[str, object] = {}
     for comp in components:
         vals = comp.ablated if comp.name in ablated else comp.baseline
         merged.update(vals)
     label = "+".join(f"no-{n}" for n in ablated) or "baseline"
-    return Cell(
+    return Variant(
         exp_id=exp_id,
         label=label,
         ablated=ablated,
@@ -208,13 +213,13 @@ def build_matrix(
     seed: int = 0,
     quick: bool = True,
     pairwise: bool = False,
-) -> List[Cell]:
-    """Baseline + leave-one-out (+ optional pairwise) cells per experiment.
+) -> List[Variant]:
+    """Baseline + leave-one-out (+ optional pairwise) variants per experiment.
 
     ``components`` selects (by name, in registry order) which components
-    vary; all of them contribute their *baseline* values to every cell.
+    vary; all of them contribute their *baseline* values to every variant.
     Components whose ablated value is unsafe for an experiment get no
-    leave-one-out cell there (see :attr:`Component.unsafe_for`).
+    leave-one-out variant there (see :attr:`Component.unsafe_for`).
     """
     if components is None:
         names = list(COMPONENTS)
@@ -228,19 +233,19 @@ def build_matrix(
         names = [n for n in COMPONENTS if n in set(components)]
     comps = [COMPONENTS[n] for n in names]
 
-    cells: List[Cell] = []
+    variants: List[Variant] = []
     for exp_id in experiments:
-        cells.append(_make_cell(exp_id, comps, (), seed, quick))
+        variants.append(_make_variant(exp_id, comps, (), seed, quick))
         applicable = [c for c in comps if _applicable(c, exp_id)]
         for comp in applicable:
-            cells.append(_make_cell(exp_id, comps, (comp.name,), seed, quick))
+            variants.append(_make_variant(exp_id, comps, (comp.name,), seed, quick))
         if pairwise:
             for i, a in enumerate(applicable):
                 for b in applicable[i + 1:]:
-                    cells.append(
-                        _make_cell(exp_id, comps, (a.name, b.name), seed, quick)
+                    variants.append(
+                        _make_variant(exp_id, comps, (a.name, b.name), seed, quick)
                     )
-    return cells
+    return variants
 
 
 # ----------------------------------------------------------------------
@@ -312,34 +317,39 @@ def extract_metrics(result_dict: Mapping[str, object]) -> Dict[str, float]:
 # Execution: worker protocol + journal
 # ----------------------------------------------------------------------
 
+def override(cell: Cell, overrides: Mapping[str, object]) -> Cell:
+    """``cell`` under a variant's overrides: every key but ``robust``
+    overwrites that ``ClusterConfig`` field, and ``robust: False`` turns
+    a service cell's protection off (``deadline_ns`` 0)."""
+    fields = {k: v for k, v in overrides.items() if k != "robust"}
+    deadline = cell.deadline_ns
+    if cell.kind == "service" and not overrides.get("robust", True):
+        deadline = 0.0
+    return dataclasses.replace(
+        cell, cluster={**cell.cluster, **fields}, deadline_ns=deadline,
+    )
+
+
 def execute_cell(cell_dict: dict) -> dict:
-    """Run one cell and return its journal record.  Spawn-safe worker
-    entrypoint: a plain top-level function over plain dicts, importing
-    the experiment registry lazily so a fresh interpreter (``spawn``
-    start method) rebuilds everything from the spec alone.
+    """Run one variant and return its journal record.  Spawn-safe worker
+    entrypoint: a plain top-level function over plain dicts, so a fresh
+    interpreter (``spawn`` start method) rebuilds everything from the
+    spec alone.
 
     Never raises for an experiment failure -- the record says
-    ``status="failed"`` and carries the error, so one broken cell
+    ``status="failed"`` and carries the error, so one broken variant
     cannot take down a sweep.
     """
-    from .. import overrides
-    from ..experiments.registry import run_experiment
-
-    record = {
-        "run_id": cell_dict["run_id"],
-        "exp_id": cell_dict["exp_id"],
-        "label": cell_dict["label"],
-        "ablated": list(cell_dict["ablated"]),
-        "overrides": dict(cell_dict["overrides"]),
-        "seed": cell_dict["seed"],
-        "quick": cell_dict["quick"],
-    }
-    overrides.set_overrides(cell_dict["overrides"])
+    record = {k: cell_dict[k] for k in (
+        "run_id", "exp_id", "label", "ablated", "overrides", "seed", "quick",
+    )}
     try:
-        res = run_experiment(
-            cell_dict["exp_id"], quick=cell_dict["quick"],
-            seed=cell_dict["seed"],
+        ((_, res),) = run_experiments(
+            [record["exp_id"]], quick=record["quick"], seed=record["seed"],
+            edit=lambda c: override(c, record["overrides"]),
         )
+        if isinstance(res, Exception):
+            raise res
     except Exception as exc:
         record["status"] = "failed"
         record["error"] = f"{type(exc).__name__}: {exc}"
@@ -349,8 +359,6 @@ def execute_cell(cell_dict: dict) -> dict:
         record["ok"] = d["ok"]
         record["checks"] = d["checks"]
         record["metrics"] = extract_metrics(d)
-    finally:
-        overrides.clear_overrides()
     return record
 
 
@@ -386,27 +394,27 @@ def _append_journal(path: Optional[str], record: dict) -> None:
 
 
 def run_matrix(
-    cells: Sequence[Cell],
+    variants: Sequence[Variant],
     jobs: int = 1,
     journal_path: Optional[str] = None,
     progress: Optional[Callable[[str], None]] = None,
 ) -> List[dict]:
-    """Execute every cell not already completed in the journal.
+    """Execute every variant not already completed in the journal.
 
-    Returns one record per cell, in matrix order (cached records for
-    skipped cells, fresh ones for the rest).  ``jobs > 1`` fans out over
+    Returns one record per variant, in matrix order (cached records for
+    skipped variants, fresh ones for the rest).  ``jobs > 1`` fans out over
     a ``spawn``-context process pool; the simulator is single-threaded,
-    so cells are embarrassingly parallel.  A worker that dies (OOM,
-    signal) yields a ``failed`` record for its cell and the sweep keeps
+    so variants are embarrassingly parallel.  A worker that dies (OOM,
+    signal) yields a ``failed`` record for its variant and the sweep keeps
     going.  Failed records are *not* treated as completed: a re-run
     retries them.
     """
     say = progress or (lambda msg: None)
     journal = load_journal(journal_path)
     done = {rid for rid, rec in journal.items() if rec.get("status") == "ok"}
-    pending = [c for c in cells if c.run_id not in done]
+    pending = [v for v in variants if v.run_id not in done]
     say(
-        f"matrix: {len(cells)} cells, {len(cells) - len(pending)} cached, "
+        f"matrix: {len(variants)} cells, {len(variants) - len(pending)} cached, "
         f"{len(pending)} new cells"
     )
 
@@ -424,17 +432,17 @@ def run_matrix(
         )
 
     if jobs <= 1 or len(pending) <= 1:
-        for cell in pending:
-            note(execute_cell(cell.to_dict()))
+        for variant in pending:
+            note(execute_cell(variant.to_dict()))
     else:
         ctx = multiprocessing.get_context("spawn")
         with ProcessPoolExecutor(max_workers=jobs, mp_context=ctx) as pool:
-            futures = {pool.submit(execute_cell, c.to_dict()): c for c in pending}
+            futures = {pool.submit(execute_cell, v.to_dict()): v for v in pending}
             remaining = set(futures)
             while remaining:
                 finished, remaining = wait(remaining, return_when=FIRST_COMPLETED)
                 for fut in finished:
-                    cell = futures[fut]
+                    variant = futures[fut]
                     try:
                         record = fut.result()
                     except Exception as exc:
@@ -442,17 +450,17 @@ def run_matrix(
                         # pickling error): record the casualty, keep
                         # sweeping the rest.
                         record = dict(
-                            cell.to_dict(), status="failed",
+                            variant.to_dict(), status="failed",
                             error=f"worker crashed: {type(exc).__name__}: {exc}",
                         )
                     note(record)
 
     out = []
-    for cell in cells:
-        if cell.run_id in fresh:
-            out.append(fresh[cell.run_id])
+    for variant in variants:
+        if variant.run_id in fresh:
+            out.append(fresh[variant.run_id])
         else:
-            out.append(journal[cell.run_id])
+            out.append(journal[variant.run_id])
     return out
 
 

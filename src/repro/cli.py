@@ -29,7 +29,7 @@ import sys
 from typing import Optional, Sequence
 
 from .analysis import format_table
-from .experiments import EXPERIMENTS, run_experiment
+from .experiments import EXPERIMENTS, run_experiment, run_experiments
 from .experiments.registry import EXPERIMENT_TITLES, select_experiments
 from .locks import LOCK_CLASSES
 from .machine import MachineSpec
@@ -55,14 +55,12 @@ def _cmd_run(args) -> int:
     failed = []
     errored = []
     results = []
-    for name in names:
-        # One raising experiment must not eat the rest of a sweep (or
-        # the whole JSON payload): record it, keep going, exit non-zero.
-        try:
-            res = run_experiment(name, quick=not args.paper, seed=args.seed)
-        except Exception as exc:
+    # One raising cell or reduce fails only the experiments that read
+    # it: record them, print the rest, exit non-zero.
+    for name, res in run_experiments(names, quick=not args.paper, seed=args.seed):
+        if isinstance(res, Exception):
             errored.append(name)
-            entry = {"exp_id": name, "error": f"{type(exc).__name__}: {exc}"}
+            entry = {"exp_id": name, "error": f"{type(res).__name__}: {res}"}
             if args.format == "json":
                 results.append(entry)
             else:

@@ -1,15 +1,18 @@
-"""One runner per reproduced paper figure.
+"""The reproduced paper figures, declared as cells.
 
-Each runner returns an :class:`~repro.experiments.base.ExperimentResult`
-with the figure's rows/series, plus shape checks encoding the paper's
-qualitative claims.  ``repro.experiments.run_experiment("fig5c")`` runs
-one; ``python -m repro run all`` runs them all, prints the tables and
-exits 1 if any shape check fails.
+Each experiment declares the simulations it reads as frozen
+:class:`~repro.experiments.cells.Cell` specs and reduces their outcomes
+to an :class:`~repro.experiments.base.ExperimentResult`: the figure's
+rows/series plus shape checks encoding the paper's qualitative claims.
+``repro.experiments.run_experiment("fig5c")`` runs one;
+``run_experiments(names)`` runs several, simulating each distinct cell
+once however many figures read it.  ``python -m repro run all`` prints
+every table and exits 1 if any shape check fails.
 """
 
 from .base import ExperimentResult
 from .config import PAPER, QUICK, Preset, preset
-from .registry import EXPERIMENTS, run_experiment
+from .registry import EXPERIMENTS, run_experiment, run_experiments
 
 __all__ = [
     "ExperimentResult",
@@ -19,4 +22,5 @@ __all__ = [
     "preset",
     "EXPERIMENTS",
     "run_experiment",
+    "run_experiments",
 ]

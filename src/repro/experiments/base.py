@@ -1,10 +1,10 @@
 """Common experiment scaffolding.
 
-Every ``figXX`` module exposes ``run(quick=True, seed=...) ->
-ExperimentResult``: the rows the paper's figure plots, plus *shape
-checks* -- assertions about who wins and by roughly what factor, which is
-what a simulator-based reproduction can and should promise (absolute
-numbers depend on the authors' testbed).
+Every ``figXX`` module's experiments reduce their cells to an
+:class:`ExperimentResult`: the rows the paper's figure plots, plus
+*shape checks* -- assertions about who wins and by roughly what factor,
+which is what a simulator-based reproduction can and should promise
+(absolute numbers depend on the authors' testbed).
 """
 
 from __future__ import annotations

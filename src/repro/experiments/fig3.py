@@ -11,79 +11,91 @@
 
 from __future__ import annotations
 
-from typing import Optional
-
 from ..analysis.bias import compute_bias_factors
 from ..analysis.report import format_size
 from ..locks.stats import LockTrace
-from ..workloads.throughput import ThroughputConfig, run_throughput, throughput_cluster
-from ..obs import Instrument
 from .base import ExperimentResult
+from .cells import Experiment
 from .config import preset
+from .fig2 import throughput_cell
 
-__all__ = ["run_fig3a", "run_fig3c"]
+__all__ = ["FIG3A", "FIG3C"]
 
 
-def run_fig3a(
-    quick: bool = True, seed: int = 0, obs: Optional[Instrument] = None,
-) -> ExperimentResult:
+def _fig3a(quick: bool, seed: int):
     p = preset(quick)
-    # The bias estimators read the receiver rank's lock events; without
-    # a caller's bus, a private one carries only the ``lock`` category.
-    bus = obs if obs is not None else Instrument()
-    rows = []
-    core, sock = {}, {}
-    for size in p.sizes:
-        cl = throughput_cluster(lock="mutex", threads_per_rank=8, seed=seed, obs=bus)
-        trace = LockTrace.from_bus(bus, lock_name="mutex@rank1")
-        run_throughput(cl, ThroughputConfig(msg_size=size, n_windows=p.n_windows))
+    cells = {size: throughput_cell("mutex", 8, size, p.n_windows, seed)
+             for size in p.sizes}
+
+    def reduce(results) -> ExperimentResult:
+        rows = []
+        core, sock = {}, {}
+        for size, b in results.items():
+            core[size], sock[size] = b.core_bias, b.socket_bias
+            rows.append([
+                format_size(size), f"{b.core_bias:.2f}", f"{b.socket_bias:.2f}",
+                b.n_samples,
+            ])
+        core_vals = list(core.values())
+        sock_vals = list(sock.values())
+        return ExperimentResult(
+            exp_id="fig3a",
+            title="Mutex arbitration bias factors (8 threads, receiver rank)",
+            headers=["size", "core-level bias", "socket-level bias", "samples"],
+            rows=rows,
+            checks={
+                "core-level bias > 1.4 across sizes": min(core_vals) > 1.4,
+                "socket-level bias > 1.1 across sizes": min(sock_vals) > 1.1,
+                "core bias exceeds socket bias on average":
+                    sum(core_vals) / len(core_vals) > sum(sock_vals) / len(sock_vals),
+            },
+            data={"core": core, "socket": sock},
+            notes=["paper: ~2x core-level and ~1.25x socket-level on average"],
+        )
+    return cells, reduce
+
+
+def _lock_trace(bus):
+    """The bias estimators read the receiver rank's lock events."""
+    trace = LockTrace.from_bus(bus, lock_name="mutex@rank1")
+
+    def collect():
         trace.detach()
-        b = compute_bias_factors(trace)
-        core[size], sock[size] = b.core_bias, b.socket_bias
-        rows.append([
-            format_size(size), f"{b.core_bias:.2f}", f"{b.socket_bias:.2f}",
-            b.n_samples,
-        ])
-    core_vals = list(core.values())
-    sock_vals = list(sock.values())
-    return ExperimentResult(
-        exp_id="fig3a",
-        title="Mutex arbitration bias factors (8 threads, receiver rank)",
-        headers=["size", "core-level bias", "socket-level bias", "samples"],
-        rows=rows,
-        checks={
-            "core-level bias > 1.4 across sizes": min(core_vals) > 1.4,
-            "socket-level bias > 1.1 across sizes": min(sock_vals) > 1.1,
-            "core bias exceeds socket bias on average":
-                sum(core_vals) / len(core_vals) > sum(sock_vals) / len(sock_vals),
-        },
-        data={"core": core, "socket": sock},
-        notes=["paper: ~2x core-level and ~1.25x socket-level on average"],
-    )
+        return compute_bias_factors(trace)
+    return collect
 
 
-def run_fig3c(
-    quick: bool = True, seed: int = 0, obs: Optional[Instrument] = None,
-) -> ExperimentResult:
+def small_sizes(quick: bool) -> list:
     p = preset(quick)
-    small_sizes = [s for s in p.sizes if s <= 4096] or list(p.sizes[:3])
-    rows = []
-    means = {}
-    for size in small_sizes:
-        cl = throughput_cluster(lock="mutex", threads_per_rank=8, seed=seed, obs=obs)
-        res = run_throughput(cl, ThroughputConfig(msg_size=size, n_windows=p.n_windows))
-        means[size] = res.dangling.mean
-        rows.append([format_size(size), f"{res.dangling.mean:.1f}",
-                     res.dangling.maximum])
-    return ExperimentResult(
-        exp_id="fig3c",
-        title="Dangling requests under mutex (8 threads, window 64)",
-        headers=["size", "mean dangling", "max dangling"],
-        rows=rows,
-        checks={
-            "dangling mean > 50 for small messages":
-                min(means.values()) > 50,
-        },
-        data={"means": means},
-        notes=["paper: high counts (~50-250) caused by starving windows"],
-    )
+    return [s for s in p.sizes if s <= 4096] or list(p.sizes[:3])
+
+
+def _fig3c(quick: bool, seed: int):
+    n_windows = preset(quick).n_windows
+    cells = {size: throughput_cell("mutex", 8, size, n_windows, seed)
+             for size in small_sizes(quick)}
+
+    def reduce(results) -> ExperimentResult:
+        rows = []
+        means = {}
+        for size, r in results.items():
+            means[size] = r.value.dangling.mean
+            rows.append([format_size(size), f"{r.value.dangling.mean:.1f}",
+                         r.value.dangling.maximum])
+        return ExperimentResult(
+            exp_id="fig3c",
+            title="Dangling requests under mutex (8 threads, window 64)",
+            headers=["size", "mean dangling", "max dangling"],
+            rows=rows,
+            checks={
+                "dangling mean > 50 for small messages":
+                    min(means.values()) > 50,
+            },
+            data={"means": means},
+            notes=["paper: high counts (~50-250) caused by starving windows"],
+        )
+    return cells, reduce
+
+
+FIG3A = Experiment(_fig3a, tap=_lock_trace)
+FIG3C = Experiment(_fig3c)

@@ -9,103 +9,101 @@
 
 from __future__ import annotations
 
-from typing import Optional
-
 from ..analysis.report import format_size
-from ..mpi.world import Cluster, ClusterConfig
-from ..workloads.latency import LatencyConfig, run_latency
-from ..workloads.throughput import ThroughputConfig, run_throughput, throughput_cluster
-from ..obs import Instrument
+from ..workloads.latency import LatencyConfig
 from .base import ExperimentResult
+from .cells import Cell, Experiment, cluster
 from .config import preset
+from .fig2 import throughput_cell
 
-__all__ = ["run_fig8a", "run_fig8b"]
+__all__ = ["FIG8A", "FIG8B"]
 
 METHODS = ("single", "mutex", "ticket", "priority")
 
 
-def _cluster(method: str, seed: int, obs: Optional[Instrument] = None) -> Cluster:
-    if method == "single":
-        return throughput_cluster(lock="null", threads_per_rank=1, seed=seed, obs=obs)
-    return throughput_cluster(lock=method, threads_per_rank=8, seed=seed, obs=obs)
+def _lock_threads(method: str):
+    """``single`` is one thread without a lock; the rest run 8 threads."""
+    return ("null", 1) if method == "single" else (method, 8)
 
 
-def run_fig8a(
-    quick: bool = True, seed: int = 0, obs: Optional[Instrument] = None,
-) -> ExperimentResult:
+def _fig8a(quick: bool, seed: int):
     p = preset(quick)
-    rates = {}
+    cells = {(method, size): throughput_cell(*_lock_threads(method), size,
+                                            p.n_windows, seed)
+             for size in p.sizes for method in METHODS}
+
+    def reduce(results) -> ExperimentResult:
+        rates = {k: r.value.msg_rate_k for k, r in results.items()}
+        rows = [
+            [format_size(s)] + [f"{rates[(m, s)]:.0f}" for m in METHODS]
+            for s in p.sizes
+        ]
+        small = p.sizes[0]
+        return ExperimentResult(
+            exp_id="fig8a",
+            title="Throughput, 8 threads: single / mutex / ticket / priority",
+            headers=["size"] + list(METHODS),
+            rows=rows,
+            checks={
+                "ticket beats mutex for small messages":
+                    rates[("ticket", small)] > rates[("mutex", small)],
+                "priority within 15% of ticket":
+                    abs(rates[("priority", small)] / rates[("ticket", small)] - 1) < 0.15,
+                "multithreaded small-message throughput below single-threaded":
+                    rates[("ticket", small)] < 0.7 * rates[("single", small)],
+            },
+            data={"rates": rates},
+            notes=["paper: ticket/priority similar, outperform mutex, reach "
+                   "only ~36% of single-threaded"],
+        )
+    return cells, reduce
+
+
+def _fig8b(quick: bool, seed: int):
+    p = preset(quick)
+    cells = {}
     for size in p.sizes:
         for method in METHODS:
-            cl = _cluster(method, seed, obs)
-            res = run_throughput(cl, ThroughputConfig(msg_size=size, n_windows=p.n_windows))
-            rates[(method, size)] = res.msg_rate_k
-    rows = [
-        [format_size(s)] + [f"{rates[(m, s)]:.0f}" for m in METHODS]
-        for s in p.sizes
-    ]
-    small = p.sizes[0]
-    return ExperimentResult(
-        exp_id="fig8a",
-        title="Throughput, 8 threads: single / mutex / ticket / priority",
-        headers=["size"] + list(METHODS),
-        rows=rows,
-        checks={
-            "ticket beats mutex for small messages":
-                rates[("ticket", small)] > rates[("mutex", small)],
-            "priority within 15% of ticket":
-                abs(rates[("priority", small)] / rates[("ticket", small)] - 1) < 0.15,
-            "multithreaded small-message throughput below single-threaded":
-                rates[("ticket", small)] < 0.7 * rates[("single", small)],
-        },
-        data={"rates": rates},
-        notes=["paper: ticket/priority similar, outperform mutex, reach "
-               "only ~36% of single-threaded"],
-    )
+            lock, threads = _lock_threads(method)
+            cells[(method, size)] = Cell(
+                "latency", cluster(threads_per_rank=threads, lock=lock),
+                LatencyConfig(msg_size=size, n_iters=p.latency_iters), seed,
+            )
+
+    def reduce(results) -> ExperimentResult:
+        lat = {k: r.value.latency_us for k, r in results.items()}
+        rows = [
+            [format_size(s)] + [f"{lat[(m, s)]:.2f}" for m in METHODS]
+            for s in p.sizes
+        ]
+        small = p.sizes[0]
+        big = p.sizes[-1]
+        return ExperimentResult(
+            exp_id="fig8b",
+            title="Aggregate effective latency (us), 8 threads",
+            headers=["size"] + list(METHODS),
+            rows=rows,
+            checks={
+                "mutex latency worst for small messages":
+                    lat[("mutex", small)] > lat[("ticket", small)]
+                    and lat[("mutex", small)] > lat[("single", small)],
+                "ticket within 2x of single for small messages":
+                    lat[("ticket", small)] < 2.0 * lat[("single", small)],
+                "multithreaded beats single for large messages":
+                    lat[("ticket", big)] < lat[("single", big)],
+                "priority tracks ticket (within 20%)":
+                    abs(lat[("priority", small)] / lat[("ticket", small)] - 1) < 0.20,
+            },
+            data={"latency_us": lat},
+            notes=[
+                "paper: ticket up to 3.5x lower latency than mutex; ticket "
+                "~1.66x single below 128 B; multithreaded up to 3.6x better "
+                "than single above 128 B (here the crossover sits higher, "
+                "near the rendezvous threshold -- see EXPERIMENTS.md)",
+            ],
+        )
+    return cells, reduce
 
 
-def run_fig8b(
-    quick: bool = True, seed: int = 0, obs: Optional[Instrument] = None,
-) -> ExperimentResult:
-    p = preset(quick)
-    lat = {}
-    for size in p.sizes:
-        for method in METHODS:
-            if method == "single":
-                cl = Cluster(ClusterConfig(
-                    n_nodes=2, threads_per_rank=1, lock="null", seed=seed, obs=obs))
-            else:
-                cl = Cluster(ClusterConfig(
-                    n_nodes=2, threads_per_rank=8, lock=method, seed=seed, obs=obs))
-            res = run_latency(cl, LatencyConfig(msg_size=size, n_iters=p.latency_iters))
-            lat[(method, size)] = res.latency_us
-    rows = [
-        [format_size(s)] + [f"{lat[(m, s)]:.2f}" for m in METHODS]
-        for s in p.sizes
-    ]
-    small = p.sizes[0]
-    big = p.sizes[-1]
-    return ExperimentResult(
-        exp_id="fig8b",
-        title="Aggregate effective latency (us), 8 threads",
-        headers=["size"] + list(METHODS),
-        rows=rows,
-        checks={
-            "mutex latency worst for small messages":
-                lat[("mutex", small)] > lat[("ticket", small)]
-                and lat[("mutex", small)] > lat[("single", small)],
-            "ticket within 2x of single for small messages":
-                lat[("ticket", small)] < 2.0 * lat[("single", small)],
-            "multithreaded beats single for large messages":
-                lat[("ticket", big)] < lat[("single", big)],
-            "priority tracks ticket (within 20%)":
-                abs(lat[("priority", small)] / lat[("ticket", small)] - 1) < 0.20,
-        },
-        data={"latency_us": lat},
-        notes=[
-            "paper: ticket up to 3.5x lower latency than mutex; ticket "
-            "~1.66x single below 128 B; multithreaded up to 3.6x better "
-            "than single above 128 B (here the crossover sits higher, "
-            "near the rendezvous threshold -- see EXPERIMENTS.md)",
-        ],
-    )
+FIG8A = Experiment(_fig8a)
+FIG8B = Experiment(_fig8b)

@@ -22,136 +22,90 @@ baseline never had.
 
 from __future__ import annotations
 
-from typing import Optional
-
-from ..faults import FaultPlan, ProgressStallError
-from ..mpi.world import Cluster, ClusterConfig
-from ..obs import Instrument
-from ..workloads.throughput import ThroughputConfig, _receiver_thread, _sender_thread
+from ..faults import FaultPlan
+from ..workloads.throughput import ThroughputConfig
 from .base import ExperimentResult
+from .cells import Cell, Experiment, cluster
 
-__all__ = ["run_fig_chaos"]
+__all__ = ["FIG_CHAOS"]
 
 LOCKS = ("mutex", "ticket", "priority")
 
 
-def _goodput(
-    lock: str, drop: float, cfg: ThroughputConfig, threads: int, seed: int,
-    obs: Optional[Instrument],
-):
-    """One cell: aggregate message rate at workload completion, plus the
-    cluster's reliability/fault counters."""
-    cl = Cluster(ClusterConfig(
-        n_nodes=2, threads_per_rank=threads, lock=lock, seed=seed, obs=obs,
-        faults=FaultPlan(drop=drop), reliability=True,
-    ))
-    gens = [_sender_thread(cl.thread(0, i), cfg, 1) for i in range(threads)]
-    gens += [_receiver_thread(cl.thread(1, i), cfg, 0) for i in range(threads)]
-    procs = [cl.sim.process(g, name=f"chaos[{i}]") for i, g in enumerate(gens)]
-    t0 = cl.sim.now
-    cl.sim.run(until=cl.sim.all_of(procs))
-    elapsed = cl.sim.now - t0
-    cl._shutdown = True
-    if cl.watchdog is not None:
-        cl.watchdog.stop()
-    cl.sim.run()
-    total = threads * cfg.window * cfg.n_windows
-    rate_k = total / elapsed / 1e3
-    retransmits = sum(rt.rel_stats.retransmits for rt in cl.runtimes)
-    drops = cl.fault_injector.stats.drops if cl.fault_injector else 0
-    return rate_k, retransmits, drops
-
-
-def _watchdog_cell(cfg: ThroughputConfig, threads: int, seed: int):
-    """Lossy fabric, reliability *off*: the run must terminate via the
-    watchdog (not hang), with a diagnostic dump on the obs bus."""
-    bus = Instrument()
-    fault_events = []
-    bus.subscribe(lambda ev: fault_events.append(ev), categories=("fault",))
-    cl = Cluster(ClusterConfig(
-        n_nodes=2, threads_per_rank=threads, lock="mutex", seed=seed, obs=bus,
-        faults=FaultPlan(drop=0.01),
-    ))
-    gens = [_sender_thread(cl.thread(0, i), cfg, 1) for i in range(threads)]
-    gens += [_receiver_thread(cl.thread(1, i), cfg, 0) for i in range(threads)]
-    stalled = False
-    diagnostics = None
-    try:
-        cl.run_workload(gens, name="chaos-norel")
-    except ProgressStallError as exc:
-        stalled = True
-        diagnostics = exc.diagnostics
-    dumped = any(ev.name == "watchdog.stall" for ev in fault_events)
-    return stalled, dumped, diagnostics
-
-
-def run_fig_chaos(
-    quick: bool = True, seed: int = 0, obs: Optional[Instrument] = None,
-) -> ExperimentResult:
+def _fig_chaos(quick: bool, seed: int):
     threads = 4
     drop_rates = (0.0, 0.01) if quick else (0.0, 0.005, 0.01, 0.02)
     cfg = ThroughputConfig(
         msg_size=1024, window=32, n_windows=4 if quick else 8,
     )
+    cells = {
+        (lock, drop): Cell("goodput", cluster(
+            threads_per_rank=threads, lock=lock, faults=FaultPlan(drop=drop),
+            reliability=True,
+        ), cfg, seed)
+        for lock in LOCKS for drop in drop_rates
+    }
+    # Lossy fabric, reliability *off*: the run must end via the watchdog.
+    cells["watchdog"] = Cell("watchdog", cluster(
+        threads_per_rank=threads, lock="mutex", faults=FaultPlan(drop=0.01),
+    ), cfg, seed)
 
-    rates = {}
-    retx = {}
-    dropped = {}
-    for lock in LOCKS:
-        for drop in drop_rates:
-            r, n_retx, n_drop = _goodput(lock, drop, cfg, threads, seed, obs)
-            rates[(lock, drop)] = r
-            retx[(lock, drop)] = n_retx
-            dropped[(lock, drop)] = n_drop
+    def reduce(results) -> ExperimentResult:
+        stalled, dumped, diagnostics = results.pop("watchdog")
+        rates = {k: r for k, (r, _, _) in results.items()}
+        retx = {k: n for k, (_, n, _) in results.items()}
+        dropped = {k: n for k, (_, _, n) in results.items()}
 
-    stalled, dumped, diagnostics = _watchdog_cell(cfg, threads, seed)
+        rows = []
+        for lock in LOCKS:
+            base = rates[(lock, 0.0)]
+            row = [lock, f"{base:.1f}"]
+            for drop in drop_rates[1:]:
+                r = rates[(lock, drop)]
+                row.append(f"{r:.1f} ({r / base:.2f}x, {retx[(lock, drop)]} rtx)")
+            rows.append(row)
 
-    rows = []
-    for lock in LOCKS:
-        base = rates[(lock, 0.0)]
-        row = [lock, f"{base:.1f}"]
-        for drop in drop_rates[1:]:
-            r = rates[(lock, drop)]
-            row.append(f"{r:.1f} ({r / base:.2f}x, {retx[(lock, drop)]} rtx)")
-        rows.append(row)
+        worst_ratio = min(
+            rates[(lock, 0.01)] / rates[(lock, 0.0)] for lock in LOCKS
+        )
+        lossy_retransmitted = all(retx[(lock, 0.01)] > 0 for lock in LOCKS)
+        clean_baseline = all(retx[(lock, 0.0)] == 0 for lock in LOCKS)
 
-    worst_ratio = min(
-        rates[(lock, 0.01)] / rates[(lock, 0.0)] for lock in LOCKS
-    )
-    lossy_retransmitted = all(retx[(lock, 0.01)] > 0 for lock in LOCKS)
-    clean_baseline = all(retx[(lock, 0.0)] == 0 for lock in LOCKS)
+        return ExperimentResult(
+            exp_id="fig_chaos",
+            title=(
+                "chaos run: goodput (10^3 msgs/s) vs internode drop rate with "
+                f"ACK/retransmit, 2 ranks x {threads} threads"
+            ),
+            headers=["lock", "0% drop"] + [f"{d:.1%} drop" for d in drop_rates[1:]],
+            rows=rows,
+            checks={
+                "every lock keeps >= 90% of its zero-loss rate at 1% drop":
+                    worst_ratio >= 0.90,
+                "recovery actually retransmitted at 1% drop (every lock)":
+                    lossy_retransmitted,
+                "no spurious retransmits at zero loss": clean_baseline,
+                "without retransmit, the lossy run aborts via the watchdog "
+                "(no hang)": stalled,
+                "the watchdog emitted a diagnostic dump on the obs bus": dumped,
+            },
+            data={
+                "rates": rates,
+                "retransmits": retx,
+                "drops": dropped,
+                "worst_ratio_at_1pct": worst_ratio,
+                "watchdog_diagnostics": diagnostics,
+            },
+            notes=[
+                "ACKs are generated at delivery (NIC-level, like hardware RDMA "
+                "acks), so the retransmit timeout covers a wire round-trip, "
+                "not a trip through the contended critical section",
+                f"worst zero-loss retention at 1% drop: {worst_ratio:.3f}",
+                "the no-reliability cell terminates via ProgressStallError "
+                "with per-domain queue depths and lock holders attached",
+            ],
+        )
+    return cells, reduce
 
-    return ExperimentResult(
-        exp_id="fig_chaos",
-        title=(
-            "chaos run: goodput (10^3 msgs/s) vs internode drop rate with "
-            f"ACK/retransmit, 2 ranks x {threads} threads"
-        ),
-        headers=["lock", "0% drop"] + [f"{d:.1%} drop" for d in drop_rates[1:]],
-        rows=rows,
-        checks={
-            "every lock keeps >= 90% of its zero-loss rate at 1% drop":
-                worst_ratio >= 0.90,
-            "recovery actually retransmitted at 1% drop (every lock)":
-                lossy_retransmitted,
-            "no spurious retransmits at zero loss": clean_baseline,
-            "without retransmit, the lossy run aborts via the watchdog "
-            "(no hang)": stalled,
-            "the watchdog emitted a diagnostic dump on the obs bus": dumped,
-        },
-        data={
-            "rates": rates,
-            "retransmits": retx,
-            "drops": dropped,
-            "worst_ratio_at_1pct": worst_ratio,
-            "watchdog_diagnostics": diagnostics,
-        },
-        notes=[
-            "ACKs are generated at delivery (NIC-level, like hardware RDMA "
-            "acks), so the retransmit timeout covers a wire round-trip, "
-            "not a trip through the contended critical section",
-            f"worst zero-loss retention at 1% drop: {worst_ratio:.3f}",
-            "the no-reliability cell terminates via ProgressStallError "
-            "with per-domain queue depths and lock holders attached",
-        ],
-    )
+
+FIG_CHAOS = Experiment(_fig_chaos)

@@ -28,14 +28,11 @@ domains have packets to progress):
 
 from __future__ import annotations
 
-from typing import Optional
-
-from ..mpi.world import Cluster, ClusterConfig
-from ..obs import Instrument
-from ..workloads.throughput import ThroughputConfig, run_throughput
+from ..workloads.throughput import ThroughputConfig
 from .base import ExperimentResult
+from .cells import Cell, Experiment, cluster
 
-__all__ = ["run_fig_continuations"]
+__all__ = ["FIG_CONTINUATIONS"]
 
 #: (label, lock, cs-policy) arbitration variants compared.
 VARIANTS = (
@@ -51,123 +48,111 @@ GATE_LABEL = "priority"
 GATE_REDUCTION = 0.20
 
 
-def _cell(
-    threads: int, lock: str, cs: str, mode: str, cfg: ThroughputConfig,
-    seed: int, obs: Optional[Instrument],
-):
-    cl = Cluster(ClusterConfig(
-        n_nodes=2, threads_per_rank=threads, lock=lock, cs=cs,
-        seed=seed, completion=mode, obs=obs,
-    ))
-    res = run_throughput(cl, cfg)
-    wasted = sum(rt.stats.empty_polls for rt in cl.runtimes)
-    avoided = sum(rt.stats.wasted_acquisitions_avoided for rt in cl.runtimes)
-    peak = max(rt.peak_dangling for rt in cl.runtimes)
-    return {
-        "rate_k": res.msg_rate_k,
-        "wasted": wasted,
-        "avoided": avoided,
-        "peak_dangling": peak,
-    }
-
-
-def run_fig_continuations(
-    quick: bool = True, seed: int = 0, obs: Optional[Instrument] = None,
-) -> ExperimentResult:
+def _fig_continuations(quick: bool, seed: int):
     thread_counts = (4, 8) if quick else (1, 8, 16, 32, 64)
     cfg = ThroughputConfig(
         msg_size=65536, window=8, n_windows=2 if quick else 4,
     )
+    runs = {
+        (threads, label, mode): Cell("throughput", cluster(
+            threads_per_rank=threads, lock=lock, cs=cs, completion=mode,
+        ), cfg, seed)
+        for threads in thread_counts for label, lock, cs in VARIANTS
+        for mode in ("poll", "continuation")
+    }
 
-    cells = {}
-    for threads in thread_counts:
-        for label, lock, cs in VARIANTS:
-            for mode in ("poll", "continuation"):
-                cells[(threads, label, mode)] = _cell(
-                    threads, lock, cs, mode, cfg, seed, obs,
-                )
+    def reduce(results) -> ExperimentResult:
+        cells = {
+            k: {"rate_k": r.value.msg_rate_k, "wasted": r.empty_polls,
+                "avoided": r.parks, "peak_dangling": r.peak_dangling}
+            for k, r in results.items()
+        }
 
-    def reduction(threads: int, label: str) -> float:
-        pw = cells[(threads, label, "poll")]["wasted"]
-        cw = cells[(threads, label, "continuation")]["wasted"]
-        return 1.0 - cw / pw if pw else 0.0
+        def reduction(threads: int, label: str) -> float:
+            pw = cells[(threads, label, "poll")]["wasted"]
+            cw = cells[(threads, label, "continuation")]["wasted"]
+            return 1.0 - cw / pw if pw else 0.0
 
-    rows = []
-    for threads in thread_counts:
-        for label, _, _ in VARIANTS:
-            p = cells[(threads, label, "poll")]
-            c = cells[(threads, label, "continuation")]
-            rows.append([
-                str(threads), label,
-                str(p["wasted"]), str(c["wasted"]),
-                f"{reduction(threads, label):.1%}",
-                str(c["avoided"]),
-                str(p["peak_dangling"]), str(c["peak_dangling"]),
-                f"{p['rate_k']:.1f}", f"{c['rate_k']:.1f}",
-            ])
+        rows = []
+        for threads in thread_counts:
+            for label, _, _ in VARIANTS:
+                p = cells[(threads, label, "poll")]
+                c = cells[(threads, label, "continuation")]
+                rows.append([
+                    str(threads), label,
+                    str(p["wasted"]), str(c["wasted"]),
+                    f"{reduction(threads, label):.1%}",
+                    str(c["avoided"]),
+                    str(p["peak_dangling"]), str(c["peak_dangling"]),
+                    f"{p['rate_k']:.1f}", f"{c['rate_k']:.1f}",
+                ])
 
-    gate = reduction(GATE_THREADS, GATE_LABEL)
-    dangling_pairs = [
-        (
-            cells[(t, label, "poll")]["peak_dangling"],
-            cells[(t, label, "continuation")]["peak_dangling"],
+        gate = reduction(GATE_THREADS, GATE_LABEL)
+        dangling_pairs = [
+            (
+                cells[(t, label, "poll")]["peak_dangling"],
+                cells[(t, label, "continuation")]["peak_dangling"],
+            )
+            for t in thread_counts for label, _, _ in VARIANTS
+        ]
+        gate_dangling = (
+            cells[(GATE_THREADS, GATE_LABEL, "poll")]["peak_dangling"],
+            cells[(GATE_THREADS, GATE_LABEL, "continuation")]["peak_dangling"],
         )
-        for t in thread_counts for label, _, _ in VARIANTS
-    ]
-    gate_dangling = (
-        cells[(GATE_THREADS, GATE_LABEL, "poll")]["peak_dangling"],
-        cells[(GATE_THREADS, GATE_LABEL, "continuation")]["peak_dangling"],
-    )
-    return ExperimentResult(
-        exp_id="fig_continuations",
-        title=(
-            "Continuation-driven completion vs wait polling: wasted "
-            "acquisitions, dangling backlog, message rate (rendezvous "
-            "throughput, 2 ranks)"
-        ),
-        headers=[
-            "threads", "arbitration", "wasted (poll)", "wasted (cont)",
-            "reduction", "parks", "peak dangling (poll)",
-            "peak dangling (cont)", "rate poll", "rate cont",
-        ],
-        rows=rows,
-        checks={
-            f"continuations cut wasted acquisitions >={GATE_REDUCTION:.0%} "
-            f"at {GATE_THREADS} threads ({GATE_LABEL} lock)":
-                gate >= GATE_REDUCTION,
-            "wasted acquisitions reduced under every lock at every "
-            "thread count":
-                all(
-                    reduction(t, label) > 0.0
-                    for t in thread_counts for label, _, _ in VARIANTS
-                ),
-            f"dangling peak no worse than polling at {GATE_THREADS} "
-            f"threads ({GATE_LABEL} lock)":
-                gate_dangling[1] <= gate_dangling[0],
-            "dangling peak strictly reduced in at least one cell of "
-            "the sweep":
-                any(c < p for p, c in dangling_pairs),
-            "message rate within 5% of the polling path at "
-            f"{GATE_THREADS} threads (every lock)":
-                all(
-                    cells[(GATE_THREADS, lb, "continuation")]["rate_k"]
-                    >= 0.95 * cells[(GATE_THREADS, lb, "poll")]["rate_k"]
-                    for lb, _, _ in VARIANTS
-                ),
-        },
-        data={
-            "cells": {
-                f"{t}/{lb}/{m}": cells[(t, lb, m)]
-                for t, lb, m in cells
+        return ExperimentResult(
+            exp_id="fig_continuations",
+            title=(
+                "Continuation-driven completion vs wait polling: wasted "
+                "acquisitions, dangling backlog, message rate (rendezvous "
+                "throughput, 2 ranks)"
+            ),
+            headers=[
+                "threads", "arbitration", "wasted (poll)", "wasted (cont)",
+                "reduction", "parks", "peak dangling (poll)",
+                "peak dangling (cont)", "rate poll", "rate cont",
+            ],
+            rows=rows,
+            checks={
+                f"continuations cut wasted acquisitions >={GATE_REDUCTION:.0%} "
+                f"at {GATE_THREADS} threads ({GATE_LABEL} lock)":
+                    gate >= GATE_REDUCTION,
+                "wasted acquisitions reduced under every lock at every "
+                "thread count":
+                    all(
+                        reduction(t, label) > 0.0
+                        for t in thread_counts for label, _, _ in VARIANTS
+                    ),
+                f"dangling peak no worse than polling at {GATE_THREADS} "
+                f"threads ({GATE_LABEL} lock)":
+                    gate_dangling[1] <= gate_dangling[0],
+                "dangling peak strictly reduced in at least one cell of "
+                "the sweep":
+                    any(c < p for p, c in dangling_pairs),
+                "message rate within 5% of the polling path at "
+                f"{GATE_THREADS} threads (every lock)":
+                    all(
+                        cells[(GATE_THREADS, lb, "continuation")]["rate_k"]
+                        >= 0.95 * cells[(GATE_THREADS, lb, "poll")]["rate_k"]
+                        for lb, _, _ in VARIANTS
+                    ),
             },
-            "gate_reduction": gate,
-        },
-        notes=[
-            "wasted (poll/cont): empty progress polls summed over both "
-            "ranks -- the paper's wasted acquisition",
-            "parks: empty CS round-trips continuation mode replaced "
-            "with a wait on the completion signal",
-            f"gate cell reduction ({GATE_LABEL}, {GATE_THREADS} "
-            f"threads): {gate:.1%}",
-        ],
-    )
+            data={
+                "cells": {
+                    f"{t}/{lb}/{m}": cells[(t, lb, m)]
+                    for t, lb, m in cells
+                },
+                "gate_reduction": gate,
+            },
+            notes=[
+                "wasted (poll/cont): empty progress polls summed over both "
+                "ranks -- the paper's wasted acquisition",
+                "parks: empty CS round-trips continuation mode replaced "
+                "with a wait on the completion signal",
+                f"gate cell reduction ({GATE_LABEL}, {GATE_THREADS} "
+                f"threads): {gate:.1%}",
+            ],
+        )
+    return runs, reduce
+
+
+FIG_CONTINUATIONS = Experiment(_fig_continuations)

@@ -18,99 +18,88 @@ into four per-VCI arbitration domains (plain mutexes per domain):
 
 from __future__ import annotations
 
-from typing import Optional
-
-from ..mpi.world import Cluster, ClusterConfig
-from ..obs import Instrument
-from ..workloads.n2n import N2NConfig, run_n2n
+from ..workloads.n2n import N2NConfig
 from .base import ExperimentResult
+from .cells import Cell, Experiment, cluster
 
-__all__ = ["run_fig_vci"]
+__all__ = ["FIG_VCI"]
 
 #: Global-CS arbitration methods compared against sharding.
 GLOBAL_LOCKS = ("mutex", "ticket", "priority")
 SHARDED = "per-vci:4"
 
 
-def _cell(
-    threads: int, lock: str, cs: str, cfg: N2NConfig, seed: int,
-    obs: Optional[Instrument],
-):
-    cl = Cluster(ClusterConfig(
-        n_nodes=2, threads_per_rank=threads, lock=lock, cs=cs,
-        seed=seed, obs=obs,
-    ))
-    res = run_n2n(cl, cfg)
-    peak = max(rt.peak_dangling for rt in cl.runtimes)
-    return res, peak
-
-
-def run_fig_vci(
-    quick: bool = True, seed: int = 0, obs: Optional[Instrument] = None,
-) -> ExperimentResult:
+def _fig_vci(quick: bool, seed: int):
     thread_counts = (4, 8) if quick else (2, 4, 8, 16)
     cfg = N2NConfig(
         msg_size=1024, window=2 if quick else 4, n_windows=2, style="rounds",
     )
 
-    rates = {}
-    peaks = {}
+    def n2n(threads: int, lock: str, cs: str, traced: bool = True) -> Cell:
+        return Cell("n2n", cluster(threads_per_rank=threads, lock=lock, cs=cs),
+                    cfg, seed, traced=traced)
+
+    cells = {}
     for threads in thread_counts:
         for lock in GLOBAL_LOCKS:
-            res, peak = _cell(threads, lock, "global", cfg, seed, obs)
-            rates[(threads, lock)] = res.msg_rate_k
-            peaks[(threads, lock)] = peak
-        res, peak = _cell(threads, "mutex", SHARDED, cfg, seed, obs)
-        rates[(threads, SHARDED)] = res.msg_rate_k
-        peaks[(threads, SHARDED)] = peak
-
+            cells[(threads, lock)] = n2n(threads, lock, "global")
+        cells[(threads, SHARDED)] = n2n(threads, "mutex", SHARDED)
     # Degeneracy: one per-vci domain must *be* the global critical
     # section -- same simulated schedule, bit-identical rate.
-    t0 = thread_counts[0]
-    res_one, _ = _cell(t0, "mutex", "per-vci:1", cfg, seed, None)
-    degenerate = res_one.msg_rate_k == rates[(t0, "mutex")]
+    cells["degenerate"] = n2n(thread_counts[0], "mutex", "per-vci:1",
+                              traced=False)
 
-    rows = []
-    for threads in thread_counts:
-        m, t, pr = (rates[(threads, lk)] for lk in GLOBAL_LOCKS)
-        v = rates[(threads, SHARDED)]
-        rows.append([
-            str(threads), f"{m:.1f}", f"{t:.1f}", f"{pr:.1f}", f"{v:.1f}",
-            f"{v / pr:.2f}x",
-            str(peaks[(threads, "mutex")]), str(peaks[(threads, SHARDED)]),
-        ])
+    def reduce(results) -> ExperimentResult:
+        one = results.pop("degenerate")
+        rates = {k: r.value.msg_rate_k for k, r in results.items()}
+        peaks = {k: r.peak_dangling for k, r in results.items()}
+        degenerate = one.value.msg_rate_k == rates[(thread_counts[0], "mutex")]
 
-    hi = max(thread_counts)
-    return ExperimentResult(
-        exp_id="fig_vci",
-        title=(
-            "N2N message rate (10^3 msgs/s): global CS locks vs "
-            f"{SHARDED} arbitration domains, 2 ranks"
-        ),
-        headers=[
-            "threads", "mutex", "ticket", "priority", SHARDED,
-            "vci/priority", "peak dangling (mutex)", f"peak dangling ({SHARDED})",
-        ],
-        rows=rows,
-        checks={
-            "per-VCI sharding beats the priority lock at high thread counts":
-                rates[(hi, SHARDED)] > rates[(hi, "priority")],
-            "per-VCI sharding beats every global-CS lock at high thread counts":
-                rates[(hi, SHARDED)] > max(rates[(hi, lk)] for lk in GLOBAL_LOCKS),
-            "sharding bounds starvation (peak dangling <= global mutex)":
-                all(
-                    peaks[(t, SHARDED)] <= peaks[(t, "mutex")]
-                    for t in thread_counts
-                ),
-            "one domain degenerates to the global critical section "
-            "(bit-identical rate)": degenerate,
-        },
-        data={"rates": rates, "peak_dangling": peaks,
-              "degenerate_rate": res_one.msg_rate_k},
-        notes=[
-            "sharded domains use plain mutexes: the win comes from not "
-            "contending, not from smarter arbitration",
-            f"vci/priority at {hi} threads: "
-            f"{rates[(hi, SHARDED)] / rates[(hi, 'priority')]:.2f}x",
-        ],
-    )
+        rows = []
+        for threads in thread_counts:
+            m, t, pr = (rates[(threads, lk)] for lk in GLOBAL_LOCKS)
+            v = rates[(threads, SHARDED)]
+            rows.append([
+                str(threads), f"{m:.1f}", f"{t:.1f}", f"{pr:.1f}", f"{v:.1f}",
+                f"{v / pr:.2f}x",
+                str(peaks[(threads, "mutex")]), str(peaks[(threads, SHARDED)]),
+            ])
+
+        hi = max(thread_counts)
+        return ExperimentResult(
+            exp_id="fig_vci",
+            title=(
+                "N2N message rate (10^3 msgs/s): global CS locks vs "
+                f"{SHARDED} arbitration domains, 2 ranks"
+            ),
+            headers=[
+                "threads", "mutex", "ticket", "priority", SHARDED,
+                "vci/priority", "peak dangling (mutex)", f"peak dangling ({SHARDED})",
+            ],
+            rows=rows,
+            checks={
+                "per-VCI sharding beats the priority lock at high thread counts":
+                    rates[(hi, SHARDED)] > rates[(hi, "priority")],
+                "per-VCI sharding beats every global-CS lock at high thread counts":
+                    rates[(hi, SHARDED)] > max(rates[(hi, lk)] for lk in GLOBAL_LOCKS),
+                "sharding bounds starvation (peak dangling <= global mutex)":
+                    all(
+                        peaks[(t, SHARDED)] <= peaks[(t, "mutex")]
+                        for t in thread_counts
+                    ),
+                "one domain degenerates to the global critical section "
+                "(bit-identical rate)": degenerate,
+            },
+            data={"rates": rates, "peak_dangling": peaks,
+                  "degenerate_rate": one.value.msg_rate_k},
+            notes=[
+                "sharded domains use plain mutexes: the win comes from not "
+                "contending, not from smarter arbitration",
+                f"vci/priority at {hi} threads: "
+                f"{rates[(hi, SHARDED)] / rates[(hi, 'priority')]:.2f}x",
+            ],
+        )
+    return cells, reduce
+
+
+FIG_VCI = Experiment(_fig_vci)

@@ -2,42 +2,32 @@
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Protocol
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..obs import Instrument
 from .base import ExperimentResult
-from .fig2 import run_fig2a, run_fig2b
-from .fig3 import run_fig3a, run_fig3c
-from .fig5 import run_fig5a, run_fig5b, run_fig5c
-from .fig6 import run_fig6b
-from .fig8 import run_fig8a, run_fig8b
-from .fig9 import run_fig9
-from .fig10 import run_fig10a, run_fig10b, run_fig10c
-from .fig11 import run_fig11a, run_fig11b
-from .fig12 import run_fig12b
-from .fig_chaos import run_fig_chaos
-from .fig_continuations import run_fig_continuations
-from .fig_service import run_fig_service
-from .fig_vci import run_fig_vci
+from .cells import Cell, Experiment, Outcome, execute
+from .fig2 import FIG2A, FIG2B
+from .fig3 import FIG3A, FIG3C
+from .fig5 import FIG5A, FIG5B, FIG5C
+from .fig6 import FIG6B
+from .fig8 import FIG8A, FIG8B
+from .fig9 import FIG9
+from .fig10 import FIG10A, FIG10B, FIG10C
+from .fig11 import FIG11A, FIG11B
+from .fig12 import FIG12B
+from .fig_chaos import FIG_CHAOS
+from .fig_continuations import FIG_CONTINUATIONS
+from .fig_service import FIG_SERVICE
+from .fig_vci import FIG_VCI
 
 __all__ = [
     "EXPERIMENTS",
     "EXPERIMENT_TITLES",
-    "ExperimentRunner",
     "run_experiment",
+    "run_experiments",
     "select_experiments",
 ]
-
-
-class ExperimentRunner(Protocol):
-    """Every ``run_figXX`` runner implements this uniform signature."""
-
-    def __call__(
-        self,
-        quick: bool = True,
-        seed: int = 0,
-        obs: Optional[Instrument] = None,
-    ) -> ExperimentResult: ...
 
 #: One-line description per experiment (shown by ``python -m repro list``).
 EXPERIMENT_TITLES: Dict[str, str] = {
@@ -64,28 +54,30 @@ EXPERIMENT_TITLES: Dict[str, str] = {
     "fig_service": "open-loop RPC service: overload protection vs collapse (beyond the paper)",
 }
 
-EXPERIMENTS: Dict[str, ExperimentRunner] = {
-    "fig2a": run_fig2a,
-    "fig2b": run_fig2b,
-    "fig3a": run_fig3a,
-    "fig3c": run_fig3c,
-    "fig5a": run_fig5a,
-    "fig5b": run_fig5b,
-    "fig5c": run_fig5c,
-    "fig6b": run_fig6b,
-    "fig8a": run_fig8a,
-    "fig8b": run_fig8b,
-    "fig9": run_fig9,
-    "fig10a": run_fig10a,
-    "fig10b": run_fig10b,
-    "fig10c": run_fig10c,
-    "fig11a": run_fig11a,
-    "fig11b": run_fig11b,
-    "fig12b": run_fig12b,
-    "fig_vci": run_fig_vci,
-    "fig_chaos": run_fig_chaos,
-    "fig_continuations": run_fig_continuations,
-    "fig_service": run_fig_service,
+#: Every experiment, in registry (report) order.  Each is callable with
+#: the uniform ``(quick=True, seed=0, obs=None)`` signature.
+EXPERIMENTS: Dict[str, Experiment] = {
+    "fig2a": FIG2A,
+    "fig2b": FIG2B,
+    "fig3a": FIG3A,
+    "fig3c": FIG3C,
+    "fig5a": FIG5A,
+    "fig5b": FIG5B,
+    "fig5c": FIG5C,
+    "fig6b": FIG6B,
+    "fig8a": FIG8A,
+    "fig8b": FIG8B,
+    "fig9": FIG9,
+    "fig10a": FIG10A,
+    "fig10b": FIG10B,
+    "fig10c": FIG10C,
+    "fig11a": FIG11A,
+    "fig11b": FIG11B,
+    "fig12b": FIG12B,
+    "fig_vci": FIG_VCI,
+    "fig_chaos": FIG_CHAOS,
+    "fig_continuations": FIG_CONTINUATIONS,
+    "fig_service": FIG_SERVICE,
 }
 
 
@@ -100,6 +92,30 @@ def select_experiments(name: str) -> list:
     if name == "all":
         return list(EXPERIMENTS)
     return [n for n in EXPERIMENTS if n == name or n.startswith(name)]
+
+
+def run_experiments(
+    names: Sequence[str],
+    quick: bool = True,
+    seed: int = 0,
+    obs: Optional[Instrument] = None,
+    edit: Optional[Callable[[Cell], Cell]] = None,
+) -> List[Tuple[str, Outcome]]:
+    """Run the named experiments together (:func:`~repro.experiments.cells.execute`):
+    the union of their cells, each distinct one once, then each reduce.
+    Returns ``(name, ExperimentResult or the exception that failed it)``
+    in ``names`` order."""
+    experiments = {n: _lookup(n) for n in names}
+    return list(zip(experiments, execute(experiments, quick, seed, obs, edit)))
+
+
+def _lookup(name: str) -> Experiment:
+    try:
+        return EXPERIMENTS[name]
+    except KeyError:
+        raise ValueError(
+            f"unknown experiment {name!r}; expected one of {sorted(EXPERIMENTS)}"
+        ) from None
 
 
 #: Keyword arguments every runner accepts (the uniform signature).
@@ -121,12 +137,7 @@ def run_experiment(name: str, **kwargs: object) -> ExperimentResult:
     When a bus is passed, the result's ``data["obs"]`` carries its
     emission stats.
     """
-    try:
-        runner = EXPERIMENTS[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown experiment {name!r}; expected one of {sorted(EXPERIMENTS)}"
-        ) from None
+    runner = _lookup(name)
     unknown = sorted(set(kwargs) - set(_RUNNER_KWARGS))
     if unknown:
         raise TypeError(

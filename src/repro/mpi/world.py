@@ -30,7 +30,6 @@ from ..faults import (
 from ..locks import LOCK_CLASSES, make_lock
 from ..machine import BINDINGS, CostModel, Machine, ThreadCtx
 from ..network import Fabric
-from ..overrides import cluster_overrides
 from ..sim import Simulator
 from .collectives import Communicator
 from .parking import IdleProgress
@@ -88,12 +87,6 @@ class ClusterConfig:
     reliability: bool = False
 
     def __post_init__(self) -> None:
-        # Ablation seam: forced component values (repro.overrides) win
-        # over whatever the runner passed, and then go through the same
-        # validation/parsing as explicit arguments.  The table is empty
-        # outside ablation runs, making this a no-op.
-        for _key, _value in cluster_overrides().items():
-            setattr(self, _key, _value)
         if self.lock not in LOCK_CLASSES:
             raise ValueError(
                 f"unknown lock {self.lock!r}; valid locks: "

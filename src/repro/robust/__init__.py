@@ -84,15 +84,5 @@ class RobustConfig:
 
     @classmethod
     def protected(cls, deadline_ns: float = 300_000.0) -> "RobustConfig":
-        """Protection on, with per-request deadline ``deadline_ns``.
-
-        The ablation harness can force the layer off (``repro.overrides``
-        key ``"robust"``): experiments keep calling ``protected(...)``
-        and get :meth:`none` instead, measuring what the protection
-        layer as a whole buys.
-        """
-        from ..overrides import get_override
-
-        if not get_override("robust", True):
-            return cls.none()
+        """Protection on, with per-request deadline ``deadline_ns``."""
         return cls(deadline_ns=deadline_ns)

@@ -1,9 +1,14 @@
 """Tests for the automated ablation harness (repro.analysis.ablation)."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.analysis import ablation
 from repro.analysis.ablation import (
     COMPONENTS,
@@ -12,10 +17,14 @@ from repro.analysis.ablation import (
     extract_metrics,
     importance_report,
     load_journal,
+    override,
     rank_components,
     run_matrix,
 )
+from repro.experiments import EXPERIMENTS, cells, run_experiments
 from repro.experiments.registry import select_experiments
+
+_SRC = str(Path(repro.__file__).resolve().parents[1])
 
 
 # ----------------------------------------------------------------------
@@ -99,6 +108,47 @@ class TestMatrixShape:
 
 
 # ----------------------------------------------------------------------
+# Overrides on the declared cells (no simulation)
+# ----------------------------------------------------------------------
+
+class TestOverride:
+    @pytest.mark.parametrize("component", list(COMPONENTS))
+    def test_ablated_values_reach_every_cell_of_every_experiment(
+        self, component, monkeypatch,
+    ):
+        ablated = COMPONENTS[component].ablated
+        seen = []
+
+        def record(cell, obs=None):
+            seen.append(cell)
+            raise RuntimeError("declaration only")
+
+        monkeypatch.setattr(cells, "run_cell", record)
+        outcomes = dict(run_experiments(
+            list(EXPERIMENTS), edit=lambda c: override(c, ablated),
+        ))
+        assert all(isinstance(o, RuntimeError) for o in outcomes.values())
+        assert len(outcomes) == len(EXPERIMENTS)
+        kinds = {c.kind for c in seen}
+        assert "service" in kinds and "throughput" in kinds
+        for cell in seen:
+            for key, value in ablated.items():
+                if key != "robust":
+                    assert cell.cluster[key] == value, (cell.kind, key)
+                elif cell.kind == "service":
+                    assert cell.deadline_ns == 0.0
+        if component == "lock":
+            # fig8a's and fig8b's single-threaded cells run no lock
+            # unless ablated.
+            assert not any(c.cluster["lock"] == "null" for c in seen)
+
+    def test_no_override_leaves_a_cell_as_declared(self):
+        for exp in EXPERIMENTS.values():
+            for cell in exp.declare(True, 0)[0].values():
+                assert override(cell, {}).id == cell.id
+
+
+# ----------------------------------------------------------------------
 # Metric extraction
 # ----------------------------------------------------------------------
 
@@ -169,15 +219,25 @@ class TestExecution:
         assert rec["status"] == "failed"
         assert "no-such-experiment" in rec["error"]
 
-    def test_overrides_cleared_after_cell(self):
-        from repro.overrides import cluster_overrides, get_override
-        ablation.execute_cell({
-            "run_id": "deadbeef", "exp_id": "no-such-experiment",
-            "label": "no-lock", "ablated": ["lock"],
-            "overrides": {"lock": "mutex"}, "seed": 0, "quick": True,
-        })
-        assert cluster_overrides() == {}
-        assert get_override("robust") is None
+    def test_ablated_then_baseline_in_one_process_matches_a_fresh_one(self):
+        baseline, no_lock = build_matrix(["fig2b"], components=["lock"])
+        assert no_lock.label == "no-lock"
+        ablated = ablation.execute_cell(no_lock.to_dict())
+        here = ablation.execute_cell(baseline.to_dict())
+        assert ablated["status"] == here["status"] == "ok"
+        assert ablated["metrics"] != here["metrics"]
+        code = (
+            "import json, sys\n"
+            "from repro.analysis.ablation import execute_cell\n"
+            "print(json.dumps(execute_cell(json.loads(sys.argv[1]))))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code, json.dumps(baseline.to_dict())],
+            env={**os.environ, "PYTHONPATH": _SRC},
+            capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == json.loads(json.dumps(here))
 
     def test_journal_resume_skips_completed_cells(self, tmp_path, monkeypatch):
         cells = _tiny_matrix()

@@ -130,21 +130,38 @@ def test_bad_lock_choice_rejected():
 # Partial-failure isolation in `run` (one crash must not eat the sweep)
 # ----------------------------------------------------------------------
 
-def _fake_registry(monkeypatch):
-    """Two fake experiments: expA succeeds, expB raises mid-sweep."""
+def _fake_registry(monkeypatch, reads=None):
+    """Fake experiments over fake cells: ``reads`` maps each experiment
+    to the kinds of cell it declares (a ``boom`` cell raises).  The
+    default is expA over a fine cell and expB over the raising one.
+    Returns the list of cell kinds run, in order."""
     import repro.cli as cli
+    from repro.experiments import cells, registry
     from repro.experiments.base import ExperimentResult
+    from repro.experiments.cells import Cell, Experiment
 
-    def fake_run(name, quick=True, seed=0):
-        if name == "expB":
+    ran = []
+
+    def run(cell, obs):
+        ran.append(cell.kind)
+        if cell.kind == "boom":
             raise RuntimeError("kaboom")
-        return ExperimentResult(
-            exp_id=name, title="fake", headers=["h"], rows=[["v"]],
-            checks={"always": True},
-        )
+        return cell.seed
 
-    monkeypatch.setattr(cli, "EXPERIMENTS", {"expA": None, "expB": None})
-    monkeypatch.setattr(cli, "run_experiment", fake_run)
+    def experiment(name, kinds):
+        def declare(quick, seed):
+            return {k: Cell(k, {}, None, seed) for k in kinds}, lambda results: (
+                ExperimentResult(exp_id=name, title="fake", headers=["h"],
+                                 rows=[["v"]], checks={"always": True}))
+        return Experiment(declare)
+
+    reads = reads or {"expA": ("fine",), "expB": ("boom",)}
+    fake = {name: experiment(name, kinds) for name, kinds in reads.items()}
+    monkeypatch.setitem(cells.KINDS, "fine", run)
+    monkeypatch.setitem(cells.KINDS, "boom", run)
+    monkeypatch.setattr(cli, "EXPERIMENTS", fake)
+    monkeypatch.setattr(registry, "EXPERIMENTS", fake)
+    return ran
 
 
 def test_run_all_json_survives_one_crash(capsys, monkeypatch):
@@ -175,6 +192,26 @@ def test_run_single_crash_json_payload(capsys, monkeypatch):
     assert main(["run", "expB", "--format", "json"]) == 1
     payload = json.loads(capsys.readouterr().out)
     assert payload == {"exp_id": "expB", "error": "RuntimeError: kaboom"}
+
+
+def test_run_all_shared_crash_errors_exactly_its_readers(capsys, monkeypatch):
+    import json
+
+    ran = _fake_registry(monkeypatch, {
+        "expA": ("fine",), "expB": ("boom",), "expC": ("fine", "boom"),
+        "expD": ("fine",),
+    })
+    assert main(["run", "all", "--format", "json"]) == 1
+    captured = capsys.readouterr()
+    payload = json.loads(captured.out)
+    assert [d["exp_id"] for d in payload] == ["expA", "expB", "expC", "expD"]
+    error = {"error": "RuntimeError: kaboom"}
+    assert payload[1] == {"exp_id": "expB", **error}
+    assert payload[2] == {"exp_id": "expC", **error}
+    assert payload[0]["ok"] is True and payload[3]["ok"] is True
+    assert "experiments ERRORED: expB, expC" in captured.err
+    # The shared cells ran once each, in first-declared order.
+    assert ran == ["fine", "boom"]
 
 
 # ----------------------------------------------------------------------

@@ -9,10 +9,9 @@ from __future__ import annotations
 
 import argparse
 import sys
-import time
 from pathlib import Path
 
-from repro.experiments import EXPERIMENTS, run_experiment
+from repro.experiments import EXPERIMENTS, run_experiments
 
 # Paper claim text per experiment (what the original reports).
 PAPER_CLAIMS = {
@@ -115,7 +114,8 @@ not expected to match the authors' Nehalem/QDR testbed; the **shape
 checks** encode what must match: who wins, by roughly what factor, and
 where crossovers fall. Regenerate with
 `python tools/gen_experiments_md.py` (add `--paper-scale` for the full
-parameter grid; the quick grid below runs in a few minutes).
+parameter grid; the quick grid below runs in about 33 s on a
+2-vCPU host, each run that several figures read simulated once).
 
 **Table 1** (testbed spec) is encoded as
 `repro.machine.MachineSpec`/`nehalem_node()` and asserted in
@@ -136,25 +136,23 @@ def main() -> None:
 
     parts = [HEADER]
     summary = []
-    for name in EXPERIMENTS:
-        t0 = time.time()  # simlint: disable=wall-clock
-        # seed=1 pinned: EXPERIMENTS.md was generated at that seed and
-        # regenerating must stay comparable across runs.
-        res = run_experiment(name, quick=quick, seed=1)
-        dt = time.time() - t0  # simlint: disable=wall-clock
+    # seed=1 pinned: EXPERIMENTS.md was generated at that seed and
+    # regenerating must stay comparable across runs.
+    for name, res in run_experiments(list(EXPERIMENTS), quick=quick, seed=1):
+        if isinstance(res, Exception):
+            raise res
         status = "all shape checks pass" if res.ok else (
             "FAILED: " + ", ".join(res.failed_checks()))
         summary.append((name, res.ok))
         parts.append(f"## {res.exp_id}: {res.title}\n")
         parts.append(f"**Paper:** {PAPER_CLAIMS.get(name, '(n/a)')}\n")
-        parts.append("**Measured** "
-                     f"({'quick' if quick else 'paper'} preset, {dt:.0f}s):\n")
+        parts.append(f"**Measured** ({'quick' if quick else 'paper'} preset):\n")
         parts.append("```")
         parts.append(res.format())
         parts.append("```\n")
         if name in DEVIATIONS:
             parts.append(f"**Deviation:** {DEVIATIONS[name]}\n")
-        print(f"{name:8s} {dt:6.1f}s {status}", file=sys.stderr)
+        print(f"{name:8s} {status}", file=sys.stderr)
 
     ok = sum(1 for _, o in summary if o)
     parts.insert(1, f"**Status: {ok}/{len(summary)} experiments pass all "

@@ -24,7 +24,7 @@ from typing import Dict, Iterable, List, Mapping, Tuple
 
 import numpy
 
-from repro.experiments import EXPERIMENTS, run_experiment
+from repro.experiments import EXPERIMENTS, run_experiments
 from repro.experiments.base import canonical_id
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -45,12 +45,14 @@ def pin(doc: Mapping[str, object]) -> dict:
 
 def compute(selection: Mapping[int, Iterable[str]]) -> Pins:
     """Pins of the selected experiments: ``selection`` maps a seed to
-    the experiment names to run at it."""
+    the experiment names to run at it, together, so a cell they share
+    runs once."""
     pins: Pins = {}
     for seed, names in selection.items():
-        for name in names:
-            doc = run_experiment(name, quick=True, seed=seed).to_dict()
-            pins.setdefault(name, {})[str(seed)] = pin(doc)
+        for name, result in run_experiments(list(names), quick=True, seed=seed):
+            if isinstance(result, Exception):
+                raise result
+            pins.setdefault(name, {})[str(seed)] = pin(result.to_dict())
     return pins
 
 
