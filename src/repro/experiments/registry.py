@@ -1,4 +1,4 @@
-"""Name -> runner map for every reproduced table and figure."""
+"""Name -> experiment map for every reproduced figure, and its entry points."""
 
 from __future__ import annotations
 
