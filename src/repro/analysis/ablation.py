@@ -16,21 +16,20 @@ Four pieces:
   :func:`override` writes into every cell spec the experiment declares
   (``ClusterConfig`` fields, and ``robust`` for the service's deadline).
 * **run matrix** (:func:`build_matrix`) -- baseline + leave-one-out
-  (optionally pairwise) variants over a registry selection, with
-  **stable run IDs**: blake2b over the canonicalized variant
-  (experiment, merged overrides, seed, preset).  No wall clock, no
-  process identity -- the same spec always names the same variant, so
-  matrices are reproducible and resumable.
-* **executor** (:func:`run_matrix`) -- serial or
-  ``ProcessPoolExecutor`` over a *spawn* context (nothing is inherited
-  from the parent's interpreter state).  A variant runs its
-  experiment's cells, overridden, through the same cell executor as
-  ``repro run``.  Every finished variant is appended to a
-  JSONL **journal**; variants whose run ID already has an ``ok`` record
-  are skipped on re-run, and a worker crash becomes a ``failed`` record
-  instead of killing the sweep.  Records carry no timing fields, so
-  serial and pooled sweeps produce identical journals (modulo append
-  order -- compare sorted by run ID).
+  (optionally pairwise) variants over a registry selection, every one
+  on top of all components' baselines, with **stable run IDs**: blake2b
+  over the canonicalized variant (experiment, merged overrides, seed,
+  preset).  No wall clock, no process identity -- the same spec always
+  names the same variant, so matrices are reproducible and resumable.
+* **runner** (:func:`run_matrix`) -- every pending variant becomes one
+  overridden experiment, and all of them go through one call of the
+  cell executor ``repro run`` uses
+  (:func:`~repro.experiments.cells.execute`, on its spawn process pool
+  under ``jobs > 1``), so a cell shared by variants or experiments runs
+  once.  Every variant is appended to a JSONL **journal** as it is
+  reduced, in matrix order; variants whose run ID already has an ``ok``
+  record are skipped on re-run.  Records carry no timing fields, so
+  serial and pooled sweeps write byte-identical journals.
 * **report** (:func:`importance_report`) -- per metric, the delta of
   each leave-one-out variant against its experiment's baseline, and a
   ranking of components by mean relative impact.
@@ -40,15 +39,13 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import multiprocessing
 import os
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from ..experiments import run_experiments
 from ..experiments.base import canonical_id
-from ..experiments.cells import Cell
+from ..experiments.cells import Cell, Experiment, execute
+from ..experiments.registry import EXPERIMENTS, _lookup
 from .report import format_table
 
 __all__ = [
@@ -75,9 +72,10 @@ class Component:
     """One toggleable runtime component.
 
     ``baseline`` is applied in *every* variant of the matrix (the
-    all-remedies-on reference); ``ablated`` replaces it in this
-    component's leave-one-out variant.  :func:`override` writes the
-    values into every cell the experiment declares.
+    all-remedies-on reference), whichever components the matrix varies;
+    ``ablated`` replaces it in this component's leave-one-out variant.
+    :func:`override` writes the values into every cell the experiment
+    declares.
     """
 
     name: str
@@ -121,6 +119,10 @@ COMPONENTS: Dict[str, Component] = _components(
         "eager protocol below 16 KiB vs all-rendezvous transfers",
         baseline={"eager_threshold": 16384},
         ablated={"eager_threshold": 0},
+        # fig_service's client cancels reply receives at their
+        # deadlines; a rendezvous reply to a cancelled receive waits for
+        # a CTS that never comes, so the server cannot drain and exit.
+        unsafe_for=("fig_service",),
     ),
     Component(
         "reliability",
@@ -185,16 +187,11 @@ def _applicable(component: Component, exp_id: str) -> bool:
 
 
 def _make_variant(
-    exp_id: str,
-    components: Sequence[Component],
-    ablated: Tuple[str, ...],
-    seed: int,
-    quick: bool,
+    exp_id: str, ablated: Tuple[str, ...], seed: int, quick: bool,
 ) -> Variant:
     merged: Dict[str, object] = {}
-    for comp in components:
-        vals = comp.ablated if comp.name in ablated else comp.baseline
-        merged.update(vals)
+    for comp in COMPONENTS.values():
+        merged.update(comp.ablated if comp.name in ablated else comp.baseline)
     label = "+".join(f"no-{n}" for n in ablated) or "baseline"
     return Variant(
         exp_id=exp_id,
@@ -217,33 +214,31 @@ def build_matrix(
     """Baseline + leave-one-out (+ optional pairwise) variants per experiment.
 
     ``components`` selects (by name, in registry order) which components
-    vary; all of them contribute their *baseline* values to every variant.
+    get leave-one-out variants; every registry component contributes its
+    *baseline* value to every variant.
     Components whose ablated value is unsafe for an experiment get no
     leave-one-out variant there (see :attr:`Component.unsafe_for`).
     """
-    if components is None:
-        names = list(COMPONENTS)
-    else:
-        unknown = sorted(set(components) - set(COMPONENTS))
-        if unknown:
-            raise ValueError(
-                f"unknown component(s) {', '.join(repr(n) for n in unknown)}; "
-                f"valid components: {', '.join(COMPONENTS)}"
-            )
-        names = [n for n in COMPONENTS if n in set(components)]
-    comps = [COMPONENTS[n] for n in names]
+    selected = set(COMPONENTS if components is None else components)
+    unknown = sorted(selected - set(COMPONENTS))
+    if unknown:
+        raise ValueError(
+            f"unknown component(s) {', '.join(repr(n) for n in unknown)}; "
+            f"valid components: {', '.join(COMPONENTS)}"
+        )
+    comps = [c for n, c in COMPONENTS.items() if n in selected]
 
     variants: List[Variant] = []
     for exp_id in experiments:
-        variants.append(_make_variant(exp_id, comps, (), seed, quick))
+        variants.append(_make_variant(exp_id, (), seed, quick))
         applicable = [c for c in comps if _applicable(c, exp_id)]
         for comp in applicable:
-            variants.append(_make_variant(exp_id, comps, (comp.name,), seed, quick))
+            variants.append(_make_variant(exp_id, (comp.name,), seed, quick))
         if pairwise:
             for i, a in enumerate(applicable):
                 for b in applicable[i + 1:]:
                     variants.append(
-                        _make_variant(exp_id, comps, (a.name, b.name), seed, quick)
+                        _make_variant(exp_id, (a.name, b.name), seed, quick)
                     )
     return variants
 
@@ -314,7 +309,7 @@ def extract_metrics(result_dict: Mapping[str, object]) -> Dict[str, float]:
 
 
 # ----------------------------------------------------------------------
-# Execution: worker protocol + journal
+# Execution: overridden experiments + journal
 # ----------------------------------------------------------------------
 
 def override(cell: Cell, overrides: Mapping[str, object]) -> Cell:
@@ -330,36 +325,14 @@ def override(cell: Cell, overrides: Mapping[str, object]) -> Cell:
     )
 
 
-def execute_cell(cell_dict: dict) -> dict:
-    """Run one variant and return its journal record.  Spawn-safe worker
-    entrypoint: a plain top-level function over plain dicts, so a fresh
-    interpreter (``spawn`` start method) rebuilds everything from the
-    spec alone.
-
-    Never raises for an experiment failure -- the record says
-    ``status="failed"`` and carries the error, so one broken variant
-    cannot take down a sweep.
-    """
-    record = {k: cell_dict[k] for k in (
-        "run_id", "exp_id", "label", "ablated", "overrides", "seed", "quick",
-    )}
-    try:
-        ((_, res),) = run_experiments(
-            [record["exp_id"]], quick=record["quick"], seed=record["seed"],
-            edit=lambda c: override(c, record["overrides"]),
-        )
-        if isinstance(res, Exception):
-            raise res
-    except Exception as exc:
-        record["status"] = "failed"
-        record["error"] = f"{type(exc).__name__}: {exc}"
-    else:
-        d = res.to_dict()
-        record["status"] = "ok"
-        record["ok"] = d["ok"]
-        record["checks"] = d["checks"]
-        record["metrics"] = extract_metrics(d)
-    return record
+def _experiment(variant: Variant) -> Experiment:
+    """``variant``'s experiment at its own preset and seed, declaring
+    every cell under its overrides."""
+    def declare(_quick: bool, _seed: int):
+        cells, reduce = _lookup(variant.exp_id).declare(variant.quick, variant.seed)
+        return {k: override(c, variant.overrides) for k, c in cells.items()}, reduce
+    exp = EXPERIMENTS.get(variant.exp_id)
+    return Experiment(declare, exp.tap if exp else None)
 
 
 def load_journal(path: Optional[str]) -> Dict[str, dict]:
@@ -402,66 +375,43 @@ def run_matrix(
     """Execute every variant not already completed in the journal.
 
     Returns one record per variant, in matrix order (cached records for
-    skipped variants, fresh ones for the rest).  ``jobs > 1`` fans out over
-    a ``spawn``-context process pool; the simulator is single-threaded,
-    so variants are embarrassingly parallel.  A worker that dies (OOM,
-    signal) yields a ``failed`` record for its variant and the sweep keeps
-    going.  Failed records are *not* treated as completed: a re-run
-    retries them.
+    skipped variants, fresh ones for the rest).  The pending variants run
+    as one :func:`~repro.experiments.cells.execute` call with ``jobs``
+    workers, and each record is journaled as its variant is reduced.  A
+    variant whose declaration, cells or reduce raise (or whose cells die
+    with a worker) gets a ``failed`` record; failed records are *not*
+    treated as completed, so a re-run retries them.
     """
     say = progress or (lambda msg: None)
     journal = load_journal(journal_path)
     done = {rid for rid, rec in journal.items() if rec.get("status") == "ok"}
-    pending = [v for v in variants if v.run_id not in done]
+    pending = {v.run_id: v for v in variants if v.run_id not in done}
     say(
         f"matrix: {len(variants)} cells, {len(variants) - len(pending)} cached, "
         f"{len(pending)} new cells"
     )
-
-    fresh: Dict[str, dict] = {}
-
-    def note(record: dict) -> None:
-        fresh[record["run_id"]] = record
+    experiments = {rid: _experiment(v) for rid, v in pending.items()}
+    for i, (rid, outcome) in enumerate(execute(experiments, jobs=jobs), 1):
+        record = journal[rid] = _record(pending[rid], outcome)
         _append_journal(journal_path, record)
         status = record["status"]
         if status == "ok":
-            status = "ok" if record.get("ok") else "ok (checks failed)"
-        say(
-            f"  [{len(fresh)}/{len(pending)}] {record['exp_id']} "
-            f"{record['label']} {record['run_id']}: {status}"
-        )
+            status = "ok" if record["ok"] else "ok (checks failed)"
+        say(f"  [{i}/{len(pending)}] {record['exp_id']} {record['label']} "
+            f"{rid}: {status}")
+    return [journal[v.run_id] for v in variants]
 
-    if jobs <= 1 or len(pending) <= 1:
-        for variant in pending:
-            note(execute_cell(variant.to_dict()))
-    else:
-        ctx = multiprocessing.get_context("spawn")
-        with ProcessPoolExecutor(max_workers=jobs, mp_context=ctx) as pool:
-            futures = {pool.submit(execute_cell, v.to_dict()): v for v in pending}
-            remaining = set(futures)
-            while remaining:
-                finished, remaining = wait(remaining, return_when=FIRST_COMPLETED)
-                for fut in finished:
-                    variant = futures[fut]
-                    try:
-                        record = fut.result()
-                    except Exception as exc:
-                        # The worker itself died (BrokenProcessPool,
-                        # pickling error): record the casualty, keep
-                        # sweeping the rest.
-                        record = dict(
-                            variant.to_dict(), status="failed",
-                            error=f"worker crashed: {type(exc).__name__}: {exc}",
-                        )
-                    note(record)
 
-    out = []
-    for variant in variants:
-        if variant.run_id in fresh:
-            out.append(fresh[variant.run_id])
-        else:
-            out.append(journal[variant.run_id])
-    return out
+def _record(variant: Variant, outcome: object) -> dict:
+    """A variant's journal record: its spec plus the status, and for a
+    completed run the checks and :func:`extract_metrics`."""
+    record = variant.to_dict()
+    if isinstance(outcome, Exception):
+        return dict(record, status="failed",
+                    error=f"{type(outcome).__name__}: {outcome}")
+    d = outcome.to_dict()
+    return dict(record, status="ok", ok=d["ok"], checks=d["checks"],
+                metrics=extract_metrics(d))
 
 
 # ----------------------------------------------------------------------

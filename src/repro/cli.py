@@ -478,7 +478,8 @@ def build_parser() -> argparse.ArgumentParser:
              "and rank components by metric impact")
     ab.add_argument("--experiments", default="all", metavar="PREFIX",
                     help="experiment selector: exact name, prefix "
-                         "('fig2' = fig2a+fig2b) or 'all' (default)")
+                         "('fig2' = fig2a+fig2b), a comma list of those "
+                         "or 'all' (default)")
     ab.add_argument("--components", default=None, metavar="NAMES",
                     help="comma-separated component subset (default: all; "
                          "see repro.analysis.ablation.COMPONENTS)")

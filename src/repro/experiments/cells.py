@@ -13,14 +13,22 @@ simulates it once for all of them.
 A bus never changes a schedule, so an experiment that reads a run
 through the bus (fig3a's lock trace) attaches a :attr:`Experiment.tap`
 to the shared run instead of declaring a traced copy of it.
+
+:func:`execute` is the only executor: ``repro run`` calls it with one
+job, ``repro ablate`` with ``--jobs``, and then one pool task is one
+cell plus the taps of the experiments that read it.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import multiprocessing
+import os
+from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, field
 from typing import (
-    Any, Callable, Dict, Hashable, List, Mapping, Optional, Tuple, Union,
+    Any, Callable, Dict, Hashable, Iterator, List, Mapping, Optional, Tuple,
+    Union,
 )
 
 from ..faults import ProgressStallError
@@ -171,6 +179,7 @@ def run_cell(cell: Cell, obs: Optional[Instrument] = None) -> Any:
 
 Outcome = Union[ExperimentResult, Exception]
 Reduce = Callable[[Mapping[Hashable, Any]], ExperimentResult]
+Tap = Callable[[Instrument, Cell], Callable[[], Any]]
 
 
 @dataclass(frozen=True)
@@ -179,15 +188,16 @@ class Experiment:
     reduce over their outcomes."""
 
     declare: Callable[[bool, int], Tuple[Mapping[Hashable, Cell], Reduce]]
-    #: Subscribes to the bus of each of this experiment's runs and
+    #: Subscribes to the bus of each of this experiment's runs (a
+    #: top-level function, so a worker process can receive it) and
     #: returns what collects the reading after it; ``reduce`` then gets
     #: the readings instead of the outcomes.
-    tap: Optional[Callable[[Instrument], Callable[[], Any]]] = None
+    tap: Optional[Tap] = None
 
     def __call__(
         self, quick: bool = True, seed: int = 0, obs: Optional[Instrument] = None,
     ) -> ExperimentResult:
-        (result,) = execute({"": self}, quick, seed, obs)
+        ((_, result),) = execute({"": self}, quick, seed, obs)
         if isinstance(result, Exception):
             raise result
         return result
@@ -198,57 +208,94 @@ def execute(
     quick: bool = True,
     seed: int = 0,
     obs: Optional[Instrument] = None,
-    edit: Optional[Callable[[Cell], Cell]] = None,
-) -> List[Outcome]:
+    jobs: int = 1,
+) -> Iterator[Tuple[str, Outcome]]:
     """Run the union of the experiments' cells, each distinct cell ID
-    once and in first-declared order, then reduce each experiment.
+    once and in first-declared order, and reduce each experiment.
 
-    Returns one result per experiment, in mapping order.  ``obs`` goes
-    to every (traced) run; ``edit`` rewrites each declared cell before
-    its ID is taken (ablation's overrides).  A cell that raises fails
-    exactly the experiments that declared it, and a raising declaration
-    or reduce fails its own: their result is the exception.
+    Yields ``(name, result)`` in mapping order, each as soon as that
+    experiment and every one before it are reduced.  With ``jobs == 1``
+    or a caller's bus ``obs`` (which reaches every traced run) the cells
+    run in this process; otherwise on a spawn process pool of at most
+    ``jobs`` workers, never more than this process may run on.  A cell
+    that raises fails exactly the experiments that declared it (a worker
+    that dies breaks the pool, which fails every cell not yet done), and
+    a raising declaration or reduce fails its own: their result is the
+    exception.
     """
     declared: Dict[str, Union[Dict[Hashable, str], Exception]] = {}
     reduces: Dict[str, Reduce] = {}
     runs: Dict[str, Cell] = {}
+    # Cell ID -> the taps of the experiments that read it.
+    taps: Dict[str, Dict[str, Tap]] = {}
     for name, exp in experiments.items():
         try:
             cells, reduces[name] = exp.declare(quick, seed)
         except Exception as exc:
             declared[name] = exc
             continue
-        cells = {k: edit(c) if edit else c for k, c in cells.items()}
         declared[name] = {k: c.id for k, c in cells.items()}
         for cid, c in zip(declared[name].values(), cells.values()):
             runs.setdefault(cid, c)
-    tapped = [n for n, e in experiments.items()
-              if e.tap is not None and isinstance(declared[n], dict)]
-    outcomes: Dict[str, Any] = {}
-    readings: Dict[tuple, Any] = {}
-    for cid, cell in runs.items():
-        readers = [n for n in tapped if cid in declared[n].values()]
-        bus = obs if obs is not None or not readers else Instrument()
-        try:
-            collect = {n: experiments[n].tap(bus) for n in readers}
-            outcomes[cid] = run_cell(cell, bus)
-            for n, reading in collect.items():
-                readings[n, cid] = reading()
-        except Exception as exc:
-            outcomes[cid] = exc
-    return [_reduce(n, experiments[n], reduces.get(n), declared[n], outcomes,
-                    readings) for n in experiments]
+            readers = taps.setdefault(cid, {})
+            if exp.tap is not None:
+                readers[name] = exp.tap
+    done: Dict[str, Tuple[Any, Dict[str, Any]]] = {}
+    waiting = list(experiments)
+
+    def reduced() -> List[Tuple[str, Outcome]]:
+        """Reduce the waiting experiments, in order, up to the first
+        with a cell still to run."""
+        out = []
+        while waiting and (isinstance(declared[waiting[0]], Exception)
+                           or all(cid in done for cid in declared[waiting[0]].values())):
+            name = waiting.pop(0)
+            out.append((name, _reduce(name, experiments[name], reduces.get(name),
+                                      declared[name], done)))
+        return out
+
+    yield from reduced()
+    workers = min(jobs, len(os.sched_getaffinity(0)), len(runs))
+    if obs is not None or workers <= 1:
+        for cid, cell in runs.items():
+            done[cid] = _run(cell, taps[cid], obs)
+            yield from reduced()
+        return
+    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("spawn"))
+    try:
+        futures = {pool.submit(_run, cell, taps[cid]): cid for cid, cell in runs.items()}
+        for fut in as_completed(futures):
+            try:
+                done[futures[fut]] = fut.result()
+            except Exception as exc:  # a worker died and broke the pool
+                done[futures[fut]] = exc, {}
+            yield from reduced()
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
-def _reduce(name, exp, reduce, ids, outcomes, readings) -> Outcome:
+def _run(
+    cell: Cell, taps: Mapping[str, Tap], obs: Optional[Instrument] = None,
+) -> Tuple[Any, Dict[str, Any]]:
+    """Simulate ``cell`` with its readers' taps on its bus: its outcome
+    (or the exception that failed it) and each reader's reading."""
+    bus = obs if obs is not None or not taps else Instrument()
+    try:
+        collect = {name: tap(bus, cell) for name, tap in taps.items()}
+        outcome = run_cell(cell, bus)
+        return outcome, {name: reading() for name, reading in collect.items()}
+    except Exception as exc:
+        return exc, {}
+
+
+def _reduce(name, exp, reduce, ids, done) -> Outcome:
     if isinstance(ids, Exception):
         return ids
-    failed = [outcomes[cid] for cid in ids.values()
-              if isinstance(outcomes[cid], Exception)]
-    if failed:
-        return failed[0]
+    for cid in ids.values():
+        if isinstance(done[cid][0], Exception):
+            return done[cid][0]
     try:
-        return reduce({key: readings[name, cid] if exp.tap else outcomes[cid]
+        return reduce({key: done[cid][1][name] if exp.tap else done[cid][0]
                        for key, cid in ids.items()})
     except Exception as exc:
         return exc

@@ -14,6 +14,8 @@ from __future__ import annotations
 from ..analysis.bias import compute_bias_factors
 from ..analysis.report import format_size
 from ..locks.stats import LockTrace
+from ..mpi.vci import parse_cs_policy
+from ..mpi.world import lock_name
 from .base import ExperimentResult
 from .cells import Experiment
 from .config import preset
@@ -55,9 +57,12 @@ def _fig3a(quick: bool, seed: int):
     return cells, reduce
 
 
-def _lock_trace(bus):
-    """The bias estimators read the receiver rank's lock events."""
-    trace = LockTrace.from_bus(bus, lock_name="mutex@rank1")
+def _lock_trace(bus, cell):
+    """The bias estimators read the lock events of the receiver rank's
+    domain for source 0, tag 0 (what its receivers post)."""
+    policy = parse_cs_policy(cell.cluster["cs"])
+    name = lock_name(cell.cluster["lock"], 1, policy, policy.route(0, 0))
+    trace = LockTrace.from_bus(bus, lock_name=name)
 
     def collect():
         trace.detach()

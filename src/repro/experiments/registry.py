@@ -2,11 +2,11 @@
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, Optional, Sequence, Tuple
 
 from ..obs import Instrument
 from .base import ExperimentResult
-from .cells import Cell, Experiment, Outcome, execute
+from .cells import Experiment, Outcome, execute
 from .fig2 import FIG2A, FIG2B
 from .fig3 import FIG3A, FIG3C
 from .fig5 import FIG5A, FIG5B, FIG5C
@@ -85,13 +85,14 @@ def select_experiments(name: str) -> list:
     """Expand an experiment selector to registry names, in registry order.
 
     ``"all"`` selects everything; otherwise ``name`` matches exactly or
-    as a prefix (``"fig2"`` covers ``fig2a`` and ``fig2b``).  Returns an
-    empty list for a selector matching nothing -- callers decide whether
-    that is an error (the CLI does).
+    as a prefix (``"fig2"`` covers ``fig2a`` and ``fig2b``), and a comma
+    list selects the union (``"fig3a,fig12b"``).  Returns an empty list
+    for a selector matching nothing -- callers decide whether that is an
+    error (the CLI does).
     """
-    if name == "all":
-        return list(EXPERIMENTS)
-    return [n for n in EXPERIMENTS if n == name or n.startswith(name)]
+    parts = name.split(",")
+    return [n for n in EXPERIMENTS
+            if any(p == "all" or n.startswith(p) for p in parts)]
 
 
 def run_experiments(
@@ -99,14 +100,13 @@ def run_experiments(
     quick: bool = True,
     seed: int = 0,
     obs: Optional[Instrument] = None,
-    edit: Optional[Callable[[Cell], Cell]] = None,
-) -> List[Tuple[str, Outcome]]:
-    """Run the named experiments together (:func:`~repro.experiments.cells.execute`):
-    the union of their cells, each distinct one once, then each reduce.
-    Returns ``(name, ExperimentResult or the exception that failed it)``
-    in ``names`` order."""
-    experiments = {n: _lookup(n) for n in names}
-    return list(zip(experiments, execute(experiments, quick, seed, obs, edit)))
+) -> Iterator[Tuple[str, Outcome]]:
+    """Run the named experiments together, in this process
+    (:func:`~repro.experiments.cells.execute`): the union of their
+    cells, each distinct one once, then each reduce.  Yields ``(name,
+    ExperimentResult or the exception that failed it)`` in ``names``
+    order, each as soon as it is reduced."""
+    return execute({n: _lookup(n) for n in names}, quick, seed, obs)
 
 
 def _lookup(name: str) -> Experiment:

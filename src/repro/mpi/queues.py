@@ -50,12 +50,15 @@ class PostedQueue:
         Entries already *claimed* by a match in another arbitration
         domain (wildcard receives are posted to every domain; the first
         match wins) are skipped -- they are dead weight awaiting lazy
-        removal by :meth:`discard`.
+        removal by :meth:`discard`.  The match claims the request in the
+        same step, before the caller pays the scan cost, so no other
+        domain can match it meanwhile.
         """
         for i, req in enumerate(self._q):
             if req.claimed:
                 continue
             if matches(req.envelope, incoming):
+                req.claimed = True
                 del self._q[i]
                 self.total_scanned += i + 1
                 return req, i + 1

@@ -609,6 +609,10 @@ class MpiRuntime:
                 self._san(ctx, f"unexp_q.d{dom.index}",
                           guards=(dom.unexp_q.guard,))
             msg, scanned = dom.unexp_q.match(env)
+            if msg is not None:
+                # Claim at the match, before paying the scan: another
+                # domain's thread could otherwise match it meanwhile.
+                req.claimed = True
             yield self._cs_time(dom, self.costs.queue_scan * scanned)
             if msg is None:
                 # Post before moving to the next domain so an arrival
@@ -620,8 +624,6 @@ class MpiRuntime:
                 self._emit_queue_depths(dom)
                 yield from self._cs_release(dom, ctx)
                 continue
-            # First unexpected match claims the request for this domain.
-            req.claimed = True
             req.vci = dom.index
             req.unexpected = True
             if msg.rndv:
@@ -969,7 +971,6 @@ class MpiRuntime:
             req, scanned = dom.posted_q.match(info.envelope)
             yield self._cs_time(dom, self.costs.queue_scan * scanned)
             if req is not None:
-                req.claimed = True
                 req.vci = dom.index
                 self.stats.posted_hits += 1
                 if kind is PacketKind.EAGER:

@@ -39,7 +39,17 @@ from .vci import CsPolicy, parse_cs_policy
 if TYPE_CHECKING:
     from ..obs import Instrument
 
-__all__ = ["ClusterConfig", "Cluster"]
+__all__ = ["ClusterConfig", "Cluster", "lock_name"]
+
+
+def lock_name(lock: str, rank: int, policy: CsPolicy, domain: int) -> str:
+    """Name of ``rank``'s lock for arbitration ``domain``:
+    ``"<lock>@rank<N>"``, with ``".d<i>"`` only under several domains --
+    lock RNG streams are keyed by name, so the global policy stays
+    bit-for-bit identical to the pre-domain runtime."""
+    if policy.n_domains == 1:
+        return f"{lock}@rank{rank}"
+    return f"{lock}@rank{rank}.d{domain}"
 
 
 @dataclass(kw_only=True)
@@ -164,19 +174,10 @@ class Cluster:
             node = rank // config.ranks_per_node
             machine = self.machines[node]
             nic = self.fabric.register_rank(rank, node, n_vcis=policy.n_domains)
-            # One lock per arbitration domain.  With a single domain the
-            # name stays exactly "<lock>@rank<N>" -- lock RNG streams are
-            # keyed by name, so this keeps the global policy bit-for-bit
-            # identical to the pre-domain runtime.
+            # One lock per arbitration domain.
             locks = [
-                make_lock(
-                    config.lock, self.sim, config.costs,
-                    name=(
-                        f"{config.lock}@rank{rank}"
-                        if policy.n_domains == 1
-                        else f"{config.lock}@rank{rank}.d{di}"
-                    ),
-                )
+                make_lock(config.lock, self.sim, config.costs,
+                          name=lock_name(config.lock, rank, policy, di))
                 for di in range(policy.n_domains)
             ]
             rt = MpiRuntime(

@@ -1,9 +1,11 @@
 """Tests for the automated ablation harness (repro.analysis.ablation)."""
 
+import dataclasses
 import json
 import os
 import subprocess
 import sys
+from concurrent.futures import Future
 from pathlib import Path
 
 import pytest
@@ -12,6 +14,7 @@ import repro
 from repro.analysis import ablation
 from repro.analysis.ablation import (
     COMPONENTS,
+    Variant,
     build_matrix,
     cell_run_id,
     extract_metrics,
@@ -21,7 +24,7 @@ from repro.analysis.ablation import (
     rank_components,
     run_matrix,
 )
-from repro.experiments import EXPERIMENTS, cells, run_experiments
+from repro.experiments import EXPERIMENTS, ExperimentResult, cells
 from repro.experiments.registry import select_experiments
 
 _SRC = str(Path(repro.__file__).resolve().parents[1])
@@ -71,22 +74,43 @@ class TestMatrixShape:
             [f"no-{n}" for n in COMPONENTS]
 
     def test_baseline_cell_merges_all_baseline_values(self):
+        # Every registry component's baseline, whichever ones vary:
+        # the baseline is all remedies on.
         cells = build_matrix(["fig2b"], components=["lock", "sharding"])
-        assert cells[0].overrides == {"lock": "priority", "cs": "per-vci:4"}
+        assert cells[0].overrides == {
+            "lock": "priority", "cs": "per-vci:4",
+            "completion": "continuation", "eager_threshold": 16384,
+            "reliability": True, "robust": True,
+        }
+        assert [c.label for c in cells] == ["baseline", "no-lock", "no-sharding"]
+        assert cells[0].run_id == build_matrix(["fig2b"])[0].run_id
 
     def test_loo_cell_swaps_exactly_its_component(self):
         cells = build_matrix(["fig2b"], components=["lock", "sharding"])
         by_label = {c.label: c for c in cells}
-        assert by_label["no-lock"].overrides == \
-            {"lock": "mutex", "cs": "per-vci:4"}
-        assert by_label["no-sharding"].overrides == \
-            {"lock": "priority", "cs": "global"}
+        base = dict(cells[0].overrides)
+        assert by_label["no-lock"].overrides == {**base, "lock": "mutex"}
+        assert by_label["no-sharding"].overrides == {**base, "cs": "global"}
 
     def test_unsafe_components_get_no_cell(self):
         cells = build_matrix(["fig_chaos"])
         labels = {c.label for c in cells}
         assert "no-reliability" not in labels
         assert "no-lock" in labels  # safe components still vary
+        # All-rendezvous replies to cancelled receives never drain.
+        labels = {c.label for c in build_matrix(["fig_service"])}
+        assert "no-eager" not in labels and "no-robust" in labels
+
+    def test_full_quick_matrix_shares_cells_across_variants(self):
+        # Declaration only: 145 variants read 815 distinct (variant,
+        # cell) pairs -- a variant's overrides can make its cells
+        # coincide -- of which 516 are distinct simulations.
+        variants = build_matrix(list(EXPERIMENTS), seed=0, quick=True)
+        pairs = {(v.run_id, c.id) for v in variants
+                 for c in ablation._experiment(v).declare(True, 0)[0].values()}
+        assert len(variants) == 145
+        assert len(pairs) == 815
+        assert len({cid for _, cid in pairs}) == 516
 
     def test_pairwise_cells(self):
         cells = build_matrix(["fig2b"], components=["lock", "eager"],
@@ -124,11 +148,12 @@ class TestOverride:
             raise RuntimeError("declaration only")
 
         monkeypatch.setattr(cells, "run_cell", record)
-        outcomes = dict(run_experiments(
-            list(EXPERIMENTS), edit=lambda c: override(c, ablated),
-        ))
-        assert all(isinstance(o, RuntimeError) for o in outcomes.values())
-        assert len(outcomes) == len(EXPERIMENTS)
+        records = run_matrix([
+            Variant(exp_id, "probe", (component,), dict(ablated), 0, True, exp_id)
+            for exp_id in EXPERIMENTS
+        ])
+        assert all(r["error"] == "RuntimeError: declaration only" for r in records)
+        assert len(records) == len(EXPERIMENTS)
         kinds = {c.kind for c in seen}
         assert "service" in kinds and "throughput" in kinds
         for cell in seen:
@@ -141,6 +166,19 @@ class TestOverride:
             # fig8a's and fig8b's single-threaded cells run no lock
             # unless ablated.
             assert not any(c.cluster["lock"] == "null" for c in seen)
+
+    @pytest.mark.parametrize("label", ["baseline", "no-lock", "no-sharding"])
+    def test_fig3a_traces_the_receiver_lock_of_an_overridden_cell(self, label):
+        # priority@rank1.d0, mutex@rank1.d0 and priority@rank1: the tap
+        # must name the lock the overridden cluster builds.
+        variant = next(v for v in build_matrix(["fig3a"]) if v.label == label)
+        cell = min(ablation._experiment(variant).declare(True, 0)[0].values(),
+                   key=lambda c: c.workload.msg_size)
+        cell = dataclasses.replace(
+            cell, workload=dataclasses.replace(cell.workload, n_windows=1))
+        outcome, readings = cells._run(cell, {"fig3a": EXPERIMENTS["fig3a"].tap})
+        assert not isinstance(outcome, Exception), outcome
+        assert readings["fig3a"].n_samples > 0
 
     def test_no_override_leaves_a_cell_as_declared(self):
         for exp in EXPERIMENTS.values():
@@ -184,20 +222,26 @@ class TestExtractMetrics:
 # Execution, journal, resume
 # ----------------------------------------------------------------------
 
-#: Two quick cells: fig2b baseline + no-robust (the overload preset is
-#: inert on fig2b, so both cells cost one fig2b run).
+#: Two quick variants: fig2b baseline + no-robust (the overload preset
+#: is inert on fig2b, so both read the same cells and cost one fig2b run).
 def _tiny_matrix():
     return build_matrix(["fig2b"], components=["robust"], seed=0,
                         quick=True)
 
 
 @pytest.fixture(scope="module")
-def fig2b_records(tmp_path_factory):
-    """Serial run of the tiny matrix, shared across tests (journal on
-    disk so the resume test can reuse it)."""
+def fig2b_journal(tmp_path_factory):
+    """The journal of a serial run of the tiny matrix, shared across
+    tests."""
     path = tmp_path_factory.mktemp("ablation") / "journal.jsonl"
-    records = run_matrix(_tiny_matrix(), jobs=1, journal_path=str(path))
-    return records
+    run_matrix(_tiny_matrix(), jobs=1, journal_path=str(path))
+    return path
+
+
+@pytest.fixture(scope="module")
+def fig2b_records(fig2b_journal):
+    # Every variant is cached in the journal, so nothing runs again.
+    return run_matrix(_tiny_matrix(), jobs=1, journal_path=str(fig2b_journal))
 
 
 class TestExecution:
@@ -211,35 +255,47 @@ class TestExecution:
             assert rec["overrides"] == dict(cell.overrides)
 
     def test_failed_cell_recorded_not_raised(self):
-        rec = ablation.execute_cell({
-            "run_id": "deadbeef", "exp_id": "no-such-experiment",
-            "label": "baseline", "ablated": [], "overrides": {},
-            "seed": 0, "quick": True,
-        })
+        (rec,) = run_matrix([
+            Variant("no-such-experiment", "baseline", (), {}, 0, True, "deadbeef"),
+        ])
         assert rec["status"] == "failed"
         assert "no-such-experiment" in rec["error"]
 
     def test_ablated_then_baseline_in_one_process_matches_a_fresh_one(self):
         baseline, no_lock = build_matrix(["fig2b"], components=["lock"])
         assert no_lock.label == "no-lock"
-        ablated = ablation.execute_cell(no_lock.to_dict())
-        here = ablation.execute_cell(baseline.to_dict())
+        (ablated,) = run_matrix([no_lock])
+        (here,) = run_matrix([baseline])
         assert ablated["status"] == here["status"] == "ok"
         assert ablated["metrics"] != here["metrics"]
         code = (
-            "import json, sys\n"
-            "from repro.analysis.ablation import execute_cell\n"
-            "print(json.dumps(execute_cell(json.loads(sys.argv[1]))))\n"
+            "import json\n"
+            "from repro.analysis.ablation import build_matrix, run_matrix\n"
+            "baseline = build_matrix(['fig2b'], components=['lock'])[0]\n"
+            "print(json.dumps(run_matrix([baseline])[0]))\n"
         )
         proc = subprocess.run(
-            [sys.executable, "-c", code, json.dumps(baseline.to_dict())],
+            [sys.executable, "-c", code],
             env={**os.environ, "PYTHONPATH": _SRC},
             capture_output=True, text=True, timeout=120,
         )
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout) == json.loads(json.dumps(here))
 
-    def test_journal_resume_skips_completed_cells(self, tmp_path, monkeypatch):
+    @pytest.fixture
+    def executed(self, monkeypatch):
+        """Run IDs handed to the cell executor."""
+        seen = []
+        real = ablation.execute
+
+        def spy(experiments, **kwargs):
+            seen.extend(experiments)
+            return real(experiments, **kwargs)
+
+        monkeypatch.setattr(ablation, "execute", spy)
+        return seen
+
+    def test_journal_resume_skips_completed_cells(self, tmp_path, executed):
         cells = _tiny_matrix()
         path = tmp_path / "journal.jsonl"
         # Pre-seed the journal: baseline done, no-robust not.
@@ -251,14 +307,6 @@ class TestExecution:
         }
         path.write_text(json.dumps(done) + "\n")
 
-        executed = []
-        real = ablation.execute_cell
-
-        def spy(cell_dict):
-            executed.append(cell_dict["run_id"])
-            return real(cell_dict)
-
-        monkeypatch.setattr(ablation, "execute_cell", spy)
         records = run_matrix(cells, jobs=1, journal_path=str(path))
         assert executed == [cells[1].run_id]
         # The cached record is returned verbatim for the skipped cell.
@@ -275,28 +323,53 @@ class TestExecution:
         path = tmp_path / "journal.jsonl"
         failed = dict(cells[0].to_dict(), status="failed", error="boom")
         path.write_text(json.dumps(failed) + "\n")
+        result = ExperimentResult("fig2b", "stub", [], [])
         monkeypatch.setattr(
-            ablation, "execute_cell",
-            lambda d: dict(d, status="ok", ok=True, checks={}, metrics={}),
+            ablation, "execute",
+            lambda experiments, jobs: ((rid, result) for rid in experiments),
         )
         records = run_matrix(cells, jobs=1, journal_path=str(path))
         assert records[0]["status"] == "ok"
+        assert load_journal(str(path))[cells[0].run_id]["status"] == "ok"
 
     def test_torn_journal_line_is_ignored(self, tmp_path):
         path = tmp_path / "journal.jsonl"
         path.write_text('{"run_id": "aa", "status": "ok"}\n{"run_id": "tru')
         assert list(load_journal(str(path))) == ["aa"]
 
-    def test_pool_matches_serial(self, fig2b_records, tmp_path):
+    def test_pool_matches_serial(self, fig2b_journal, fig2b_records, tmp_path):
         path = tmp_path / "pool.jsonl"
         pooled = run_matrix(_tiny_matrix(), jobs=2, journal_path=str(path))
-        key = lambda r: r["run_id"]  # noqa: E731
-        assert sorted(pooled, key=key) == sorted(fig2b_records, key=key)
-        # The on-disk journal carries the same records (append order may
-        # differ between pool and serial; no timing fields exist).
-        on_disk = load_journal(str(path))
-        assert sorted(on_disk.values(), key=key) == \
-            sorted(fig2b_records, key=key)
+        assert pooled == fig2b_records
+        # Records carry no timing fields and are journaled in matrix
+        # order, so the two journals are the same bytes.
+        assert path.read_bytes() == fig2b_journal.read_bytes()
+
+    def test_pool_never_starts_more_workers_than_cpus(self, monkeypatch):
+        started = []
+
+        class Inline:
+            """Records its size and runs each task at submit."""
+
+            def __init__(self, max_workers, mp_context):
+                started.append(max_workers)
+
+            def submit(self, fn, *args):
+                fut = Future()
+                fut.set_result(fn(*args))
+                return fut
+
+            def shutdown(self, cancel_futures):
+                pass
+
+        monkeypatch.setattr(cells, "ProcessPoolExecutor", Inline)
+        monkeypatch.setattr(cells, "run_cell", lambda cell, obs=None: cell.kind)
+        variants = build_matrix(["fig2b"])
+        records = run_matrix(variants, jobs=64)
+        assert all(r["status"] == "failed" for r in records)  # no real runs
+        nproc = len(os.sched_getaffinity(0))
+        assert started or nproc == 1  # one CPU: the cells run in-process
+        assert all(n <= nproc for n in started)
 
 
 # ----------------------------------------------------------------------

@@ -132,6 +132,32 @@ def test_wildcard_recv_spans_domains(nbytes):
     assert all(len(d.posted_q) == 0 for d in rt.domains)
 
 
+@pytest.mark.parametrize("nbytes", [64, 100_000])  # eager and rendezvous
+def test_concurrent_wildcard_receivers_match_each_message_once(nbytes):
+    # Four threads per rank: senders spread tags over both domains while
+    # every receiver posts spanning wildcards, so packets in d0 and d1
+    # are progressed at once.  A request must be claimed at its match,
+    # before the scan cost is paid, or the other domain can match it
+    # too (rendezvous: "cannot set pending in state PENDING").
+    cl = Cluster(ClusterConfig(n_nodes=2, threads_per_rank=4, lock="mutex",
+                               cs="per-vci:2", seed=0))
+
+    def sender(th, tag):
+        for _ in range(20):
+            yield from th.send(1, nbytes, tag=tag)
+
+    def recver(th):
+        for _ in range(20):
+            yield from th.recv(source=ANY_SOURCE, nbytes=nbytes, tag=ANY_TAG)
+
+    cl.run_workload([sender(cl.thread(0, t), t) for t in range(4)]
+                    + [recver(cl.thread(1, t)) for t in range(4)])
+    assert cl.runtimes[1].stats.recvs_issued == 80
+    for rt in cl.runtimes:
+        assert rt.stats.completed == rt.stats.freed == 80
+        assert all(len(d.posted_q) == 0 for d in rt.domains)
+
+
 def test_messages_spread_across_domains():
     bus = Instrument()
     events = []

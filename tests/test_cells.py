@@ -2,6 +2,7 @@
 distinct one once."""
 
 from repro.experiments import EXPERIMENTS, cells, run_experiments
+from repro.experiments.registry import select_experiments
 
 
 def _declared(quick=True, seed=1):
@@ -52,3 +53,27 @@ def test_shared_cells_run_once_and_reduce_as_solo_runs(monkeypatch):
     for name in names:
         solo = EXPERIMENTS[name](quick=True, seed=1)
         assert together[name].to_dict() == solo.to_dict(), name
+
+
+def test_results_stream_as_soon_as_reduced(monkeypatch):
+    real = cells.run_cell
+    ran = []
+
+    def spy(cell, obs=None):
+        ran.append(cell.id)
+        return real(cell, obs)
+
+    monkeypatch.setattr(cells, "run_cell", spy)
+    stream = run_experiments(["fig2b", "fig3c"], quick=True, seed=1)
+    name, result = next(stream)
+    # fig2b is yielded before any of fig3c's cells has run.
+    assert name == "fig2b" and result.ok
+    assert sorted(ran) == sorted(
+        c.id for c in EXPERIMENTS["fig2b"].declare(True, 1)[0].values())
+    stream.close()
+
+
+def test_selector_takes_a_comma_list():
+    assert select_experiments("fig3a,fig12b") == ["fig3a", "fig12b"]
+    assert select_experiments("fig2,fig2b") == ["fig2a", "fig2b"]
+    assert select_experiments("all") == list(EXPERIMENTS)
