@@ -1,6 +1,7 @@
 """The golden-output corpus (``tools/golden.py``): the manifest covers
-every experiment at every pinned seed, a subset recomputes to its pins
-within the manifest's stated budget, and ``moved`` names what changed."""
+every experiment and every benchmark cell at every pinned seed, a subset
+recomputes to its pins within the manifest's stated budget, and
+``moved`` names what changed."""
 
 import importlib.util
 import pathlib
@@ -20,12 +21,31 @@ def test_manifest_pins_every_experiment_at_every_seed():
         assert sorted(by_seed) == sorted(str(s) for s in golden.SEEDS), name
 
 
+def test_manifest_pins_every_benchmark_cell_at_every_seed():
+    cells = golden._hostbench("cells")
+    names = [c.name for w in cells.WORKLOADS.values() for c in w]
+    bench = golden.load()["hostbench"]
+    assert sorted(bench) == sorted(names)
+    for name, by_seed in bench.items():
+        assert sorted(by_seed) == sorted(str(s) for s in golden.HOSTBENCH_SEEDS), name
+
+
 def test_tier1_subset_matches_its_pins():
     manifest = golden.load()
     subset = {int(s): names for s, names in manifest["tier1"]["subset"].items()}
     fresh = golden.compute(subset)
     assert golden.moved(manifest["pins"], fresh) == []
     assert sum(len(s) for s in fresh.values()) == sum(map(len, subset.values()))
+    bench = golden.hostbench_digests(manifest["tier1"]["hostbench_seeds"])
+    assert golden.moved_digests(manifest["hostbench"], bench) == []
+
+
+def test_moved_digests_names_the_cell_and_seed():
+    old = {"c": {"1": "aa", "7": "bb"}}
+    assert golden.moved_digests(old, {"c": {"1": "aa"}}) == []
+    assert golden.moved_digests(old, {"c": {"1": "ab", "23": "cc"}}) == [
+        ("c", "1"), ("c", "23"),
+    ]
 
 
 def test_moved_names_the_experiment_seed_and_keys():

@@ -3,11 +3,13 @@
 ``tests/golden/manifest.json`` holds, for every registered experiment at
 each seed in ``SEEDS`` (quick preset), the
 :func:`~repro.experiments.base.canonical_id` of its ``to_dict()`` and of
-each top-level key of it, plus the Python and numpy versions the pins
-were made with (numpy's generators key every random stream).  Tier-1
-(``tests/golden/test_golden.py``) recomputes the manifest's ``tier1``
-subset within its stated budget; CI's ``golden`` job recomputes all of
-it.  Usage::
+each top-level key of it; each benchmark cell's ``checks.digest`` at
+each seed in ``HOSTBENCH_SEEDS`` (``hostbench/cells.py`` and
+``hostbench/checks.py`` are imported read-only); and the Python and numpy
+versions the pins were made with (numpy's generators key every random
+stream).  Tier-1 (``tests/golden/test_golden.py``) recomputes the
+manifest's ``tier1`` subset within its stated budget; CI's ``golden``
+job recomputes all of it.  Usage::
 
     PYTHONPATH=src python tools/golden.py --check    # exit 1 if a pin moved
     PYTHONPATH=src python tools/golden.py --update   # re-pin, print what moved
@@ -16,6 +18,7 @@ it.  Usage::
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import json
 import platform
 import sys
@@ -30,6 +33,7 @@ from repro.experiments.base import canonical_id
 ROOT = Path(__file__).resolve().parents[1]
 MANIFEST = ROOT / "tests" / "golden" / "manifest.json"
 SEEDS = (0, 1)
+HOSTBENCH_SEEDS = (1, 7, 23)
 
 #: ``{exp_id: {seed (str): {"digest": ..., "keys": {key: ...}}}}``
 Pins = Dict[str, Dict[str, dict]]
@@ -54,6 +58,40 @@ def compute(selection: Mapping[int, Iterable[str]]) -> Pins:
                 raise result
             pins.setdefault(name, {})[str(seed)] = pin(result.to_dict())
     return pins
+
+
+def _hostbench(name: str):
+    """``hostbench/<name>.py`` as a private module (the benchmark's own
+    directory is never put on ``sys.path``)."""
+    spec = importlib.util.spec_from_file_location(
+        f"_hostbench_{name}", ROOT / "hostbench" / f"{name}.py")
+    mod = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = mod  # dataclasses resolve types through it
+    spec.loader.exec_module(mod)
+    return mod
+
+
+def hostbench_digests(seeds: Iterable[int]) -> Dict[str, Dict[str, str]]:
+    """``{cell: {seed (str): checks.digest}}`` of every benchmark cell,
+    run as ``hostbench/run.py`` runs it."""
+    cells, checks = _hostbench("cells"), _hostbench("checks")
+    out: Dict[str, Dict[str, str]] = {}
+    for seed in seeds:
+        for workload in cells.WORKLOADS.values():
+            for cell in workload:
+                cluster = cell.build(seed)
+                result, _ops = cell.run(cluster)
+                out.setdefault(cell.name, {})[str(seed)] = checks.digest(
+                    cell, cluster, result)
+    return out
+
+
+def moved_digests(old: Dict[str, Dict[str, str]],
+                  new: Dict[str, Dict[str, str]]) -> List[Tuple[str, str]]:
+    """``(cell, seed)`` for every digest in ``new`` that differs from
+    (or is missing in) ``old``."""
+    return [(cell, seed) for cell, by_seed in new.items()
+            for seed, d in by_seed.items() if old.get(cell, {}).get(seed) != d]
 
 
 def moved(old: Pins, new: Pins) -> List[Tuple[str, str, List[str]]]:
@@ -98,13 +136,19 @@ def main(argv=None) -> int:
     diff = moved(manifest["pins"], new)
     for name, seed, keys in diff:
         print(f"{name} seed {seed}: {', '.join(keys)}")
+    bench = hostbench_digests(HOSTBENCH_SEEDS)
+    bench_diff = moved_digests(manifest.get("hostbench", {}), bench)
+    for cell, seed in bench_diff:
+        print(f"hostbench {cell} seed {seed}: digest")
+    n_moved = len(diff) + len(bench_diff)
+    n_pins = sum(len(s) for s in new.values()) + sum(len(s) for s in bench.values())
     if args.update:
-        manifest.update(versions(), pins=new)
+        manifest.update(versions(), pins=new, hostbench=bench)
         MANIFEST.write_text(json.dumps(manifest, indent=1, sort_keys=True) + "\n")
-        print(f"re-pinned {len(diff)} of {sum(len(s) for s in new.values())}")
+        print(f"re-pinned {n_moved} of {n_pins}")
         return 0
-    print(f"golden: {len(diff)} pin(s) moved")
-    return 1 if diff else 0
+    print(f"golden: {n_moved} of {n_pins} pin(s) moved")
+    return 1 if n_moved else 0
 
 
 if __name__ == "__main__":
