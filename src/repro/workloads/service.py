@@ -271,10 +271,10 @@ class _ServerState:
     """Shared state of one server rank (all its worker threads)."""
 
     __slots__ = ("cfg", "rank", "replay", "stops_seen",
-                 "pending_sends", "reaping", "trace", "dedup_hits",
+                 "pending_sends", "reaping", "reaped", "trace", "dedup_hits",
                  "peak_backlog", "obs")
 
-    def __init__(self, cfg, rank, obs):
+    def __init__(self, cfg, rank, obs, sim):
         self.cfg = cfg
         self.rank = rank
         #: req_id -> cached _SvcReply (CTS-replay-cache pattern).
@@ -283,6 +283,9 @@ class _ServerState:
         self.pending_sends = []
         #: True while one thread batch-frees completed reply sends.
         self.reaping = False
+        #: Fired whenever a thread clears ``reaping``; an exit drain
+        #: waits on it instead of polling the flag.
+        self.reaped = Signal(sim, name=f"reaped@{rank}")
         #: Fingerprint trace: admit/shed decision per request.
         self.trace: List[str] = []
         self.dedup_hits = 0
@@ -540,6 +543,7 @@ def _server_send(sst: _ServerState, th: MpiThread, dest: int, nbytes: int,
             sst.pending_sends = [q for q in sst.pending_sends if not q.freed]
         finally:
             sst.reaping = False
+            sst.reaped.fire()
 
 
 def _server_worker(sst: _ServerState, th: MpiThread, cfg: ServiceConfig):
@@ -594,9 +598,11 @@ def _server_worker(sst: _ServerState, th: MpiThread, cfg: ServiceConfig):
             sst, th, msg.client, msg.reply_bytes, msg.req_id, reply,
         )
     # Exit drain: atomically take the shared pending list (waiting out
-    # any in-flight batch reap first) and free what remains.
+    # any in-flight batch reap or drain first) and free what remains.
+    # The wait queues nothing, so a drain that can never finish leaves
+    # the simulator out of events, and the run fails instead of spinning.
     while sst.reaping:
-        yield 1e-6
+        yield sst.reaped.wait(th.ctx)
     sst.reaping = True
     try:
         mine = [q for q in sst.pending_sends if not q.freed]
@@ -605,6 +611,7 @@ def _server_worker(sst: _ServerState, th: MpiThread, cfg: ServiceConfig):
             yield from th.waitall(mine)
     finally:
         sst.reaping = False
+        sst.reaped.fire()
 
 
 # ======================================================================
@@ -677,7 +684,7 @@ def run_service(
 
     sstates: List[_ServerState] = []
     for s in range(pairs, n):
-        sst = _ServerState(cfg, s, obs)
+        sst = _ServerState(cfg, s, obs, sim)
         sstates.append(sst)
         for k, th in enumerate(cluster.threads[s]):
             procs.append(cluster.spawn(

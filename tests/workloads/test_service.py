@@ -2,11 +2,14 @@
 and the deterministic-replay contract for the ``"service:<rank>"`` RNG
 stream (same seed => identical fingerprint)."""
 
+import signal
+
 import pytest
 
 import repro.robust
 from repro.robust import RobustConfig
 from repro.sim import Simulator
+from repro.sim.engine import SimulationError
 from repro.workloads import (
     ServiceConfig,
     arrival_times,
@@ -213,3 +216,29 @@ def test_disabled_robustness_is_bit_identical_to_absent():
 def test_service_cluster_defaults_to_event_completion():
     assert service_cluster().config.completion == "event"
     assert service_cluster(completion="poll").config.completion == "poll"
+
+
+def test_exit_drain_that_cannot_finish_fails_instead_of_spinning():
+    """With ``eager_threshold=0`` every reply is a rendezvous send, and
+    one answering a deadline-cancelled receive waits for a CTS that
+    never comes, so the exit drain holding ``reaping`` never returns.
+    The other server thread's drain waits on the ``reaped`` signal,
+    which queues nothing: the simulator runs out of events and the run
+    raises, where a drain polling the flag would spin without bound (the
+    alarm turns such a spin into a failure)."""
+    def spinning(signum, frame):
+        raise TimeoutError("service exit drain still running after 30 s")
+
+    previous = signal.signal(signal.SIGALRM, spinning)
+    signal.alarm(30)
+    try:
+        with pytest.raises(SimulationError, match="ran out of events"):
+            run(
+                ServiceConfig(rate_hz=150_000.0, duration_s=0.002,
+                              service_ns=20_000.0, slo_ns=250_000.0),
+                RobustConfig.protected(deadline_ns=250_000.0),
+                eager_threshold=0,
+            )
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
