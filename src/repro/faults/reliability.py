@@ -52,6 +52,12 @@ from ..network.message import Packet, PacketKind
 
 __all__ = ["ReliabilityStats", "ReliabilityLayer"]
 
+# Members bound once: an Enum member load goes through EnumType's
+# __getattr__ and is never specialized (DESIGN.md section 9).
+_EAGER, _RTS, _CTS, _RNDV_DATA, _ACK = (
+    PacketKind.EAGER, PacketKind.RTS, PacketKind.CTS, PacketKind.RNDV_DATA,
+    PacketKind.ACK)
+
 #: Initial retransmit timeout for data packets (ns).  ACKs are generated
 #: at delivery (NIC-level), so this only needs to cover the wire
 #: round-trip (~4us internode); spurious retransmits are harmless
@@ -239,7 +245,7 @@ class ReliabilityLayer:
         req = e.req
         if req is not None:
             req.error = True
-            if not req.complete:
+            if not req._done:
                 self.rt._complete(req)
 
     def on_ack(self, seq: int) -> None:
@@ -258,7 +264,7 @@ class ReliabilityLayer:
         self._disarm(e)
         self.stats.acks_received += 1
         req = e.req
-        if req is not None and not req.complete:
+        if req is not None and not req._done:
             self.rt._complete(req)
 
     def on_cts(self, sender_req_id: int) -> None:
@@ -277,10 +283,10 @@ class ReliabilityLayer:
         ACKs and duplicate data packets before they are queued, and ACKs
         every data copy at wire latency."""
         kind = pkt.kind
-        if kind is PacketKind.ACK:
+        if kind is _ACK:
             self.on_ack(pkt.payload)
             return True
-        if kind is PacketKind.EAGER or kind is PacketKind.RNDV_DATA:
+        if kind is _EAGER or kind is _RNDV_DATA:
             key = (pkt.src_rank, pkt.seq)
             dup = key in self.seen
             if not dup:
@@ -291,7 +297,7 @@ class ReliabilityLayer:
             if dup:
                 self.stats.dup_data += 1
             return dup
-        if kind is PacketKind.RTS:
+        if kind is _RTS:
             # Delivery-confirm the handshake at wire latency; matching
             # (and duplicate absorption) stays in :meth:`pre_handle` --
             # the packet passes through to the progress engine.
@@ -305,7 +311,7 @@ class ReliabilityLayer:
         answered by replaying the cached CTS -- and must not reach the
         protocol handlers."""
         kind = pkt.kind
-        if kind is PacketKind.RTS:
+        if kind is _RTS:
             key = (pkt.src_rank, pkt.seq)
             if key not in self.seen:
                 self.seen.add(key)
@@ -317,7 +323,7 @@ class ReliabilityLayer:
             if cached is not None:
                 recv_req_id, recv_vci, sender_vci = cached
                 cts = Packet(
-                    next(self.rt.sim.ids.packet), PacketKind.CTS,
+                    next(self.rt.sim.ids.packet), _CTS,
                     self.rt.rank, pkt.src_rank, 0,
                     payload=(pkt.payload.req_id, recv_req_id, recv_vci),
                     vci=sender_vci,
@@ -332,12 +338,13 @@ class ReliabilityLayer:
         self.cts_cache[(dest, sender_req_id)] = (recv_req_id, recv_vci, sender_vci)
 
     def _send_ack(self, pkt: Packet) -> None:
-        if pkt.kind is PacketKind.EAGER or pkt.kind is PacketKind.RTS:
+        kind = pkt.kind
+        if kind is _EAGER or kind is _RTS:
             ack_vci = pkt.payload.vci  # _EagerInfo / _RndvInfo
         else:  # RNDV_DATA payload is (recv_req_id, data, sender_vci)
             ack_vci = pkt.payload[2]
         ack = Packet(
-            next(self.rt.sim.ids.packet), PacketKind.ACK, self.rt.rank,
+            next(self.rt.sim.ids.packet), _ACK, self.rt.rank,
             pkt.src_rank, 0,
             payload=pkt.seq, vci=ack_vci,
         )

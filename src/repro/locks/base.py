@@ -20,7 +20,7 @@ from typing import Callable, Dict, Optional, Tuple
 
 from ..machine.costs import NS, CostModel
 from ..machine.threads import ThreadCtx
-from ..machine.topology import Core, Proximity
+from ..machine.topology import Core, distance
 from ..sim.rng import batched_draws
 
 __all__ = ["Priority", "SimLock", "NullLock", "LockError"]
@@ -35,6 +35,11 @@ class Priority(enum.IntEnum):
 
     HIGH = 0
     LOW = 1
+
+
+# Members bound once: an Enum member load goes through EnumType's
+# __getattr__ and is never specialized (DESIGN.md section 9).
+HIGH = Priority.HIGH
 
 
 class LockError(RuntimeError):
@@ -76,10 +81,23 @@ class SimLock:
             batched_draws(lambda n: rng.exponential(scale, n) * NS)
             if scale > 0.0 else None
         )
-        #: Memoized contention_factor(); dropped by _enter, _grant and
-        #: _release_checks, the only places the owner or the contender
-        #: set change.
-        self._factor: Optional[float] = None
+        #: The jitter's refill buffer (``batched_draws``), None with it.
+        self._jitters: Optional[list] = (
+            None if self._jitter is None else self._jitter.cache)
+        #: The contention factor (:meth:`_sum_factor`), which in-CS work
+        #: reads once per work segment, far more often than the owner or
+        #: the contender set change.  So it is kept current eagerly by
+        #: the only places they change: ``_enter`` adds the newcomer's
+        #: term, ``_grant`` re-sums (a new owner may change every term)
+        #: and ``_release_checks`` resets it to 1.0.  A newcomer is the
+        #: last contender in insertion order, so adding its term repeats
+        #: the last addition of the full sum: the value is always the
+        #: float ``_sum_factor()`` returns (DESIGN.md section 9).
+        self._factor = 1.0
+        pen = costs.contention_penalty
+        #: One waiter's term of the factor: (same socket as the owner,
+        #: other socket).  ``pen * 1.0`` is ``pen`` exactly.
+        self._terms = (pen, pen * costs.contention_remote_factor)
         #: Hook ``cb()`` run first thing in every ``_enter``: a parked
         #: idle progress thread (:mod:`repro.mpi.parking`) catches up
         #: here before the entering thread can see the lock.
@@ -88,7 +106,7 @@ class SimLock:
     # ------------------------------------------------------------------
     # Protocol to implement
     # ------------------------------------------------------------------
-    def acquire(self, ctx: ThreadCtx, priority: Priority = Priority.HIGH):
+    def acquire(self, ctx: ThreadCtx, priority: Priority = HIGH):
         """Generator: yields events until the calling thread owns the lock."""
         raise NotImplementedError
 
@@ -170,62 +188,58 @@ class SimLock:
         fam = re.sub(r"\.d\d+", "", fam)
         return re.sub(r"#\d+", "", fam)
 
-    def contention_factor(self) -> float:
-        """Slowdown multiplier for the current holder's in-CS work.
+    def _sum_factor(self) -> float:
+        """The contention factor, summed from scratch: the slowdown
+        multiplier for the current holder's in-CS work.
 
         Each waiter adds ``contention_penalty``; waiters on a different
         socket than the holder add ``contention_penalty *
         contention_remote_factor`` (their retries cross the socket
-        interconnect).  1.0 when uncontended.
-
-        Read once per in-CS work segment, far more often than the
-        owner or the contender set change, so the value is cached
-        until one of them does.
+        interconnect).  1.0 when uncontended.  Terms are added in
+        contender insertion order, the order ``_factor`` is kept in.
         """
-        f = self._factor
-        if f is not None:
-            return f
         owner = self.owner
         f = 1.0
         if owner is not None:
-            pen = self.costs.contention_penalty
-            remote = self.costs.contention_remote_factor
+            near, far = self._terms
             owner_socket = owner.socket
             for c in self._contenders.values():
-                f += pen * (remote if c.socket != owner_socket else 1.0)
-        self._factor = f
+                f += far if c.socket != owner_socket else near
         return f
 
     def _atomic_cost(self, core: Core) -> float:
         """Atomic RMW latency for ``core``, plus exponential completion
         jitter, in seconds."""
         line = self.line_owner
+        # ``line is core`` is the same core, so SAME_CORE (index 0).
         base = self.costs.atomic_s[
-            Proximity.SAME_CORE if line is None else core.proximity(line)
-        ]
-        jitter = self._jitter
-        return base if jitter is None else base + jitter()
+            0 if line is None or line is core else distance(core, line)]
+        draws = self._jitters
+        if draws is None:
+            return base
+        return base + (draws.pop() if draws else self._jitter())
 
     def _handoff_cost(self, from_core: Core, to_core: Core) -> float:
-        return self.costs.handoff_s[to_core.proximity(from_core)]
+        return self.costs.handoff_s[distance(to_core, from_core)]
 
     def _enter(self, ctx: ThreadCtx) -> None:
         if self.on_touch is not None:
             self.on_touch()
-        if ctx.tid in self._contenders:
+        tid = ctx.tid
+        contenders = self._contenders
+        if tid in contenders:
             raise LockError(f"{ctx!r} already contending for {self.name}")
-        if (
-            self.owner is not None
-            and self.owner.tid == ctx.tid
-            and not self.allow_owner_reentry
-        ):
-            # A real non-reentrant lock would deadlock here; surface the
-            # model bug instead.
-            raise LockError(
-                f"{ctx.name} re-acquiring {self.name} it already holds"
-            )
-        self._contenders[ctx.tid] = ctx
-        self._factor = None
+        owner = self.owner
+        if owner is not None:
+            if owner.tid == tid and not self.allow_owner_reentry:
+                # A real non-reentrant lock would deadlock here; surface
+                # the model bug instead.
+                raise LockError(
+                    f"{ctx.name} re-acquiring {self.name} it already holds"
+                )
+            near, far = self._terms
+            self._factor += far if ctx.socket != owner.socket else near
+        contenders[tid] = ctx
         obs = self.sim.obs
         if obs is not None and obs.wants("lock"):
             obs.span_begin("lock", f"{self.name}.wait",
@@ -267,8 +281,9 @@ class SimLock:
                     args={"distance": ctx.core.proximity(prev).name},
                 )
         self._prev_owner_core = ctx.core
-        del self._contenders[ctx.tid]
-        self._factor = None
+        contenders = self._contenders
+        del contenders[ctx.tid]
+        self._factor = self._sum_factor() if contenders else 1.0
         if obs is not None and len(ctx.held) > 1 and obs.wants("check"):
             # Order witness: this grant happened while the thread held
             # other locks -- a runtime lock-order edge held -> self.
@@ -303,27 +318,27 @@ class SimLock:
                 )
 
     def _release_checks(self, ctx: ThreadCtx) -> None:
-        if self.owner is None:
+        own = self.owner
+        if own is None:
             raise LockError(f"release of unheld lock {self.name} by {ctx.name}")
-        if self.strict_owner and self.owner.tid != ctx.tid:
+        if self.strict_owner and own.tid != ctx.tid:
             raise LockError(
-                f"{ctx.name} released {self.name} held by {self.owner.name}"
+                f"{ctx.name} released {self.name} held by {own.name}"
             )
         obs = self.sim.obs
         if obs is not None and obs.wants("lock"):
             # End the *owner's* hold span (strict_owner=False locks may
             # be released by a different thread; the span lives on the
             # lane that opened it).
-            own = self.owner
             obs.span_end("lock", f"{self.name}.hold",
                          rank=own.rank if own.rank is not None else -1,
                          tid=own.tid)
         # Drop from the *owner's* held set, not the releaser's:
         # strict_owner=False locks (the priority lock's B ticket) may be
         # released on another thread's behalf.
-        self.owner.held.discard(self)
+        own.held.discard(self)
         self.owner = None
-        self._factor = None
+        self._factor = 1.0
 
     def __repr__(self) -> str:  # pragma: no cover
         holder = self.owner.name if self.owner else "-"
@@ -337,7 +352,7 @@ class NullLock(SimLock):
     actually contend.
     """
 
-    def acquire(self, ctx: ThreadCtx, priority: Priority = Priority.HIGH):
+    def acquire(self, ctx: ThreadCtx, priority: Priority = HIGH):
         self._enter(ctx)
         self._grant(ctx)
         return

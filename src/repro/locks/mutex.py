@@ -29,7 +29,9 @@ from collections import deque
 from typing import Deque, Tuple
 
 from ..machine.threads import ThreadCtx
-from .base import Priority, SimLock
+from ..machine.topology import distance
+from ..sim.events import Event
+from .base import HIGH, Priority, SimLock
 
 __all__ = ["PthreadMutexModel"]
 
@@ -48,15 +50,16 @@ class PthreadMutexModel(SimLock):
         self.futex_wakes = 0
 
     # ------------------------------------------------------------------
-    def acquire(self, ctx: ThreadCtx, priority: Priority = Priority.HIGH):
+    def acquire(self, ctx: ThreadCtx, priority: Priority = HIGH):
         self._enter(ctx)
+        core = ctx.core
         while True:
             # --- user-space CAS attempt ---------------------------------
-            yield self._atomic_cost(ctx.core)
+            yield self._atomic_cost(core)
             self.cas_attempts += 1
             # The RMW takes the line exclusive even when the comparison
             # fails, so the line moves to this core either way.
-            self.line_owner = ctx.core
+            self.line_owner = core
             if self.owner is None:
                 self._grant(ctx)
                 return
@@ -69,7 +72,7 @@ class PthreadMutexModel(SimLock):
             if self.owner is None:
                 continue
             self.futex_waits += 1
-            ev = self.sim.event(name=f"futex:{self.name}:{ctx.name}")
+            ev = Event(self.sim, f"futex:{self.name}:{ctx.name}")
             self._futex_q.append((ev, ctx))
             yield ev
             # Woken: loop back and race the CAS against everyone else.
@@ -80,12 +83,14 @@ class PthreadMutexModel(SimLock):
     def release(self, ctx: ThreadCtx) -> float:
         self._release_checks(ctx)
         cost = 0.0
-        if self.line_owner is not None and self.line_owner.index != ctx.core.index:
+        core = ctx.core
+        line = self.line_owner
+        if line is not None and line.index != core.index:
             # A woken waiter's CAS retry stole the lock line mid-hold;
             # the unlock store must pull it back first.
-            cost += self.costs.atomic_s[ctx.core.proximity(self.line_owner)]
+            cost += self.costs.atomic_s[distance(core, line)]
         # The releasing store dirties the line in this core's cache.
-        self.line_owner = ctx.core
+        self.line_owner = core
         if self._futex_q:
             ev, _wctx = self._futex_q.popleft()
             self.futex_wakes += 1

@@ -21,7 +21,7 @@ from __future__ import annotations
 from typing import Dict
 
 from ..machine.threads import ThreadCtx
-from .base import LockError, Priority, SimLock
+from .base import HIGH, LockError, Priority, SimLock
 from .ticket import TicketLock
 
 __all__ = ["PriorityTicketLock"]
@@ -63,9 +63,9 @@ class PriorityTicketLock(SimLock):
         self.ticket_b.add_low_rounds(k)
 
     # ------------------------------------------------------------------
-    def acquire(self, ctx: ThreadCtx, priority: Priority = Priority.HIGH):
+    def acquire(self, ctx: ThreadCtx, priority: Priority = HIGH):
         self._enter(ctx)
-        if priority == Priority.HIGH:
+        if priority == HIGH:
             yield from self.ticket_h.acquire(ctx)
             if not self.already_blocked:
                 yield from self.ticket_b.acquire(ctx)
@@ -82,8 +82,8 @@ class PriorityTicketLock(SimLock):
             raise LockError(f"{ctx.name} does not hold {self.name}")
         self._release_checks(ctx)
         cost = 0.0
-        if prio == Priority.HIGH:
-            if self.ticket_h.n_queued == 0:
+        if prio == HIGH:
+            if not self.ticket_h._waiting:
                 # Last high-priority thread: let the low class pass.
                 cost += self.ticket_b.release(ctx)
                 self.already_blocked = False

@@ -14,7 +14,8 @@ from __future__ import annotations
 from typing import Dict, Tuple
 
 from ..machine.threads import ThreadCtx
-from .base import LockError, Priority, SimLock
+from ..sim.events import Event
+from .base import HIGH, LockError, Priority, SimLock
 
 __all__ = ["TicketLock"]
 
@@ -30,16 +31,12 @@ class TicketLock(SimLock):
         super().__init__(sim, costs, name=name)
         self.next_ticket = 0
         self.now_serving = 0
-        #: ticket number -> (grant event, waiting thread)
+        #: ticket number -> (grant event, waiting thread): the threads
+        #: holding a ticket but not yet served.
         self._waiting: Dict[int, Tuple[object, ThreadCtx]] = {}
 
     # ------------------------------------------------------------------
-    @property
-    def n_queued(self) -> int:
-        """Threads holding a ticket but not yet served."""
-        return len(self._waiting)
-
-    def acquire(self, ctx: ThreadCtx, priority: Priority = Priority.HIGH):
+    def acquire(self, ctx: ThreadCtx, priority: Priority = HIGH):
         self._enter(ctx)
         # fetch&inc on the ticket counter line.
         yield self._atomic_cost(ctx.core)
@@ -51,7 +48,7 @@ class TicketLock(SimLock):
                 raise LockError(f"ticket {my_ticket} serving but lock held")
             self._grant(ctx)
             return
-        ev = self.sim.event(name=f"ticket:{self.name}:{my_ticket}")
+        ev = Event(self.sim, f"ticket:{self.name}:{my_ticket}")
         self._waiting[my_ticket] = (ev, ctx)
         yield ev
         self._grant(ctx)

@@ -13,7 +13,10 @@ import enum
 from dataclasses import dataclass, field
 from typing import List
 
-__all__ = ["Proximity", "MachineSpec", "Core", "Socket", "Machine", "nehalem_node"]
+__all__ = [
+    "Proximity", "MachineSpec", "Core", "Socket", "Machine", "distance",
+    "nehalem_node",
+]
 
 
 class Proximity(enum.IntEnum):
@@ -52,15 +55,22 @@ class Core:
 
     def proximity(self, other: "Core") -> Proximity:
         """Distance class from this core to ``other`` (same node assumed)."""
-        if self.node != other.node:
-            raise ValueError(
-                f"proximity undefined across nodes ({self.node} vs {other.node})"
-            )
-        if self.index == other.index:
-            return Proximity.SAME_CORE
-        if self.socket == other.socket:
-            return Proximity.SAME_SOCKET
-        return Proximity.REMOTE
+        return Proximity(distance(self, other))
+
+
+def distance(core: Core, other: Core) -> int:
+    """``core.proximity(other)`` as a plain int, for indexing per-class
+    cost tuples on the lock paths (an ``IntEnum`` index pays for the
+    member's ``__index__``)."""
+    if core.node != other.node:
+        raise ValueError(
+            f"proximity undefined across nodes ({core.node} vs {other.node})"
+        )
+    if core.index == other.index:
+        return 0  # Proximity.SAME_CORE
+    if core.socket == other.socket:
+        return 1  # Proximity.SAME_SOCKET
+    return 2  # Proximity.REMOTE
 
 
 @dataclass

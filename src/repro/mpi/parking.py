@@ -23,7 +23,6 @@ generator up to the touch (:meth:`repro.sim.Simulator.catch_up`).
 from __future__ import annotations
 
 from ..machine.threads import ThreadCtx
-from ..machine.topology import Proximity
 from ..sim.process import Park
 
 __all__ = ["IdleProgress"]
@@ -90,7 +89,8 @@ class IdleProgress(Park):
         steps = []
         for dom in doms:
             for lk in dom.lock.low_round_locks():
-                steps.append((lk._jitter, lk.costs.atomic_s[Proximity.SAME_CORE]))
+                # atomic_s[0]: the line is on this core (SAME_CORE).
+                steps.append((lk._jitter, lk.costs.atomic_s[0]))
             steps.append((None, poll))
         gap = self.delay
         k = 0

@@ -58,6 +58,15 @@ class Protocol(enum.Enum):
     RNDV = "rndv"       # RTS/CTS handshake, then bulk data
 
 
+# Members bound once: an Enum member load goes through EnumType's
+# __getattr__ and is never specialized (DESIGN.md section 9).
+_ISSUED = ReqState.ISSUED
+_POSTED = ReqState.POSTED
+_PENDING = ReqState.PENDING
+_COMPLETE = ReqState.COMPLETE
+_FREED = ReqState.FREED
+
+
 class Continuation:
     """Cancellable handle for one completion callback on one request.
 
@@ -161,7 +170,7 @@ class Request:
         self.owner_tid = owner_tid
         self.envelope = envelope
         self.nbytes = nbytes
-        self.state = ReqState.ISSUED
+        self.state = _ISSUED
         self.protocol = protocol
         #: For receives: did the message go through the unexpected queue?
         self.unexpected = False
@@ -202,11 +211,11 @@ class Request:
 
     @property
     def freed(self) -> bool:
-        return self.state is ReqState.FREED
+        return self.state is _FREED
 
     @property
     def dangling(self) -> bool:
-        return self.state is ReqState.COMPLETE
+        return self.state is _COMPLETE
 
     # ------------------------------------------------------------------
     def attach_continuation(
@@ -232,7 +241,7 @@ class Request:
         """
         if not callable(fn):
             raise TypeError(f"continuation callback must be callable, got {fn!r}")
-        if self.state is ReqState.FREED:
+        if self.state is _FREED:
             raise RequestError(
                 f"cannot attach a continuation to freed request "
                 f"#{self.req_id} (dangling continuation)"
@@ -254,30 +263,32 @@ class Request:
     def mark_posted(self) -> None:
         # Idempotent for POSTED: a spanning wildcard receive is posted
         # to every arbitration domain.
-        if self.state is ReqState.POSTED:
+        state = self.state
+        if state is _POSTED:
             return
-        if self.state is not ReqState.ISSUED:
-            raise RequestError(f"cannot post request in state {self.state}")
-        self.state = ReqState.POSTED
+        if state is not _ISSUED:
+            raise RequestError(f"cannot post request in state {state}")
+        self.state = _POSTED
 
     def mark_pending(self) -> None:
-        if self.state not in (ReqState.ISSUED, ReqState.POSTED):
-            raise RequestError(f"cannot set pending in state {self.state}")
-        self.state = ReqState.PENDING
+        state = self.state
+        if state is not _ISSUED and state is not _POSTED:
+            raise RequestError(f"cannot set pending in state {state}")
+        self.state = _PENDING
 
     def mark_complete(self, now: float) -> None:
         if self._done:
             raise RequestError(f"request {self.req_id} completed twice")
-        self.state = ReqState.COMPLETE
+        self.state = _COMPLETE
         self._done = True
         self.t_completed = now
 
     def mark_freed(self, now: float) -> None:
-        if self.state is not ReqState.COMPLETE:
+        if self.state is not _COMPLETE:
             raise RequestError(
                 f"cannot free request {self.req_id} in state {self.state}"
             )
-        self.state = ReqState.FREED
+        self.state = _FREED
         self.t_freed = now
         # Free detaches cleanly: sync handles fired (or detached) inside
         # the completion path and are already unlinked; any handle still

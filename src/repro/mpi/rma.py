@@ -25,6 +25,13 @@ from .runtime import MpiRuntime, MpiThread
 
 __all__ = ["RmaPayload", "RmaWindow", "allocate_windows"]
 
+# Members bound once: an Enum member load goes through EnumType's
+# __getattr__ and is never specialized (DESIGN.md section 9).
+_HIGH = Priority.HIGH
+_RMA = ReqKind.RMA
+_PUT, _GET, _ACC = PacketKind.RMA_PUT, PacketKind.RMA_GET, PacketKind.RMA_ACC
+_GET_REPLY, _ACK = PacketKind.RMA_GET_REPLY, PacketKind.RMA_ACK
+
 
 class RmaPayload:
     """Payload for all RMA packet kinds."""
@@ -61,15 +68,15 @@ class RmaWindow:
     # ------------------------------------------------------------------
     def put(self, th: MpiThread, target: int, nbytes: int):
         """Blocking contiguous put: returns after remote completion."""
-        yield from self._origin_op(th, target, nbytes, PacketKind.RMA_PUT)
+        yield from self._origin_op(th, target, nbytes, _PUT)
 
     def get(self, th: MpiThread, target: int, nbytes: int):
         """Blocking contiguous get: returns once the data has landed."""
-        yield from self._origin_op(th, target, nbytes, PacketKind.RMA_GET)
+        yield from self._origin_op(th, target, nbytes, _GET)
 
     def accumulate(self, th: MpiThread, target: int, nbytes: int):
         """Blocking accumulate (element-wise reduction at the target)."""
-        yield from self._origin_op(th, target, nbytes, PacketKind.RMA_ACC)
+        yield from self._origin_op(th, target, nbytes, _ACC)
 
     def _origin_op(self, th: MpiThread, target: int, nbytes: int, kind: PacketKind):
         rt = self.runtime
@@ -83,11 +90,11 @@ class RmaWindow:
         comm_id = -(self.win_id + 1)
         dom = rt._send_domain(target, 0, comm_id)
         yield rt.costs.request_alloc * (0.5 + rt._random())
-        yield from rt._cs_acquire(dom, ctx, Priority.HIGH)
-        yield rt._cs_time(dom, rt.costs.cs_main)
+        yield from rt._cs_acquire(dom, ctx, _HIGH)
+        yield rt.costs.cs_main * dom.lock._factor
         req = Request(
-            next(rt.sim.ids.request), ReqKind.RMA, rt.rank, ctx.tid,
-            Envelope(source=rt.rank, tag=0, comm=comm_id),
+            next(rt.sim.ids.request), _RMA, rt.rank, ctx.tid,
+            Envelope(rt.rank, 0, comm_id),
             nbytes, rt.sim.now, peer=target,
         )
         req.vci = dom.index
@@ -96,9 +103,9 @@ class RmaWindow:
         req.mark_pending()
         payload = RmaPayload(self.win_id, rt.rank, req.req_id, nbytes,
                              origin_vci=dom.index)
-        if kind in (PacketKind.RMA_PUT, PacketKind.RMA_ACC):
+        if kind is _PUT or kind is _ACC:
             # Origin copies the data out (pack + inject).
-            yield rt._cs_time(dom, rt.costs.copy_time(nbytes))
+            yield rt.costs.copy_time(nbytes) * dom.lock._factor
             wire = nbytes
         else:
             wire = 0
@@ -106,7 +113,9 @@ class RmaWindow:
             next(rt.sim.ids.packet), kind, rt.rank, target, wire, payload,
             vci=rt.policy.route(rt.rank, 0, comm_id),
         ))
-        yield from rt._cs_release(dom, ctx)
+        cost = rt._cs_release(dom, ctx)
+        if cost > 0.0:
+            yield cost
         # Wait for remote completion in the progress loop.
         yield from rt.waitall(ctx, (req,))
 
@@ -118,33 +127,32 @@ class RmaWindow:
         rt = self.runtime
         payload: RmaPayload = pkt.payload
         kind = pkt.kind
-        if kind is PacketKind.RMA_PUT:
+        if kind is _PUT:
             self.puts_served += 1
-            yield rt._cs_time(dom, rt.costs.copy_time(payload.nbytes))
+            yield rt.costs.copy_time(payload.nbytes) * dom.lock._factor
             self._ack(payload)
-        elif kind is PacketKind.RMA_ACC:
+        elif kind is _ACC:
             self.accs_served += 1
-            yield rt._cs_time(
-                dom,
+            yield (
                 rt.costs.copy_time(payload.nbytes)
-                + payload.nbytes * rt.costs.rma_acc_ns_per_byte * 1e-9,
-            )
+                + payload.nbytes * rt.costs.rma_acc_ns_per_byte * 1e-9
+            ) * dom.lock._factor
             self._ack(payload)
-        elif kind is PacketKind.RMA_GET:
+        elif kind is _GET:
             self.gets_served += 1
-            yield rt._cs_time(dom, rt.costs.copy_time(payload.nbytes))
+            yield rt.costs.copy_time(payload.nbytes) * dom.lock._factor
             rt.fabric.send(
                 Packet(
-                    next(rt.sim.ids.packet), PacketKind.RMA_GET_REPLY,
+                    next(rt.sim.ids.packet), _GET_REPLY,
                     rt.rank, payload.origin_rank, payload.nbytes, payload,
                     vci=payload.origin_vci,
                 )
             )
-        elif kind is PacketKind.RMA_GET_REPLY:
+        elif kind is _GET_REPLY:
             # Back at the origin: land the data, complete the op.
-            yield rt._cs_time(dom, rt.costs.copy_time(payload.nbytes))
+            yield rt.costs.copy_time(payload.nbytes) * dom.lock._factor
             rt._complete(rt.requests[payload.origin_req_id])
-        elif kind is PacketKind.RMA_ACK:
+        elif kind is _ACK:
             rt._complete(rt.requests[payload.origin_req_id])
         else:  # pragma: no cover - dispatch guarantees
             raise RuntimeError(f"bad RMA packet {pkt!r}")
@@ -153,7 +161,7 @@ class RmaWindow:
         rt = self.runtime
         rt.fabric.send(
             Packet(
-                next(rt.sim.ids.packet), PacketKind.RMA_ACK, rt.rank,
+                next(rt.sim.ids.packet), _ACK, rt.rank,
                 payload.origin_rank, 0, payload, vci=payload.origin_vci,
             )
         )

@@ -35,7 +35,6 @@ the live requests on demand.
 
 from __future__ import annotations
 
-from functools import partial
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..locks.base import Priority, SimLock
@@ -48,7 +47,7 @@ from ..sim.rng import batched_draws
 from ..sim.sync import CompletionLatch, Signal
 from .envelope import ANY_SOURCE, ANY_TAG, Envelope
 from .queues import UnexpectedMsg
-from .request import Protocol, ReqKind, Request, RequestError
+from .request import Continuation, Protocol, ReqKind, ReqState, Request, RequestError
 from .vci import GLOBAL_POLICY, CsPolicy
 
 __all__ = ["COMPLETION_MODES", "MpiRuntime", "MpiThread", "RuntimeStats"]
@@ -58,6 +57,16 @@ COMPLETION_MODES = ("poll", "event", "continuation")
 #: Largest eager payload (bytes) that rides the send descriptor itself
 #: (``Protocol.INLINE``).
 INLINE_THRESHOLD = 128
+
+# Members bound once: an Enum member load goes through EnumType's
+# __getattr__ and is never specialized (DESIGN.md section 9).
+_HIGH, _LOW = Priority.HIGH, Priority.LOW
+_EAGER, _RTS, _CTS, _RNDV_DATA = (
+    PacketKind.EAGER, PacketKind.RTS, PacketKind.CTS, PacketKind.RNDV_DATA)
+_RMA_KINDS = frozenset(k for k in PacketKind if k.name.startswith("RMA"))
+_INLINE, _EAGER_PROTO, _RNDV = Protocol.INLINE, Protocol.EAGER, Protocol.RNDV
+_SEND, _RECV = ReqKind.SEND, ReqKind.RECV
+_FREED = ReqState.FREED
 
 
 class _EagerInfo:
@@ -166,6 +175,9 @@ class MpiRuntime:
         #: Uniform [0, 1) draws of this rank's "runtime" stream, its
         #: only consumer (request-alloc and progress-gap jitter).
         self._random = batched_draws(sim.rng.stream(f"runtime:{rank}").random)
+        #: Its refill buffer: the per-call draws take ``pop()`` from it
+        #: while it holds values (``batched_draws``).
+        self._randoms = self._random.cache
         #: Blocking-call strategy.  "poll" reproduces the paper's
         #: CS_YIELD loops bit-for-bit.  "event" (paper 9 future work) is
         #: the same loop, but a waiter with nothing to progress parks on
@@ -255,11 +267,11 @@ class MpiRuntime:
     # ==================================================================
     def _cs_acquire(self, dom: ArbitrationDomain, ctx: ThreadCtx, priority: Priority):
         st = self.stats
-        if priority == Priority.HIGH:
+        if priority == _HIGH:
             st.cs_entries_main += 1
         else:
             st.cs_entries_progress += 1
-        yield from dom.lock.acquire(ctx, priority=priority)
+        yield from dom.lock.acquire(ctx, priority)
         n = st.completed - st.freed
         self.grant_samples += 1
         self.grant_dangling_sum += n
@@ -269,7 +281,7 @@ class MpiRuntime:
         if obs is not None and obs.wants("mpi"):
             # Occupancy span, named by entry path (paper Fig. 6a): the
             # main path enters HIGH, the progress loop re-enters LOW.
-            name = "cs.main" if priority == Priority.HIGH else "cs.progress"
+            name = "cs.main" if priority == _HIGH else "cs.progress"
             dom._cs_span = name
             if len(self.domains) == 1:
                 obs.span_begin("mpi", name, rank=self.rank, tid=ctx.tid)
@@ -277,24 +289,23 @@ class MpiRuntime:
                 obs.span_begin("mpi", name, rank=self.rank, tid=ctx.tid,
                                args={"vci": dom.index})
 
-    def _cs_release(self, dom: ArbitrationDomain, ctx: ThreadCtx):
-        """Generator: releases the CS and charges the releaser-side cost
-        (a contended mutex unlock pays the FUTEX_WAKE syscall)."""
+    def _cs_release(self, dom: ArbitrationDomain, ctx: ThreadCtx) -> float:
+        """Release the CS and return the releaser-side cost (a contended
+        mutex unlock pays the FUTEX_WAKE syscall), which the caller
+        yields when it is positive.
+
+        In-CS work in between is charged as ``seconds *
+        dom.lock._factor``: the domain lock's contention factor
+        (:meth:`~repro.locks.base.SimLock._sum_factor`).  Waiting
+        threads' retries and spinning bounce the domain's shared cache
+        lines and slow the critical path (David et al., SOSP'13), and
+        sharding pays off exactly there: fewer waiters per domain, a
+        smaller factor."""
         obs = self.sim.obs
         if obs is not None and dom._cs_span is not None:
             obs.span_end("mpi", dom._cs_span, rank=self.rank, tid=ctx.tid)
             dom._cs_span = None
-        cost = dom.lock.release(ctx)
-        if cost > 0.0:
-            yield cost
-
-    def _cs_time(self, dom: ArbitrationDomain, seconds: float) -> float:
-        """The sleep for in-CS work, inflated by contention *on this
-        domain's lock*: waiting threads' retries/spinning bounce the
-        domain's shared cache lines and slow the critical path (David et
-        al., SOSP'13).  Sharding pays off exactly here: fewer waiters
-        per domain, smaller factor."""
-        return seconds * dom.lock.contention_factor()
+        return dom.lock.release(ctx)
 
     # ==================================================================
     # Completion plumbing
@@ -315,12 +326,18 @@ class MpiRuntime:
             self._emit_dangling(obs, req)
         conts = req._continuations
         if conts is not None:
-            deferred = [h for h in conts if not h.sync and not h.detached]
+            deferred = None
+            for handle in conts:
+                if not handle.sync and not handle.detached:
+                    if deferred is None:
+                        deferred = [handle]
+                    else:
+                        deferred.append(handle)
             # Deferred handles stay linked until their dispatch actually
             # runs: a free overtaking the dispatch (the owner's wait
             # discovering completion in its own poll) cancels them
             # cleanly through the handle's timer.
-            req._continuations = deferred or None
+            req._continuations = deferred
             for handle in conts:
                 if handle.detached or not handle.sync:
                     continue
@@ -328,15 +345,16 @@ class MpiRuntime:
                 # counter latches): pure O(1), safe inside the CS,
                 # schedule-neutral by construction.
                 self._run_continuation(handle)
-            for handle in deferred:
-                # User callback: defer through the event queue so it
-                # runs at the completion timestamp in (time, seq)
-                # order, outside the completing critical section.  The
-                # handle keeps the cancellable timer so detach() and
-                # free can still win the race.
-                handle._timer = self.sim.call_after(
-                    0.0, self._run_continuation, handle
-                )
+            if deferred is not None:
+                for handle in deferred:
+                    # User callback: defer through the event queue so it
+                    # runs at the completion timestamp in (time, seq)
+                    # order, outside the completing critical section.
+                    # The handle keeps the cancellable timer so detach()
+                    # and free can still win the race.
+                    handle._timer = self.sim.call_after(
+                        0.0, self._run_continuation, handle
+                    )
         if self._wake_waiters:
             self._activity.fire()
 
@@ -352,7 +370,7 @@ class MpiRuntime:
             # timer cancel lost the same-timestamp race); honor it.
             return
         req = handle.req
-        if req.freed:
+        if req.state is _FREED:
             raise RequestError(
                 f"continuation fired on freed request #{req.req_id}; "
                 f"the free bypassed detach (dangling continuation)"
@@ -387,15 +405,26 @@ class MpiRuntime:
 
         Already-complete requests join as fired rather than pending, so
         the latch predicates match the hand-rolled ``r.complete`` scans
-        they replace.  Pure bookkeeping: no sim state is touched."""
+        they replace.  Pure bookkeeping: no sim state is touched.
+
+        The sync handles are linked here directly, without
+        ``attach_continuation``'s checks: a request not yet done cannot
+        have been freed."""
         latch = CompletionLatch(self.sim)
+        fire = latch.fire
         handles: List = []
         for r in reqs:
             if r._done:
                 latch.note_fired()
             else:
-                latch.add()
-                handles.append(r.attach_continuation(latch.fire, sync=True))
+                latch.n_pending += 1
+                handle = Continuation(r, fire, True)
+                conts = r._continuations
+                if conts is None:
+                    r._continuations = [handle]
+                else:
+                    conts.append(handle)
+                handles.append(handle)
         return latch, handles
 
     def _free(self, req: Request, ctx: Optional[ThreadCtx] = None) -> None:
@@ -463,7 +492,9 @@ class MpiRuntime:
         )
 
     def _emit_queue_depths(self, dom: ArbitrationDomain) -> None:
-        """Sample matching-queue depths (call after any queue mutation)."""
+        """Sample matching-queue depths (call after any queue mutation;
+        call sites gate on ``self.sim.obs is not None``, as for
+        :meth:`_san`)."""
         obs = self.sim.obs
         if obs is not None and obs.wants("mpi"):
             if len(self.domains) == 1:
@@ -491,20 +522,21 @@ class MpiRuntime:
         (``ANY_TAG`` included) is a :class:`ValueError`."""
         if tag < 0:
             raise ValueError(f"isend tag must be >= 0, got {tag}")
-        env = Envelope(source=self.rank, tag=tag, comm=comm)
+        env = Envelope(self.rank, tag, comm)
         dom = self._send_domain(dest, tag, comm)
-        yield self.costs.request_alloc * (0.5 + self._random())
-        yield from self._cs_acquire(dom, ctx, Priority.HIGH)
-        yield self._cs_time(dom, self.costs.cs_main)
+        r = self._randoms
+        yield self.costs.request_alloc * (0.5 + (r.pop() if r else self._random()))
+        yield from self._cs_acquire(dom, ctx, _HIGH)
+        yield self.costs.cs_main * dom.lock._factor
         if nbytes <= self.eager_threshold:
             protocol = (
-                Protocol.INLINE if nbytes <= INLINE_THRESHOLD else Protocol.EAGER
+                _INLINE if nbytes <= INLINE_THRESHOLD else _EAGER_PROTO
             )
         else:
-            protocol = Protocol.RNDV
+            protocol = _RNDV
         req = Request(
-            next(self.sim.ids.request), ReqKind.SEND, self.rank, ctx.tid,
-            env, nbytes, self.sim.now, protocol=protocol, peer=dest,
+            next(self.sim.ids.request), _SEND, self.rank, ctx.tid,
+            env, nbytes, self.sim.now, protocol, dest,
         )
         req.vci = dom.index
         req.vcis = (dom.index,)
@@ -514,14 +546,14 @@ class MpiRuntime:
             self._san(ctx, f"requests[{req.req_id}]",
                       guards=(dom.lock.name,), owner=req.owner_tid)
 
-        if protocol is Protocol.RNDV:
+        if protocol is _RNDV:
             req.mark_pending()
             self._pending_sends[req.req_id] = (req, data)
             if self.sim.obs is not None:
                 self._san(ctx, f"pending_sends[{req.req_id}]",
                           guards=(dom.lock.name,), owner=req.owner_tid)
             pkt = Packet(
-                next(self.sim.ids.packet), PacketKind.RTS, self.rank, dest,
+                next(self.sim.ids.packet), _RTS, self.rank, dest,
                 0,
                 payload=_RndvInfo(env, nbytes, req.req_id, dom.index),
                 vci=self.policy.route_msg(env),
@@ -530,26 +562,27 @@ class MpiRuntime:
             if self._rel is not None:
                 self._rel.track_rts(pkt, req)
         else:
-            if protocol is Protocol.EAGER:
+            if protocol is _EAGER_PROTO:
                 # Copy into the NIC's eager buffer, holding the CS.
                 copy = self.costs.copy_time(nbytes)
                 if copy > 0.0:
-                    yield self._cs_time(dom, copy)
+                    yield copy * dom.lock._factor
             req.mark_pending()
             pkt = Packet(
-                next(self.sim.ids.packet), PacketKind.EAGER, self.rank, dest,
-                nbytes,
-                payload=_EagerInfo(env, nbytes, req.req_id, data, dom.index),
-                vci=self.policy.route_msg(env),
+                next(self.sim.ids.packet), _EAGER, self.rank, dest, nbytes,
+                _EagerInfo(env, nbytes, req.req_id, data, dom.index),
+                self.policy.route_msg(env),
             )
             if self._rel is None:
                 # Reliable fabric: local completion is delivery.
-                self.fabric.send(pkt, partial(self._complete, req))
+                self.fabric.send(pkt, self._complete, req)
             else:
                 # Lossy fabric: completion waits for the receiver's ACK.
                 self.fabric.send(pkt)
                 self._rel.track(pkt, req)
-        yield from self._cs_release(dom, ctx)
+        cost = self._cs_release(dom, ctx)
+        if cost > 0.0:
+            yield cost
         return req
 
     def irecv(
@@ -575,7 +608,7 @@ class MpiRuntime:
         """
         if tag < 0 and tag != ANY_TAG:
             raise ValueError(f"irecv tag must be >= 0 or ANY_TAG, got {tag}")
-        env = Envelope(source=source, tag=tag, comm=comm)
+        env = Envelope(source, tag, comm)
         route = self.policy.route_recv(env)
         if route is not None:
             doms: Sequence[ArbitrationDomain] = (self.domains[route],)
@@ -583,15 +616,16 @@ class MpiRuntime:
         else:
             doms = self.domains
             vcis = tuple(range(len(doms)))
-        yield self.costs.request_alloc * (0.5 + self._random())
+        r = self._randoms
+        yield self.costs.request_alloc * (0.5 + (r.pop() if r else self._random()))
         req = None
         for i, dom in enumerate(doms):
-            yield from self._cs_acquire(dom, ctx, Priority.HIGH)
+            yield from self._cs_acquire(dom, ctx, _HIGH)
             if i == 0:
-                yield self._cs_time(dom, self.costs.cs_main)
+                yield self.costs.cs_main * dom.lock._factor
                 req = Request(
-                    next(self.sim.ids.request), ReqKind.RECV, self.rank,
-                    ctx.tid, env, nbytes, self.sim.now, peer=source,
+                    next(self.sim.ids.request), _RECV, self.rank,
+                    ctx.tid, env, nbytes, self.sim.now, _EAGER_PROTO, source,
                 )
                 req.vci = dom.index
                 req.vcis = vcis
@@ -603,7 +637,9 @@ class MpiRuntime:
                               owner=req.owner_tid)
             elif req.claimed or req._done:
                 # A packet matched an earlier posting while we walked on.
-                yield from self._cs_release(dom, ctx)
+                cost = self._cs_release(dom, ctx)
+                if cost > 0.0:
+                    yield cost
                 break
             if self.sim.obs is not None:
                 self._san(ctx, f"unexp_q.d{dom.index}",
@@ -613,7 +649,7 @@ class MpiRuntime:
                 # Claim at the match, before paying the scan: another
                 # domain's thread could otherwise match it meanwhile.
                 req.claimed = True
-            yield self._cs_time(dom, self.costs.queue_scan * scanned)
+            yield self.costs.queue_scan * scanned * dom.lock._factor
             if msg is None:
                 # Post before moving to the next domain so an arrival
                 # here is matched, not parked unexpectedly forever.
@@ -621,8 +657,12 @@ class MpiRuntime:
                     self._san(ctx, f"posted_q.d{dom.index}",
                               guards=(dom.posted_q.guard,))
                 dom.posted_q.post(req)
-                self._emit_queue_depths(dom)
-                yield from self._cs_release(dom, ctx)
+                if self.sim.obs is not None:
+                    if self.sim.obs is not None:
+                        self._emit_queue_depths(dom)
+                cost = self._cs_release(dom, ctx)
+                if cost > 0.0:
+                    yield cost
                 continue
             req.vci = dom.index
             req.unexpected = True
@@ -635,11 +675,14 @@ class MpiRuntime:
                 # Eager payload parked in the unexpected buffer: extra copy.
                 copy = self.costs.copy_time(msg.nbytes, unexpected=True)
                 if copy > 0.0:
-                    yield self._cs_time(dom, copy)
+                    yield copy * dom.lock._factor
                 req.data = msg.data
                 self._complete(req)
-            self._emit_queue_depths(dom)
-            yield from self._cs_release(dom, ctx)
+            if self.sim.obs is not None:
+                self._emit_queue_depths(dom)
+            cost = self._cs_release(dom, ctx)
+            if cost > 0.0:
+                yield cost
             break
         return req
 
@@ -710,21 +753,23 @@ class MpiRuntime:
         False if it lost the race (already complete: the request is
         freed here all the same, so the caller never double-frees).
         """
-        if req.kind is not ReqKind.RECV:
+        if req.kind is not _RECV:
             raise ValueError(
                 f"only receive requests can be cancelled, got {req!r}"
             )
-        if req.freed:
+        if req.state is _FREED:
             return False
         dom = self.domains[req.vci]
-        yield from self._cs_acquire(dom, ctx, Priority.HIGH)
-        yield self._cs_time(dom, self.costs.cs_main)
+        yield from self._cs_acquire(dom, ctx, _HIGH)
+        yield self.costs.cs_main * dom.lock._factor
         if req._done:
             # Completed while we queued for the lock: not cancelled --
             # but free it here so the caller has one cleanup path.
-            if not req.freed:
+            if req.state is not _FREED:
                 self._free(req, ctx)
-            yield from self._cs_release(dom, ctx)
+            cost = self._cs_release(dom, ctx)
+            if cost > 0.0:
+                yield cost
             return False
         # From here no packet can match it: claimed entries are skipped
         # by match(); the posted entry in this domain is withdrawn now,
@@ -739,8 +784,11 @@ class MpiRuntime:
         self._complete(req)
         self._free(req, ctx)
         self.stats.cancelled += 1
-        self._emit_queue_depths(dom)
-        yield from self._cs_release(dom, ctx)
+        if self.sim.obs is not None:
+            self._emit_queue_depths(dom)
+        cost = self._cs_release(dom, ctx)
+        if cost > 0.0:
+            yield cost
         return True
 
     # ------------------------------------------------------------------
@@ -762,18 +810,24 @@ class MpiRuntime:
         pre-continuation loops (pinned by test_domain_regression)."""
         doms = self._req_domains(reqs)
         cur = 0
-        yield from self._cs_acquire(doms[cur], ctx, Priority.HIGH)
-        yield self._cs_time(doms[cur], self.costs.cs_main)
+        yield from self._cs_acquire(doms[cur], ctx, _HIGH)
+        yield self.costs.cs_main * doms[cur].lock._factor
         latch, handles = self._attach_latch(reqs)
         while (latch.n_fired == 0) if any_mode else (latch.n_pending > 0):
-            yield from self._progress_poll(doms[cur], ctx)
+            dom = doms[cur]
+            if dom.recv_q:
+                yield from self._progress_poll(dom, ctx)
+            else:
+                yield self._poll_empty(dom, ctx)
             if (latch.n_fired > 0) if any_mode else (latch.n_pending == 0):
                 break
             # CS_YIELD: let other threads at the runtime, come back at
             # progress-loop (LOW) priority.  The gap is jittered: real
             # yields have scheduling noise, and a deterministic gap
             # produces artificial lockstep alternation between threads.
-            yield from self._cs_release(doms[cur], ctx)
+            cost = self._cs_release(doms[cur], ctx)
+            if cost > 0.0:
+                yield cost
             if self.completion == "event" and not any(d.recv_q for d in doms):
                 # Nothing to progress: park until a packet arrives or a
                 # request completes (no sim time passes between this
@@ -783,25 +837,30 @@ class MpiRuntime:
                 self.parked_waiters -= 1
                 yield self.costs.event_wakeup
             else:
-                gap = self.costs.progress_gap * (0.5 + self._random())
-                yield gap
+                r = self._randoms
+                yield self.costs.progress_gap * (
+                    0.5 + (r.pop() if r else self._random()))
             cur = (cur + 1) % len(doms)
-            yield from self._cs_acquire(doms[cur], ctx, Priority.LOW)
+            yield from self._cs_acquire(doms[cur], ctx, _LOW)
             # Another thread's progress may have completed the rest
             # while this one sat in the gap / lock queue -- the latch
             # already counted those fires; the loop condition sees them.
         for h in handles:
             h.detach()
         if any_mode:
-            idx = next(i for i, r in enumerate(reqs) if r.complete)
-            if not reqs[idx].freed:
+            idx = next(i for i, r in enumerate(reqs) if r._done)
+            if reqs[idx].state is not _FREED:
                 self._free(reqs[idx], ctx)
-            yield from self._cs_release(doms[cur], ctx)
+            cost = self._cs_release(doms[cur], ctx)
+            if cost > 0.0:
+                yield cost
             return idx
         for r in reqs:
-            if not r.freed:
+            if r.state is not _FREED:
                 self._free(r, ctx)
-        yield from self._cs_release(doms[cur], ctx)
+        cost = self._cs_release(doms[cur], ctx)
+        if cost > 0.0:
+            yield cost
         return [r.data for r in reqs]
 
     def _test_engine(self, ctx: ThreadCtx, reqs: Tuple[Request, ...],
@@ -814,25 +873,30 @@ class MpiRuntime:
         latch, handles = self._attach_latch(reqs)
         result: "bool | int | None" = False if not any_mode else None
         for i, dom in enumerate(doms):
-            yield from self._cs_acquire(dom, ctx, Priority.HIGH)
+            yield from self._cs_acquire(dom, ctx, _HIGH)
             if i == 0:
-                yield self._cs_time(dom, self.costs.cs_main)
+                yield self.costs.cs_main * dom.lock._factor
             if (latch.n_fired == 0) if any_mode else (latch.n_pending > 0):
-                yield from self._progress_poll(dom, ctx)
+                if dom.recv_q:
+                    yield from self._progress_poll(dom, ctx)
+                else:
+                    yield self._poll_empty(dom, ctx)
             if i == len(doms) - 1:
                 if any_mode:
                     result = next(
-                        (j for j, r in enumerate(reqs) if r.complete), None
+                        (j for j, r in enumerate(reqs) if r._done), None
                     )
-                    if result is not None and not reqs[result].freed:
+                    if result is not None and reqs[result].state is not _FREED:
                         self._free(reqs[result], ctx)
                 else:
                     result = latch.n_pending == 0
                     if result:
                         for r in reqs:
-                            if not r.freed:
+                            if r.state is not _FREED:
                                 self._free(r, ctx)
-            yield from self._cs_release(dom, ctx)
+            cost = self._cs_release(dom, ctx)
+            if cost > 0.0:
+                yield cost
         for h in handles:
             h.detach()
         return result
@@ -874,14 +938,21 @@ class MpiRuntime:
                 self.parked_waiters -= 1
                 yield self.costs.event_wakeup
                 continue
-            yield from self._cs_acquire(dom, ctx, Priority.LOW)
-            yield from self._progress_poll(dom, ctx)
-            yield from self._cs_release(dom, ctx)
+            yield from self._cs_acquire(dom, ctx, _LOW)
+            # Another thread may have drained ``dom`` while this one
+            # queued for its lock.
+            if dom.recv_q:
+                yield from self._progress_poll(dom, ctx)
+            else:
+                yield self._poll_empty(dom, ctx)
+            cost = self._cs_release(dom, ctx)
+            if cost > 0.0:
+                yield cost
         for h in handles:
             h.detach()
         to_free: Tuple[Request, ...]
         if any_mode:
-            idx = next(i for i, r in enumerate(reqs) if r.complete)
+            idx = next(i for i, r in enumerate(reqs) if r._done)
             to_free = (reqs[idx],)
         else:
             to_free = reqs
@@ -893,12 +964,14 @@ class MpiRuntime:
                 freed_doms.append(r.vci)
         for di in freed_doms:
             dom = self.domains[di]
-            yield from self._cs_acquire(dom, ctx, Priority.HIGH)
-            yield self._cs_time(dom, self.costs.cs_main)
+            yield from self._cs_acquire(dom, ctx, _HIGH)
+            yield self.costs.cs_main * dom.lock._factor
             for r in to_free:
-                if r.vci == di and not r.freed:
+                if r.vci == di and r.state is not _FREED:
                     self._free(r, ctx)
-            yield from self._cs_release(dom, ctx)
+            cost = self._cs_release(dom, ctx)
+            if cost > 0.0:
+                yield cost
         if any_mode:
             return idx
         return [r.data for r in reqs]
@@ -918,29 +991,25 @@ class MpiRuntime:
         """One LOW-priority progress poll over every domain (the async
         progress thread's whole life, paper 6.1.2)."""
         for dom in self.domains:
-            yield from self._cs_acquire(dom, ctx, Priority.LOW)
-            yield from self._progress_poll(dom, ctx)
-            yield from self._cs_release(dom, ctx)
+            yield from self._cs_acquire(dom, ctx, _LOW)
+            if dom.recv_q:
+                yield from self._progress_poll(dom, ctx)
+            else:
+                yield self._poll_empty(dom, ctx)
+            cost = self._cs_release(dom, ctx)
+            if cost > 0.0:
+                yield cost
 
     # ==================================================================
     # Progress engine (must be called holding the domain's CS)
     # ==================================================================
     def _progress_poll(self, dom: ArbitrationDomain, ctx: ThreadCtx):
-        """Drain the domain's NIC receive queue; returns True if any
-        packet was handled."""
+        """Drain a bounded batch of the domain's NIC receive queue, which
+        holds packets (an empty queue is :meth:`_poll_empty`)."""
         self.stats.progress_polls += 1
         if self.sim.obs is not None:
             self._san(ctx, f"recv_q.d{dom.index}", guards=(dom.lock.name,))
         q = dom.recv_q
-        if not q:
-            self.stats.empty_polls += 1
-            obs = self.sim.obs
-            if obs is not None and obs.wants("mpi"):
-                # The paper's "wasted acquisition": a full CS round-trip
-                # that progressed nothing.
-                obs.instant("mpi", "poll.empty", rank=self.rank, tid=ctx.tid)
-            yield self._cs_time(dom, self.costs.cs_poll_empty)
-            return False
         # Handle a bounded batch; the rest waits for the next poll (a
         # real progress engine processes a bounded completion batch per
         # call, it does not drain the wire in one critical section).
@@ -949,7 +1018,23 @@ class MpiRuntime:
                 break
             pkt = q.popleft()
             yield from self._handle_packet(dom, ctx, pkt)
-        return True
+
+    def _poll_empty(self, dom: ArbitrationDomain, ctx: ThreadCtx) -> float:
+        """A progress poll of an empty receive queue: the paper's "wasted
+        acquisition", a full CS round-trip that progressed nothing.
+        Counts it and returns the in-CS sleep for the caller to yield.
+        Callers test ``dom.recv_q`` and call :meth:`_progress_poll` when
+        it holds packets; most polls are empty, so this one is a plain
+        call rather than a generator."""
+        st = self.stats
+        st.progress_polls += 1
+        st.empty_polls += 1
+        obs = self.sim.obs
+        if obs is not None:
+            self._san(ctx, f"recv_q.d{dom.index}", guards=(dom.lock.name,))
+            if obs.wants("mpi"):
+                obs.instant("mpi", "poll.empty", rank=self.rank, tid=ctx.tid)
+        return self.costs.cs_poll_empty * dom.lock._factor
 
     def _handle_packet(self, dom: ArbitrationDomain, ctx: ThreadCtx, pkt: Packet):
         self.stats.packets_handled += 1
@@ -957,26 +1042,26 @@ class MpiRuntime:
         if obs is not None and obs.wants("mpi"):
             obs.counter("mpi", "packets_handled", self.stats.packets_handled,
                         rank=self.rank)
-        yield self._cs_time(dom, self.costs.cs_poll_packet)
+        yield self.costs.cs_poll_packet * dom.lock._factor
         if self._rel is not None and self._rel.pre_handle(pkt):
             # ACKs and duplicate data/RTS copies are absorbed by the
             # reliability layer; they never reach the protocol handlers.
             return
         kind = pkt.kind
-        if kind is PacketKind.EAGER or kind is PacketKind.RTS:
+        if kind is _EAGER or kind is _RTS:
             info = pkt.payload
             if self.sim.obs is not None:
                 self._san(ctx, f"posted_q.d{dom.index}",
                           guards=(dom.posted_q.guard,))
             req, scanned = dom.posted_q.match(info.envelope)
-            yield self._cs_time(dom, self.costs.queue_scan * scanned)
+            yield self.costs.queue_scan * scanned * dom.lock._factor
             if req is not None:
                 req.vci = dom.index
                 self.stats.posted_hits += 1
-                if kind is PacketKind.EAGER:
+                if kind is _EAGER:
                     copy = self.costs.copy_time(info.nbytes)
                     if copy > 0.0:
-                        yield self._cs_time(dom, copy)
+                        yield copy * dom.lock._factor
                     req.data = info.data
                     self._complete(req)
                 else:
@@ -987,7 +1072,7 @@ class MpiRuntime:
                 if self.sim.obs is not None:
                     self._san(ctx, f"unexp_q.d{dom.index}",
                               guards=(dom.unexp_q.guard,))
-                if kind is PacketKind.EAGER:
+                if kind is _EAGER:
                     msg = UnexpectedMsg(
                         info.envelope, info.nbytes, pkt.src_rank,
                         data=info.data, arrival_time=self.sim.now,
@@ -999,8 +1084,9 @@ class MpiRuntime:
                         sender_vci=info.vci, arrival_time=self.sim.now,
                     )
                 dom.unexp_q.add(msg)
-            self._emit_queue_depths(dom)
-        elif kind is PacketKind.CTS:
+            if self.sim.obs is not None:
+                self._emit_queue_depths(dom)
+        elif kind is _CTS:
             sender_req_id, recv_req_id, recv_vci = pkt.payload
             if self.sim.obs is not None:
                 self._san(ctx, f"pending_sends[{sender_req_id}]",
@@ -1017,16 +1103,16 @@ class MpiRuntime:
             else:
                 req, data = self._pending_sends.pop(sender_req_id)
             data_pkt = Packet(
-                next(self.sim.ids.packet), PacketKind.RNDV_DATA, self.rank,
+                next(self.sim.ids.packet), _RNDV_DATA, self.rank,
                 pkt.src_rank, req.nbytes,
                 payload=(recv_req_id, data, req.vci), vci=recv_vci,
             )
             if self._rel is None:
-                self.fabric.send(data_pkt, partial(self._complete, req))
+                self.fabric.send(data_pkt, self._complete, req)
             else:
                 self.fabric.send(data_pkt)
                 self._rel.track(data_pkt, req)
-        elif kind is PacketKind.RNDV_DATA:
+        elif kind is _RNDV_DATA:
             recv_req_id, data, _sender_vci = pkt.payload
             req = self.requests.get(recv_req_id)
             if req is None:
@@ -1049,7 +1135,7 @@ class MpiRuntime:
             # only the handling cost (already charged) applies.
             req.data = data
             self._complete(req)
-        elif kind.name.startswith("RMA"):
+        elif kind in _RMA_KINDS:
             handler = self.windows.get(getattr(pkt.payload, "win_id", None))
             if handler is None:
                 raise RuntimeError(f"no window registered for {pkt!r}")
@@ -1062,7 +1148,7 @@ class MpiRuntime:
         """Clear a rendezvous sender: the CTS goes back to the *sender's*
         domain and tells it which receiver domain the data belongs in."""
         pkt = Packet(
-            next(self.sim.ids.packet), PacketKind.CTS, self.rank, dest, 0,
+            next(self.sim.ids.packet), _CTS, self.rank, dest, 0,
             payload=(sender_req_id, recv_req.req_id, recv_req.vci),
             vci=sender_vci,
         )
@@ -1088,14 +1174,10 @@ class MpiThread:
     def __init__(self, runtime: MpiRuntime, ctx: ThreadCtx):
         self.runtime = runtime
         self.ctx = ctx
-
-    @property
-    def rank(self) -> int:
-        return self.runtime.rank
-
-    @property
-    def sim(self):
-        return self.runtime.sim
+        #: The runtime's rank and simulator, as plain attributes:
+        #: workloads read ``th.sim.now`` on every message.
+        self.rank = runtime.rank
+        self.sim = runtime.sim
 
     def isend(self, dest, nbytes, tag=0, comm=0, data=None):
         return self.runtime.isend(self.ctx, dest, nbytes, tag=tag, comm=comm, data=data)

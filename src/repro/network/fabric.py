@@ -144,11 +144,12 @@ class Fabric:
         return self._nics[rank]
 
     # ------------------------------------------------------------------
-    def send(self, packet: Packet, done: Optional[Callable[[], None]] = None) -> None:
-        """Inject ``packet``; ``done()`` runs at *local completion*
-        (source buffer reusable / data handed to the NIC), before the
-        delivery.  Without ``done`` nothing is queued for the local
-        completion."""
+    def send(self, packet: Packet, done: Optional[Callable[..., None]] = None,
+             *done_args) -> None:
+        """Inject ``packet``; ``done(*done_args)`` runs at *local
+        completion* (source buffer reusable / data handed to the NIC),
+        before the delivery.  Without ``done`` nothing is queued for the
+        local completion."""
         cfg = self.config
         try:
             src = self._nics[packet.src_rank]
@@ -197,7 +198,7 @@ class Fabric:
                             max(0.0, self._uplinks[src.node].busy_until - now) * 1e6,
                             rank=packet.src_rank)
         if done is not None:
-            self.sim.call_after(inject_done - now, done)
+            self.sim.call_after(inject_done - now, done, *done_args)
         faults = self.faults
         if faults is None:
             self.sim.call_after(deliver_at - now, self._deliver, dst, packet)
@@ -236,7 +237,7 @@ class Fabric:
         # be defensive) fall back to VCI 0 -- loudly: it is counted on
         # the NIC and warned about on the obs bus (fault category).
         vci = packet.vci
-        if vci < 0 or vci >= nic.n_vcis:
+        if vci < 0 or vci >= len(nic.recv_qs):
             nic.vci_fallbacks += 1
             obs = self.sim.obs
             if obs is not None and obs.wants("fault"):

@@ -263,7 +263,7 @@ class Simulator:
         """
         self._parked.remove(sleep)
         proc = sleep.proc
-        proc._waiting_on = wake = proc._wake
+        wake = proc._wake
         now = self.now
         if until is None:
             until = now
@@ -292,8 +292,7 @@ class Simulator:
         wakes, as an unparked run would have them queued all along."""
         for sleep in tuple(self._parked):
             self._parked.remove(sleep)
-            proc = sleep.proc
-            proc._waiting_on = wake = proc._wake
+            wake = sleep.proc._wake
             # A bound at the pending wake replays nothing; the owner
             # just learns the sleeper is no longer parked.
             self._queue_wake(sleep.replay(sleep.when), wake)
@@ -406,9 +405,24 @@ class Simulator:
                     obs.instant("sim", "dispatch", args={"event": event.name})
                 event._process()
             elif kind is _Wake:
+                # Fused wake dispatch: resume the generator here, and
+                # while it keeps sleeping past nothing queued, run it
+                # ahead.  Any other yield goes through the process's
+                # own classification (Process._yielded).
                 proc = event.proc
-                when = proc._resume(event, True)
-                while when is not None:
+                send = None if proc._triggered else proc._gen.send
+                while send is not None:
+                    try:
+                        target = send(None)
+                    except BaseException as exc:
+                        proc._died(exc)
+                        break
+                    if type(target) is float and target >= 0.0:
+                        when = self.now + target
+                    else:
+                        when = proc._yielded(target, True)
+                        if when is None:
+                            break
                     obs = self.obs
                     if (
                         (heap and when >= heap[0][0]) or when > limit
@@ -420,7 +434,6 @@ class Simulator:
                     self.now = when
                     self.dispatched += 1
                     next(seq)
-                    when = proc._resume(proc._wake, True)
             elif kind is Timer:
                 fn, event.fn = event.fn, None
                 fn(*event.args)

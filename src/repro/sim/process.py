@@ -82,14 +82,13 @@ class Process(Event):
     synchronously).
     """
 
-    __slots__ = ("_gen", "_waiting_on", "_wake")
+    __slots__ = ("_gen", "_wake")
 
     def __init__(self, sim, gen: Generator, name: str = ""):
         if not hasattr(gen, "send") or not hasattr(gen, "throw"):
             raise TypeError(f"Process expects a generator, got {type(gen).__name__}")
         super().__init__(sim, name=name or getattr(gen, "__name__", "process"))
         self._gen = gen
-        self._waiting_on: Event | _Wake | Park | None = None
         self._wake = _Wake(self)
         # Kick off via an initialization event so user code always runs
         # from the event loop.
@@ -104,86 +103,91 @@ class Process(Event):
 
     # ------------------------------------------------------------------
     def _resume(self, event: Event, ahead: bool = False) -> "float | None":
-        # The per-event wake path: every dispatched event or wake token
-        # with a waiting process funnels through here, so attribute
-        # loads are hoisted and the sleep/park tails stay branch-lean.
-        # With ``ahead`` (the run loop resuming a wake token) a sleep is
-        # not pushed: its wake time is returned, and the caller either
-        # runs the process ahead to it or pushes the token itself.
+        """Resume the generator with ``event``'s outcome and act on what
+        it yields next (:meth:`_yielded`).  With ``ahead`` (the run loop
+        resuming a wake token) a sleep is not pushed: its wake time is
+        returned, and the caller either runs the process ahead to it or
+        pushes the token itself.  The run loop resumes a wake token's
+        generator itself and calls :meth:`_yielded` only for yields
+        other than a plain sleep (:meth:`Simulator.run`)."""
         if self._triggered:
             return None
-        self._waiting_on = None
-        sim = self.sim
-        obs = sim.obs
+        obs = self.sim.obs
         if obs is not None and obs.wants("sim"):
             obs.instant("sim", "wake", args={"process": self.name})
-        if event._ok:
-            to_throw: BaseException | None = None
-        else:
-            to_throw = event._value
-            event._defused = True
-        gen = self._gen
-        while True:
-            try:
-                if to_throw is None:
-                    target = gen.send(event._value)
-                else:
-                    target = gen.throw(to_throw)
-            except StopIteration as stop:
-                self.succeed(stop.value)
-                return None
-            except BaseException as exc:
-                if not self.callbacks:
-                    # Nobody is waiting on this process: surface in run().
-                    sim._crash(self, exc)
-                    self._value = exc
-                    self._ok = False
-                    self._triggered = True
-                    sim._schedule(self, 0.0)
-                    return None
-                self.fail(exc)
-                return None
+        try:
+            if event._ok:
+                target = self._gen.send(event._value)
+            else:
+                event._defused = True
+                target = self._gen.throw(event._value)
+        except BaseException as exc:
+            self._died(exc)
+            return None
+        return self._yielded(target, ahead)
 
+    def _yielded(self, target, ahead: bool) -> "float | None":
+        """Act on a value the generator just yielded: sleep on a float,
+        park on a :class:`Park`, wait on an Event.  A misuse is thrown
+        back into the generator at the offending yield, and whatever it
+        yields then is classified in turn."""
+        sim = self.sim
+        while True:
             if isinstance(target, float):
                 if target >= 0.0:
                     # Sleep: the key sim.timeout(target) would allocate
                     # at this same point, with the token as queue item.
-                    self._waiting_on = wake = self._wake
                     if ahead:
                         return sim.now + target
-                    sim._push((sim.now + target, next(sim._seq), wake))
+                    sim._push((sim.now + target, next(sim._seq), self._wake))
                     return None
-                to_throw = ValueError(
+                err: BaseException = ValueError(
                     f"process {self.name!r} yielded negative delay {target!r}"
                 )
-                continue
-            if not isinstance(target, Event):
-                if isinstance(target, Park):
-                    self._waiting_on = target
-                    target.proc = self
-                    target.when = sim.now + target.delay
-                    sim._parked.append(target)
+            elif isinstance(target, Event):
+                if target.sim is sim:
+                    # Inlined add_callback: on this path the target is
+                    # known live far more often than processed, and never
+                    # needs the cancelled no-op (parking on a cancelled
+                    # event is still a park).
+                    cbs = target.callbacks
+                    if cbs is None:
+                        return self._resume(target, ahead)
+                    if not target._cancelled:
+                        cbs.append(self._resume)
                     return None
-                # Deliver the misuse as an exception at the offending yield.
-                to_throw = TypeError(
-                    f"process {self.name!r} yielded {target!r}; only Event "
-                    f"instances or float delays may be yielded"
-                )
-                continue
-            if target.sim is not sim:
-                to_throw = ValueError(
+                err = ValueError(
                     f"process {self.name!r} yielded an event from a "
                     f"different simulator"
                 )
-                continue
-            break
-        self._waiting_on = target
-        # Inlined add_callback: on this path the target is known live
-        # far more often than processed, and never needs the cancelled
-        # no-op (parking on a cancelled event is still a park).
-        cbs = target.callbacks
-        if cbs is None:
-            return self._resume(target, ahead)
-        if not target._cancelled:
-            cbs.append(self._resume)
-        return None
+            elif isinstance(target, Park):
+                target.proc = self
+                target.when = sim.now + target.delay
+                sim._parked.append(target)
+                return None
+            else:
+                # Deliver the misuse as an exception at the offending yield.
+                err = TypeError(
+                    f"process {self.name!r} yielded {target!r}; only Event "
+                    f"instances or float delays may be yielded"
+                )
+            try:
+                target = self._gen.throw(err)
+            except BaseException as exc:
+                self._died(exc)
+                return None
+
+    def _died(self, exc: BaseException) -> None:
+        """The generator returned (``StopIteration``) or raised ``exc``."""
+        if isinstance(exc, StopIteration):
+            self.succeed(exc.value)
+        elif not self.callbacks:
+            # Nobody is waiting on this process: surface in run().
+            sim = self.sim
+            sim._crash(self, exc)
+            self._value = exc
+            self._ok = False
+            self._triggered = True
+            sim._schedule(self, 0.0)
+        else:
+            self.fail(exc)

@@ -40,7 +40,12 @@ def batched_draws(fill: Callable[[int], np.ndarray]) -> Callable[[], float]:
     ``draw.unread(x)`` hands a drawn value back: the next call returns
     it again.  A bulk replay that looked one draw too far gives it back
     this way (most recent first), and the stream stays exactly the
-    sequence of scalar calls."""
+    sequence of scalar calls.
+
+    ``draw.cache`` is the refill buffer, next draw last.  A call site
+    hot enough to feel the call itself draws ``cache.pop() if cache
+    else draw()``: the same value, with no Python frame for all but
+    one draw in a refill (DESIGN.md section 9)."""
     cache: list = []
     pop = cache.pop
 
@@ -50,6 +55,7 @@ def batched_draws(fill: Callable[[int], np.ndarray]) -> Callable[[], float]:
         return pop()
 
     draw.unread = cache.append
+    draw.cache = cache
     return draw
 
 

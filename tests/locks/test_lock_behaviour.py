@@ -7,7 +7,6 @@ and priority ordering of the custom lock.
 
 
 from repro.locks import (
-    NullLock,
     Priority,
     PriorityTicketLock,
     PthreadMutexModel,
@@ -266,26 +265,3 @@ def test_mutex_cas_race_favours_same_socket(machine, costs):
         wins[first[0]] += 1
 
     assert wins["near"] > 0.85 * sum(wins.values())
-
-
-def test_contention_factor_cache_follows_owner_and_contenders(sim, machine, costs):
-    # The memoized factor must equal a fresh computation after every
-    # owner or contender change: _enter, _grant and _release_checks.
-    lock = NullLock(sim, costs)
-    a, b, c = make_threads(machine, 3, binding=scatter_binding)
-    assert (a.socket, b.socket, c.socket) == (0, 1, 0)
-    pen = costs.contention_penalty
-    remote = pen * costs.contention_remote_factor
-
-    lock._enter(a)
-    assert lock.contention_factor() == 1.0  # contended, but no owner
-    lock._grant(a)
-    assert lock.contention_factor() == 1.0  # owner, nobody waiting
-    lock._enter(b)
-    assert lock.contention_factor() == 1.0 + remote
-    lock._enter(c)
-    assert lock.contention_factor() == 1.0 + remote + pen
-    lock._release_checks(a)
-    assert lock.contention_factor() == 1.0
-    lock._grant(b)  # c, on the other socket from b, still waits
-    assert lock.contention_factor() == 1.0 + remote

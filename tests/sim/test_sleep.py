@@ -4,7 +4,7 @@ the run loop's run-ahead of a process woken by its own sleep."""
 import pytest
 
 from repro.obs import Recording
-from repro.sim import SimulationError, Simulator
+from repro.sim import Park, SimulationError, Simulator
 
 
 def test_float_sleep_resumes_with_none_after_delay():
@@ -185,3 +185,120 @@ def test_raise_inside_run_ahead_chain_surfaces_at_its_time():
     with pytest.raises(SimulationError, match=r"'bad' died at t=3\.0"):
         sim.run()
     assert sim.now == 3.0
+
+
+# ----------------------------------------------------------------------
+# A wake token's resume is fused into the run loop; every yield but a
+# plain sleep then goes through Process._yielded, the same classifier the
+# event-callback path uses.  Each misuse below is yielded once after
+# float sleeps (resumed by the wake token, inside a run-ahead chain) and
+# once after Timeout waits (resumed by an event callback): the outcomes
+# must be equal.
+# ----------------------------------------------------------------------
+
+def _after_waits(by_token, body):
+    """Run ``body(sim, log)`` (a generator) after two 1 ns waits: float
+    sleeps when ``by_token``, Timeouts otherwise.  Returns everything
+    observable: the log, the clock, the dispatch count and the run's
+    outcome."""
+    sim = Simulator()
+    log = []
+
+    def proc():
+        for _ in range(2):
+            yield 1e-9 if by_token else sim.timeout(1e-9)
+        return (yield from body(sim, log))
+
+    p = sim.process(proc(), name="p")
+    try:
+        sim.run()
+        outcome = ("ok", p.value)
+    except SimulationError as exc:
+        outcome = ("crash", str(exc))
+    return log, sim.now, sim.dispatched, outcome
+
+
+def _caught(sim, log, target):
+    try:
+        yield target
+    except (TypeError, ValueError) as exc:
+        log.append((sim.now, type(exc).__name__, str(exc)))
+    yield 1e-9
+    log.append(sim.now)
+
+
+@pytest.mark.parametrize("misuse", ["negative", "not-an-event", "foreign-event"])
+def test_misuse_after_a_float_sleep_matches_the_callback_path(misuse):
+    def body(sim, log):
+        target = {
+            "negative": -1e-9,
+            "not-an-event": "x",
+            "foreign-event": Simulator().event(),
+        }[misuse]
+        yield from _caught(sim, log, target)
+        return "done"
+
+    token = _after_waits(True, body)
+    assert token == _after_waits(False, body)
+    log, now, _, outcome = token
+    assert log[0][0] == 2e-9 and log[1] == now == 2e-9 + 1e-9
+    assert outcome == ("ok", "done")
+
+
+def test_park_after_a_float_sleep_matches_the_callback_path():
+    def body(sim, log):
+        yield Park(5e-9)
+        log.append(sim.now)
+
+    token = _after_waits(True, body)
+    assert token == _after_waits(False, body)
+    assert token[0] == [7e-9]
+
+
+@pytest.mark.parametrize("waited", [False, True])
+def test_raise_after_a_float_sleep_matches_the_callback_path(waited):
+    def run(by_token):
+        def body(sim, log):
+            if False:  # pragma: no cover - makes body a generator
+                yield
+            raise RuntimeError("boom")
+
+        if not waited:
+            return _after_waits(by_token, body)
+        sim = Simulator()
+        log = []
+
+        def failing():
+            for _ in range(2):
+                yield 1e-9 if by_token else sim.timeout(1e-9)
+            yield from body(sim, log)
+
+        def waiter(p):
+            try:
+                yield p
+            except RuntimeError as exc:
+                log.append((sim.now, str(exc)))
+
+        sim.process(waiter(sim.process(failing(), name="p")))
+        sim.run()
+        return log, sim.now, sim.dispatched
+
+    token = run(True)
+    assert token == run(False)
+    if waited:
+        assert token[0] == [(2e-9, "boom")]
+    else:
+        assert token[3] == ("crash", "process 'p' died at t=0.000000002s: "
+                                     "RuntimeError('boom')")
+
+
+def test_return_after_a_float_sleep_matches_the_callback_path():
+    def body(sim, log):
+        if False:  # pragma: no cover - makes body a generator
+            yield
+        log.append(sim.now)
+        return {"k": sim.now}
+
+    token = _after_waits(True, body)
+    assert token == _after_waits(False, body)
+    assert token[3] == ("ok", {"k": 2e-9})
