@@ -9,41 +9,28 @@ from the same process and communicator", 4.4).
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 __all__ = ["ANY_SOURCE", "ANY_TAG", "Envelope", "matches"]
 
 ANY_SOURCE = -1
 ANY_TAG = -1
 
 
+@dataclass(slots=True, unsafe_hash=True)
 class Envelope:
     """(source, tag, comm).  For incoming messages all fields are concrete;
     posted receives may hold wildcards in ``source``/``tag``.
 
-    A value: equality, hash and repr are a frozen dataclass's, and no
-    code assigns a field after construction.  It is a ``__slots__``
-    class rather than a frozen dataclass because one is built on every
-    ``isend`` and ``irecv``, and a frozen dataclass's ``__init__`` pays
-    an ``object.__setattr__`` call per field (DESIGN.md section 9)."""
+    A value: nothing assigns a field after construction, and equality,
+    hash and repr are those of a frozen dataclass.  It is not declared
+    frozen because one is built on every ``isend`` and ``irecv``, and a
+    frozen dataclass's ``__init__`` pays an ``object.__setattr__`` call
+    per field (DESIGN.md section 9)."""
 
-    __slots__ = ("source", "tag", "comm")
-
-    def __init__(self, source: int, tag: int, comm: int = 0):
-        self.source = source
-        self.tag = tag
-        self.comm = comm
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.source, self.tag, self.comm) == (
-            other.source, other.tag, other.comm)
-
-    def __hash__(self) -> int:
-        return hash((self.source, self.tag, self.comm))
-
-    def __repr__(self) -> str:
-        return (f"Envelope(source={self.source!r}, tag={self.tag!r}, "
-                f"comm={self.comm!r})")
+    source: int
+    tag: int
+    comm: int = 0
 
     def is_concrete(self) -> bool:
         return self.source != ANY_SOURCE and self.tag != ANY_TAG

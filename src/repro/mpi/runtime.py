@@ -658,8 +658,7 @@ class MpiRuntime:
                               guards=(dom.posted_q.guard,))
                 dom.posted_q.post(req)
                 if self.sim.obs is not None:
-                    if self.sim.obs is not None:
-                        self._emit_queue_depths(dom)
+                    self._emit_queue_depths(dom)
                 cost = self._cs_release(dom, ctx)
                 if cost > 0.0:
                     yield cost
