@@ -81,7 +81,8 @@ class SimLock:
             batched_draws(lambda n: rng.exponential(scale, n) * NS)
             if scale > 0.0 else None
         )
-        #: The jitter's refill buffer (``batched_draws``), None with it.
+        #: The jitter's refill buffer (``batched_draws``); None without
+        #: jitter.
         self._jitters: Optional[list] = (
             None if self._jitter is None else self._jitter.cache)
         #: The contention factor (:meth:`_sum_factor`), which in-CS work

@@ -114,8 +114,10 @@ not expected to match the authors' Nehalem/QDR testbed; the **shape
 checks** encode what must match: who wins, by roughly what factor, and
 where crossovers fall. Regenerate with
 `python tools/gen_experiments_md.py` (add `--paper-scale` for the full
-parameter grid; the quick grid below runs in about 33 s on a
-2-vCPU host, each run that several figures read simulated once).
+parameter grid; the quick grid below runs in about 48 s on a shared
+2-vCPU host, each run that several figures read simulated once: the
+median of three `run all --quick --seed 1` runs interleaved with the
+previous version's, which took 57 s).
 
 **Table 1** (testbed spec) is encoded as
 `repro.machine.MachineSpec`/`nehalem_node()` and asserted in

@@ -38,7 +38,7 @@ PACKAGE = ROOT / "src" / "repro"
 #: Never-called lines measured after the last deletion.  Lower it when
 #: code is deleted; raising it needs a figure, gate or ablation
 #: component that the audit cannot see.
-CEILING = 574
+CEILING = 573
 
 #: ``(file, first line)`` -> ``(qualified name, lines)``.
 Table = Dict[Tuple[str, int], Tuple[str, int]]
