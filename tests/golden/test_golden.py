@@ -1,5 +1,6 @@
 """The golden-output corpus (``tools/golden.py``): the manifest covers
-every experiment and every benchmark cell at every pinned seed, a subset
+every experiment and every benchmark cell at every pinned seed and every
+pinned trace, a subset
 recomputes to its pins within the manifest's stated budget, and
 ``moved`` names what changed."""
 
@@ -28,6 +29,14 @@ def test_manifest_pins_every_benchmark_cell_at_every_seed():
     assert sorted(bench) == sorted(names)
     for name, by_seed in bench.items():
         assert sorted(by_seed) == sorted(str(s) for s in golden.HOSTBENCH_SEEDS), name
+
+
+def test_manifest_pins_every_trace_at_its_seed():
+    traces = golden.load()["traces"]
+    assert sorted(traces) == sorted(golden.TRACES)
+    for name, (seed, _categories) in golden.TRACES.items():
+        assert sorted(traces[name]) == [str(seed)], name
+        assert sorted(traces[name][str(seed)]) == ["counters", "trace"], name
 
 
 def test_tier1_subset_matches_its_pins():

@@ -5,11 +5,13 @@ each seed in ``SEEDS`` (quick preset), the
 :func:`~repro.experiments.base.canonical_id` of its ``to_dict()`` and of
 each top-level key of it; each benchmark cell's ``checks.digest`` at
 each seed in ``HOSTBENCH_SEEDS`` (``hostbench/cells.py`` and
-``hostbench/checks.py`` are imported read-only); and the Python and numpy
-versions the pins were made with (numpy's generators key every random
-stream).  Tier-1 (``tests/golden/test_golden.py``) recomputes the
-manifest's ``tier1`` subset within its stated budget; CI's ``golden``
-job recomputes all of it.  Usage::
+``hostbench/checks.py`` are imported read-only); the blake2b of the
+Chrome trace and of the counter dump of each ``repro trace`` run in
+``TRACES``, made in-process; and the Python and numpy versions the pins
+were made with (numpy's generators key every random stream).  Tier-1
+(``tests/golden/test_golden.py``) recomputes the manifest's ``tier1``
+subset within its stated budget; CI's ``golden`` job recomputes all of
+it.  Usage::
 
     PYTHONPATH=src python tools/golden.py --check    # exit 1 if a pin moved
     PYTHONPATH=src python tools/golden.py --update   # re-pin, print what moved
@@ -18,22 +20,34 @@ job recomputes all of it.  Usage::
 from __future__ import annotations
 
 import argparse
+import contextlib
+import hashlib
 import importlib.util
+import io
 import json
 import platform
 import sys
+import tempfile
 from pathlib import Path
 from typing import Dict, Iterable, List, Mapping, Tuple
 
 import numpy
 
+from repro.cli import main as repro_cli
 from repro.experiments import EXPERIMENTS, run_experiments
 from repro.experiments.base import canonical_id
 
 ROOT = Path(__file__).resolve().parents[1]
 MANIFEST = ROOT / "tests" / "golden" / "manifest.json"
-SEEDS = (0, 1)
+SEEDS = (0, 1, 7)
 HOSTBENCH_SEEDS = (1, 7, 23)
+#: ``repro trace`` runs pinned as ``{name: (seed, categories)}``.  Both
+#: record ``sim``: its dispatch and wake instants show every queue item
+#: the run dispatched, so a change to what is queued moves them.
+TRACES = {
+    "fig_continuations": (1, "lock,mpi,net,fault,meta,sim"),
+    "fig_chaos": (1, "lock,mpi,net,fault,meta,sim"),
+}
 
 #: ``{exp_id: {seed (str): {"digest": ..., "keys": {key: ...}}}}``
 Pins = Dict[str, Dict[str, dict]]
@@ -86,10 +100,33 @@ def hostbench_digests(seeds: Iterable[int]) -> Dict[str, Dict[str, str]]:
     return out
 
 
+def _blake2b(path: Path) -> str:
+    return hashlib.blake2b(path.read_bytes(), digest_size=16).hexdigest()
+
+
+def trace_digests(names: Iterable[str]) -> Dict[str, Dict[str, Dict[str, str]]]:
+    """``{name: {seed (str): {"trace": ..., "counters": ...}}}``: the
+    blake2b of the Chrome trace and of the counter dump that
+    ``repro trace <name> --seed S --categories C`` writes, for each
+    selected run in :data:`TRACES`, run in-process."""
+    out: Dict[str, Dict[str, Dict[str, str]]] = {}
+    for name in names:
+        seed, categories = TRACES[name]
+        with tempfile.TemporaryDirectory() as tmp:
+            trace, counters = Path(tmp) / "trace.json", Path(tmp) / "counters.json"
+            with contextlib.redirect_stdout(io.StringIO()):
+                repro_cli(["trace", name, "--seed", str(seed), "--categories", categories,
+                     "--out", str(trace), "--counters", str(counters)])
+            out[name] = {str(seed): {"trace": _blake2b(trace),
+                                     "counters": _blake2b(counters)}}
+    return out
+
+
 def moved_digests(old: Dict[str, Dict[str, str]],
                   new: Dict[str, Dict[str, str]]) -> List[Tuple[str, str]]:
     """``(cell, seed)`` for every digest in ``new`` that differs from
-    (or is missing in) ``old``."""
+    (or is missing in) ``old``.  A trace pin's digest is its
+    ``{"trace", "counters"}`` pair."""
     return [(cell, seed) for cell, by_seed in new.items()
             for seed, d in by_seed.items() if old.get(cell, {}).get(seed) != d]
 
@@ -140,10 +177,14 @@ def main(argv=None) -> int:
     bench_diff = moved_digests(manifest.get("hostbench", {}), bench)
     for cell, seed in bench_diff:
         print(f"hostbench {cell} seed {seed}: digest")
-    n_moved = len(diff) + len(bench_diff)
-    n_pins = sum(len(s) for s in new.values()) + sum(len(s) for s in bench.values())
+    traces = trace_digests(TRACES)
+    trace_diff = moved_digests(manifest.get("traces", {}), traces)
+    for name, seed in trace_diff:
+        print(f"trace {name} seed {seed}: trace or counters")
+    n_moved = len(diff) + len(bench_diff) + len(trace_diff)
+    n_pins = sum(len(s) for d in (new, bench, traces) for s in d.values())
     if args.update:
-        manifest.update(versions(), pins=new, hostbench=bench)
+        manifest.update(versions(), pins=new, hostbench=bench, traces=traces)
         MANIFEST.write_text(json.dumps(manifest, indent=1, sort_keys=True) + "\n")
         print(f"re-pinned {n_moved} of {n_pins}")
         return 0
