@@ -650,7 +650,7 @@ def _check_queue_encapsulation(mod: _Module) -> Iterator[Finding]:
     )
     heapq_msg = (
         "heapq import outside the sim engine: schedule through the "
-        "Simulator (timeout/call_after/succeed_after) instead"
+        "Simulator (timeout/call_after/hand_off/wake) instead"
     )
     for node in ast.walk(mod.tree):
         if isinstance(node, ast.Import):

@@ -26,11 +26,10 @@ it is not sampled from a target distribution.
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Tuple
+from typing import Deque, List
 
 from ..machine.threads import ThreadCtx
 from ..machine.topology import distance
-from ..sim.events import Event
 from .base import HIGH, Priority, SimLock
 
 __all__ = ["PthreadMutexModel"]
@@ -41,8 +40,9 @@ class PthreadMutexModel(SimLock):
 
     def __init__(self, sim, costs, name: str = ""):
         super().__init__(sim, costs, name=name)
-        #: Parked threads in kernel FIFO order: (wake_event, ctx).
-        self._futex_q: Deque[Tuple[object, ThreadCtx]] = deque()
+        #: Parked threads in kernel FIFO order, each a wait list
+        #: ``[thread, hand-off token]``.
+        self._futex_q: Deque[List] = deque()
         #: Diagnostic counters.
         self.cas_attempts = 0
         self.cas_failures = 0
@@ -72,9 +72,9 @@ class PthreadMutexModel(SimLock):
             if self.owner is None:
                 continue
             self.futex_waits += 1
-            ev = Event(self.sim, f"futex:{self.name}:{ctx.name}")
-            self._futex_q.append((ev, ctx))
-            yield ev
+            entry = [ctx]
+            self._futex_q.append(entry)
+            yield entry  # the process appends its hand-off token
             # Woken: loop back and race the CAS against everyone else.
 
     def add_low_rounds(self, k: int) -> None:
@@ -92,11 +92,16 @@ class PthreadMutexModel(SimLock):
         # The releasing store dirties the line in this core's cache.
         self.line_owner = core
         if self._futex_q:
-            ev, _wctx = self._futex_q.popleft()
+            wctx, token = self._futex_q.popleft()
             self.futex_wakes += 1
+            sim = self.sim
+            obs = sim.obs
             # FUTEX_WAKE: syscall + IPI + scheduler latency before the
             # woken thread is back in user space retrying its CAS.
-            self.sim.succeed_after(self.costs.futex_wake, ev)
+            sim.hand_off(
+                self.costs.futex_wake, token,
+                f"futex:{self.name}:{wctx.name}"
+                if obs is not None and obs.wants("sim") else "")
             # The *releaser* is stuck in the syscall meanwhile -- a
             # contended unlock is far more expensive than an uncontended
             # one, which is the main per-message penalty the mutex pays.

@@ -11,10 +11,9 @@ is why a fair lock pays more intersocket traffic under scatter bindings
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
+from typing import Dict, List
 
 from ..machine.threads import ThreadCtx
-from ..sim.events import Event
 from .base import HIGH, LockError, Priority, SimLock
 
 __all__ = ["TicketLock"]
@@ -31,9 +30,9 @@ class TicketLock(SimLock):
         super().__init__(sim, costs, name=name)
         self.next_ticket = 0
         self.now_serving = 0
-        #: ticket number -> (grant event, waiting thread): the threads
-        #: holding a ticket but not yet served.
-        self._waiting: Dict[int, Tuple[object, ThreadCtx]] = {}
+        #: ticket number -> wait list ``[thread, hand-off token]``: the
+        #: threads holding a ticket but not yet served.
+        self._waiting: Dict[int, List] = {}
 
     # ------------------------------------------------------------------
     def acquire(self, ctx: ThreadCtx, priority: Priority = HIGH):
@@ -48,9 +47,9 @@ class TicketLock(SimLock):
                 raise LockError(f"ticket {my_ticket} serving but lock held")
             self._grant(ctx)
             return
-        ev = Event(self.sim, f"ticket:{self.name}:{my_ticket}")
-        self._waiting[my_ticket] = (ev, ctx)
-        yield ev
+        entry = [ctx]
+        self._waiting[my_ticket] = entry
+        yield entry  # the process appends its hand-off token
         self._grant(ctx)
 
     def add_low_rounds(self, k: int) -> None:
@@ -62,8 +61,13 @@ class TicketLock(SimLock):
         self.now_serving += 1
         nxt = self._waiting.pop(self.now_serving, None)
         if nxt is not None:
-            ev, wctx = nxt
+            wctx, token = nxt
+            sim = self.sim
+            obs = sim.obs
             # The waiter spins on now_serving; it observes the store after
             # the cache line reaches its core.
-            self.sim.succeed_after(self._handoff_cost(ctx.core, wctx.core), ev)
+            sim.hand_off(
+                self._handoff_cost(ctx.core, wctx.core), token,
+                f"ticket:{self.name}:{self.now_serving}"
+                if obs is not None and obs.wants("sim") else "")
         return 0.0

@@ -10,14 +10,16 @@ scale (1e-9).
 
 The run loop pops one entry at a time in ``(time, seq)`` total order,
 so the schedule -- and therefore every bit-identity pin in the test
-suite -- depends only on the seed and the model.  A queue item is one
-of three kinds, each dispatched straight from its entry: an
-:class:`Event` (run its callbacks), a process's sleep token (resume the
-generator; see :mod:`repro.sim.process`) or a :class:`Timer` from
-:meth:`call_after` (call ``fn(*args)``).  Sleeps and timers allocate no Timeout, callbacks
-list or bound method, and a process woken by its own sleep token whose
-next sleep ends before every queued entry runs ahead without a queue
-round trip (see :meth:`Simulator.run`).  A process that yields a
+suite -- depends only on the seed and the model.  A queue item is
+dispatched straight from its entry by kind: an :class:`Event` (run its
+callbacks), a process's sleep token or hand-off token (resume the
+generator; see :mod:`repro.sim.process`), a :class:`Timer` from
+:meth:`call_after` (call ``fn(*args)``), or one wake of several waiters
+(:meth:`wake`).  Sleeps, timers, lock hand-offs and signal fires
+allocate no Timeout, Event, callbacks list or bound method, and a
+process woken by its own token whose next sleep ends before every
+queued entry runs ahead without a queue round trip (see
+:meth:`Simulator.run`).  A process that yields a
 :class:`~repro.sim.process.Park` queues nothing until it is touched
 (:meth:`Simulator.catch_up`).
 
@@ -39,7 +41,7 @@ from math import nextafter
 from typing import Any, Callable, Generator, Optional
 
 from .events import AllOf, Event, Timeout
-from .process import Park, Process, _Wake
+from .process import Park, Process, _Handoff, _Wake, _WakeAll
 from .rng import RngStreams
 
 __all__ = ["Simulator", "SimulationError", "Timer"]
@@ -189,29 +191,42 @@ class Simulator:
         self._push((self.now + delay, next(self._seq), timer))
         return timer
 
-    def succeed_after(self, delay: float, event: Event) -> None:
-        """Trigger ``event`` ``delay`` seconds from now, as
-        ``call_after(delay, event.succeed)`` would, in one dispatch.
+    def hand_off(self, delay: float, token: _Handoff, label: str = "") -> None:
+        """Resume the process that left hand-off ``token`` in a wait list
+        ``delay`` seconds from now, with ``None``: a lock hand-off.
 
-        When the timer fires and nothing could run between it and the
-        event's own zero-delay dispatch -- no live-or-dead entry at this
-        instant, no bus wanting ``sim`` instants -- the event's callbacks
-        run inside the timer's dispatch (DESIGN.md section 9).  Otherwise, or if the event was
-        cancelled or triggered meanwhile, it is ``event.succeed()``."""
-        self.call_after(delay, self._succeed_now, event)
+        The token is queued now, as a relay.  When it fires, and once the
+        dead entries right behind it are swept, the process resumes in
+        the relay's own dispatch (and may run ahead) unless the heap's
+        head is at or before this instant or a bus wants ``sim``
+        instants.  Then the resume is queued as a dispatch of its own,
+        with a fresh seq, so an entry at the same instant still runs
+        first and a traced run shows a nameless dispatch, the resume's
+        ``dispatch`` instant named ``label``, then the ``wake``
+        (DESIGN.md section 9).  Build ``label`` only for such a bus."""
+        if delay < 0:
+            raise ValueError(f"negative delay {delay!r}")
+        token.relay = label
+        token.name = ""
+        token._value = None
+        self._push((self.now + delay, next(self._seq), token))
 
-    def _succeed_now(self, event: Event) -> None:
-        heap = self._heap
-        obs = self.obs
-        if (
-            (heap and heap[0][0] <= self.now)
-            or event._scheduled or event._triggered or event._cancelled
-            or (obs is not None and obs.wants("sim"))
-        ):
-            event.succeed()
-            return
-        event._value = None
-        event._process()
+    def wake(self, tokens: list, value: Any = None, name: str = "") -> None:
+        """Resume, with ``value``, the processes whose hand-off tokens
+        are in the wait list ``tokens``, in wait order, in one dispatch
+        queued now and named ``name``; ``tokens`` is left empty.  One
+        waiter's own token is the queue item; an empty list queues
+        nothing."""
+        if len(tokens) == 1:
+            token = tokens.pop()
+            token.relay = None
+            token.name = name
+            token._value = value
+            self._push((self.now, next(self._seq), token))
+        elif tokens:
+            self._push((self.now, next(self._seq),
+                        _WakeAll(tokens[:], value, name)))
+            tokens.clear()
 
     # ------------------------------------------------------------------
     # Scheduling internals
@@ -325,12 +340,12 @@ class Simulator:
         loop emits the dispatch instant and calls the item's
         ``_process()`` instead.
 
-        A process resumed by its own sleep token *runs ahead*: when its
-        next sleep ends strictly before every queued entry (and within
-        the horizon, with no bus wanting ``sim`` instants), the loop
-        advances the clock and resumes it again without a queue round
-        trip, counting the dispatch and drawing the seq the push would
-        have drawn.  That entry is the one the next pop would return,
+        A process resumed by its own sleep or hand-off token *runs
+        ahead*: when its next sleep ends strictly before every queued
+        entry (and within the horizon, with no bus wanting ``sim``
+        instants), the loop advances the clock and resumes it again
+        without a queue round trip, counting the dispatch and drawing
+        the seq the push would have drawn.  That entry is the one the next pop would return,
         so the schedule is unchanged (DESIGN.md section 9).
 
         Every exit catches parked sleepers up to the exit time (the
@@ -404,19 +419,30 @@ class Simulator:
                 if event.name:
                     obs.instant("sim", "dispatch", args={"event": event.name})
                 event._process()
-            elif kind is _Wake:
+            elif kind is _Wake or kind is _Handoff:
                 # Fused wake dispatch: resume the generator here, and
                 # while it keeps sleeping past nothing queued, run it
                 # ahead.  Any other yield goes through the process's
                 # own classification (Process._yielded).
                 proc = event.proc
+                value = None
+                if kind is _Handoff:
+                    if event.relay is not None:
+                        # A hand-off firing: an entry at this instant
+                        # (live or dead) runs before its resume.
+                        event.relay = None
+                        if heap and heap[0][0] <= when:
+                            push((when, next(seq), event))
+                            continue
+                    value = event._value
                 send = None if proc._triggered else proc._gen.send
                 while send is not None:
                     try:
-                        target = send(None)
+                        target = send(value)
                     except BaseException as exc:
                         proc._died(exc)
                         break
+                    value = None
                     if type(target) is float and target >= 0.0:
                         when = self.now + target
                     else:
@@ -437,6 +463,8 @@ class Simulator:
             elif kind is Timer:
                 fn, event.fn = event.fn, None
                 fn(*event.args)
+            elif kind is _WakeAll:
+                event._process()
             else:
                 event._triggered = True
                 callbacks = event.callbacks

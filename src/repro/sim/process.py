@@ -7,6 +7,9 @@ yielded non-negative ``float`` sleeps that many seconds and resumes it
 with ``None``, as ``yield sim.timeout(d)`` would, but with no Timeout.
 A yielded :class:`Park` sleeps the same way with nothing queued at all
 until something touches the sleeper (see :meth:`Simulator.catch_up`).
+A yielded ``list`` is a wait list: the process appends its hand-off
+token and waits, with nothing queued, until whoever holds the list
+queues the token (:meth:`Simulator.hand_off`, :meth:`Simulator.wake`).
 A process is itself an event that fires with the generator's return
 value, so processes can wait on each other.
 """
@@ -36,6 +39,58 @@ class _Wake:
 
     def _process(self) -> None:
         self.proc._resume(self)
+
+
+class _Handoff:
+    """A process's reusable hand-off token: what it leaves in a wait list
+    it yields, and what a lock hand-off or a signal fire queues to
+    resume it.  To ``Process._resume`` it looks like a fired event with
+    value ``_value``.
+
+    Queued by :meth:`Simulator.hand_off` it is a *relay*: ``relay`` holds
+    the label of the resume, which runs inside the relay's dispatch or,
+    when the tie rule or a bus says so, in a dispatch of its own.  Queued
+    by :meth:`Simulator.wake`, or re-queued by the relay, ``relay`` is
+    None and its dispatch is the resume, named ``name``."""
+
+    __slots__ = ("proc", "name", "relay", "_value")
+
+    _cancelled = False
+    _ok = True
+
+    def __init__(self, proc: "Process"):
+        self.proc = proc
+        self.name = ""
+        self.relay: "str | None" = None
+        self._value = None
+
+    def _process(self) -> None:
+        # The run loop's traced path: a bus wants every dispatch shown,
+        # so a firing relay queues the resume as a dispatch of its own.
+        label = self.relay
+        if label is None:
+            self.proc._resume(self)
+        else:
+            self.proc.sim.wake([self], None, label)
+
+
+class _WakeAll:
+    """One queue item resuming the owners of several hand-off tokens, in
+    order, each with ``_value``: a signal fire with several waiters."""
+
+    __slots__ = ("tokens", "name", "_value")
+
+    _cancelled = False
+    _ok = True
+
+    def __init__(self, tokens: list, value, name: str):
+        self.tokens = tokens
+        self.name = name
+        self._value = value
+
+    def _process(self) -> None:
+        for token in self.tokens:
+            token.proc._resume(self)
 
 
 class Park:
@@ -82,7 +137,7 @@ class Process(Event):
     synchronously).
     """
 
-    __slots__ = ("_gen", "_wake")
+    __slots__ = ("_gen", "_wake", "_hand")
 
     def __init__(self, sim, gen: Generator, name: str = ""):
         if not hasattr(gen, "send") or not hasattr(gen, "throw"):
@@ -90,6 +145,7 @@ class Process(Event):
         super().__init__(sim, name=name or getattr(gen, "__name__", "process"))
         self._gen = gen
         self._wake = _Wake(self)
+        self._hand = _Handoff(self)
         # Kick off via an initialization event so user code always runs
         # from the event loop.
         init = Event(sim, name=f"init:{self.name}")
@@ -128,9 +184,9 @@ class Process(Event):
 
     def _yielded(self, target, ahead: bool) -> "float | None":
         """Act on a value the generator just yielded: sleep on a float,
-        park on a :class:`Park`, wait on an Event.  A misuse is thrown
-        back into the generator at the offending yield, and whatever it
-        yields then is classified in turn."""
+        join a wait list, wait on an Event, park on a :class:`Park`.  A
+        misuse is thrown back into the generator at the offending yield,
+        and whatever it yields then is classified in turn."""
         sim = self.sim
         while True:
             if isinstance(target, float):
@@ -144,6 +200,11 @@ class Process(Event):
                 err: BaseException = ValueError(
                     f"process {self.name!r} yielded negative delay {target!r}"
                 )
+            elif type(target) is list:
+                # A wait list (a lock's queue entry, a Signal's waiters):
+                # its holder queues the token to resume this process.
+                target.append(self._hand)
+                return None
             elif isinstance(target, Event):
                 if target.sim is sim:
                     # Inlined add_callback: on this path the target is
@@ -169,7 +230,7 @@ class Process(Event):
                 # Deliver the misuse as an exception at the offending yield.
                 err = TypeError(
                     f"process {self.name!r} yielded {target!r}; only Event "
-                    f"instances or float delays may be yielded"
+                    f"instances, wait lists or float delays may be yielded"
                 )
             try:
                 target = self._gen.throw(err)

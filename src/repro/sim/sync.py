@@ -17,14 +17,17 @@ __all__ = ["CompletionLatch", "Signal", "SimBarrier"]
 
 
 class Signal:
-    """A re-armable broadcast: ``wait()`` returns an event fired by ``fire()``."""
+    """A re-armable broadcast: a process yielding ``wait()`` resumes
+    with the value of the next ``fire()``."""
 
-    __slots__ = ("sim", "name", "_event", "_waiters")
+    __slots__ = ("sim", "name", "_tokens", "_waiters")
 
     def __init__(self, sim: Simulator, name: str = ""):
         self.sim = sim
         self.name = name
-        self._event = sim.event(name=name)
+        #: The wait list: hand-off tokens of the processes that yielded
+        #: it, in wait order.
+        self._tokens: list = []
         #: Parked ThreadCtx's registered via ``wait(ctx=...)`` -- pure
         #: introspection for the deadlock detector's waits-for graph
         #: (cleared on fire; never touches simulator state).
@@ -34,24 +37,22 @@ class Signal:
     def waiters(self) -> tuple:
         return tuple(self._waiters)
 
-    def wait(self, ctx: Any = None) -> Event:
+    def wait(self, ctx: Any = None) -> list:
+        """The wait list to yield: the process resumes at the next fire."""
         if ctx is not None:
             self._waiters.append(ctx)
-        return self._event
+        return self._tokens
 
     def fire(self, value: Any = None) -> None:
-        """Wake every waiter with ``value`` and re-arm.
+        """Wake every waiter with ``value``, in one dispatch queued now
+        (:meth:`Simulator.wake`), and re-arm.
 
-        A fire with nobody waiting schedules nothing: the armed event
-        has no callbacks, so dispatching it would do no work.  It stays
-        armed for the next :meth:`wait`, whose caller yields it at once
-        and so wakes on the next fire, with that fire's value."""
-        ev = self._event
+        A fire with nobody waiting schedules nothing; the next process
+        to yield :meth:`wait` wakes on the next fire, with that fire's
+        value."""
         del self._waiters[:]
-        if not ev.callbacks:
-            return
-        self._event = self.sim.event(name=self.name)
-        ev.succeed(value)
+        if self._tokens:
+            self.sim.wake(self._tokens, value, self.name)
 
 
 class CompletionLatch:
@@ -102,8 +103,9 @@ class CompletionLatch:
         if self._signal is not None:
             self._signal.fire()
 
-    def wait(self, ctx: Any = None) -> Event:
-        """An event fired at the next completion (arms the signal).
+    def wait(self, ctx: Any = None) -> list:
+        """The wait list to yield for the next completion (arms the
+        signal).
 
         ``ctx`` optionally registers the parked thread for waits-for
         introspection (see :attr:`Signal.waiters`)."""

@@ -172,16 +172,24 @@ def test_queued_events_sees_batch_siblings(sim):
 
 def test_dead_same_instant_siblings_leave_with_the_head(sim):
     # Cancelled entries right behind a popped head at its instant are
-    # swept with it, so succeed_after's hand-off sees no pending work at
-    # this instant and fires the event inside the timer's dispatch.
+    # swept with it, so a lock hand-off's relay sees no pending work at
+    # this instant and resumes its waiter inside the relay's dispatch.
     fired = []
-    done = sim.event(name="done")
-    done.callbacks.append(lambda e: fired.append(sim.now))
-    sim.succeed_after(1e-9, done)
+    wait_list = []
+
+    def waiter():
+        yield wait_list
+        fired.append(sim.now)
+        yield sim.event()  # stay alive: the exit would be one more dispatch
+
+    sim.process(waiter())
+    sim.run()
+    before = sim.dispatched
+    sim.hand_off(1e-9, wait_list.pop())
     for _ in range(2):
         sim.call_after(1e-9, fired.append, "dead").cancel()
     sim.call_after(2e-9, fired.append, "later")
     sim.run()
     assert fired == [1e-9, "later"]
-    assert sim.dispatched == 2
+    assert sim.dispatched == before + 2
     assert sim.skipped == 2
