@@ -8,6 +8,7 @@ import importlib.util
 import pathlib
 
 from repro.experiments import EXPERIMENTS
+from repro.obs.events import EventKind
 
 _GOLDEN = pathlib.Path(__file__).resolve().parents[2] / "tools" / "golden.py"
 _spec = importlib.util.spec_from_file_location("_golden", _GOLDEN)
@@ -36,7 +37,9 @@ def test_manifest_pins_every_trace_at_its_seed():
     assert sorted(traces) == sorted(golden.TRACES)
     for name, (seed, _categories) in golden.TRACES.items():
         assert sorted(traces[name]) == [str(seed)], name
-        assert sorted(traces[name][str(seed)]) == ["counters", "trace"], name
+        pin = traces[name][str(seed)]
+        assert sorted(pin) == ["checkpoints", "digest", "events"], name
+        assert len(pin["checkpoints"]) == (pin["events"] - 1) // golden.CHECKPOINT, name
 
 
 def test_tier1_subset_matches_its_pins():
@@ -68,3 +71,32 @@ def test_moved_names_the_experiment_seed_and_keys():
     assert golden.moved(old, {"figX": {"0": golden.pin(doc)}}) == [
         ("figX", "0", ["checks", "exp_id", "rows"]),
     ]
+
+
+class _Ev:
+    def __init__(self, i, name="e"):
+        self.kind = EventKind.INSTANT
+        self.category, self.name, self.ts = "lock", name, i * 1e-9
+        self.rank, self.tid, self.value, self.span_id = 0, 1, None, None
+        self.args = {"b": 2, "a": (1, 2)}
+
+
+def _stream(n, moved_at=None):
+    s = golden.StreamHash()
+    for i in range(n):
+        s(_Ev(i, "x" if i == moved_at else "e"))
+    return s
+
+
+def test_first_moved_block_names_the_block_and_its_first_event(monkeypatch):
+    monkeypatch.setattr(golden, "CHECKPOINT", 4)
+    old = _stream(10).pin()
+    assert old["events"] == 10 and len(old["checkpoints"]) == 2
+    assert _stream(10).pin() == old
+    moved = _stream(10, moved_at=5)
+    assert moved.pin() != old
+    where = golden.first_moved_block(old, moved)
+    assert "first differing block #1 (events from 4)" in where
+    assert "lock/e rank 0" in where and repr(4e-9) in where
+    assert "block #2" in golden.first_moved_block(old, _stream(9, moved_at=8))
+    assert "ends before it" in golden.first_moved_block(old, _stream(8))

@@ -5,49 +5,54 @@ each seed in ``SEEDS`` (quick preset), the
 :func:`~repro.experiments.base.canonical_id` of its ``to_dict()`` and of
 each top-level key of it; each benchmark cell's ``checks.digest`` at
 each seed in ``HOSTBENCH_SEEDS`` (``hostbench/cells.py`` and
-``hostbench/checks.py`` are imported read-only); the blake2b of the
-Chrome trace and of the counter dump of each ``repro trace`` run in
-``TRACES``, made in-process; and the Python and numpy versions the pins
-were made with (numpy's generators key every random stream).  Tier-1
+``hostbench/checks.py`` are imported read-only); for each traced run in
+``TRACES``, the event count and blake2b of its whole bus stream, with a
+checkpoint every ``CHECKPOINT`` events (:class:`StreamHash`, in-process:
+no event is stored or written, so no cap applies); and the Python and
+numpy versions the pins were made with (numpy's generators key every
+random stream).  Tier-1
 (``tests/golden/test_golden.py``) recomputes the manifest's ``tier1``
 subset within its stated budget; CI's ``golden`` job recomputes all of
 it.  Usage::
 
     PYTHONPATH=src python tools/golden.py --check    # exit 1 if a pin moved
     PYTHONPATH=src python tools/golden.py --update   # re-pin, print what moved
+
+When a trace pin moves, both modes name the first checkpoint block that
+differs and the first event of that block in the new run.
 """
 
 from __future__ import annotations
 
 import argparse
-import contextlib
 import hashlib
 import importlib.util
-import io
 import json
 import platform
 import sys
-import tempfile
 from pathlib import Path
-from typing import Dict, Iterable, List, Mapping, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
 import numpy
 
-from repro.cli import main as repro_cli
-from repro.experiments import EXPERIMENTS, run_experiments
+from repro.experiments import EXPERIMENTS, run_experiment, run_experiments
 from repro.experiments.base import canonical_id
+from repro.obs import Instrument
 
 ROOT = Path(__file__).resolve().parents[1]
 MANIFEST = ROOT / "tests" / "golden" / "manifest.json"
 SEEDS = (0, 1, 7)
 HOSTBENCH_SEEDS = (1, 7, 23)
-#: ``repro trace`` runs pinned as ``{name: (seed, categories)}``.  Both
-#: record ``sim``: its dispatch and wake instants show every queue item
-#: the run dispatched, so a change to what is queued moves them.
+#: Traced runs pinned as ``{name: (seed, categories)}``: the stream
+#: ``repro trace <name> --seed S --categories C`` records, uncapped.
+#: Both record ``sim``: its dispatch and wake instants show every queue
+#: item the run dispatched, so a change to what is queued moves them.
 TRACES = {
     "fig_continuations": (1, "lock,mpi,net,fault,meta,sim"),
     "fig_chaos": (1, "lock,mpi,net,fault,meta,sim"),
 }
+#: Events per trace checkpoint block.
+CHECKPOINT = 65_536
 
 #: ``{exp_id: {seed (str): {"digest": ..., "keys": {key: ...}}}}``
 Pins = Dict[str, Dict[str, dict]]
@@ -100,33 +105,85 @@ def hostbench_digests(seeds: Iterable[int]) -> Dict[str, Dict[str, str]]:
     return out
 
 
-def _blake2b(path: Path) -> str:
-    return hashlib.blake2b(path.read_bytes(), digest_size=16).hexdigest()
+class StreamHash:
+    """Bus subscriber: the blake2b of every event it sees, in order, as
+    kind, category, name, ``ts.hex()``, rank, tid, value, span id and
+    sorted args, with the running digest taken every
+    :data:`CHECKPOINT` events.  Keeps only the first event of each
+    block, as ``(ts, category, name, rank)``, to say where a moved
+    stream starts to differ."""
+
+    def __init__(self) -> None:
+        self._h = hashlib.blake2b(digest_size=16)
+        self.events = 0
+        self.checkpoints: List[str] = []
+        self.block_starts: List[Tuple[float, str, str, int]] = []
+
+    def __call__(self, ev) -> None:
+        n = self.events
+        if not n % CHECKPOINT:
+            if n:
+                self.checkpoints.append(self._h.hexdigest())
+            self.block_starts.append((ev.ts, ev.category, ev.name, ev.rank))
+        self.events = n + 1
+        args = sorted(ev.args.items()) if ev.args else None
+        self._h.update(repr((ev.kind.value, ev.category, ev.name, ev.ts.hex(),
+                             ev.rank, ev.tid, ev.value, ev.span_id,
+                             args)).encode())
+
+    def pin(self) -> dict:
+        return {"events": self.events, "digest": self._h.hexdigest(),
+                "checkpoints": self.checkpoints}
 
 
-def trace_digests(names: Iterable[str]) -> Dict[str, Dict[str, Dict[str, str]]]:
-    """``{name: {seed (str): {"trace": ..., "counters": ...}}}``: the
-    blake2b of the Chrome trace and of the counter dump that
-    ``repro trace <name> --seed S --categories C`` writes, for each
-    selected run in :data:`TRACES`, run in-process."""
-    out: Dict[str, Dict[str, Dict[str, str]]] = {}
+def trace_stream(name: str) -> StreamHash:
+    """The :class:`StreamHash` of traced run ``name`` in :data:`TRACES`,
+    run in-process on a fresh bus."""
+    seed, categories = TRACES[name]
+    bus = Instrument()
+    stream = StreamHash()
+    bus.subscribe(stream, categories=categories.split(","))
+    run_experiment(name, quick=True, seed=seed, obs=bus)
+    return stream
+
+
+def trace_digests(names: Iterable[str]):
+    """``({name: {seed (str): pin}}, {name: StreamHash})`` for each
+    selected run in :data:`TRACES`; a pin is :meth:`StreamHash.pin`."""
+    pins: Dict[str, Dict[str, dict]] = {}
+    streams: Dict[str, StreamHash] = {}
     for name in names:
-        seed, categories = TRACES[name]
-        with tempfile.TemporaryDirectory() as tmp:
-            trace, counters = Path(tmp) / "trace.json", Path(tmp) / "counters.json"
-            with contextlib.redirect_stdout(io.StringIO()):
-                repro_cli(["trace", name, "--seed", str(seed), "--categories", categories,
-                     "--out", str(trace), "--counters", str(counters)])
-            out[name] = {str(seed): {"trace": _blake2b(trace),
-                                     "counters": _blake2b(counters)}}
-    return out
+        streams[name] = stream = trace_stream(name)
+        pins[name] = {str(TRACES[name][0]): stream.pin()}
+    return pins, streams
+
+
+def first_moved_block(old: Optional[dict], new: StreamHash) -> str:
+    """Where a moved trace stream starts to differ from its pin ``old``:
+    the first checkpoint block whose digest differs, and that block's
+    first event in the new run."""
+    if old is None:
+        return "new pin"
+    # The final digest closes the last, partial block.
+    i = 0
+    for a, b in zip(old["checkpoints"] + [old["digest"]],
+                    new.checkpoints + [new.pin()["digest"]]):
+        if a != b:
+            break
+        i += 1
+    where = (f"{new.events} events (pinned {old['events']}); first "
+             f"differing block #{i} (events from {i * CHECKPOINT})")
+    if i >= len(new.block_starts):
+        return where + ": the new run ends before it"
+    ts, cat, ev_name, rank = new.block_starts[i]
+    return where + f" starts at t={ts!r} {cat}/{ev_name} rank {rank}"
 
 
 def moved_digests(old: Dict[str, Dict[str, str]],
                   new: Dict[str, Dict[str, str]]) -> List[Tuple[str, str]]:
     """``(cell, seed)`` for every digest in ``new`` that differs from
-    (or is missing in) ``old``.  A trace pin's digest is its
-    ``{"trace", "counters"}`` pair."""
+    (or is missing in) ``old``.  A trace pin's digest is its whole
+    :meth:`StreamHash.pin`."""
     return [(cell, seed) for cell, by_seed in new.items()
             for seed, d in by_seed.items() if old.get(cell, {}).get(seed) != d]
 
@@ -177,10 +234,13 @@ def main(argv=None) -> int:
     bench_diff = moved_digests(manifest.get("hostbench", {}), bench)
     for cell, seed in bench_diff:
         print(f"hostbench {cell} seed {seed}: digest")
-    traces = trace_digests(TRACES)
-    trace_diff = moved_digests(manifest.get("traces", {}), traces)
+    old_traces = manifest.get("traces", {})
+    traces, streams = trace_digests(TRACES)
+    trace_diff = moved_digests(old_traces, traces)
     for name, seed in trace_diff:
-        print(f"trace {name} seed {seed}: trace or counters")
+        where = first_moved_block(old_traces.get(name, {}).get(seed),
+                                  streams[name])
+        print(f"trace {name} seed {seed}: {where}")
     n_moved = len(diff) + len(bench_diff) + len(trace_diff)
     n_pins = sum(len(s) for d in (new, bench, traces) for s in d.values())
     if args.update:
