@@ -26,7 +26,7 @@ an ``acquire`` on lock B is reached" -- and reports
 How held-sets propagate (design notes, not user API):
 
 * Lock identity is textual -- ``ast.unparse`` of the receiver
-  expression (``self.ticket_b`` in class C becomes ``C.ticket_b``;
+  expression (``self.lock`` in class C becomes ``C.lock``;
   ``rt._cs_acquire(dom, ...)`` becomes ``dom.lock``).  Identities are
   per-function-local names, so summaries also carry a *family* (class
   attribute or decoration-stripped name) used to match runtime
@@ -114,9 +114,8 @@ def _lock_id(call: ast.Call, scope: Optional[FunctionInfo]) -> LockId:
         and scope is not None
         and scope.cls is not None
     ):
-        # ``self.ticket_b`` in PriorityTicketLock -> a class-scoped
-        # identity that doubles as the runtime witness family (matched
-        # against SimLock.witness_family / order_class).
+        # ``self.lock`` in class C -> a class-scoped identity that
+        # doubles as its witness family.
         scoped = scope.cls.name + ident[len("self"):]
         return LockId(scoped, scoped)
     # Last dotted segment, subscripts stripped: ``doms[cur].lock`` and

@@ -24,8 +24,8 @@ What resolves (everything else is silently "unknown", never a guess):
   inference over class bodies;
 * ``yield from gen(...)`` generator composition -- the ``Call`` node is
   resolved exactly like a plain call, so lock protocols that compose
-  generators (``yield from self.ticket_b.acquire(ctx)``) chain through
-  the graph.
+  generators (``yield from self.lock.acquire(ctx)``) chain through the
+  graph.
 
 Suppression comments are parsed here too, because both tools share the
 mechanism: ``# simlint: disable=RULE`` and ``# simcheck: disable=RULE``

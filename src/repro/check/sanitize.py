@@ -52,6 +52,7 @@ category):
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
@@ -241,8 +242,6 @@ class WaitsForGraph:
         for ctx in lock.waiting_threads():
             tn = self._node("thread", ctx.tid, ctx.name)
             self._adj[tn].add(ln)
-        for sub in lock.sub_locks():
-            self.add_lock(sub)
 
     def add_condition(self, cond, label: str = "") -> None:
         waiters = getattr(cond, "waiters", ())
@@ -366,8 +365,7 @@ class DeadlockDetector:
                 g.add_lock(dom.lock)
             g.add_condition(rt._activity, label=f"activity@rank{rt.rank}")
         # Locks held or contended outside the domain set (workload locks
-        # from examples/benchmarks, composed inner tickets reach here
-        # via sub_locks()).
+        # from examples/benchmarks).
         for group in self.cluster.threads:
             for th in group:
                 for lk in th.ctx.held:
@@ -401,11 +399,19 @@ class DeadlockDetector:
         return {"waits_for_cycles": list(self.cycles)}
 
 
+def witness_family(name: str) -> str:
+    """A lock's name with the per-instance decorations (``@rankN``, the
+    ``.dM`` shard suffix, ``#id``) stripped: the static analysis cannot
+    see ranks or shard indices, so runtime edges are matched by this."""
+    fam = re.sub(r"@rank\d+", "", name)
+    fam = re.sub(r"\.d\d+", "", fam)
+    return re.sub(r"#\d+", "", fam)
+
+
 class OrderWitness:
     """Collects runtime lock-order edges (``order.edge`` instants).
 
-    Edges are keyed by witness *family* (rank/shard decorations
-    stripped, ``order_class`` overrides honoured) so one logical edge
+    Edges are keyed by :func:`witness_family` so one logical edge
     observed on any rank matches one static edge.  ``names`` keeps an
     example concrete pair per family edge for reporting."""
 
@@ -422,15 +428,11 @@ class OrderWitness:
     def _on_event(self, ev) -> None:
         if ev.name != "order.edge":
             return
-        args = ev.args or {}
-        acquired = args.get("acquired", "?")
-        held_names = args.get("held_names", ())
-        for i, held in enumerate(args.get("held", ())):
-            key = (held, acquired)
+        acquired = ev.args["acquired"]
+        for held in ev.args["held"]:
+            key = (witness_family(held), witness_family(acquired))
             self.edges[key] = self.edges.get(key, 0) + 1
-            if key not in self.names:
-                hname = held_names[i] if i < len(held_names) else held
-                self.names[key] = (hname, args.get("acquired_name", acquired))
+            self.names.setdefault(key, (held, acquired))
 
 
 @dataclass

@@ -2,20 +2,21 @@
 
 A :class:`SimLock` arbitrates a critical section among simulated threads.
 ``acquire`` is a *generator* (it yields simulator events and returns once
-the lock is held), so lock protocols compose: the paper's priority lock
-(Fig. 7) is literally three ticket locks composed in the acquiring thread's
-context.
+the lock is held).  The bookkeeping every lock shares (owner, contenders,
+held sets, contention factor, the ``lock`` trace category) runs once per
+acquisition, on the :class:`SimLock`; the words a protocol spins on are
+:class:`LockWord` objects, so the paper's priority lock (Fig. 7) is one
+lock over three bare ticket words.
 
 Locks charge time through the :class:`~repro.machine.CostModel`: atomic
-RMW latency depends on where the lock's cache line currently lives, and
-hand-off latency on the distance between releaser and the next owner --
-the two NUMA effects the paper analyses.
+RMW latency depends on where a lock word's cache line currently lives,
+and hand-off latency on the distance between releaser and the next
+owner -- the two NUMA effects the paper analyses.
 """
 
 from __future__ import annotations
 
 import enum
-import re
 from typing import Callable, Dict, Optional, Tuple
 
 from ..machine.costs import NS, CostModel
@@ -23,7 +24,7 @@ from ..machine.threads import ThreadCtx
 from ..machine.topology import Core, distance
 from ..sim.rng import batched_draws
 
-__all__ = ["Priority", "SimLock", "NullLock", "LockError"]
+__all__ = ["Priority", "LockWord", "SimLock", "NullLock", "LockError"]
 
 
 class Priority(enum.IntEnum):
@@ -46,34 +47,19 @@ class LockError(RuntimeError):
     """Protocol violation (double release, release by non-holder, ...)."""
 
 
-class SimLock:
-    """Base class: contention bookkeeping, obs emission, touch hook."""
+class LockWord:
+    """One lock word: the cache line an atomic on it pays for, and its
+    own ``lock:<name>`` jitter stream."""
 
-    #: If True, release() must be called by the owning thread.
-    strict_owner = True
-    #: If True, a thread may queue on the lock while the stale owner
-    #: marker points at it (needed for the priority lock's B ticket,
-    #: whose ownership belongs to a priority *class*, not a thread).
-    allow_owner_reentry = False
-
-    def __init__(self, sim, costs: CostModel, name: str = ""):
+    def __init__(self, sim, costs: CostModel, name: str):
         self.sim = sim
         self.costs = costs
-        self.lock_id = next(sim.ids.lock)
-        self.name = name or f"{type(self).__name__}#{self.lock_id}"
-        self.owner: Optional[ThreadCtx] = None
-        #: Cache line home: core of the last thread that touched the lock word.
+        self.name = name
+        #: Cache line home: core of the last thread that touched the word.
         self.line_owner: Optional[Core] = None
-        self._contenders: Dict[int, ThreadCtx] = {}
-        #: Core of the previous owner (hand-off distance instrumentation).
-        self._prev_owner_core: Optional[Core] = None
-        #: Witness family override for deadcheck's order-witness diff
-        #: (e.g. ``"PriorityTicketLock.ticket_h"`` on the priority
-        #: lock's inner tickets); None derives one from ``name``.
-        self.order_class: Optional[str] = None
         # Keyed by name, not lock_id: a named lock's stream does not
         # move when another lock is built before it.
-        rng = sim.rng.stream(f"lock:{self.name}")
+        rng = sim.rng.stream(f"lock:{name}")
         scale = costs.jitter_ns
         #: Exponential completion jitter in seconds, drawn in batches
         #: (see batched_draws); None when the model has no jitter.
@@ -85,6 +71,30 @@ class SimLock:
         #: jitter.
         self._jitters: Optional[list] = (
             None if self._jitter is None else self._jitter.cache)
+
+    def _atomic_cost(self, core: Core) -> float:
+        """Atomic RMW latency for ``core``, plus exponential completion
+        jitter, in seconds."""
+        line = self.line_owner
+        # ``line is core`` is the same core, so SAME_CORE (index 0).
+        base = self.costs.atomic_s[
+            0 if line is None or line is core else distance(core, line)]
+        draws = self._jitters
+        if draws is None:
+            return base
+        return base + (draws.pop() if draws else self._jitter())
+
+
+class SimLock(LockWord):
+    """Base class: contention bookkeeping, obs emission, touch hook."""
+
+    def __init__(self, sim, costs: CostModel, name: str = ""):
+        self.lock_id = next(sim.ids.lock)
+        super().__init__(sim, costs, name or f"{type(self).__name__}#{self.lock_id}")
+        self.owner: Optional[ThreadCtx] = None
+        self._contenders: Dict[int, ThreadCtx] = {}
+        #: Core of the previous owner (hand-off distance instrumentation).
+        self._prev_owner_core: Optional[Core] = None
         #: The contention factor (:meth:`_sum_factor`), which in-CS work
         #: reads once per work segment, far more often than the owner or
         #: the contender set change.  So it is kept current eagerly by
@@ -124,9 +134,9 @@ class SimLock:
     # ------------------------------------------------------------------
     # The uncontended LOW round (an idle progress poll's acquire+release)
     # ------------------------------------------------------------------
-    def low_round_locks(self) -> Tuple["SimLock", ...]:
-        """The (sub)locks whose atomic an uncontended LOW acquire pays,
-        one each, in the order it pays them."""
+    def low_round_words(self) -> Tuple[LockWord, ...]:
+        """The words whose atomic an uncontended LOW acquire pays, one
+        each, in the order it pays them."""
         return (self,)
 
     def add_low_rounds(self, k: int) -> None:
@@ -136,17 +146,13 @@ class SimLock:
     def parkable_on(self, core: Core) -> bool:
         """True when an uncontended LOW round by a thread on ``core`` is
         fixed by the jitter draws alone: this lock is free, with no
-        contenders, and every lock it pays an atomic on is free too,
-        jittered, with its cache line on ``core`` (so each atomic costs
-        ``SAME_CORE``)."""
+        contenders (so no word of it is held or waited on), jittered,
+        and every word it pays an atomic on has its cache line on
+        ``core`` (so each atomic costs ``SAME_CORE``)."""
         if self.owner is not None or self._contenders or self._jitter is None:
             return False
-        for lk in self.low_round_locks():
-            if lk is not self and (
-                lk.owner is not None or lk._contenders or lk._jitter is None
-            ):
-                return False
-            line = lk.line_owner
+        for word in self.low_round_words():
+            line = word.line_owner
             if line is not None and line.index != core.index:
                 return False
         return True
@@ -169,26 +175,6 @@ class SimLock:
             self._contenders[tid] for tid in sorted(self._contenders)
         )
 
-    def sub_locks(self) -> Tuple["SimLock", ...]:
-        """Component locks of a composed protocol (the priority lock's
-        three tickets).  Used to (a) traverse composed wait queues and
-        (b) drop composition-internal pairs from order-edge witnesses:
-        a grant of the composite with its own tickets held is protocol
-        structure, not an application ordering."""
-        return ()
-
-    @property
-    def witness_family(self) -> str:
-        """Stable identity for order-witness matching: the static
-        analysis cannot see ranks or shard indices, so runtime edges
-        are compared by name with the per-instance decorations
-        (``@rankN``, ``.dM`` shard suffix, ``#id``) stripped."""
-        if self.order_class is not None:
-            return self.order_class
-        fam = re.sub(r"@rank\d+", "", self.name)
-        fam = re.sub(r"\.d\d+", "", fam)
-        return re.sub(r"#\d+", "", fam)
-
     def _sum_factor(self) -> float:
         """The contention factor, summed from scratch: the slowdown
         multiplier for the current holder's in-CS work.
@@ -208,21 +194,6 @@ class SimLock:
                 f += far if c.socket != owner_socket else near
         return f
 
-    def _atomic_cost(self, core: Core) -> float:
-        """Atomic RMW latency for ``core``, plus exponential completion
-        jitter, in seconds."""
-        line = self.line_owner
-        # ``line is core`` is the same core, so SAME_CORE (index 0).
-        base = self.costs.atomic_s[
-            0 if line is None or line is core else distance(core, line)]
-        draws = self._jitters
-        if draws is None:
-            return base
-        return base + (draws.pop() if draws else self._jitter())
-
-    def _handoff_cost(self, from_core: Core, to_core: Core) -> float:
-        return self.costs.handoff_s[distance(to_core, from_core)]
-
     def _enter(self, ctx: ThreadCtx) -> None:
         if self.on_touch is not None:
             self.on_touch()
@@ -232,7 +203,7 @@ class SimLock:
             raise LockError(f"{ctx!r} already contending for {self.name}")
         owner = self.owner
         if owner is not None:
-            if owner.tid == tid and not self.allow_owner_reentry:
+            if owner.tid == tid:
                 # A real non-reentrant lock would deadlock here; surface
                 # the model bug instead.
                 raise LockError(
@@ -288,55 +259,30 @@ class SimLock:
         if obs is not None and len(ctx.held) > 1 and obs.wants("check"):
             # Order witness: this grant happened while the thread held
             # other locks -- a runtime lock-order edge held -> self.
-            # Excluded from the held side: (a) composition internals
-            # (granting the priority composite while its own tickets
-            # are held is protocol structure, not an ordering between
-            # two guards) and (b) allow_owner_reentry locks -- their
-            # ownership belongs to a priority *class* and outlives the
-            # thread's logical critical section (the B ticket lingers
-            # in ctx.held across composite rounds), so "this thread
-            # holds it" is not a valid order assertion.
-            subs = self.sub_locks()
-            held = [
-                lk for lk in ctx.held
-                if lk is not self
-                and not lk.allow_owner_reentry
-                and (not subs or lk not in subs)
-            ]
-            if held:
-                obs.instant(
-                    "check", "order.edge",
-                    rank=ctx.rank if ctx.rank is not None else -1,
-                    tid=ctx.tid,
-                    args={
-                        "held": tuple(sorted(
-                            lk.witness_family for lk in held
-                        )),
-                        "held_names": tuple(sorted(lk.name for lk in held)),
-                        "acquired": self.witness_family,
-                        "acquired_name": self.name,
-                    },
-                )
+            obs.instant(
+                "check", "order.edge",
+                rank=ctx.rank if ctx.rank is not None else -1,
+                tid=ctx.tid,
+                args={
+                    "held": tuple(sorted(
+                        lk.name for lk in ctx.held if lk is not self)),
+                    "acquired": self.name,
+                },
+            )
 
     def _release_checks(self, ctx: ThreadCtx) -> None:
         own = self.owner
         if own is None:
             raise LockError(f"release of unheld lock {self.name} by {ctx.name}")
-        if self.strict_owner and own.tid != ctx.tid:
+        if own.tid != ctx.tid:
             raise LockError(
                 f"{ctx.name} released {self.name} held by {own.name}"
             )
         obs = self.sim.obs
         if obs is not None and obs.wants("lock"):
-            # End the *owner's* hold span (strict_owner=False locks may
-            # be released by a different thread; the span lives on the
-            # lane that opened it).
             obs.span_end("lock", f"{self.name}.hold",
                          rank=own.rank if own.rank is not None else -1,
                          tid=own.tid)
-        # Drop from the *owner's* held set, not the releaser's:
-        # strict_owner=False locks (the priority lock's B ticket) may be
-        # released on another thread's behalf.
         own.held.discard(self)
         self.owner = None
         self._factor = 1.0
@@ -359,7 +305,7 @@ class NullLock(SimLock):
         return
         yield  # pragma: no cover - makes this a generator
 
-    def low_round_locks(self) -> Tuple[SimLock, ...]:
+    def low_round_words(self) -> Tuple[LockWord, ...]:
         return ()
 
     def release(self, ctx: ThreadCtx) -> float:

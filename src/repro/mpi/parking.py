@@ -88,9 +88,9 @@ class IdleProgress(Park):
         poll = rt.costs.cs_poll_empty * 1.0
         steps = []
         for dom in doms:
-            for lk in dom.lock.low_round_locks():
+            for word in dom.lock.low_round_words():
                 # atomic_s[0]: the line is on this core (SAME_CORE).
-                steps.append((lk._jitter, lk.costs.atomic_s[0]))
+                steps.append((word._jitter, word.costs.atomic_s[0]))
             steps.append((None, poll))
         gap = self.delay
         k = 0

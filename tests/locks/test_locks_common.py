@@ -57,7 +57,7 @@ def test_release_unheld_raises(kind, sim, machine, costs):
         lock.release(t)
 
 
-@pytest.mark.parametrize("kind", ["mutex", "null"])
+@pytest.mark.parametrize("kind", ["mutex", "null", "priority", "ticket"])
 def test_strict_owner_release_by_other_raises(kind, sim, machine, costs):
     lock = make_lock(kind, sim, costs)
     a, b = make_threads(machine, 2)

@@ -8,7 +8,8 @@ the same next jitter draw.
 
 import pytest
 
-from repro.locks import LOCK_CLASSES, Priority, SimLock, make_lock
+from repro.locks import LOCK_CLASSES, Priority, make_lock
+from repro.locks.base import LockWord
 from repro.machine import CostModel, Proximity, ThreadCtx, nehalem_node
 from repro.sim import Simulator
 
@@ -20,14 +21,19 @@ def real_round(lock, ctx, t):
     return t
 
 
+def words(lock):
+    """The lock and the ticket words inside it (the priority lock's)."""
+    return (lock, *(v for v in vars(lock).values() if isinstance(v, LockWord)))
+
+
 def snapshot(lock):
-    """Every attribute of the lock and its sub-locks, minus identities."""
+    """Every attribute of the lock and its words, minus identities."""
     out = []
-    for lk in (lock, *lock.sub_locks()):
+    for w in words(lock):
         out.append({
-            k: v for k, v in vars(lk).items()
+            k: v for k, v in vars(w).items()
             if k not in ("sim", "costs", "lock_id", "_jitter")
-            and not isinstance(v, SimLock)
+            and not isinstance(v, LockWord)
         })
     return out
 
@@ -55,15 +61,15 @@ def test_bulk_rounds_equal_real_rounds(kind, k, ctx):
     base = costs.atomic_s[Proximity.SAME_CORE]
     t = 0.0
     for _ in range(k - 1):
-        for lk in bulk.low_round_locks():
-            t = t + (base + lk._jitter())
+        for w in bulk.low_round_words():
+            t = t + (base + w._jitter())
     bulk.add_low_rounds(k - 1)
     t = real_round(bulk, ctx, t)
 
     assert t == t_real
     assert snapshot(bulk) == snapshot(real)
     assert ctx.held == set()
-    for a, b in zip((bulk, *bulk.sub_locks()), (real, *real.sub_locks())):
+    for a, b in zip(words(bulk), words(real)):
         assert a._jitter() == b._jitter()
 
 

@@ -13,7 +13,8 @@ with a progress thread; its LOW round is covered in
 
 import pytest
 
-from repro.locks import LOCK_CLASSES, SimLock
+from repro.locks import LOCK_CLASSES
+from repro.locks.base import LockWord
 from repro.mpi.runtime import COMPLETION_MODES
 from repro.mpi.world import Cluster, ClusterConfig
 from repro.obs import Instrument
@@ -21,13 +22,12 @@ from repro.workloads.rma_bench import RmaConfig, run_rma
 
 
 def lock_state(lock):
-    """Counters and plain state of a lock and its sub-locks."""
+    """Counters and plain state of a lock and its ticket words."""
     out = []
-    for lk in (lock, *lock.sub_locks()):
+    for w in (lock, *(v for v in vars(lock).values() if isinstance(v, LockWord))):
         out.append({
-            k: v for k, v in vars(lk).items()
+            k: v for k, v in vars(w).items()
             if isinstance(v, (int, float, bool)) and k != "lock_id"
-            and not isinstance(v, SimLock)
         })
     return out
 

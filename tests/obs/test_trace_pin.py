@@ -16,8 +16,8 @@ import pytest
 
 from repro.cli import main
 
-TRACE_BLAKE2B = "d34d4a341ff46222ce6883331570612a"
-COUNTERS_BLAKE2B = "38d7956e7cf4af0e9303839ecec7a33a"
+TRACE_BLAKE2B = "b98d306c7e0d88cbef5b71191c791861"
+COUNTERS_BLAKE2B = "09c4216a04e293ac2da4b3f5830d4325"
 
 #: fig_vci is pinned with the ``sim`` category; fig_chaos records the
 #: CLI's default categories.
