@@ -22,8 +22,6 @@ jitter stream, and the lock bookkeeping runs once, on this lock.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from ..machine.threads import ThreadCtx
 from .base import HIGH, Priority, SimLock
 from .ticket import TicketWord
@@ -40,9 +38,10 @@ class PriorityTicketLock(SimLock):
         self.ticket_h = TicketWord(sim, costs, f"{base}.H")
         self.ticket_l = TicketWord(sim, costs, f"{base}.L")
         self.ticket_b = TicketWord(sim, costs, f"{base}.B")
+        #: ticket_B is held for the high class: set when a HIGH thread
+        #: takes it, cleared when the last HIGH holder hands it on, so
+        #: while it is set only HIGH threads hold this lock.
         self.already_blocked = False
-        #: The holder's priority; None while the lock is free.
-        self._holder_prio: Optional[Priority] = None
 
     def low_round_words(self):
         # A LOW acquire takes ticket_L, then ticket_B (Fig. 7).
@@ -72,12 +71,11 @@ class PriorityTicketLock(SimLock):
                 yield entry
             if priority == HIGH:
                 self.already_blocked = True
-        self._holder_prio = priority
         self._grant(ctx)
 
     def release(self, ctx: ThreadCtx) -> float:
         self._release_checks(ctx)
-        if self._holder_prio == HIGH:
+        if self.already_blocked:  # the holder is HIGH
             if not self.ticket_h._waiting:
                 # Last high-priority thread: let the low class pass.
                 self.ticket_b.give(ctx)
@@ -86,5 +84,4 @@ class PriorityTicketLock(SimLock):
         else:
             self.ticket_b.give(ctx)
             self.ticket_l.give(ctx)
-        self._holder_prio = None
         return 0.0

@@ -25,19 +25,19 @@ __all__ = ["TicketWord", "TicketLock"]
 
 
 class TicketWord(LockWord):
-    """A ticket word: the ``next_ticket``/``now_serving`` pair, the FIFO
-    of threads holding a ticket not yet served, and whether the ticket
-    being served is taken.  A thread takes the word by yielding the
-    fetch&inc's :meth:`_atomic_cost`, then calling :meth:`draw` and
-    yielding the wait-list entry it returns, if any."""
+    """A ticket word: the ``next_ticket``/``now_serving`` pair and the
+    FIFO of threads holding a ticket not yet served.  A thread takes the
+    word by yielding the fetch&inc's :meth:`_atomic_cost`, then calling
+    :meth:`draw` and yielding the wait-list entry it returns, if any.
+
+    The counters are its only ownership state: the word is taken (held,
+    or being handed to a waiter) exactly while ``next_ticket >
+    now_serving``; who holds it is the enclosing lock's bookkeeping."""
 
     def __init__(self, sim, costs, name: str = ""):
         super().__init__(sim, costs, name)
         self.next_ticket = 0
         self.now_serving = 0
-        #: The ticket ``now_serving`` is taken: by a thread that holds
-        #: the word, or by the waiter it is being handed off to.
-        self.held = False
         #: ticket number -> wait list ``[thread, hand-off token]``: the
         #: threads holding a ticket but not yet served.
         self._waiting: Dict[int, List] = {}
@@ -50,9 +50,6 @@ class TicketWord(LockWord):
         my_ticket = self.next_ticket
         self.next_ticket = my_ticket + 1
         if my_ticket == self.now_serving:
-            if self.held:
-                raise LockError(f"ticket {my_ticket} serving but {self.name} held")
-            self.held = True
             return None
         entry = [ctx]
         self._waiting[my_ticket] = entry
@@ -60,12 +57,13 @@ class TicketWord(LockWord):
 
     def give(self, ctx: ThreadCtx) -> None:
         """Serve the next ticket: hand the word to its waiter, if any."""
-        if not self.held:
-            raise LockError(f"release of unheld lock {self.name} by {ctx.name}")
+        # Repeats a TicketLock's _release_checks; the priority lock's B
+        # word outlives its holders, so this is the only check it has.
+        if self.now_serving == self.next_ticket:
+            raise LockError(f"give of free ticket word {self.name} by {ctx.name}")
         self.now_serving += 1
         nxt = self._waiting.pop(self.now_serving, None)
         if nxt is None:
-            self.held = False
             return
         wctx, token = nxt
         sim = self.sim

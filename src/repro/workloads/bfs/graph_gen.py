@@ -26,10 +26,6 @@ class GraphCSR:
     indptr: np.ndarray    # int64, len n_vertices + 1
     indices: np.ndarray   # int32/int64 neighbor ids
 
-    @property
-    def n_edges_directed(self) -> int:
-        return int(self.indices.size)
-
     def degree(self, v: int) -> int:
         return int(self.indptr[v + 1] - self.indptr[v])
 

@@ -10,10 +10,9 @@ each seed in ``HOSTBENCH_SEEDS`` (``hostbench/cells.py`` and
 checkpoint every ``CHECKPOINT`` events (:class:`StreamHash`, in-process:
 no event is stored or written, so no cap applies); and the Python and
 numpy versions the pins were made with (numpy's generators key every
-random stream).  Tier-1
-(``tests/golden/test_golden.py``) recomputes the manifest's ``tier1``
-subset within its stated budget; CI's ``golden`` job recomputes all of
-it.  Usage::
+random stream).  Tier-1 (``tests/golden/test_golden.py``) recomputes the
+manifest's ``tier1`` subset within its stated budget; CI's ``golden``
+job recomputes all of it.  Usage::
 
     PYTHONPATH=src python tools/golden.py --check    # exit 1 if a pin moved
     PYTHONPATH=src python tools/golden.py --update   # re-pin, print what moved
@@ -106,11 +105,10 @@ def hostbench_digests(seeds: Iterable[int]) -> Dict[str, Dict[str, str]]:
 
 
 class StreamHash:
-    """Bus subscriber: the blake2b of every event it sees, in order, as
-    kind, category, name, ``ts.hex()``, rank, tid, value, span id and
-    sorted args, with the running digest taken every
-    :data:`CHECKPOINT` events.  Keeps only the first event of each
-    block, as ``(ts, category, name, rank)``, to say where a moved
+    """Bus subscriber: the blake2b of every event it sees, in order (kind,
+    category, name, ``ts.hex()``, rank, tid, value, span id, sorted
+    args), taken every :data:`CHECKPOINT` events.  Keeps each block's
+    first event as ``(ts, category, name, rank)``, to say where a moved
     stream starts to differ."""
 
     def __init__(self) -> None:
@@ -136,28 +134,6 @@ class StreamHash:
                 "checkpoints": self.checkpoints}
 
 
-def trace_stream(name: str) -> StreamHash:
-    """The :class:`StreamHash` of traced run ``name`` in :data:`TRACES`,
-    run in-process on a fresh bus."""
-    seed, categories = TRACES[name]
-    bus = Instrument()
-    stream = StreamHash()
-    bus.subscribe(stream, categories=categories.split(","))
-    run_experiment(name, quick=True, seed=seed, obs=bus)
-    return stream
-
-
-def trace_digests(names: Iterable[str]):
-    """``({name: {seed (str): pin}}, {name: StreamHash})`` for each
-    selected run in :data:`TRACES`; a pin is :meth:`StreamHash.pin`."""
-    pins: Dict[str, Dict[str, dict]] = {}
-    streams: Dict[str, StreamHash] = {}
-    for name in names:
-        streams[name] = stream = trace_stream(name)
-        pins[name] = {str(TRACES[name][0]): stream.pin()}
-    return pins, streams
-
-
 def first_moved_block(old: Optional[dict], new: StreamHash) -> str:
     """Where a moved trace stream starts to differ from its pin ``old``:
     the first checkpoint block whose digest differs, and that block's
@@ -165,12 +141,9 @@ def first_moved_block(old: Optional[dict], new: StreamHash) -> str:
     if old is None:
         return "new pin"
     # The final digest closes the last, partial block.
-    i = 0
-    for a, b in zip(old["checkpoints"] + [old["digest"]],
-                    new.checkpoints + [new.pin()["digest"]]):
-        if a != b:
-            break
-        i += 1
+    pairs = list(zip(old["checkpoints"] + [old["digest"]],
+                     new.checkpoints + [new.pin()["digest"]]))
+    i = next((i for i, (a, b) in enumerate(pairs) if a != b), len(pairs))
     where = (f"{new.events} events (pinned {old['events']}); first "
              f"differing block #{i} (events from {i * CHECKPOINT})")
     if i >= len(new.block_starts):
@@ -182,8 +155,7 @@ def first_moved_block(old: Optional[dict], new: StreamHash) -> str:
 def moved_digests(old: Dict[str, Dict[str, str]],
                   new: Dict[str, Dict[str, str]]) -> List[Tuple[str, str]]:
     """``(cell, seed)`` for every digest in ``new`` that differs from
-    (or is missing in) ``old``.  A trace pin's digest is its whole
-    :meth:`StreamHash.pin`."""
+    (or is missing in) ``old``."""
     return [(cell, seed) for cell, by_seed in new.items()
             for seed, d in by_seed.items() if old.get(cell, {}).get(seed) != d]
 
@@ -234,13 +206,16 @@ def main(argv=None) -> int:
     bench_diff = moved_digests(manifest.get("hostbench", {}), bench)
     for cell, seed in bench_diff:
         print(f"hostbench {cell} seed {seed}: digest")
-    old_traces = manifest.get("traces", {})
-    traces, streams = trace_digests(TRACES)
-    trace_diff = moved_digests(old_traces, traces)
-    for name, seed in trace_diff:
-        where = first_moved_block(old_traces.get(name, {}).get(seed),
-                                  streams[name])
-        print(f"trace {name} seed {seed}: {where}")
+    traces, trace_diff = {}, []
+    for name, (seed, categories) in TRACES.items():
+        bus, stream = Instrument(), StreamHash()
+        bus.subscribe(stream, categories=categories.split(","))
+        run_experiment(name, quick=True, seed=seed, obs=bus)
+        traces[name] = {str(seed): stream.pin()}
+        old = manifest.get("traces", {}).get(name, {}).get(str(seed))
+        if old != stream.pin():
+            trace_diff.append(name)
+            print(f"trace {name} seed {seed}: {first_moved_block(old, stream)}")
     n_moved = len(diff) + len(bench_diff) + len(trace_diff)
     n_pins = sum(len(s) for d in (new, bench, traces) for s in d.values())
     if args.update:
