@@ -403,7 +403,9 @@ def witness_family(name: str) -> str:
     """A lock's name with the per-instance decorations (``@rankN``, the
     ``.dM`` shard suffix, ``#id``) stripped: the static analysis cannot
     see ranks or shard indices, so runtime edges are matched by this."""
-    return re.sub(r"#\d+", "", re.sub(r"\.d\d+", "", re.sub(r"@rank\d+", "", name)))
+    fam = re.sub(r"@rank\d+", "", name)
+    fam = re.sub(r"\.d\d+", "", fam)
+    return re.sub(r"#\d+", "", fam)
 
 
 class OrderWitness:
